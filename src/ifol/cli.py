@@ -175,6 +175,19 @@ def _render_side(side) -> str:
     return cells if cells else "{}"
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _too_deep(path: Path) -> int:
+    print(f"{path}: formula nesting too deep to process "
+          f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="ifol",
                                      description="Many-sorted intensional FOL engine")
@@ -182,7 +195,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="load a workspace and execute its queries")
     run_p.add_argument("file", type=Path)
-    run_p.add_argument("--jobs", type=int, default=1,
+    run_p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker threads for per-world checks")
     run_p.add_argument("--max-worlds", type=int, default=2 ** 20,
                        help="refuse to enumerate beyond this many candidate worlds")
@@ -205,6 +218,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, IfolError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        return _too_deep(args.file)
 
     if args.command == "check":
         print(f"ok: {len(ws.all_formulas())} formulas, "
@@ -218,7 +233,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         return 0
 
-    report, status = run_queries(ws, jobs=args.jobs)
+    try:
+        report, status = run_queries(ws, jobs=args.jobs)
+    except RecursionError:
+        return _too_deep(args.file)
     sys.stdout.write(report)
     return status
 

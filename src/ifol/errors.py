@@ -149,7 +149,11 @@ class ParseError(IfolError):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.line = line
         self.col = col
-        super().__init__(f"line {line}:{col}: {message}" if line else message)
+        if line and col:
+            message = f"line {line}:{col}: {message}"
+        elif line:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 class ValidationError(IfolError):

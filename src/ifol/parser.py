@@ -68,13 +68,14 @@ class Token:
     pos: int
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, line: int = 0, col_offset: int = 0) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", col=pos + 1)
+            raise ParseError(f"unexpected character {text[pos]!r}", line=line,
+                             col=col_offset + pos + 1)
         kind = m.lastgroup or "ws"
         if kind != "ws":
             tokens.append(Token(kind, m.group(), pos))
@@ -87,15 +88,18 @@ class FormulaParser:
     """Recursive-descent parser over one formula.
 
     `sorts` names the declared sorts (after alias resolution); `is_constant`
-    decides whether a bare identifier denotes a declared element.
+    decides whether a bare identifier denotes a declared element.  Diagnostics
+    carry `line` and a 1-based column: `col_offset` is where the formula text
+    starts in its source line.
     """
 
     def __init__(self, text: str, sorts: Callable[[str], bool],
-                 is_constant: Callable[[str], bool], line: int = 0):
+                 is_constant: Callable[[str], bool], line: int = 0, col_offset: int = 0):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, line, col_offset)
         self.i = 0
         self.line = line
+        self.col_offset = col_offset
         self.has_sort = sorts
         self.is_constant = is_constant
         self.by_source: dict[str, Variable] = {}
@@ -117,12 +121,13 @@ class FormulaParser:
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value or kind
             raise ParseError(f"expected {want!r}, found {tok.value!r}",
-                             line=self.line, col=tok.pos + 1)
+                             line=self.line, col=self.col_offset + tok.pos + 1)
         return tok
 
     def _fail(self, message: str) -> ParseError:
         tok = self._peek()
-        return ParseError(message + f" (at {tok.value!r})", line=self.line, col=tok.pos + 1)
+        return ParseError(message + f" (at {tok.value!r})", line=self.line,
+                          col=self.col_offset + tok.pos + 1)
 
     # --- entry points ---------------------------------------------------
 
@@ -371,5 +376,6 @@ class FormulaParser:
 
 
 def parse_formula(text: str, sorts: Callable[[str], bool],
-                  is_constant: Callable[[str], bool], line: int = 0) -> Formula:
-    return FormulaParser(text, sorts, is_constant, line).parse_formula()
+                  is_constant: Callable[[str], bool], line: int = 0,
+                  col_offset: int = 0) -> Formula:
+    return FormulaParser(text, sorts, is_constant, line, col_offset).parse_formula()

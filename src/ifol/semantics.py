@@ -10,6 +10,18 @@ total graph for every declared function.  Truth can then be computed two ways:
   assignment), where the existential quantifier is an accessibility step that
   rebinds one variable.
 
+Both routes run on a compile-once core.  The first time a route meets a
+formula object, its compiler turns the formula into nested closures over a
+slot-indexed environment: a list with the formula's parameters (normally its
+free variables, in first-appearance order) in the leading slots and one slot
+per quantifier after them.  A quantifier writes only its own slot, so no
+assignment dict is copied, and constants, concepts and evaluators are resolved
+once per node instead of once per call.  Each route has its own compiler, so
+their agreement stays an independent check; they share only term evaluation.
+The compiled closures are cached on the `Structure`, keyed by the formula's
+identity, and each cache entry holds its formula so that the identity cannot
+be reused while the entry exists.
+
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
 are all decided by exhaustive enumeration over these worlds.
@@ -19,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .builtins import PREDICATE_EVALUATORS, apply_function
 from .concepts import ConceptRegistry, Interpretation
@@ -58,17 +71,25 @@ from .syntax import (
 
 Assignment = dict[Variable, Element]
 MapFn = Callable[..., Iterable]
+# A compiled formula or term reads the world and the slot environment.
+Test = Callable[["World", list], bool]
+Value = Callable[["World", list], Element]
+Args = Callable[["World", list], tuple]
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass
 class Structure:
-    """The immutable declaration half of a workspace: domain, signature,
-    concept registry and the fixed intensional interpretation."""
+    """The declaration half of a workspace: domain, signature, concept registry
+    and the fixed intensional interpretation, plus the compiled closures of the
+    formulas evaluated over it (keyed by formula identity)."""
 
     domain: Domain
     signature: Signature
     registry: ConceptRegistry
     interp: Interpretation
+    compiled: dict[int, "_Compiled"] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -130,12 +151,7 @@ class World:
 
     def _formula_extension(self, phi: Formula) -> frozenset[tuple[Element, ...]]:
         # Derived-concept extension rule: collect tuples through the Tarski route.
-        fv = free_vars(phi)
-        found = []
-        for g in many_sorted_assignments(fv, self.space.domain):
-            if tarski_eval(self, g, phi):
-                found.append(tuple(g[v] for v in fv))
-        return frozenset(found)
+        return frozenset(_tuples_where(_core(self.space, phi, _compile_tarski), self, True))
 
     def _concept_extension(self, concept: Concept) -> frozenset[tuple[Element, ...]]:
         if concept.name in self.relations:
@@ -178,10 +194,16 @@ def accessible(g1: Assignment, g2: Assignment, x: Variable) -> bool:
     return all(g1.get(v) == g2.get(v) for v in keys if v != x)
 
 
+def accessible_values(x: Variable, domain: Domain) -> tuple[Element, ...]:
+    """The values x takes across the successors of any assignment along the
+    accessibility relation for x: the valid elements of its sort."""
+    return domain.valid_elements(x.sort)
+
+
 def successors(g: Assignment, x: Variable, domain: Domain) -> Iterator[Assignment]:
     """The assignments reachable from g along the accessibility relation for x,
     rebinding x within the valid elements of its sort."""
-    for u in domain.valid_elements(x.sort):
+    for u in accessible_values(x, domain):
         g2 = dict(g)
         g2[x] = u
         yield g2
@@ -196,7 +218,101 @@ class KripkeModel:
     worlds: tuple[World, ...]
 
 
-# --- term and atom evaluation -----------------------------------------------------
+# --- the compiled core ------------------------------------------------------------
+
+class _Core(NamedTuple):
+    """One formula compiled on one route: `test(world, env)` reads parameter i
+    from env[i]; the slots after the parameters belong to the quantifiers."""
+
+    test: Test
+    params: tuple[Variable, ...]
+    size: int
+
+
+Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
+
+
+class _Compiled:
+    """Every compiled core of one formula object.  Holding the formula pins its
+    id, the cache key, for as long as the entry lives."""
+
+    __slots__ = ("formula", "free", "cores")
+
+    def __init__(self, phi: Formula):
+        self.formula = phi
+        self.free = free_vars(phi)
+        self.cores: dict[object, _Core] = {}
+
+
+def _compiled(space: Structure, phi: Formula) -> _Compiled:
+    # Worker threads (`--jobs`) may race to fill an entry: compiling is pure,
+    # and setdefault keeps the first result for everyone.
+    entry = space.compiled.get(id(phi))
+    if entry is None:
+        entry = space.compiled.setdefault(id(phi), _Compiled(phi))
+    return entry
+
+
+def _core(space: Structure, phi: Formula, route: Compiler,
+          params: Optional[tuple[Variable, ...]] = None) -> _Core:
+    """phi compiled by `route` with `params` (default: its free variables) in
+    the leading slots; compiled on first use, cached on the structure after."""
+    entry = _compiled(space, phi)
+    key: object = route if params is None else (route, params)
+    core = entry.cores.get(key)
+    if core is None:
+        core = route(phi, entry.free if params is None else params, space)
+        core = entry.cores.setdefault(key, core)
+    return core
+
+
+def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
+           phi: Formula) -> bool:
+    """phi at (world, g) on a route.  Free variables that g leaves out stay
+    unbound: evaluation fails where it reaches one, as the route prescribes."""
+    core = _core(space, phi, route)
+    try:
+        env = [g[v] for v in core.params]
+    except KeyError:
+        core = _core(space, phi, route, tuple(v for v in core.params if v in g))
+        env = [g[v] for v in core.params]
+    env += [None] * (core.size - len(env))
+    return core.test(world, env)
+
+
+def _tuples_where(core: _Core, world: World, want: bool,
+                  fixed: Sequence[Element] = ()) -> Iterator[tuple[Element, ...]]:
+    """The sorted assignments to the core's leading parameters under which the
+    formula's truth is `want`, as value tuples in enumeration order; trailing
+    parameters take the `fixed` values.  Sort pools are read only once a world
+    is evaluated, so a query over no worlds never meets an infinite sort."""
+    k = len(core.params) - len(fixed)
+    domain = world.space.domain
+    pools = [domain.valid_elements(v.sort) for v in core.params[:k]]
+    env: list = [None] * k + list(fixed) + [None] * (core.size - len(core.params))
+    test = core.test
+    for combo in itertools.product(*pools):
+        env[:k] = combo
+        if test(world, env) == want:
+            yield combo
+
+
+def _conjuncts(phi: And) -> list[Formula]:
+    """The maximal conjunction tree under phi, flattened left to right without
+    recursion."""
+    out: list[Formula] = []
+    stack: list[Formula] = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.append(f.right)
+            stack.append(f.left)
+        else:
+            out.append(f)
+    return out
+
+
+# --- term evaluation (shared by both routes) ---------------------------------------
 
 def eval_term(t: Term, g: Assignment, world: World) -> Element:
     """Extend the assignment over a term.
@@ -205,47 +321,201 @@ def eval_term(t: Term, g: Assignment, world: World) -> Element:
     evaluator); an abstraction term denotes the interpretation of its body with
     the beta variables ground through g, landing in the layer fixed by alpha.
     """
-    space = world.space
+    bound = {v: i for i, v in enumerate(g)}
+    return _compile_term(t, bound, world.space)(world, list(g.values()))
+
+
+def _compile_term(t: Term, bound: dict[Variable, int], space: Structure) -> Value:
+    """Compile a term; `bound` maps the variables in scope to their slots."""
+    interp = space.interp
     if isinstance(t, Var):
-        try:
-            return g[t.var]
-        except KeyError:
-            raise UnboundVariable(t.var.name) from None
+        slot = bound.get(t.var)
+        if slot is None:
+            return _unbound(t.var)
+        return lambda w, env: env[slot]
     if isinstance(t, Const):
-        return space.interp.of_constant(t.symbol)
+        found = space.domain.lookup(t.symbol)
+        if found is None:
+            # not declared (yet): resolve when reached, failing there
+            return lambda w, env: interp.of_constant(t.symbol)
+        return lambda w, env: found
     if isinstance(t, FnApp):
-        args = tuple(eval_term(a, g, world) for a in t.args)
+        values = []
+        for a in t.args:  # a loop, not a comprehension: one frame per nesting level
+            values.append(_compile_term(a, bound, space))
         evaluator = space.signature.builtin_functions.get(t.symbol)
         if evaluator is not None:
-            return space.domain.numeric_particular(apply_function(evaluator, args))
-        graph = world.functions.get(t.symbol)
-        if graph is None:
-            raise UnknownSymbol(f"function {t.symbol!r} has no graph in world {world.label}")
-        try:
-            return graph[args]
-        except KeyError:
-            rendered = ", ".join(element_lexeme(a) for a in args)
-            raise FunctionUndefinedAt(f"{t.symbol}({rendered})") from None
+            return _builtin_application(evaluator, values, space)
+        return _graph_application(t.symbol, _tuple_of(values))
     if not t.beta:
-        return space.interp.of_ground_term(t)
-    body = t.body
-    for v in t.beta:
-        if v not in g:
-            raise UnboundVariable(v.name)
-        body = substitute(body, v, Const(element_lexeme(g[v])))
-    return space.interp.of_ground_term(Abstracted(body, t.alpha, ()))
+        return lambda w, env: interp.of_ground_term(t)
+    missing = next((v for v in t.beta if v not in bound), None)
+    if missing is not None:
+        return _unbound(missing)
+    beta = [(v, bound[v]) for v in t.beta]
+
+    def reify(w: World, env: list) -> Element:
+        body = t.body
+        for v, slot in beta:
+            body = substitute(body, v, Const(element_lexeme(env[slot])))
+        return interp.of_ground_term(Abstracted(body, t.alpha, ()))
+
+    return reify
 
 
-def _atom_truth(a: Atom, g: Assignment, world: World) -> bool:
-    space = world.space
-    args = tuple(eval_term(t, g, world) for t in a.args)
-    evaluator = space.signature.builtin_predicates.get(a.pred)
-    if evaluator is not None:
-        return PREDICATE_EVALUATORS[evaluator](args)
-    concept = space.registry.by_predicate.get(a.pred)
-    if concept is None:
-        raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
-    return args in world.relation(concept.name)
+def _builtin_application(evaluator: str, values: list[Value], space: Structure) -> Value:
+    # apply_function is looked up per call so that it can be instrumented.
+    # Unary and binary calls build their arguments inline: one frame per
+    # nesting level of arithmetic.
+    number = space.domain.numeric_particular
+    if len(values) == 1:
+        only = values[0]
+        return lambda w, env: number(apply_function(evaluator, (only(w, env),)))
+    if len(values) == 2:
+        first, second = values
+        return lambda w, env: number(apply_function(evaluator,
+                                                    (first(w, env), second(w, env))))
+    args = _tuple_of(values)
+    return lambda w, env: number(apply_function(evaluator, args(w, env)))
+
+
+def _graph_application(symbol: str, args: Args) -> Value:
+    def apply(w: World, env: list) -> Element:
+        values = args(w, env)
+        graph = w.functions.get(symbol)
+        if graph is None:
+            raise UnknownSymbol(f"function {symbol!r} has no graph in world {w.label}")
+        try:
+            return graph[values]
+        except KeyError:
+            rendered = ", ".join(element_lexeme(a) for a in values)
+            raise FunctionUndefinedAt(f"{symbol}({rendered})") from None
+
+    return apply
+
+
+def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
+                  space: Structure) -> Args:
+    """The argument tuple of an atom, left to right."""
+    if all(isinstance(t, Var) and t.var in bound for t in terms):
+        slots = [bound[t.var] for t in terms]  # type: ignore[union-attr]
+        if not slots:
+            return lambda w, env: ()
+        if len(slots) == 1:
+            slot = slots[0]
+            return lambda w, env: (env[slot],)
+        pick = itemgetter(*slots)
+        return lambda w, env: pick(env)
+    values = []
+    for t in terms:
+        values.append(_compile_term(t, bound, space))
+    return _tuple_of(values)
+
+
+def _tuple_of(values: list[Value]) -> Args:
+    if len(values) == 1:
+        only = values[0]
+        return lambda w, env: (only(w, env),)
+    if len(values) == 2:
+        first, second = values
+        return lambda w, env: (first(w, env), second(w, env))
+    return lambda w, env: tuple([v(w, env) for v in values])
+
+
+def _unbound(v: Variable) -> Value:
+    def fail(w: World, env: list) -> Element:
+        raise UnboundVariable(v.name)
+    return fail
+
+
+# --- the Kripke route ---------------------------------------------------------------
+
+def satisfies(model: KripkeModel, world: World, g: Assignment, phi: Formula) -> bool:
+    """Kripke satisfaction at the generalized world (world, g).
+
+    The existential quantifier is the low-level modality for its variable: it
+    holds when some accessible assignment (one rebinding the variable inside
+    its sort) satisfies the body.
+    """
+    return _truth(model.space, _compile_kripke, world, g, phi)
+
+
+def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure) -> _Core:
+    """Kripke satisfaction compiled.  An existential steps through the
+    successors of the assignment along the accessibility relation for its
+    variable, and an atom follows the generalized interpretation of
+    `eval_atom`: with a variable still unbound it is no truth value."""
+    domain = space.domain
+    size = len(params)
+
+    def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
+        nonlocal size
+        negated = False
+        while isinstance(f, Not):
+            f, negated = f.sub, not negated
+        if isinstance(f, Atom):
+            test = atom(f, bound)
+        elif isinstance(f, And):
+            parts = []
+            for part in _conjuncts(f):
+                parts.append(compile_(part, bound))
+            test = conjunction(parts)
+        else:
+            x, slot = f.var, size
+            size += 1
+            body = compile_(f.body, {**bound, x: slot})
+
+            def test(w: World, env: list) -> bool:
+                for env[slot] in accessible_values(x, domain):
+                    if body(w, env):
+                        return True
+                return False
+
+        if negated:
+            return lambda w, env: not test(w, env)
+        return test
+
+    def conjunction(parts: list[Test]) -> Test:
+        if len(parts) == 2:
+            left, right = parts
+            return lambda w, env: left(w, env) and right(w, env)
+
+        def every(w: World, env: list) -> bool:
+            for part in parts:
+                if not part(w, env):
+                    return False
+            return True
+
+        return every
+
+    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
+        direct, hidden = _atom_vars(a)
+        if any(v not in bound for v in direct + hidden):
+            scope = list(bound.items())
+
+            def generalized(w: World, env: list) -> bool:
+                # a virtual predicate, not a truth value: compute it for the
+                # errors it raises, then refuse it
+                eval_atom(a, {v: env[slot] for v, slot in scope}, w)
+                raise UnboundVariable(f"free variables left in atom {a.pred}")
+
+            return generalized
+        args = _compile_args(a.args, bound, space)
+        evaluator = space.signature.builtin_predicates.get(a.pred)
+        if evaluator is not None:
+            check = PREDICATE_EVALUATORS[evaluator]
+            return lambda w, env: check(args(w, env))
+        concept = space.registry.by_predicate.get(a.pred)
+        if concept is None:
+            def unknown(w: World, env: list) -> bool:
+                args(w, env)
+                raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
+            return unknown
+        name = concept.name
+        return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
+
+    test = compile_(phi, {v: i for i, v in enumerate(params)})
+    return _Core(test, params, size)
 
 
 def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[Element, ...]]:
@@ -257,17 +527,8 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     all of their sorted assignments.
     """
     domain = world.space.domain
-    hidden: list[Variable] = []
-    direct: list[Variable] = []
-    for t in a.args:
-        if isinstance(t, Abstracted):
-            for v in t.beta:
-                if v not in g and v not in hidden:
-                    hidden.append(v)
-        else:
-            for v in _direct_vars(t):
-                if v not in g and v not in direct:
-                    direct.append(v)
+    direct, hidden = _atom_vars(a)
+    hidden = [v for v in hidden if v not in g]
     if hidden:
         for v in hidden:
             if not domain.sort_is_finite(v.sort):
@@ -281,73 +542,110 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
                 summand = frozenset([()]) if summand else frozenset()
             out |= summand
         return out
-    if direct:
-        found = []
-        for g1 in many_sorted_assignments(direct, domain):
-            merged = dict(g)
-            merged.update(g1)
-            if _atom_truth(a, merged, world):
-                found.append(tuple(g1[v] for v in direct))
-        return frozenset(found)
-    return _atom_truth(a, g, world)
+    free = tuple(v for v in direct if v not in g)
+    given = tuple(v for v in _compiled(world.space, a).free if v in g)
+    core = _core(world.space, a, _compile_kripke, free + given)
+    fixed = [g[v] for v in given]
+    if free:
+        return frozenset(_tuples_where(core, world, True, fixed))
+    return core.test(world, fixed + [None] * (core.size - len(fixed)))
 
 
-def _direct_vars(t: Term) -> Iterator[Variable]:
-    if isinstance(t, Var):
-        yield t.var
-    elif isinstance(t, FnApp):
-        for a in t.args:
-            yield from _direct_vars(a)
+def _atom_vars(a: Atom) -> tuple[list[Variable], list[Variable]]:
+    """The variables `eval_atom` may leave open, each list in first-appearance
+    order: direct ones (in plain and function-application arguments) and
+    hidden ones (the beta variables of abstraction arguments)."""
+    direct: list[Variable] = []
+    hidden: list[Variable] = []
+    for t in a.args:
+        if isinstance(t, Abstracted):
+            for v in t.beta:
+                if v not in hidden:
+                    hidden.append(v)
+            continue
+        stack: list[Term] = [t]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, Var):
+                if term.var not in direct:
+                    direct.append(term.var)
+            elif isinstance(term, FnApp):
+                stack.extend(reversed(term.args))
+    return direct, hidden
 
 
-# --- the two satisfaction routes ---------------------------------------------------
-
-def satisfies(model: KripkeModel, world: World, g: Assignment, phi: Formula) -> bool:
-    """Kripke satisfaction at the generalized world (world, g).
-
-    The existential quantifier is the low-level modality for its variable: it
-    holds when some accessible assignment (one rebinding the variable inside
-    its sort) satisfies the body.
-    """
-    if isinstance(phi, Atom):
-        truth = eval_atom(phi, g, world)
-        if not isinstance(truth, bool):
-            raise UnboundVariable(f"free variables left in atom {phi.pred}")
-        return truth
-    if isinstance(phi, And):
-        return satisfies(model, world, g, phi.left) and satisfies(model, world, g, phi.right)
-    if isinstance(phi, Not):
-        return not satisfies(model, world, g, phi.sub)
-    for g2 in successors(g, phi.var, model.space.domain):
-        assert accessible(g, g2, phi.var)
-        if satisfies(model, world, g2, phi.body):
-            return True
-    return False
-
+# --- the Tarski route ---------------------------------------------------------------
 
 def tarski_eval(world: World, g: Assignment, phi: Formula) -> bool:
     """Plain inductive truth with sorted quantifier ranges; kept free of the
     accessibility machinery so it can serve as the independent oracle."""
-    if isinstance(phi, Atom):
-        space = world.space
-        args = tuple(eval_term(t, g, world) for t in phi.args)
-        evaluator = space.signature.builtin_predicates.get(phi.pred)
-        if evaluator is not None:
-            return PREDICATE_EVALUATORS[evaluator](args)
-        concept = space.registry.by_predicate.get(phi.pred)
-        if concept is None:
-            raise UnknownSymbol(f"predicate {phi.pred!r} has no concept and no evaluator")
-        return args in world.relation(concept.name)
-    if isinstance(phi, And):
-        return tarski_eval(world, g, phi.left) and tarski_eval(world, g, phi.right)
-    if isinstance(phi, Not):
-        return not tarski_eval(world, g, phi.sub)
-    for u in world.space.domain.valid_elements(phi.var.sort):
-        g2 = dict(g)
-        g2[phi.var] = u
-        if tarski_eval(world, g2, phi.body):
+    return _truth(world.space, _compile_tarski, world, g, phi)
+
+
+def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure) -> _Core:
+    """Tarski truth compiled: an existential ranges over the plain sort pool of
+    its variable, and an atom tests relation membership (or its evaluator)
+    directly; an unbound variable fails where its term is evaluated."""
+    valid = space.domain.valid_elements
+    size = len(params)
+
+    def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
+        nonlocal size
+        negated = False
+        while isinstance(f, Not):
+            f, negated = f.sub, not negated
+        if isinstance(f, Atom):
+            test = atom(f, bound)
+        elif isinstance(f, And):
+            parts = []
+            for part in _conjuncts(f):
+                parts.append(compile_(part, bound))
+            test = conjunction(parts)
+        else:
+            sort, slot = f.var.sort, size
+            size += 1
+            body = compile_(f.body, {**bound, f.var: slot})
+
+            def test(w: World, env: list) -> bool:
+                for env[slot] in valid(sort):
+                    if body(w, env):
+                        return True
+                return False
+
+        if negated:
+            return lambda w, env: not test(w, env)
+        return test
+
+    def conjunction(parts: list[Test]) -> Test:
+        if len(parts) == 2:
+            left, right = parts
+            return lambda w, env: left(w, env) and right(w, env)
+
+        def every(w: World, env: list) -> bool:
+            for part in parts:
+                if not part(w, env):
+                    return False
             return True
-    return False
+
+        return every
+
+    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
+        args = _compile_args(a.args, bound, space)
+        evaluator = space.signature.builtin_predicates.get(a.pred)
+        if evaluator is not None:
+            check = PREDICATE_EVALUATORS[evaluator]
+            return lambda w, env: check(args(w, env))
+        concept = space.registry.by_predicate.get(a.pred)
+        if concept is None:
+            def unknown(w: World, env: list) -> bool:
+                args(w, env)
+                raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
+            return unknown
+        name = concept.name
+        return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
+
+    test = compile_(phi, {v: i for i, v in enumerate(params)})
+    return _Core(test, params, size)
 
 
 # --- world enumeration ---------------------------------------------------------------
@@ -389,16 +687,34 @@ def enumerate_worlds(space: Structure, max_worlds: int = 2 ** 20) -> list[World]
                   for values in itertools.product(ret_pool, repeat=len(arg_pool))]
         fn_graphs.append((symbol, graphs))
 
-    subset_choices = [_subsets(pool) for _, pool in pools]
+    # IS-A filter: an enumerated unary concept's extent is computed once per
+    # subset of its pool, not once per candidate world
+    names = [name for name, _ in pools]
+    position = {name: i for i, name in enumerate(names)}
+    choices = []
+    for name, pool in pools:
+        unary = _is_unary(domain, name)
+        choices.append([(rel, frozenset(t[0] for t in rel) if unary else None)
+                        for rel in _subsets(pool)])
+    checks = []
+    for sub, sup in domain.lattice.isa_edges:
+        sides = [_extent_side(domain, position, name) for name in (sub, sup)]
+        if None not in sides:
+            checks.append((*sides[0], *sides[1]))
+
     worlds: list[World] = []
-    for relation_combo in itertools.product(*subset_choices):
-        relations = {name: rel for (name, _), rel in zip(pools, relation_combo)}
-        if not _isa_inclusion_ok(space, relations):
-            continue
-        for graph_combo in itertools.product(*(graphs for _, graphs in fn_graphs)):
-            functions = {symbol: graph
-                         for (symbol, _), graph in zip(fn_graphs, graph_combo)}
-            worlds.append(World(f"w{len(worlds)}", space, relations, functions))
+    for combo in itertools.product(*choices):
+        for i, fixed_sub, j, fixed_sup in checks:
+            sub_ext = combo[i][1] if i >= 0 else fixed_sub
+            sup_ext = combo[j][1] if j >= 0 else fixed_sup
+            if not sub_ext <= sup_ext:
+                break
+        else:
+            relations = {name: rel for name, (rel, _) in zip(names, combo)}
+            for graph_combo in itertools.product(*(graphs for _, graphs in fn_graphs)):
+                functions = {symbol: graph
+                             for (symbol, _), graph in zip(fn_graphs, graph_combo)}
+                worlds.append(World(f"w{len(worlds)}", space, relations, functions))
     return worlds
 
 
@@ -420,30 +736,23 @@ def _subsets(pool: list[tuple[Element, ...]]) -> list[frozenset[tuple[Element, .
     return out
 
 
-def _isa_inclusion_ok(space: Structure,
-                      relations: dict[str, frozenset[tuple[Element, ...]]]) -> bool:
-    domain = space.domain
-    for sub, sup in domain.lattice.isa_edges:
-        sub_ext = _unary_extent(space, relations, sub)
-        sup_ext = _unary_extent(space, relations, sup)
-        if sub_ext is None or sup_ext is None:
-            continue
-        if not sub_ext <= sup_ext:
-            return False
-    return True
+def _is_unary(domain: Domain, name: str) -> bool:
+    concept = domain.concepts.get(name)
+    return concept is not None and concept.arity == 1
 
 
-def _unary_extent(space: Structure, relations: dict[str, frozenset[tuple[Element, ...]]],
-                  name: str) -> Optional[frozenset[Element]]:
-    if name in relations:
-        concept = space.domain.concepts.get(name)
-        if concept is None or concept.arity != 1:
-            return None
-        return frozenset(t[0] for t in relations[name])
-    concept = space.domain.concepts.get(name)
-    if concept is None or concept.arity != 1 or not space.domain.sort_is_finite(name):
+def _extent_side(domain: Domain, position: dict[str, int],
+                 name: str) -> Optional[tuple[int, Optional[frozenset[Element]]]]:
+    """One side of an IS-A inclusion check: (index of the enumerated concept,
+    None), (-1, fixed extent of a finite unary sort), or None when the side
+    has no unary extent and the edge constrains nothing."""
+    if not _is_unary(domain, name):
         return None
-    return frozenset(space.domain.valid_elements(name))
+    if name in position:
+        return position[name], None
+    if not domain.sort_is_finite(name):
+        return None
+    return -1, frozenset(domain.valid_elements(name))
 
 
 # --- consequence, intension, and the extension identity ------------------------------
@@ -457,14 +766,8 @@ class Countermodel:
 def is_model_of(world: World, axioms: Sequence[Formula]) -> bool:
     """Open axioms are read universally closed."""
     for ax in axioms:
-        fv = free_vars(ax)
-        if not fv:
-            if not tarski_eval(world, {}, ax):
-                return False
-        else:
-            for g in many_sorted_assignments(fv, world.space.domain):
-                if not tarski_eval(world, g, ax):
-                    return False
+        for _ in _tuples_where(_core(world.space, ax, _compile_tarski), world, False):
+            return False
     return True
 
 
@@ -477,19 +780,13 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
     pair is the countermodel certificate."""
     if worlds is None:
         worlds = enumerate_worlds(space, max_worlds)
-    model = KripkeModel(space, tuple(worlds))
-    fv = free_vars(phi)
+    core = _core(space, phi, _compile_kripke)
 
     def check(world: World) -> Optional[Countermodel]:
         if not is_model_of(world, axioms):
             return None
-        if not fv:
-            if not satisfies(model, world, {}, phi):
-                return Countermodel(world, ())
-            return None
-        for g in many_sorted_assignments(fv, space.domain):
-            if not satisfies(model, world, g, phi):
-                return Countermodel(world, tuple(g.items()))
+        for failing in _tuples_where(core, world, False):
+            return Countermodel(world, tuple(zip(core.params, failing)))
         return None
 
     for failure in map_fn(check, worlds):
@@ -506,17 +803,12 @@ def montague_intension(space: Structure, phi: Formula,
     set of free-variable tuples it satisfies, or its truth value if closed."""
     if worlds is None:
         worlds = enumerate_worlds(space, max_worlds)
-    model = KripkeModel(space, tuple(worlds))
-    fv = free_vars(phi)
+    core = _core(space, phi, _compile_kripke)
 
     def per_world(world: World) -> frozenset[tuple[Element, ...]] | bool:
-        if not fv:
-            return satisfies(model, world, {}, phi)
-        found = []
-        for g in many_sorted_assignments(fv, space.domain):
-            if satisfies(model, world, g, phi):
-                found.append(tuple(g[v] for v in fv))
-        return frozenset(found)
+        if not core.params:
+            return core.test(world, [None] * core.size)
+        return frozenset(_tuples_where(core, world, True))
 
     return {w.label: ext for w, ext in zip(worlds, map_fn(per_world, worlds))}
 

@@ -111,8 +111,8 @@ class Workspace:
     def is_constant(self, lexeme: str) -> bool:
         return self.domain.lookup(lexeme) is not None
 
-    def parse(self, text: str, line: int = 0) -> Formula:
-        return parse_formula(text, self.has_sort, self.is_constant, line)
+    def parse(self, text: str, line: int = 0, col_offset: int = 0) -> Formula:
+        return parse_formula(text, self.has_sort, self.is_constant, line, col_offset)
 
     def add_axiom(self, phi: Formula) -> None:
         self.axioms.append(phi)
@@ -145,18 +145,19 @@ class _Line:
     number: int
     kind: str
     text: str
+    indent: int  # where `text` starts in the source line
 
 
-def _classify(number: int, text: str) -> _Line:
+def _classify(number: int, text: str, indent: int) -> _Line:
     head = text.split(None, 1)[0]
     if head == "builtin":
         rest = text.split(None, 2)
         if len(rest) >= 2 and rest[1] in ("function", "predicate"):
-            return _Line(number, f"builtin-{rest[1]}", text)
+            return _Line(number, f"builtin-{rest[1]}", text, indent)
         raise ParseError("expected 'builtin function' or 'builtin predicate'", line=number)
     if head in ("sort", "isa", "concept", "particular", "extent", "function",
                 "axiom", "query"):
-        return _Line(number, head, text)
+        return _Line(number, head, text, indent)
     raise ParseError(f"unknown declaration {head!r}", line=number)
 
 
@@ -177,7 +178,7 @@ def load_workspace(source: Union[str, Path], max_worlds: int = 2 ** 20) -> Works
         if not stripped:
             continue
         try:
-            lines.append(_classify(number, stripped))
+            lines.append(_classify(number, stripped, len(raw) - len(raw.lstrip())))
         except ParseError as exc:
             diagnostics.append(str(exc))
     if diagnostics:
@@ -227,7 +228,12 @@ class _Loader:
         try:
             action(line)
         except IfolError as exc:
-            self.diagnostics.append(f"line {line.number}: {exc}")
+            self._diagnose(line, exc)
+
+    def _diagnose(self, line: _Line, exc: IfolError) -> None:
+        # a ParseError names its line (and column) itself
+        self.diagnostics.append(str(exc) if isinstance(exc, ParseError)
+                                else f"line {line.number}: {exc}")
 
     # --- per-kind handlers -----------------------------------------------
 
@@ -240,7 +246,7 @@ class _Loader:
                 name, attr, _ = self._parse_sort(line)
                 parsed.append((line, name, attr))
             except IfolError as exc:
-                self.diagnostics.append(f"line {line.number}: {exc}")
+                self._diagnose(line, exc)
         remaining = parsed
         while remaining:
             progressed = []
@@ -254,7 +260,7 @@ class _Loader:
                 try:
                     self.ws.declare_sort(name, attr)
                 except IfolError as exc:
-                    self.diagnostics.append(f"line {line.number}: {exc}")
+                    self._diagnose(line, exc)
                 progressed.append(item)
             if not progressed:
                 for line, name, attr in stuck:
@@ -297,7 +303,7 @@ class _Loader:
             try:
                 self.ws.declare_isa(sub, sup)
             except IfolError as exc:
-                self.diagnostics.append(f"line {line.number}: {exc}")
+                self._diagnose(line, exc)
 
     def _concepts(self, lines: list[_Line]) -> None:
         for line in sorted(lines, key=lambda l: l.text):
@@ -397,30 +403,38 @@ class _Loader:
         self.ws.signature.declare_predicate(symbol, arg_sorts, self.ws.domain.lattice,
                                             evaluator=evaluator)
 
+    def _formula(self, line: _Line, start: int, end: Optional[int] = None) -> Formula:
+        """Parse line.text[start:end]; diagnostic columns count from the start
+        of the source line."""
+        raw = line.text[start:end]
+        offset = line.indent + start + len(raw) - len(raw.lstrip())
+        return self.ws.parse(raw.strip(), line.number, offset)
+
     def _axiom(self, line: _Line) -> None:
-        self.ws.add_axiom(self.ws.parse(line.text[len("axiom"):].strip(), line.number))
+        self.ws.add_axiom(self._formula(line, len("axiom")))
 
     def _query(self, line: _Line) -> None:
         body = line.text[len("query"):].strip()
         kind, _, rest = body.partition(" ")
         rest = rest.strip()
+        start = line.text.find(kind, len("query")) + len(kind)
         if kind == "check":
             self.ws.queries.append(CheckQuery())
         elif kind == "consequence":
-            self.ws.queries.append(ConsequenceQuery(self.ws.parse(rest, line.number)))
+            self.ws.queries.append(ConsequenceQuery(self._formula(line, start)))
         elif kind == "intension":
-            self.ws.queries.append(IntensionQuery(self.ws.parse(rest, line.number)))
+            self.ws.queries.append(IntensionQuery(self._formula(line, start)))
         elif kind == "bealer-montague":
-            self.ws.queries.append(BealerMontagueQuery(self.ws.parse(rest, line.number)))
+            self.ws.queries.append(BealerMontagueQuery(self._formula(line, start)))
         elif kind == "concepts":
             self.ws.registry.concept_of(rest)
             self.ws.queries.append(ConceptsQuery(rest))
         elif kind == "eval":
-            formula_text, bindings = rest, {}
+            end, bindings = None, {}
             if " with " in rest:
-                formula_text, binding_text = rest.rsplit(" with ", 1)
-                bindings = self._bindings(line, binding_text)
-            phi = self.ws.parse(formula_text.strip(), line.number)
+                end = line.text.rindex(" with ")
+                bindings = self._bindings(line, line.text[end + len(" with "):])
+            phi = self._formula(line, start, end)
             names = {v.name for v in free_vars(phi)}
             for var_name, lexeme in bindings.items():
                 if var_name not in names:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from ifol import load_workspace
@@ -203,3 +205,148 @@ def test_render_concept_tree_matches_query_block():
     tree_text = render_concept_tree(ws, "animal_of")
     report, _ = run_queries(ws)
     assert tree_text in report
+
+
+# Lazy evaluation errors: a sort's extent is looked up only when a world and
+# an assignment actually reach the variable that ranges over it.
+NO_WORLDS_WS = (
+    "sort s\n"
+    "sort t\n"
+    "sort reals\n"
+    "particular a : s\n"
+    "builtin predicate leq2/2 : reals x reals = leq\n"
+    "function f/1 : s -> t\n"  # t is empty: no total graph, hence no world
+    "query intension leq2(x:reals, 1)\n"
+    "query consequence leq2(x:reals, 1)\n"
+    "query bealer-montague leq2(x:reals, 1)\n"
+)
+
+INFINITE_SORT_WS = (
+    "sort s\n"
+    "sort reals\n"
+    "particular a : s\n"
+    "concept p-hood arity 1 sorts s predicate p\n"
+    "builtin predicate leq2/2 : reals x reals = leq\n"
+    "query intension leq2(x:reals, 1)\n"
+    "query intension exists y:reals . leq2(y, 1)\n"
+    "query consequence leq2(x:reals, 1)\n"
+    "query consequence exists y:reals . leq2(y, 1)\n"
+    "query bealer-montague leq2(x:reals, 1)\n"
+    "query bealer-montague exists y:reals . leq2(y, 1)\n"
+    "query consequence p(a) & exists y:reals . leq2(y, 1)\n"
+    "query intension p(a) & exists y:reals . leq2(y, 1)\n"
+    "query intension p(x:s) & exists y:reals . leq2(y, 1)\n"
+)
+
+INFINITE = "ERROR InfiniteExtent: sort 'reals' has no finite extent declared"
+
+LAZY_ERROR_REPORTS = {
+    "no_worlds": (NO_WORLDS_WS,
+                  "INTENSION leq2(x:reals, 1)\n\nCONSEQUENCE yes\n\n"
+                  "BEALER-MONTAGUE ok (0 worlds)\n", 0),
+    "infinite_sort": (INFINITE_SORT_WS,
+                      "\n\n".join([INFINITE] * 6
+                                  + ["CONSEQUENCE no\nWORLD w0\n  p-hood: {}"]
+                                  + [INFINITE] * 2) + "\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_ERROR_REPORTS), ids=str)
+def test_golden_lazy_error_reports(name):
+    text, report, status = LAZY_ERROR_REPORTS[name]
+    assert run_queries(load_workspace(text)) == (report, status)
+
+
+def _write(tmp_path, name: str, text: str):
+    f = tmp_path / name
+    f.write_text(text)
+    return f
+
+
+def _negations_ws(depth: int) -> str:
+    return ("sort s\n"
+            "particular a : s\n"
+            "concept p-hood arity 1 sorts s predicate p\n"
+            f"query consequence {'~' * depth}p(a)\n")
+
+
+@pytest.mark.parametrize("depth, report", [
+    (900, "CONSEQUENCE no\nWORLD w0\n  p-hood: {}\n"),
+    (901, "CONSEQUENCE no\nWORLD w1\n  p-hood: (a)\n"),
+])
+def test_deeply_negated_consequence_answers(depth, report):
+    assert run_queries(load_workspace(_negations_ws(depth))) == (report, 1)
+
+
+def test_nesting_too_deep_to_load_exits_2(tmp_path, capsys):
+    f = _write(tmp_path, "deep.ifol", _negations_ws(3000))
+    assert main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "too deep" in captured.err
+
+
+def test_nesting_too_deep_to_run_exits_2(tmp_path, capsys):
+    # a long sum loads (the parser reads it iteratively), but interpreting the
+    # ground instance of the eval query recurses once per addition
+    total = " + ".join(["1"] * 700)
+    f = _write(tmp_path, "deep_sum.ifol",
+               "sort reals\n"
+               "extent reals = { 0, 1 }\n"
+               "builtin function add/2 : reals x reals -> reals = add\n"
+               "builtin predicate leq2/2 : reals x reals = leq\n"
+               f"query eval leq2({total}, 1)\n")
+    load_workspace(f)
+    assert main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "too deep" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(FIXTURES / "purrs.ifol"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_parse_diagnostics_carry_one_prefix_and_line_columns(tmp_path, capsys):
+    f = _write(tmp_path, "bad.ifol",
+               "sort s\n"
+               "particular a : s\n"
+               "concept p-hood arity 1 sorts s predicate p\n"
+               "  axiom p(a) &\n"
+               "query consequence p(a) $ p(a)\n"
+               "query eval p(x:s) & with x=a\n")
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "line 4:15: expected a formula (at '')",
+        "line 5:24: unexpected character '$'",
+        "line 6:20: expected a formula (at '')",
+    ]
+    f = _write(tmp_path, "bad_sort.ifol", "sort s\nsort\n")
+    assert main(["run", str(f)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["line 2: empty sort name"]
+
+
+def test_worker_threads_share_compiled_closures_safely():
+    """Bealer-Montague checks compile derived formulas inside worker threads,
+    all on one structure; a short switch interval interleaves them."""
+    text = ("sort s\n"
+            "extent s = { a, b, c }\n"
+            "concept p-hood arity 1 sorts s predicate p\n"
+            "concept q-hood arity 1 sorts s predicate q\n"
+            "query bealer-montague p(x:s) & ~q(x)\n"
+            "query bealer-montague exists x:s . p(x) & q(x)\n"
+            "query bealer-montague (p(x:s) | q(x)) & exists y:s . ~p(y)\n"
+            "query consequence exists x:s . p(x) | ~q(x)\n")
+    expected = run_queries(load_workspace(text), jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert run_queries(load_workspace(text), jobs=16) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert expected[0].count("BEALER-MONTAGUE ok (64 worlds)") == 3

@@ -520,3 +520,100 @@ def test_witnesses_are_dynamically_sorted(pets):
     x = Variable("x", "cat")
     for g in many_sorted_assignments((x,), ws.domain):
         assert ws.domain.is_subsort(ws.domain.dynamic_sort(g[x]), "cat")
+
+
+# --- the compiled core: cache safety and environment hygiene ------------------------
+
+CACHE_SHAPES = {
+    "purrs(tom)": True,
+    "barks(tom)": False,
+    "~purrs(tom)": False,
+    "~~barks(rex)": True,
+    "purrs(tom) & barks(rex)": True,
+    "purrs(tom) & barks(tom) & barks(rex)": False,
+    "exists x:animal . barks(x)": True,
+    "exists x:cat . barks(x)": False,
+    "forall x:cat . purrs(x)": True,
+    "forall x:animal . barks(x)": False,
+    "exists x:animal . exists y:animal . barks(x) & purrs(y)": True,
+}
+
+
+def test_fresh_formulas_reusing_ids_get_their_own_closures(pets):
+    """Formulas parsed, evaluated and dropped in a loop let CPython reuse their
+    ids; a compiled closure must never answer for a different formula."""
+    ws = pets
+    tom, rex = ws.domain.lookup("tom"), ws.domain.lookup("rex")
+    world = World("w", ws.space, {"purring": frozenset({(tom,)}),
+                                  "barking": frozenset({(rex,)})})
+    model = KripkeModel(ws.space, (world,))
+    shapes = sorted(CACHE_SHAPES)
+    for i in range(400):
+        text = shapes[i * 7 % len(shapes)]
+        phi = ws.parse(text)
+        assert satisfies(model, world, {}, phi) is CACHE_SHAPES[text], text
+        assert tarski_eval(world, {}, phi) is CACHE_SHAPES[text], text
+        del phi
+
+
+def rebinding_ws() -> Workspace:
+    ws = Workspace()
+    ws.declare_sort("s")
+    ws.domain.declare_particular("a", "s")
+    ws.domain.declare_particular("b", "s")
+    ws.register_concept("p-hood", ("s",), "p")
+    ws.register_concept("q-hood", ("s",), "q")
+    return ws
+
+
+def test_quantifier_rebinding_a_free_variable_agrees_on_both_routes():
+    """p(x:s) & exists x:s . q(x): the quantifier's x is not the free x."""
+    ws = rebinding_ws()
+    x = Variable("x", "s")
+    phi = And(Atom("p", (Var(x),)), Exists(x, Atom("q", (Var(x),))))
+    worlds = enumerate_worlds(ws.space)
+    model = KripkeModel(ws.space, tuple(worlds))
+    meaning = montague_intension(ws.space, phi, worlds)
+    for world in worlds:
+        expected = frozenset(t for t in world.relation("p-hood") if world.relation("q-hood"))
+        assert meaning[world.label] == expected
+        for g in many_sorted_assignments((x,), ws.domain):
+            truth = (g[x],) in expected
+            assert satisfies(model, world, g, phi) is truth
+            assert tarski_eval(world, g, phi) is truth
+
+
+def test_evaluation_leaves_the_callers_assignment_alone():
+    ws = rebinding_ws()
+    x, y = Variable("x", "s"), Variable("y", "s")
+    worlds = enumerate_worlds(ws.space)
+    model = KripkeModel(ws.space, tuple(worlds))
+    a = ws.domain.lookup("a")
+    formulas = [
+        Exists(x, Atom("q", (Var(x),))),
+        And(Atom("p", (Var(x),)), Exists(x, Atom("q", (Var(x),)))),
+        Exists(y, And(Atom("p", (Var(y),)), Atom("q", (Var(x),)))),
+    ]
+    for world in worlds:
+        for phi in formulas:
+            g = {x: a}
+            satisfies(model, world, g, phi)
+            assert g == {x: a}
+            tarski_eval(world, g, phi)
+            assert g == {x: a}
+
+
+def test_unbound_variable_fails_only_where_reached():
+    """A free variable missing from the assignment fails when its atom is
+    evaluated, on both routes, and not when a conjunct before it is false."""
+    from ifol.errors import UnboundVariable
+    ws = singleton_ws()
+    w_empty, w_full = enumerate_worlds(ws.space)
+    model = KripkeModel(ws.space, (w_empty, w_full))
+    phi = ws.parse("p(a) & p(x:s)")
+    assert satisfies(model, w_empty, {}, phi) is False
+    assert tarski_eval(w_empty, {}, phi) is False
+    with pytest.raises(UnboundVariable):
+        satisfies(model, w_full, {}, phi)
+    with pytest.raises(UnboundVariable):
+        tarski_eval(w_full, {}, phi)

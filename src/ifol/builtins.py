@@ -3,25 +3,33 @@
 Built-in symbols are declared in the workspace with an evaluator name from the
 tables below; they are sort-checked like user symbols but evaluated by these
 functions instead of world relations, so they behave identically in every
-possible world.  All arithmetic is exact (rationals).
+possible world.  All arithmetic is exact: values are Python `int`s when
+integral and `Fraction`s otherwise.  Evaluators take numeric particulars or
+raw numbers alike, so compiled terms pass intermediate results between them
+unboxed and box a value into a particular only where it leaves arithmetic.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
 
 from .errors import EvaluationFailure
-from .kernel import Element, Particular
+from .kernel import Element, Number, Particular, exact_number
+
+_RAW = frozenset({int, Fraction})
 
 
-def _num(el: Element) -> Fraction:
+def _num(el: Union[Element, Number]) -> Number:
+    if el.__class__ in _RAW:
+        return el  # type: ignore[return-value]
     if isinstance(el, Particular) and el.value is not None:
         return el.value
     raise EvaluationFailure(f"{el!r} is not a numeric particular")
 
 
-def _cmp(op: Callable[[Fraction, Fraction], bool]) -> Callable[[Sequence[Element]], bool]:
+def _cmp(op: Callable[[Number, Number], bool]) -> Callable[[Sequence[Element]], bool]:
     def run(args: Sequence[Element]) -> bool:
         if len(args) != 2:
             raise EvaluationFailure(f"comparison expects 2 args, got {len(args)}")
@@ -31,60 +39,53 @@ def _cmp(op: Callable[[Fraction, Fraction], bool]) -> Callable[[Sequence[Element
 
 PREDICATE_EVALUATORS: dict[str, Callable[[Sequence[Element]], bool]] = {
     "true": lambda args: True,
-    "leq": _cmp(lambda a, b: a <= b),
-    "lt": _cmp(lambda a, b: a < b),
-    "geq": _cmp(lambda a, b: a >= b),
-    "gt": _cmp(lambda a, b: a > b),
-    "eq": _cmp(lambda a, b: a == b),
+    "leq": _cmp(operator.le),
+    "lt": _cmp(operator.lt),
+    "geq": _cmp(operator.ge),
+    "gt": _cmp(operator.gt),
+    "eq": _cmp(operator.eq),
 }
 
 
-def _add(args: Sequence[Fraction]) -> Fraction:
-    return args[0] + args[1]
-
-
-def _sub(args: Sequence[Fraction]) -> Fraction:
-    return args[0] - args[1]
-
-
-def _mul(args: Sequence[Fraction]) -> Fraction:
-    return args[0] * args[1]
-
-
-def _div(args: Sequence[Fraction]) -> Fraction:
-    if args[1] == 0:
+def _div(a: Number, b: Number) -> Number:
+    if b == 0:
         raise EvaluationFailure("division by zero")
-    return args[0] / args[1]
+    return exact_number(Fraction(a) / b)
 
 
-def _pow(args: Sequence[Fraction]) -> Fraction:
-    if args[1].denominator != 1:
-        raise EvaluationFailure(f"exponent {args[1]} is not an integer")
-    return args[0] ** int(args[1])
+def _pow(a: Number, b: Number) -> Number:
+    if b.denominator != 1:
+        raise EvaluationFailure(f"exponent {b} is not an integer")
+    n = int(b)
+    if n >= 0:
+        return a ** n
+    if a == 0:
+        raise EvaluationFailure("division by zero")
+    return exact_number(Fraction(a) ** n)
 
 
-def _neg(args: Sequence[Fraction]) -> Fraction:
-    return -args[0]
-
-
-_FUNCTIONS: dict[str, tuple[int, Callable[[Sequence[Fraction]], Fraction]]] = {
-    "add": (2, _add),
-    "sub": (2, _sub),
-    "mul": (2, _mul),
+_FUNCTIONS: dict[str, tuple[int, Callable[..., Number]]] = {
+    "add": (2, operator.add),
+    "sub": (2, operator.sub),
+    "mul": (2, operator.mul),
     "div": (2, _div),
     "pow": (2, _pow),
-    "neg": (1, _neg),
+    "neg": (1, operator.neg),
 }
 
 
-def apply_function(evaluator: str, args: Sequence[Element]) -> Fraction:
+def apply_function(evaluator: str, args: Sequence[Union[Element, Number]]) -> Number:
+    """One built-in application: unwrap the arguments, left to right, and
+    return the raw result."""
     try:
         arity, fn = _FUNCTIONS[evaluator]
     except KeyError:
         raise EvaluationFailure(f"unknown function evaluator {evaluator!r}") from None
     if len(args) != arity:
         raise EvaluationFailure(f"{evaluator} expects {arity} args, got {len(args)}")
-    return fn([_num(a) for a in args])
+    if arity == 2:  # the common case, unwrapped inline
+        return fn(_num(args[0]), _num(args[1]))
+    return fn(*map(_num, args))
 
 
 def known_predicate_evaluator(name: str) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import (
     CycleDetected,
@@ -158,13 +158,17 @@ class SortLattice:
 
 # --- domain elements ---------------------------------------------------------
 
+# A numeric value: an `int` when integral, a `Fraction` otherwise.
+Number = Union[int, Fraction]
+
+
 @dataclass(frozen=True)
 class Particular:
     """An individual: a lexeme plus its unique dynamic sort."""
 
     lexeme: str
     sort: SortId
-    value: Optional[Fraction] = field(default=None, compare=False)
+    value: Optional[Number] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -192,15 +196,21 @@ class Intension:
 Element = Particular | ConceptRef | Intension
 
 
-def numeric_value(lexeme: str) -> Optional[Fraction]:
-    """Parse a numeric lexeme (integer, decimal or num/den) exactly, else None."""
+def exact_number(value: Number) -> Number:
+    """The value as an `int` when integral, else the `Fraction` itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def numeric_value(lexeme: str) -> Optional[Number]:
+    """Parse a numeric lexeme (integer, decimal or num/den) exactly, else None;
+    an integral value comes back as an `int`."""
     try:
-        return Fraction(lexeme)
+        return exact_number(Fraction(lexeme))
     except (ValueError, ZeroDivisionError):
         return None
 
 
-def numeric_lexeme(value: Fraction) -> str:
+def numeric_lexeme(value: Number) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -315,7 +325,7 @@ class Domain:
 
     # --- numeric elements -------------------------------------------------
 
-    def numeric_sort_of(self, value: Fraction) -> SortId:
+    def numeric_sort_of(self, value: Number) -> SortId:
         """Most specific declared numeric sort containing the value."""
         candidates: list[SortId] = []
         if value.denominator == 1:
@@ -328,11 +338,12 @@ class Domain:
                 return s
         raise UnknownSort(f"no numeric sort declared for value {value}")
 
-    def numeric_particular(self, value: Fraction) -> Particular:
+    def numeric_particular(self, value: Number) -> Particular:
         lex = numeric_lexeme(value)
         cached = self._by_lexeme.get(lex) or self._transient.get(lex)
         if cached is not None:
             return cached
+        value = exact_number(value)
         p = Particular(lex, self.numeric_sort_of(value), value)
         self._transient[lex] = p
         return p

@@ -18,6 +18,8 @@ per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
 once per node instead of once per call.  Each route has its own compiler, so
 their agreement stays an independent check; they share only term evaluation.
+Compiled terms pass built-in arithmetic results between built-ins as raw
+numbers and box a value as a particular only where it leaves arithmetic.
 The compiled closures are cached on the `Structure`, keyed by the formula's
 identity, and each cache entry holds its formula so that the identity cannot
 be reused while the entry exists.
@@ -51,6 +53,7 @@ from .kernel import (
     Element,
     Intension,
     NESTED_SENTENCE_SORT,
+    Number,
     element_lexeme,
 )
 from .sorting import Signature
@@ -181,11 +184,6 @@ def many_sorted_assignments(variables: Sequence[Variable],
     pools = [domain.valid_elements(v.sort) for v in variables]
     for combo in itertools.product(*pools):
         yield dict(zip(variables, combo))
-
-
-def is_many_sorted(g: Assignment, domain: Domain) -> bool:
-    return all(domain.lattice.is_subsort(domain.dynamic_sort(u), v.sort)
-               for v, u in g.items())
 
 
 def accessible(g1: Assignment, g2: Assignment, x: Variable) -> bool:
@@ -325,8 +323,14 @@ def eval_term(t: Term, g: Assignment, world: World) -> Element:
     return _compile_term(t, bound, world.space)(world, list(g.values()))
 
 
-def _compile_term(t: Term, bound: dict[Variable, int], space: Structure) -> Value:
-    """Compile a term; `bound` maps the variables in scope to their slots."""
+def _compile_term(t: Term, bound: dict[Variable, int], space: Structure,
+                  raw: bool = False) -> Value:
+    """Compile a term; `bound` maps the variables in scope to their slots.
+
+    With `raw` the term's consumer is arithmetic (a built-in function or
+    predicate): a built-in application then yields its raw number and a
+    numeric constant its value.  Otherwise numbers are boxed as particulars.
+    """
     interp = space.interp
     if isinstance(t, Var):
         slot = bound.get(t.var)
@@ -338,14 +342,15 @@ def _compile_term(t: Term, bound: dict[Variable, int], space: Structure) -> Valu
         if found is None:
             # not declared (yet): resolve when reached, failing there
             return lambda w, env: interp.of_constant(t.symbol)
-        return lambda w, env: found
+        value = found.value if raw and found.value is not None else found
+        return lambda w, env: value
     if isinstance(t, FnApp):
+        evaluator = space.signature.builtin_functions.get(t.symbol)
         values = []
         for a in t.args:  # a loop, not a comprehension: one frame per nesting level
-            values.append(_compile_term(a, bound, space))
-        evaluator = space.signature.builtin_functions.get(t.symbol)
+            values.append(_compile_term(a, bound, space, evaluator is not None))
         if evaluator is not None:
-            return _builtin_application(evaluator, values, space)
+            return _builtin_application(evaluator, values, _finish(space.domain, raw))
         return _graph_application(t.symbol, _tuple_of(values))
     if not t.beta:
         return lambda w, env: interp.of_ground_term(t)
@@ -363,20 +368,44 @@ def _compile_term(t: Term, bound: dict[Variable, int], space: Structure) -> Valu
     return reify
 
 
-def _builtin_application(evaluator: str, values: list[Value], space: Structure) -> Value:
+def _finish(domain: Domain, raw: bool) -> Optional[Callable[[Number], object]]:
+    """What a built-in application does with its raw result: box it as a
+    particular, or, for an arithmetic consumer, check that some declared
+    numeric sort holds it (raising `UnknownSort` where boxing would) and pass
+    it on.  The check is vacuous, so skipped, once rationals or reals exist."""
+    box = domain.numeric_particular
+    if not raw:
+        return box
+    if "rationals" in domain.lattice or "reals" in domain.lattice:
+        return None
+
+    def checked(value: Number) -> Number:
+        box(value)
+        return value
+
+    return checked
+
+
+def _builtin_application(evaluator: str, values: list[Value],
+                         finish: Optional[Callable[[Number], object]]) -> Value:
     # apply_function is looked up per call so that it can be instrumented.
-    # Unary and binary calls build their arguments inline: one frame per
-    # nesting level of arithmetic.
-    number = space.domain.numeric_particular
+    # Unary and binary calls build their arguments inline and apply `finish`
+    # inline: one frame per nesting level of arithmetic.
     if len(values) == 1:
         only = values[0]
-        return lambda w, env: number(apply_function(evaluator, (only(w, env),)))
+        if finish is None:
+            return lambda w, env: apply_function(evaluator, (only(w, env),))
+        return lambda w, env: finish(apply_function(evaluator, (only(w, env),)))
     if len(values) == 2:
         first, second = values
-        return lambda w, env: number(apply_function(evaluator,
+        if finish is None:
+            return lambda w, env: apply_function(evaluator, (first(w, env), second(w, env)))
+        return lambda w, env: finish(apply_function(evaluator,
                                                     (first(w, env), second(w, env))))
     args = _tuple_of(values)
-    return lambda w, env: number(apply_function(evaluator, args(w, env)))
+    if finish is None:
+        return lambda w, env: apply_function(evaluator, args(w, env))
+    return lambda w, env: finish(apply_function(evaluator, args(w, env)))
 
 
 def _graph_application(symbol: str, args: Args) -> Value:
@@ -395,8 +424,9 @@ def _graph_application(symbol: str, args: Args) -> Value:
 
 
 def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
-                  space: Structure) -> Args:
-    """The argument tuple of an atom, left to right."""
+                  space: Structure, raw: bool) -> Args:
+    """The argument tuple of an atom, left to right; `raw` for a built-in
+    predicate, whose arguments need not be boxed."""
     if all(isinstance(t, Var) and t.var in bound for t in terms):
         slots = [bound[t.var] for t in terms]  # type: ignore[union-attr]
         if not slots:
@@ -408,7 +438,7 @@ def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
         return lambda w, env: pick(env)
     values = []
     for t in terms:
-        values.append(_compile_term(t, bound, space))
+        values.append(_compile_term(t, bound, space, raw))
     return _tuple_of(values)
 
 
@@ -500,8 +530,8 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
                 raise UnboundVariable(f"free variables left in atom {a.pred}")
 
             return generalized
-        args = _compile_args(a.args, bound, space)
         evaluator = space.signature.builtin_predicates.get(a.pred)
+        args = _compile_args(a.args, bound, space, evaluator is not None)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
@@ -630,8 +660,8 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
         return every
 
     def atom(a: Atom, bound: dict[Variable, int]) -> Test:
-        args = _compile_args(a.args, bound, space)
         evaluator = space.signature.builtin_predicates.get(a.pred)
+        args = _compile_args(a.args, bound, space, evaluator is not None)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))

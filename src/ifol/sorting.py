@@ -38,11 +38,10 @@ if TYPE_CHECKING:
 
 @dataclass
 class Signature:
-    """Declared sorts of predicate, function and constant symbols."""
+    """Declared sorts of predicate and function symbols."""
 
     predicates: dict[str, tuple[SortId, ...]] = field(default_factory=lambda: {"true": ()})
     functions: dict[str, tuple[tuple[SortId, ...], SortId]] = field(default_factory=dict)
-    constants: dict[str, SortId] = field(default_factory=dict)
     builtin_predicates: dict[str, str] = field(default_factory=lambda: {"true": "true"})
     builtin_functions: dict[str, str] = field(default_factory=dict)
 
@@ -72,12 +71,6 @@ class Signature:
         if evaluator is not None:
             self.builtin_functions[symbol] = evaluator
 
-    def declare_constant(self, symbol: str, sort: SortId) -> None:
-        # Constants are nullary members of the function table's namespace.
-        if symbol in self.constants:
-            raise DuplicateName(f"constant {symbol!r} already declared")
-        self.constants[symbol] = sort
-
     def predicate_sorts(self, symbol: str) -> tuple[SortId, ...]:
         try:
             return self.predicates[symbol]
@@ -99,8 +92,6 @@ def static_sort(t: Term, sig: Signature, domain: Optional[Domain] = None) -> Sor
         return NESTED_SENTENCE_SORT
     if isinstance(t, FnApp):
         return sig.function_sorts(t.symbol)[1]
-    if t.symbol in sig.constants:
-        return sig.constants[t.symbol]
     if domain is not None:
         p = domain.lookup(t.symbol)
         if p is not None:

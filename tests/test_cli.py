@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +260,110 @@ def test_golden_lazy_error_reports(name):
     assert run_queries(load_workspace(text)) == (report, status)
 
 
+# Boundaries of built-in arithmetic: where an intermediate value leaves the
+# declared numeric tower, where a value is boxed into a relation argument, and
+# which error wins when an argument is no number at all.
+NATURALS_WS = (
+    "sort naturals\n"
+    "extent naturals = { 0, 1, 2, 3 }\n"
+    "builtin function add/2 : naturals x naturals -> naturals = add\n"
+    "builtin function sub/2 : naturals x naturals -> naturals = sub\n"
+    "builtin function div/2 : naturals x naturals -> naturals = div\n"
+    "builtin predicate leq/2 : naturals x naturals = leq\n"
+    "query intension leq(sub(x:naturals, 2), 5)\n"
+    "query intension leq(div(x:naturals, 2), 5)\n"
+    "query intension leq(add(sub(x:naturals, 2), 2), 5)\n"
+    "query intension leq(add(sub(x:naturals, 0), 2), 5)\n"
+    "query consequence leq(div(x:naturals, 1), 3)\n"
+)
+
+RATIONALS_WS = (
+    "sort integers\n"
+    "sort rationals\n"
+    "isa integers rationals\n"
+    "extent rationals = { 1/2, 2 }\n"
+    "builtin function pow/2 : rationals x rationals -> rationals = pow\n"
+    "builtin function div/2 : rationals x rationals -> rationals = div\n"
+    "builtin function mul/2 : rationals x rationals -> rationals = mul\n"
+    "builtin predicate leq/2 : rationals x rationals = leq\n"
+    "builtin predicate eq/2 : rationals x rationals = eq\n"
+    "concept smallness arity 1 sorts rationals predicate small\n"
+    "query intension leq(pow(x:rationals, -1), 1)\n"
+    "query intension eq(div(x:rationals, 1), x)\n"
+    "query intension eq(mul(div(x:rationals, 2), 2), x)\n"
+    "query intension leq(pow(x:rationals, -2), div(1, 4))\n"
+    "query consequence small(mul(x:rationals, 1)) | ~small(x)\n"
+    "query consequence small(mul(x:rationals, 2)) | ~small(x)\n"
+    "query intension small(mul(div(x:rationals, 2), 2))\n"
+    "query eval leq(mul(div(3, 2), 2), pow(2, -1))\n"
+    "query bealer-montague small(div(mul(x:rationals, 2), 2))\n"
+)
+
+NON_NUMERIC_REAL_WS = (
+    "sort s\n"
+    "sort reals\n"
+    "extent s = { a }\n"
+    "extent reals = { 0, 1 }\n"
+    "particular foo : reals\n"
+    "function f/1 : s -> reals\n"
+    "builtin function add/2 : reals x reals -> reals = add\n"
+    "builtin function div/2 : reals x reals -> reals = div\n"
+    "builtin predicate leq/2 : reals x reals = leq\n"
+    "query intension leq(add(foo, f(x:s)), 1)\n"
+    "query intension leq(add(foo, div(f(x:s), 0)), 1)\n"
+    "query intension leq(add(f(x:s), 1), 2)\n"
+    "query consequence leq(f(x:s), 1)\n"
+)
+
+
+def _in_every_world(count: int, *rows: str) -> str:
+    """An intension block's body that is the same in worlds w0..w<count-1>."""
+    return "".join(f"WORLD w{i}\n" + "".join(f"  ({r})\n" for r in rows)
+                   for i in range(count))
+
+
+NOT_NUMERIC = ("ERROR EvaluationFailure: Particular(lexeme='foo', sort='reals', "
+               "value=None) is not a numeric particular\n")
+
+NUMERIC_BOUNDARY_REPORTS = {
+    "naturals": (NATURALS_WS,
+                 "ERROR UnknownSort: no numeric sort declared for value -2\n\n"
+                 "ERROR UnknownSort: no numeric sort declared for value 1/2\n\n"
+                 "ERROR UnknownSort: no numeric sort declared for value -2\n\n"
+                 "INTENSION leq(add(sub(x:naturals, 0), 2), 5)\n"
+                 + _in_every_world(1, "0", "1", "2", "3")
+                 + "\nCONSEQUENCE yes\n", 0),
+    "rationals": (RATIONALS_WS,
+                  "INTENSION leq(pow(x:rationals, -1), 1)\n"
+                  + _in_every_world(4, "2")
+                  + "\nINTENSION eq(div(x:rationals, 1), x)\n"
+                  + _in_every_world(4, "1/2", "2")
+                  + "\nINTENSION eq(mul(div(x:rationals, 2), 2), x)\n"
+                  + _in_every_world(4, "1/2", "2")
+                  + "\nINTENSION leq(pow(x:rationals, -2), div(1, 4))\n"
+                  + _in_every_world(4, "2")
+                  + "\nCONSEQUENCE yes\n\n"
+                  "CONSEQUENCE no\nWORLD w1\n  smallness: (1/2)\nASSIGN x=1/2\n\n"
+                  "INTENSION small(mul(div(x:rationals, 2), 2))\n"
+                  "WORLD w0\nWORLD w1\n  (1/2)\nWORLD w2\n  (2)\n"
+                  "WORLD w3\n  (1/2)\n  (2)\n\n"
+                  "EVAL leq(mul(div(3, 2), 2), pow(2, -1))\n"
+                  "GROUND leq(mul(div(3, 2), 2), pow(2, -1))\n"
+                  "PROPOSITION D0 leq(mul(div(#3,#2),#2),pow(#2,#-1))\n\n"
+                  "BEALER-MONTAGUE ok (4 worlds)\n", 1),
+    "non_numeric_real": (NON_NUMERIC_REAL_WS,
+                         NOT_NUMERIC + "\n"
+                         "ERROR EvaluationFailure: division by zero\n\n"
+                         + NOT_NUMERIC + "\n" + NOT_NUMERIC, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_BOUNDARY_REPORTS), ids=str)
+def test_golden_numeric_boundary_reports(name):
+    text, report, status = NUMERIC_BOUNDARY_REPORTS[name]
+    assert run_queries(load_workspace(text)) == (report, status)
+
+
 def _write(tmp_path, name: str, text: str):
     f = tmp_path / name
     f.write_text(text)
@@ -350,3 +457,30 @@ def test_worker_threads_share_compiled_closures_safely():
     finally:
         sys.setswitchinterval(interval)
     assert expected[0].count("BEALER-MONTAGUE ok (64 worlds)") == 3
+
+
+def test_zero_to_a_negative_power_is_an_error_block(tmp_path, capsys):
+    f = _write(tmp_path, "pow0.ifol",
+               "sort integers\n"
+               "sort rationals\n"
+               "isa integers rationals\n"
+               "extent rationals = { -1, 0, 1/2 }\n"
+               "builtin function pow/2 : rationals x rationals -> rationals = pow\n"
+               "builtin predicate leq/2 : rationals x rationals = leq\n"
+               "query intension leq(pow(x:rationals, -2), 1)\n"
+               "query intension leq(pow(x:rationals, -2), 4)\n")
+    assert main(["run", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("ERROR EvaluationFailure: division by zero\n\n"
+                            "ERROR EvaluationFailure: division by zero\n")
+    assert captured.err == ""
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "ifol", "check", str(FIXTURES / "arith.ifol")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "ok: 1 formulas, 0 concepts\n", "")

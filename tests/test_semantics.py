@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifol import (
     Atom,
@@ -26,7 +28,7 @@ from ifol import (
     mk_abstracted,
 )
 from ifol.errors import ExplosionGuard, InfiniteExtent
-from ifol.kernel import element_lexeme
+from ifol.kernel import element_lexeme, numeric_lexeme
 from ifol.semantics import (
     World,
     accessible,
@@ -440,6 +442,81 @@ def test_builtin_evaluator_failures(arith):
         eval_term(FnApp("div", (Const("1"), Const("0"))), {}, world)
     with pytest.raises(EvaluationFailure):
         eval_term(FnApp("pow", (Const("2"), Const("1/2"))), {}, world)
+    with pytest.raises(EvaluationFailure, match="division by zero"):
+        eval_term(FnApp("pow", (Const("0"), Const("-1"))), {}, world)
+
+
+class _Undefined(Exception):
+    """The reference's failure: the message the engine should raise."""
+
+
+def _reference(tree) -> Fraction:
+    """Plain Fraction arithmetic over a tree of (op, *args) tuples, arguments
+    left to right."""
+    if isinstance(tree, Fraction):
+        return tree
+    op, *args = tree
+    values = [_reference(a) for a in args]
+    if op == "neg":
+        return -values[0]
+    a, b = values
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "pow" and b.denominator != 1:
+        raise _Undefined(f"exponent {b} is not an integer")
+    if b == 0 and op == "div" or a == 0 and op == "pow" and b < 0:
+        raise _Undefined("division by zero")
+    return a / b if op == "div" else a ** int(b)
+
+
+def _term(tree):
+    if isinstance(tree, Fraction):
+        return Const(numeric_lexeme(tree))
+    op, *args = tree
+    return FnApp(op, tuple(_term(a) for a in args))
+
+
+_LITERALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_TREES = st.recursive(
+    _LITERALS,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), sub, sub),
+        st.tuples(st.just("pow"), sub, _LITERALS),  # integral exponents lie in -3..3
+        st.tuples(st.just("neg"), sub)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_builtin_arithmetic_matches_fraction_reference(tree):
+    """Unboxed arithmetic gives the plain Fraction result, boxed with its
+    lexeme, an int value when integral, and its numeric sort; a built-in
+    predicate reads the same number; failures carry the same message."""
+    from ifol.errors import EvaluationFailure
+    ws = arithmetic_ws()
+    world = enumerate_worlds(ws.space)[0]
+    term = _term(tree)
+    below_zero = Atom("leq2", (term, Const("0")))
+    try:
+        want = _reference(tree)
+    except _Undefined as undefined:
+        for evaluate in (lambda: eval_term(term, {}, world),
+                         lambda: tarski_eval(world, {}, below_zero)):
+            with pytest.raises(EvaluationFailure) as exc:
+                evaluate()
+            assert str(exc.value) == str(undefined)
+        return
+    got = eval_term(term, {}, world)
+    assert got.lexeme == numeric_lexeme(want) and got.value == want
+    if want.denominator == 1:
+        assert type(got.value) is int and got.sort == "integers"
+    else:
+        assert type(got.value) is Fraction and got.sort == "rationals"
+    assert tarski_eval(world, {}, below_zero) == (want <= 0)
 
 
 def test_union_concept_extension_is_pointwise_union():

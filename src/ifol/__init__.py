@@ -20,7 +20,6 @@ from .kernel import (
     TRUTH_VALUES_SORT,
 )
 from .semantics import (
-    KripkeModel,
     Structure,
     World,
     bealer_montague_check,
@@ -58,7 +57,7 @@ from .workspace import Workspace, load_workspace, render_workspace
 __all__ = [
     "Abstracted", "And", "Atom", "BOTTOM_SORT", "Concept", "ConceptRef",
     "ConceptRegistry", "Const", "Domain", "Exists", "FnApp", "Formula",
-    "IfolError", "Intension", "Interpretation", "KripkeModel",
+    "IfolError", "Intension", "Interpretation",
     "NESTED_SENTENCE_SORT", "Not", "Particular", "Signature", "SortLattice",
     "Structure", "TOP", "TOP_SORT", "TRUTH", "TRUTH_VALUES_SORT", "Term", "Var",
     "Variable", "World", "Workspace", "bealer_montague_check", "check_formula",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .errors import EvaluationFailure
-from .kernel import Element, Number, Particular, exact_number
+from .kernel import Element, Number, Particular, element_lexeme, exact_number
 
 _RAW = frozenset({int, Fraction})
 
@@ -26,7 +26,7 @@ def _num(el: Union[Element, Number]) -> Number:
         return el  # type: ignore[return-value]
     if isinstance(el, Particular) and el.value is not None:
         return el.value
-    raise EvaluationFailure(f"{el!r} is not a numeric particular")
+    raise EvaluationFailure(f"{element_lexeme(el)!r} is not a numeric particular")
 
 
 def _cmp(op: Callable[[Number, Number], bool]) -> Callable[[Sequence[Element]], bool]:

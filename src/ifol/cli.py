@@ -1,16 +1,15 @@
 """Command-line entry points: run workspace queries, check files, render trees.
 
-Reports are deterministic: byte-identical across runs and across any `--jobs`
-setting, because per-world work is merged in enumeration order.
+Reports are deterministic: queries run in file order and each walks the
+worlds in enumeration order, so every run of a file prints the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .concepts import TreeNode
 from .errors import IfolError, ValidationError
@@ -67,7 +66,7 @@ def render_concept_tree(ws: Workspace, predicate: str) -> str:
     return "\n".join(lines)
 
 
-def run_queries(ws: Workspace, jobs: int = 1) -> tuple[str, int]:
+def run_queries(ws: Workspace) -> tuple[str, int]:
     """Execute every query in order; one report block per query.
 
     Exit status is 0 iff every check / consequence / bealer-montague query
@@ -75,28 +74,19 @@ def run_queries(ws: Workspace, jobs: int = 1) -> tuple[str, int]:
     """
     blocks: list[str] = []
     ok = True
-
-    def execute(map_fn: Callable) -> None:
-        nonlocal ok
-        for query in ws.queries:
-            try:
-                block, passed = _run_query(ws, query, map_fn)
-            except IfolError as exc:
-                block = [f"ERROR {type(exc).__name__}: {exc}"]
-                passed = not isinstance(query, (CheckQuery, ConsequenceQuery,
-                                                BealerMontagueQuery))
-            blocks.append("\n".join(block))
-            ok = ok and passed
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            execute(pool.map)
-    else:
-        execute(map)
+    for query in ws.queries:
+        try:
+            block, passed = _run_query(ws, query)
+        except IfolError as exc:
+            block = [f"ERROR {type(exc).__name__}: {exc}"]
+            passed = not isinstance(query, (CheckQuery, ConsequenceQuery,
+                                            BealerMontagueQuery))
+        blocks.append("\n".join(block))
+        ok = ok and passed
     return "\n\n".join(blocks) + ("\n" if blocks else ""), 0 if ok else 1
 
 
-def _run_query(ws: Workspace, query, map_fn: Callable) -> tuple[list[str], bool]:
+def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
     if isinstance(query, CheckQuery):
         lines = []
         for label, phi in ws.all_formulas():
@@ -108,8 +98,7 @@ def _run_query(ws: Workspace, query, map_fn: Callable) -> tuple[list[str], bool]
         return [f"CHECK ok ({len(ws.all_formulas())} formulas)"], True
 
     if isinstance(query, ConsequenceQuery):
-        holds, cm = consequence(ws.space, ws.axioms, query.formula,
-                                worlds=ws.worlds(), map_fn=map_fn)
+        holds, cm = consequence(ws.space, ws.axioms, query.formula, worlds=ws.worlds())
         if holds:
             return ["CONSEQUENCE yes"], True
         assert cm is not None
@@ -138,7 +127,7 @@ def _run_query(ws: Workspace, query, map_fn: Callable) -> tuple[list[str], bool]
 
     if isinstance(query, IntensionQuery):
         worlds = ws.worlds()
-        meaning = montague_intension(ws.space, query.formula, worlds, map_fn=map_fn)
+        meaning = montague_intension(ws.space, query.formula, worlds)
         lines = [f"INTENSION {format_formula(query.formula)}"]
         for world in worlds:
             ext = meaning[world.label]
@@ -154,8 +143,7 @@ def _run_query(ws: Workspace, query, map_fn: Callable) -> tuple[list[str], bool]
         return [render_concept_tree(ws, query.predicate)], True
 
     assert isinstance(query, BealerMontagueQuery)
-    mismatch = bealer_montague_check(ws.space, query.formula,
-                                     worlds=ws.worlds(), map_fn=map_fn)
+    mismatch = bealer_montague_check(ws.space, query.formula, worlds=ws.worlds())
     if mismatch is None:
         return [f"BEALER-MONTAGUE ok ({len(ws.worlds())} worlds)"], True
     lines = [f"BEALER-MONTAGUE mismatch WORLD {mismatch.world_label}",
@@ -175,13 +163,6 @@ def _render_side(side) -> str:
     return cells if cells else "{}"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _too_deep(path: Path) -> int:
     print(f"{path}: formula nesting too deep to process "
           f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
@@ -195,8 +176,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="load a workspace and execute its queries")
     run_p.add_argument("file", type=Path)
-    run_p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker threads for per-world checks")
     run_p.add_argument("--max-worlds", type=int, default=2 ** 20,
                        help="refuse to enumerate beyond this many candidate worlds")
 
@@ -234,7 +213,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     try:
-        report, status = run_queries(ws, jobs=args.jobs)
+        report, status = run_queries(ws)
     except RecursionError:
         return _too_deep(args.file)
     sys.stdout.write(report)

@@ -10,7 +10,6 @@ by a normalized-syntax fingerprint, so interpretation is deterministic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -65,9 +64,9 @@ class ConceptRegistry:
     """Bijection between predicate symbols and relation concepts, plus the
     canonical subconcepts generated from partial assignments.
 
-    Registration is single-writer at load time; canonical subconcepts also
-    materialize lazily during evaluation, so that path takes a lock to stay
-    safe under parallel per-world checks.
+    Predicates are registered at load time; canonical subconcepts are also
+    created lazily during evaluation, the first time a partial assignment
+    reaches them, and are looked up in the per-predicate cache after that.
     """
 
     def __init__(self, domain: Domain, signature: Signature):
@@ -77,7 +76,6 @@ class ConceptRegistry:
         self.by_concept: dict[str, str] = {}
         self.subconcepts: dict[str, dict[tuple[tuple[int, str], ...], Concept]] = {}
         self._subconcept_home: dict[str, tuple[str, tuple[tuple[int, str], ...]]] = {}
-        self._lock = threading.Lock()
 
     def register_predicate_concept(self, pred: str, phrase: str,
                                    sorts: Sequence[SortId]) -> Concept:
@@ -137,27 +135,23 @@ class ConceptRegistry:
         found = cache.get(key)
         if found is not None:
             return found
-        with self._lock:
-            found = cache.get(key)
-            if found is not None:
-                return found
-            bound = dict(key)
-            name = " ".join([root.name] + [bound[i] for i in sorted(bound)])
-            rest = tuple(s for i, s in enumerate(root.attribute_sorts) if i not in bound)
-            if name in self.domain.concepts:
-                raise DuplicateName(f"canonical name {name!r} collides with a declared concept")
-            concept = Concept(name, len(rest), rest)
-            self.domain.lattice.declare(name)
-            self.domain.concepts[name] = concept
-            self.domain.lattice.add_edge(name, root.name)
-            for other_key, other in cache.items():
-                if set(other_key) < set(key):
-                    self.domain.lattice.add_edge(name, other.name)
-                elif set(other_key) > set(key):
-                    self.domain.lattice.add_edge(other.name, name)
-            cache[key] = concept
-            self._subconcept_home[name] = (pred, key)
-            return concept
+        bound = dict(key)
+        name = " ".join([root.name] + [bound[i] for i in sorted(bound)])
+        rest = tuple(s for i, s in enumerate(root.attribute_sorts) if i not in bound)
+        if name in self.domain.concepts:
+            raise DuplicateName(f"canonical name {name!r} collides with a declared concept")
+        concept = Concept(name, len(rest), rest)
+        self.domain.lattice.declare(name)
+        self.domain.concepts[name] = concept
+        self.domain.lattice.add_edge(name, root.name)
+        for other_key, other in cache.items():
+            if set(other_key) < set(key):
+                self.domain.lattice.add_edge(name, other.name)
+            elif set(other_key) > set(key):
+                self.domain.lattice.add_edge(other.name, name)
+        cache[key] = concept
+        self._subconcept_home[name] = (pred, key)
+        return concept
 
     def atom_pattern(self, concept: Concept) -> tuple[str, dict[int, str]]:
         """Inverse of the bijection: the predicate and fixed positions behind a

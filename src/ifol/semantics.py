@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .builtins import PREDICATE_EVALUATORS, apply_function
 from .concepts import ConceptRegistry, Interpretation
@@ -73,7 +73,6 @@ from .syntax import (
 )
 
 Assignment = dict[Variable, Element]
-MapFn = Callable[..., Iterable]
 # A compiled formula or term reads the world and the slot environment.
 Test = Callable[["World", list], bool]
 Value = Callable[["World", list], Element]
@@ -207,15 +206,6 @@ def successors(g: Assignment, x: Variable, domain: Domain) -> Iterator[Assignmen
         yield g2
 
 
-@dataclass
-class KripkeModel:
-    """Explicit worlds plus the per-variable accessibility structure; the
-    generalized possible worlds are the (world, assignment) pairs."""
-
-    space: Structure
-    worlds: tuple[World, ...]
-
-
 # --- the compiled core ------------------------------------------------------------
 
 class _Core(NamedTuple):
@@ -243,11 +233,9 @@ class _Compiled:
 
 
 def _compiled(space: Structure, phi: Formula) -> _Compiled:
-    # Worker threads (`--jobs`) may race to fill an entry: compiling is pure,
-    # and setdefault keeps the first result for everyone.
     entry = space.compiled.get(id(phi))
     if entry is None:
-        entry = space.compiled.setdefault(id(phi), _Compiled(phi))
+        entry = space.compiled[id(phi)] = _Compiled(phi)
     return entry
 
 
@@ -259,8 +247,7 @@ def _core(space: Structure, phi: Formula, route: Compiler,
     key: object = route if params is None else (route, params)
     core = entry.cores.get(key)
     if core is None:
-        core = route(phi, entry.free if params is None else params, space)
-        core = entry.cores.setdefault(key, core)
+        core = entry.cores[key] = route(phi, entry.free if params is None else params, space)
     return core
 
 
@@ -460,14 +447,14 @@ def _unbound(v: Variable) -> Value:
 
 # --- the Kripke route ---------------------------------------------------------------
 
-def satisfies(model: KripkeModel, world: World, g: Assignment, phi: Formula) -> bool:
+def satisfies(world: World, g: Assignment, phi: Formula) -> bool:
     """Kripke satisfaction at the generalized world (world, g).
 
     The existential quantifier is the low-level modality for its variable: it
     holds when some accessible assignment (one rebinding the variable inside
     its sort) satisfies the body.
     """
-    return _truth(model.space, _compile_kripke, world, g, phi)
+    return _truth(world.space, _compile_kripke, world, g, phi)
 
 
 def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure) -> _Core:
@@ -802,45 +789,32 @@ def is_model_of(world: World, axioms: Sequence[Formula]) -> bool:
 
 
 def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
-                worlds: Optional[Sequence[World]] = None,
-                max_worlds: int = 2 ** 20,
-                map_fn: MapFn = map) -> tuple[bool, Optional[Countermodel]]:
+                worlds: Optional[Sequence[World]] = None) -> tuple[bool, Optional[Countermodel]]:
     """phi follows from the axioms iff it holds at every generalized world
     (model of the axioms, many-sorted assignment); otherwise the first failing
     pair is the countermodel certificate."""
     if worlds is None:
-        worlds = enumerate_worlds(space, max_worlds)
+        worlds = enumerate_worlds(space)
     core = _core(space, phi, _compile_kripke)
-
-    def check(world: World) -> Optional[Countermodel]:
+    for world in worlds:
         if not is_model_of(world, axioms):
-            return None
+            continue
         for failing in _tuples_where(core, world, False):
-            return Countermodel(world, tuple(zip(core.params, failing)))
-        return None
-
-    for failure in map_fn(check, worlds):
-        if failure is not None:
-            return False, failure
+            return False, Countermodel(world, tuple(zip(core.params, failing)))
     return True, None
 
 
 def montague_intension(space: Structure, phi: Formula,
-                       worlds: Optional[Sequence[World]] = None,
-                       max_worlds: int = 2 ** 20,
-                       map_fn: MapFn = map) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
+                       worlds: Optional[Sequence[World]] = None
+                       ) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
     """The meaning of phi as a map from worlds to extensions: per world, the
     set of free-variable tuples it satisfies, or its truth value if closed."""
     if worlds is None:
-        worlds = enumerate_worlds(space, max_worlds)
+        worlds = enumerate_worlds(space)
     core = _core(space, phi, _compile_kripke)
-
-    def per_world(world: World) -> frozenset[tuple[Element, ...]] | bool:
-        if not core.params:
-            return core.test(world, [None] * core.size)
-        return frozenset(_tuples_where(core, world, True))
-
-    return {w.label: ext for w, ext in zip(worlds, map_fn(per_world, worlds))}
+    if not core.params:
+        return {w.label: core.test(w, [None] * core.size) for w in worlds}
+    return {w.label: frozenset(_tuples_where(core, w, True)) for w in worlds}
 
 
 @dataclass(frozen=True)
@@ -851,24 +825,17 @@ class ExtensionMismatch:
 
 
 def bealer_montague_check(space: Structure, phi: Formula,
-                          worlds: Optional[Sequence[World]] = None,
-                          max_worlds: int = 2 ** 20,
-                          map_fn: MapFn = map) -> Optional[ExtensionMismatch]:
+                          worlds: Optional[Sequence[World]] = None
+                          ) -> Optional[ExtensionMismatch]:
     """Verify that extensionalizing the interpreted concept of phi agrees with
     phi's per-world meaning; returns the first mismatch, None when exact."""
     if worlds is None:
-        worlds = enumerate_worlds(space, max_worlds)
+        worlds = enumerate_worlds(space)
     concept = space.interp.of_formula(phi)
-    intension = montague_intension(space, phi, worlds, map_fn=map_fn)
-
-    def check(world: World) -> Optional[ExtensionMismatch]:
+    intension = montague_intension(space, phi, worlds)
+    for world in worlds:
         lhs = world.extension_of(concept)
         rhs = intension[world.label]
         if lhs != rhs:
             return ExtensionMismatch(world.label, lhs, rhs)
-        return None
-
-    for mismatch in map_fn(check, worlds):
-        if mismatch is not None:
-            return mismatch
     return None

@@ -197,6 +197,9 @@ class _Loader:
         self.ws = ws
         self.lines = lines
         self.diagnostics: list[str] = []
+        # the source line of each formula in `ws.all_formulas()` order, recorded
+        # as its axiom or query is added
+        self.formula_lines: list[int] = []
 
     def run(self) -> None:
         by_kind: dict[str, list[_Line]] = {}
@@ -412,24 +415,31 @@ class _Loader:
 
     def _axiom(self, line: _Line) -> None:
         self.ws.add_axiom(self._formula(line, len("axiom")))
+        self.formula_lines.append(line.number)
 
     def _query(self, line: _Line) -> None:
+        query = self._parse_query(line)
+        self.ws.queries.append(query)
+        if getattr(query, "formula", None) is not None:
+            self.formula_lines.append(line.number)
+
+    def _parse_query(self, line: _Line) -> Query:
         body = line.text[len("query"):].strip()
         kind, _, rest = body.partition(" ")
         rest = rest.strip()
         start = line.text.find(kind, len("query")) + len(kind)
         if kind == "check":
-            self.ws.queries.append(CheckQuery())
-        elif kind == "consequence":
-            self.ws.queries.append(ConsequenceQuery(self._formula(line, start)))
-        elif kind == "intension":
-            self.ws.queries.append(IntensionQuery(self._formula(line, start)))
-        elif kind == "bealer-montague":
-            self.ws.queries.append(BealerMontagueQuery(self._formula(line, start)))
-        elif kind == "concepts":
+            return CheckQuery()
+        if kind == "consequence":
+            return ConsequenceQuery(self._formula(line, start))
+        if kind == "intension":
+            return IntensionQuery(self._formula(line, start))
+        if kind == "bealer-montague":
+            return BealerMontagueQuery(self._formula(line, start))
+        if kind == "concepts":
             self.ws.registry.concept_of(rest)
-            self.ws.queries.append(ConceptsQuery(rest))
-        elif kind == "eval":
+            return ConceptsQuery(rest)
+        if kind == "eval":
             end, bindings = None, {}
             if " with " in rest:
                 end = line.text.rindex(" with ")
@@ -442,9 +452,8 @@ class _Loader:
                                      line=line.number)
                 if not self.ws.is_constant(lexeme):
                     raise ParseError(f"unknown element {lexeme!r}", line=line.number)
-            self.ws.queries.append(EvalQuery(phi, bindings))
-        else:
-            raise ParseError(f"unknown query kind {kind!r}", line=line.number)
+            return EvalQuery(phi, bindings)
+        raise ParseError(f"unknown query kind {kind!r}", line=line.number)
 
     def _bindings(self, line: _Line, text: str) -> dict[str, str]:
         out: dict[str, str] = {}
@@ -459,12 +468,13 @@ class _Loader:
         return out
 
     def _check_formulas(self) -> None:
-        for label, phi in self.ws.all_formulas():
+        for (label, phi), number in zip(self.ws.all_formulas(), self.formula_lines,
+                                        strict=True):
             try:
                 errors = check_formula(phi, self.ws.signature, self.ws.domain.lattice,
                                        self.ws.domain)
             except IfolError as exc:
-                self.diagnostics.append(f"{label}: {exc}")
+                self.diagnostics.append(f"line {number}: {exc}")
                 continue
             for err in errors:
                 self.diagnostics.append(

@@ -13,7 +13,6 @@ from ifol import (
     ConceptRef,
     Const,
     FnApp,
-    KripkeModel,
     Var,
     Variable,
     Workspace,
@@ -266,18 +265,16 @@ def test_eval_atom_relation_mode_matches_world_relation():
 
 def test_satisfies_top_everywhere(pets):
     worlds = enumerate_worlds(pets.space)
-    model = KripkeModel(pets.space, tuple(worlds))
     for world in worlds[:8]:
-        assert satisfies(model, world, {}, TOP)
+        assert satisfies(world, {}, TOP)
 
 
 def test_satisfies_existential_two_worlds():
     ws = singleton_ws()
     worlds = enumerate_worlds(ws.space)
-    model = KripkeModel(ws.space, tuple(worlds))
     phi = ws.parse("exists x:s . p(x)")
-    assert satisfies(model, worlds[0], {}, phi) is False
-    assert satisfies(model, worlds[1], {}, phi) is True
+    assert satisfies(worlds[0], {}, phi) is False
+    assert satisfies(worlds[1], {}, phi) is True
 
 
 def test_satisfies_requires_sorted_witness(pets):
@@ -286,15 +283,13 @@ def test_satisfies_requires_sorted_witness(pets):
     rex = ws.domain.lookup("rex")
     world = World("adv", ws.space, {"barking": frozenset({(rex,)}),
                                     "purring": frozenset()})
-    model = KripkeModel(ws.space, (world,))
-    assert satisfies(model, world, {}, ws.parse("exists x:animal . barks(x)"))
-    assert not satisfies(model, world, {}, ws.parse("exists x:cat . barks(x)"))
+    assert satisfies(world, {}, ws.parse("exists x:animal . barks(x)"))
+    assert not satisfies(world, {}, ws.parse("exists x:cat . barks(x)"))
 
 
 def test_tarski_matches_satisfies_spot_checks(pets):
     ws = pets
     worlds = enumerate_worlds(ws.space)
-    model = KripkeModel(ws.space, tuple(worlds))
     formulas = [
         TOP,
         ws.parse("purrs(tom)"),
@@ -304,7 +299,7 @@ def test_tarski_matches_satisfies_spot_checks(pets):
     ]
     for world in worlds:
         for phi in formulas:
-            assert satisfies(model, world, {}, phi) == tarski_eval(world, {}, phi)
+            assert satisfies(world, {}, phi) == tarski_eval(world, {}, phi)
 
 
 def test_tarski_negated_atom():
@@ -583,13 +578,12 @@ def test_successors_rebind_only_the_modal_variable():
 def test_diamond_monotone(pets):
     ws = pets
     worlds = enumerate_worlds(ws.space)
-    model = KripkeModel(ws.space, tuple(worlds))
     x = Variable("x", "cat")
     stronger = And(Atom("purrs", (Var(x),)), Atom("barks", (Var(x),)))
     weaker = Atom("purrs", (Var(x),))
     for world in worlds:
-        if satisfies(model, world, {}, Exists(x, stronger)):
-            assert satisfies(model, world, {}, Exists(x, weaker))
+        if satisfies(world, {}, Exists(x, stronger)):
+            assert satisfies(world, {}, Exists(x, weaker))
 
 
 def test_witnesses_are_dynamically_sorted(pets):
@@ -623,12 +617,11 @@ def test_fresh_formulas_reusing_ids_get_their_own_closures(pets):
     tom, rex = ws.domain.lookup("tom"), ws.domain.lookup("rex")
     world = World("w", ws.space, {"purring": frozenset({(tom,)}),
                                   "barking": frozenset({(rex,)})})
-    model = KripkeModel(ws.space, (world,))
     shapes = sorted(CACHE_SHAPES)
     for i in range(400):
         text = shapes[i * 7 % len(shapes)]
         phi = ws.parse(text)
-        assert satisfies(model, world, {}, phi) is CACHE_SHAPES[text], text
+        assert satisfies(world, {}, phi) is CACHE_SHAPES[text], text
         assert tarski_eval(world, {}, phi) is CACHE_SHAPES[text], text
         del phi
 
@@ -649,14 +642,13 @@ def test_quantifier_rebinding_a_free_variable_agrees_on_both_routes():
     x = Variable("x", "s")
     phi = And(Atom("p", (Var(x),)), Exists(x, Atom("q", (Var(x),))))
     worlds = enumerate_worlds(ws.space)
-    model = KripkeModel(ws.space, tuple(worlds))
     meaning = montague_intension(ws.space, phi, worlds)
     for world in worlds:
         expected = frozenset(t for t in world.relation("p-hood") if world.relation("q-hood"))
         assert meaning[world.label] == expected
         for g in many_sorted_assignments((x,), ws.domain):
             truth = (g[x],) in expected
-            assert satisfies(model, world, g, phi) is truth
+            assert satisfies(world, g, phi) is truth
             assert tarski_eval(world, g, phi) is truth
 
 
@@ -664,7 +656,6 @@ def test_evaluation_leaves_the_callers_assignment_alone():
     ws = rebinding_ws()
     x, y = Variable("x", "s"), Variable("y", "s")
     worlds = enumerate_worlds(ws.space)
-    model = KripkeModel(ws.space, tuple(worlds))
     a = ws.domain.lookup("a")
     formulas = [
         Exists(x, Atom("q", (Var(x),))),
@@ -674,7 +665,7 @@ def test_evaluation_leaves_the_callers_assignment_alone():
     for world in worlds:
         for phi in formulas:
             g = {x: a}
-            satisfies(model, world, g, phi)
+            satisfies(world, g, phi)
             assert g == {x: a}
             tarski_eval(world, g, phi)
             assert g == {x: a}
@@ -686,11 +677,10 @@ def test_unbound_variable_fails_only_where_reached():
     from ifol.errors import UnboundVariable
     ws = singleton_ws()
     w_empty, w_full = enumerate_worlds(ws.space)
-    model = KripkeModel(ws.space, (w_empty, w_full))
     phi = ws.parse("p(a) & p(x:s)")
-    assert satisfies(model, w_empty, {}, phi) is False
+    assert satisfies(w_empty, {}, phi) is False
     assert tarski_eval(w_empty, {}, phi) is False
     with pytest.raises(UnboundVariable):
-        satisfies(model, w_full, {}, phi)
+        satisfies(w_full, {}, phi)
     with pytest.raises(UnboundVariable):
         tarski_eval(w_full, {}, phi)

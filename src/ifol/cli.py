@@ -129,14 +129,17 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
         worlds = ws.worlds()
         meaning = montague_intension(ws.space, query.formula, worlds)
         lines = [f"INTENSION {format_formula(query.formula)}"]
+        rows: dict[frozenset, list[str]] = {}  # many worlds share an extension
         for world in worlds:
             ext = meaning[world.label]
             if isinstance(ext, bool):
                 lines.append(f"WORLD {world.label} {'t' if ext else 'f'}")
             else:
                 lines.append(f"WORLD {world.label}")
-                for t in _sorted_tuples(ext):
-                    lines.append(f"  {_render_tuple(t)}")
+                rendered = rows.get(ext)
+                if rendered is None:
+                    rendered = rows[ext] = [f"  {_render_tuple(t)}" for t in _sorted_tuples(ext)]
+                lines.extend(rendered)
         return lines, True
 
     if isinstance(query, ConceptsQuery):
@@ -163,6 +166,16 @@ def _render_side(side) -> str:
     return cells if cells else "{}"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _too_deep(path: Path) -> int:
     print(f"{path}: formula nesting too deep to process "
           f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
@@ -176,7 +189,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="load a workspace and execute its queries")
     run_p.add_argument("file", type=Path)
-    run_p.add_argument("--max-worlds", type=int, default=2 ** 20,
+    run_p.add_argument("--max-worlds", type=_positive_int, default=2 ** 20,
                        help="refuse to enumerate beyond this many candidate worlds")
 
     check_p = sub.add_parser("check", help="load and validate a workspace only")

@@ -162,13 +162,21 @@ class SortLattice:
 Number = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Particular:
-    """An individual: a lexeme plus its unique dynamic sort."""
+    """An individual: a lexeme plus its unique dynamic sort.
+
+    Particulars compare and hash by identity.  A `Domain` is the only place
+    that builds them, and it interns each one by lexeme (declared or
+    materialised by arithmetic), so within one domain identity is the same
+    as equal lexeme and sort.  A membership test on a relation then hashes a
+    pointer instead of running a Python `__hash__` over the fields.
+    Particulars of two different domains never compare equal.
+    """
 
     lexeme: str
     sort: SortId
-    value: Optional[Number] = field(default=None, compare=False)
+    value: Optional[Number] = None
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,16 @@ The compiled closures are cached on the `Structure`, keyed by the formula's
 identity, and each cache entry holds its formula so that the identity cannot
 be reused while the entry exists.
 
+The hot loop is one membership test per atom and assignment.  A concept atom
+whose arguments are all bound variables tests `(env[slot],)` (one argument)
+or an `itemgetter` pick of its slots (several) against the world's relation
+inline, with no argument closure; particulars hash by identity (see
+`Particular`), so the test hashes pointers.  An assignment sweep either
+collects every tuple where a formula holds into a list (`_tuples_where`, for
+intensions and extensions) or stops at the first assignment where it fails
+(`_first_failure`, for consequence and axiom models), so a failure is found
+without evaluating, or raising at, any later assignment.
+
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
 are all decided by exhaustive enumeration over these worlds.
@@ -153,7 +163,7 @@ class World:
 
     def _formula_extension(self, phi: Formula) -> frozenset[tuple[Element, ...]]:
         # Derived-concept extension rule: collect tuples through the Tarski route.
-        return frozenset(_tuples_where(_core(self.space, phi, _compile_tarski), self, True))
+        return frozenset(_tuples_where(_core(self.space, phi, _compile_tarski), self))
 
     def _concept_extension(self, concept: Concept) -> frozenset[tuple[Element, ...]]:
         if concept.name in self.relations:
@@ -265,21 +275,44 @@ def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
     return core.test(world, env)
 
 
-def _tuples_where(core: _Core, world: World, want: bool,
-                  fixed: Sequence[Element] = ()) -> Iterator[tuple[Element, ...]]:
-    """The sorted assignments to the core's leading parameters under which the
-    formula's truth is `want`, as value tuples in enumeration order; trailing
+def _sweep(core: _Core, world: World,
+           fixed: Sequence[Element]) -> tuple[int, list[tuple[Element, ...]], list]:
+    """What an assignment sweep over the core's leading parameters needs: how
+    many there are, their sort pools and the slot environment, whose trailing
     parameters take the `fixed` values.  Sort pools are read only once a world
     is evaluated, so a query over no worlds never meets an infinite sort."""
     k = len(core.params) - len(fixed)
     domain = world.space.domain
     pools = [domain.valid_elements(v.sort) for v in core.params[:k]]
     env: list = [None] * k + list(fixed) + [None] * (core.size - len(core.params))
+    return k, pools, env
+
+
+def _tuples_where(core: _Core, world: World,
+                  fixed: Sequence[Element] = ()) -> list[tuple[Element, ...]]:
+    """Every sorted assignment to the core's leading parameters under which the
+    formula holds, as value tuples in enumeration order."""
+    k, pools, env = _sweep(core, world, fixed)
+    test = core.test
+    out = []
+    for combo in itertools.product(*pools):
+        env[:k] = combo
+        if test(world, env):
+            out.append(combo)
+    return out
+
+
+def _first_failure(core: _Core, world: World) -> Optional[tuple[Element, ...]]:
+    """The first sorted assignment to the core's parameters, in enumeration
+    order, under which the formula fails, or None.  The sweep stops there, so
+    no later assignment is evaluated and none can raise."""
+    k, pools, env = _sweep(core, world, ())
     test = core.test
     for combo in itertools.product(*pools):
         env[:k] = combo
-        if test(world, env) == want:
-            yield combo
+        if not test(world, env):
+            return combo
+    return None
 
 
 def _conjuncts(phi: And) -> list[Formula]:
@@ -518,11 +551,21 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
 
             return generalized
         evaluator = space.signature.builtin_predicates.get(a.pred)
+        concept = space.registry.by_predicate.get(a.pred)
+        if evaluator is None and concept is not None and a.args \
+                and all(isinstance(t, Var) for t in a.args):
+            # arguments all bound variables: test membership inline
+            name = concept.name
+            slots = [bound[t.var] for t in a.args]  # type: ignore[union-attr]
+            if len(slots) == 1:
+                slot = slots[0]
+                return lambda w, env: (env[slot],) in w.relations.get(name, _EMPTY)
+            pick = itemgetter(*slots)
+            return lambda w, env: pick(env) in w.relations.get(name, _EMPTY)
         args = _compile_args(a.args, bound, space, evaluator is not None)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
-        concept = space.registry.by_predicate.get(a.pred)
         if concept is None:
             def unknown(w: World, env: list) -> bool:
                 args(w, env)
@@ -564,7 +607,7 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     core = _core(world.space, a, _compile_kripke, free + given)
     fixed = [g[v] for v in given]
     if free:
-        return frozenset(_tuples_where(core, world, True, fixed))
+        return frozenset(_tuples_where(core, world, fixed))
     return core.test(world, fixed + [None] * (core.size - len(fixed)))
 
 
@@ -648,11 +691,21 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
 
     def atom(a: Atom, bound: dict[Variable, int]) -> Test:
         evaluator = space.signature.builtin_predicates.get(a.pred)
+        concept = space.registry.by_predicate.get(a.pred)
+        if evaluator is None and concept is not None and a.args \
+                and all(isinstance(t, Var) and t.var in bound for t in a.args):
+            # arguments all bound variables: test membership inline
+            name = concept.name
+            slots = [bound[t.var] for t in a.args]  # type: ignore[union-attr]
+            if len(slots) == 1:
+                slot = slots[0]
+                return lambda w, env: (env[slot],) in w.relations.get(name, _EMPTY)
+            pick = itemgetter(*slots)
+            return lambda w, env: pick(env) in w.relations.get(name, _EMPTY)
         args = _compile_args(a.args, bound, space, evaluator is not None)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
-        concept = space.registry.by_predicate.get(a.pred)
         if concept is None:
             def unknown(w: World, env: list) -> bool:
                 args(w, env)
@@ -783,7 +836,7 @@ class Countermodel:
 def is_model_of(world: World, axioms: Sequence[Formula]) -> bool:
     """Open axioms are read universally closed."""
     for ax in axioms:
-        for _ in _tuples_where(_core(world.space, ax, _compile_tarski), world, False):
+        if _first_failure(_core(world.space, ax, _compile_tarski), world) is not None:
             return False
     return True
 
@@ -799,7 +852,8 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
     for world in worlds:
         if not is_model_of(world, axioms):
             continue
-        for failing in _tuples_where(core, world, False):
+        failing = _first_failure(core, world)
+        if failing is not None:
             return False, Countermodel(world, tuple(zip(core.params, failing)))
     return True, None
 
@@ -814,7 +868,7 @@ def montague_intension(space: Structure, phi: Formula,
     core = _core(space, phi, _compile_kripke)
     if not core.params:
         return {w.label: core.test(w, [None] * core.size) for w in worlds}
-    return {w.label: frozenset(_tuples_where(core, w, True)) for w in worlds}
+    return {w.label: frozenset(_tuples_where(core, w)) for w in worlds}
 
 
 @dataclass(frozen=True)

@@ -177,12 +177,19 @@ def test_consequence_with_abstraction_terms(tmp_path):
 
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
 def test_reports_are_deterministic_across_runs(path):
-    """Two fresh loads agree, and so does a second run over the first load's
-    workspace, which reuses its compiled closures and lazy subconcepts."""
-    ws = load_workspace(path)
-    first = run_queries(ws)
-    assert run_queries(load_workspace(path)) == first
-    assert run_queries(ws) == first
+    """`python -m ifol run` prints the same bytes and exits the same under two
+    string-hash seeds, and matches an in-process run.  Particulars hash by
+    identity, so set order differs between processes; no report may show it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "ifol", "run", str(path)], capture_output=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed,
+                 "PYTHONIOENCODING": "utf-8"})
+        runs.append((done.stdout, done.returncode))
+    report, status = run_queries(load_workspace(path))
+    assert runs[0] == runs[1] == (report.encode("utf-8"), status)
 
 
 GOLDEN_REPORTS = {
@@ -239,6 +246,23 @@ INFINITE_SORT_WS = (
 
 INFINITE = "ERROR InfiniteExtent: sort 'reals' has no finite extent declared"
 
+# A consequence and an axiom that fail at x = -1, the first assignment, and
+# would divide by zero at x = 0: looking for a failure stops at the first one,
+# so the second assignment is never evaluated.
+FIRST_FAILURE_DECLARATIONS = (
+    "sort integers\n"
+    "sort rationals\n"
+    "sort reals\n"
+    "isa integers rationals\n"
+    "isa rationals reals\n"
+    "extent reals = { -1, 0 }\n"
+    "builtin function div/2 : reals x reals -> reals = div\n"
+    "builtin predicate leq2/2 : reals x reals = leq\n"
+    "sort s\n"
+    "particular a : s\n"
+    "concept p-hood arity 1 sorts s predicate p\n"
+)
+
 LAZY_ERROR_REPORTS = {
     "no_worlds": (NO_WORLDS_WS,
                   "INTENSION leq2(x:reals, 1)\n\nCONSEQUENCE yes\n\n"
@@ -247,6 +271,19 @@ LAZY_ERROR_REPORTS = {
                       "\n\n".join([INFINITE] * 6
                                   + ["CONSEQUENCE no\nWORLD w0\n  p-hood: {}"]
                                   + [INFINITE] * 2) + "\n", 1),
+    "first_failure_consequence": (
+        FIRST_FAILURE_DECLARATIONS
+        + "query consequence leq2(div(1, x:reals), -5)\n"
+        "query consequence p(a) -> leq2(div(1, x:reals), -5)\n"
+        "query intension leq2(div(1, x:reals), -5)\n",
+        "CONSEQUENCE no\nWORLD w0\n  p-hood: {}\nASSIGN x=-1\n\n"
+        "CONSEQUENCE no\nWORLD w1\n  p-hood: (a)\nASSIGN x=-1\n\n"
+        "ERROR EvaluationFailure: division by zero\n", 1),
+    "first_failure_axiom": (
+        FIRST_FAILURE_DECLARATIONS
+        + "axiom p(a) -> leq2(div(1, x:reals), -5)\n"
+        "query consequence ~p(a)\n",
+        "CONSEQUENCE yes\n", 0),
 }
 
 
@@ -254,6 +291,75 @@ LAZY_ERROR_REPORTS = {
 def test_golden_lazy_error_reports(name):
     text, report, status = LAZY_ERROR_REPORTS[name]
     assert run_queries(load_workspace(text)) == (report, status)
+
+
+# Many worlds share one extension: 27 worlds, 8 distinct extensions over
+# three particulars, and 16 worlds of a binary relation.
+GOLDEN_INTENSION_REPORTS = {
+    "unary": (
+        "sort thing\n"
+        "extent thing = { c, a, b }\n"
+        "concept p-hood arity 1 sorts thing predicate p\n"
+        "concept q-hood arity 1 sorts thing predicate q\n"
+        "isa p-hood q-hood\n"
+        "query intension q(x:thing) & ~p(x)\n",
+        "INTENSION q(x:thing) & ~p(x)\n"
+        "WORLD w0\n"
+        "WORLD w1\n  (a)\n"
+        "WORLD w2\n  (b)\n"
+        "WORLD w3\n  (a)\n  (b)\n"
+        "WORLD w4\n  (c)\n"
+        "WORLD w5\n  (a)\n  (c)\n"
+        "WORLD w6\n  (b)\n  (c)\n"
+        "WORLD w7\n  (a)\n  (b)\n  (c)\n"
+        "WORLD w8\n"
+        "WORLD w9\n  (b)\n"
+        "WORLD w10\n  (c)\n"
+        "WORLD w11\n  (b)\n  (c)\n"
+        "WORLD w12\n"
+        "WORLD w13\n  (a)\n"
+        "WORLD w14\n  (c)\n"
+        "WORLD w15\n  (a)\n  (c)\n"
+        "WORLD w16\n"
+        "WORLD w17\n  (c)\n"
+        "WORLD w18\n"
+        "WORLD w19\n  (a)\n"
+        "WORLD w20\n  (b)\n"
+        "WORLD w21\n  (a)\n  (b)\n"
+        "WORLD w22\n"
+        "WORLD w23\n  (b)\n"
+        "WORLD w24\n"
+        "WORLD w25\n  (a)\n"
+        "WORLD w26\n"),
+    "binary": (
+        "sort thing\n"
+        "extent thing = { b, a }\n"
+        "concept r-ness arity 2 sorts thing thing predicate r\n"
+        "query intension r(x:thing, y:thing) & ~r(y, x)\n",
+        "INTENSION r(x:thing, y:thing) & ~r(y, x)\n"
+        "WORLD w0\n"
+        "WORLD w1\n"
+        "WORLD w2\n  (a, b)\n"
+        "WORLD w3\n  (a, b)\n"
+        "WORLD w4\n  (b, a)\n"
+        "WORLD w5\n  (b, a)\n"
+        "WORLD w6\n"
+        "WORLD w7\n"
+        "WORLD w8\n"
+        "WORLD w9\n"
+        "WORLD w10\n  (a, b)\n"
+        "WORLD w11\n  (a, b)\n"
+        "WORLD w12\n  (b, a)\n"
+        "WORLD w13\n  (b, a)\n"
+        "WORLD w14\n"
+        "WORLD w15\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INTENSION_REPORTS), ids=str)
+def test_golden_intension_reports(name):
+    text, report = GOLDEN_INTENSION_REPORTS[name]
+    assert run_queries(load_workspace(text)) == (report, 0)
 
 
 # Boundaries of built-in arithmetic: where an intermediate value leaves the
@@ -411,6 +517,16 @@ def test_jobs_flag_is_rejected(jobs, capsys):
         main(["run", str(FIXTURES / "purrs.ifol"), "--jobs", jobs])
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3", "many"])
+def test_max_worlds_below_one_rejected(bound, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(FIXTURES / "purrs.ifol"), "--max-worlds", bound])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-worlds: " in err
+    assert "ExplosionGuard" not in err
 
 
 def test_parse_diagnostics_carry_one_prefix_and_line_columns(tmp_path, capsys):

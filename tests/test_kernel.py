@@ -265,3 +265,32 @@ def test_verb_form_auto_extent():
     ws.declare_sort("verb-form")
     forms = {p.lexeme for p in ws.domain.valid_elements("verb-form")}
     assert forms == {"past", "present", "future", "gerund"}
+
+
+def test_one_lexeme_is_one_object():
+    """Within a domain every particular is interned by lexeme: a lookup, a
+    quantifier pool, the numeric tower and built-in arithmetic all hand out
+    the same object, so particulars can compare and hash by identity."""
+    from ifol.semantics import enumerate_worlds, eval_term
+    from ifol.syntax import Const, FnApp
+
+    d = chain_domain()
+    three = d.numeric_particular(3)
+    assert d.declare_particular("3", "integers") is three
+    assert d.numeric_particular(3) is three
+    assert d.lookup("3") is three
+    assert [p for p in d.valid_elements("integers") if p.lexeme == "3"][0] is three
+
+    ws = arithmetic_ws(grid=True)
+    two = ws.domain.lookup("2")
+    assert ws.domain.lookup("2") is two
+    assert [p for p in ws.domain.valid_elements("reals") if p.lexeme == "2"][0] is two
+    world = enumerate_worlds(ws.space)[0]
+    assert eval_term(FnApp("add", (Const("1"), Const("1"))), {}, world) is two
+    half = eval_term(FnApp("div", (Const("1"), Const("2"))), {}, world)
+    assert ws.domain.lookup("1/2") is half and ws.domain.numeric_particular(half.value) is half
+
+    pets = pets_ws()
+    tom = pets.domain.lookup("tom")
+    assert pets.domain.declare_particular("tom", "cat") is tom
+    assert [p for p in pets.domain.valid_elements("animal") if p.lexeme == "tom"][0] is tom

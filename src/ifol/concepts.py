@@ -24,7 +24,6 @@ from .errors import (
     InfiniteSortExtent,
     MixedArity,
     SortViolation,
-    UnknownSort,
     UnknownSymbol,
     UnregisteredPredicate,
 )
@@ -64,9 +63,11 @@ class ConceptRegistry:
     """Bijection between predicate symbols and relation concepts, plus the
     canonical subconcepts generated from partial assignments.
 
-    Predicates are registered at load time; canonical subconcepts are also
-    created lazily during evaluation, the first time a partial assignment
-    reaches them, and are looked up in the per-predicate cache after that.
+    Predicates are registered at load time.  Canonical subconcepts are made
+    lazily during evaluation, the first time a partial assignment reaches
+    them, and live only here, in the per-predicate cache and its inverse:
+    they never enter the sort lattice or the domain's concept table, so
+    evaluation leaves the declarations unchanged.
     """
 
     def __init__(self, domain: Domain, signature: Signature):
@@ -138,17 +139,9 @@ class ConceptRegistry:
         bound = dict(key)
         name = " ".join([root.name] + [bound[i] for i in sorted(bound)])
         rest = tuple(s for i, s in enumerate(root.attribute_sorts) if i not in bound)
-        if name in self.domain.concepts:
+        if name in self.domain.concepts or name in self._subconcept_home:
             raise DuplicateName(f"canonical name {name!r} collides with a declared concept")
         concept = Concept(name, len(rest), rest)
-        self.domain.lattice.declare(name)
-        self.domain.concepts[name] = concept
-        self.domain.lattice.add_edge(name, root.name)
-        for other_key, other in cache.items():
-            if set(other_key) < set(key):
-                self.domain.lattice.add_edge(name, other.name)
-            elif set(other_key) > set(key):
-                self.domain.lattice.add_edge(other.name, name)
         cache[key] = concept
         self._subconcept_home[name] = (pred, key)
         return concept
@@ -199,22 +192,6 @@ class ConceptRegistry:
         tree = TreeNode(root)
         expand(tree, {}, -1)
         return tree
-
-    def add_attribute_sort(self, pred: str, new_sort: SortId) -> Concept:
-        """Append an attribute to the predicate-concept and to every canonical
-        subconcept in its tree; unrelated concepts are untouched."""
-        if new_sort not in self.domain.lattice:
-            raise UnknownSort(new_sort)
-        root = self.concept_of(pred)
-        updated = Concept(root.name, root.arity + 1, root.attribute_sorts + (new_sort,))
-        self.domain.replace_concept(updated)
-        self.by_predicate[pred] = updated
-        self.signature.predicates[pred] = updated.attribute_sorts
-        for key, sub in list(self.subconcepts[pred].items()):
-            grown = Concept(sub.name, sub.arity + 1, sub.attribute_sorts + (new_sort,))
-            self.domain.replace_concept(grown)
-            self.subconcepts[pred][key] = grown
-        return updated
 
 
 class Interpretation:

@@ -65,9 +65,11 @@ class Concept:
 class SortLattice:
     """Finite IS-A partial order with materialised reflexive-transitive closure.
 
-    The closure is recomputed on each edge insertion; workspaces are small and
-    correctness wins over cleverness.  "empty set" and "everything" bound every
-    node.
+    Each node keeps its up-set, the sorts at or above it.  "empty set" and
+    "everything" bound every node.  The closure is updated per edge, never
+    recomputed: a new node starts at {itself, "everything"} and joins the
+    up-set of "empty set"; an edge sub ⊑ sup adds the up-set of sup to every
+    up-set that holds sub (Italiano's incremental transitive closure).
     """
 
     def __init__(self) -> None:
@@ -92,8 +94,9 @@ class SortLattice:
         if name in self._up:
             raise DuplicateName(f"sort {name!r} already declared")
         self._nodes.append(name)
-        self._up[name] = frozenset()
-        self._recompute()
+        self._up[name] = frozenset((name, TOP_SORT))
+        if BOTTOM_SORT in self._up:
+            self._up[BOTTOM_SORT] |= {name}
 
     def add_edge(self, sub: SortId, sup: SortId) -> None:
         if sub not in self._up:
@@ -105,26 +108,10 @@ class SortLattice:
         if sub != sup and sub in self._up[sup]:
             raise CycleDetected(f"{sup} ⊑ {sub} already holds; adding {sub} ⊑ {sup} forms a cycle")
         self._edges.add((sub, sup))
-        self._recompute()
-
-    def _recompute(self) -> None:
-        # Implicit bounds: bottom below everything, top above everything.
-        up: dict[SortId, set[SortId]] = {n: {n, TOP_SORT} for n in self._nodes}
-        if BOTTOM_SORT in up:
-            up[BOTTOM_SORT] = set(self._nodes) | {TOP_SORT}
-        for sub, sup in self._edges:
-            up[sub].add(sup)
-        changed = True
-        while changed:
-            changed = False
-            for n in self._nodes:
-                extra: set[SortId] = set()
-                for m in up[n]:
-                    extra |= up[m]
-                if not extra <= up[n]:
-                    up[n] |= extra
-                    changed = True
-        self._up = {n: frozenset(s) for n, s in up.items()}
+        above = self._up[sup]
+        for n, up in self._up.items():
+            if sub in up:
+                self._up[n] = up | above
 
     def is_subsort(self, s1: SortId, s2: SortId) -> bool:
         if s1 not in self._up:
@@ -277,12 +264,6 @@ class Domain:
                 self._add_particular(Particular(form, VERB_FORM_SORT))
         return concept
 
-    def replace_concept(self, concept: Concept) -> None:
-        # Single-writer load phase only: attribute inheritance swaps concepts in place.
-        if concept.name not in self.concepts:
-            raise UnknownSort(concept.name)
-        self.concepts[concept.name] = concept
-
     def declare_isa(self, sub: SortId, sup: SortId) -> None:
         self.lattice.add_edge(sub, sup)
         self._valid_cache.clear()
@@ -414,10 +395,6 @@ class Domain:
 
     def finite_numeric_sorts(self) -> tuple[SortId, ...]:
         return tuple(sorted(self._finite_numeric))
-
-    def fixed_extent(self, sort: SortId) -> tuple[Particular, ...]:
-        """The world-independent extent ‖sort‖: declared members of the sort."""
-        return self.valid_elements(sort)
 
     def derived_sort_extent(self, concept: Concept, world=None) -> set[str]:
         """Name-level extent of a relational concept used as a single sort.

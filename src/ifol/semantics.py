@@ -168,8 +168,9 @@ class World:
     def _concept_extension(self, concept: Concept) -> frozenset[tuple[Element, ...]]:
         if concept.name in self.relations:
             return self.relations[concept.name]
-        registry = self.space.registry
-        if concept.name in registry._subconcept_home:
+        if concept.name not in self.space.domain.concepts:
+            # not declared, so a canonical subconcept: project its root's relation
+            registry = self.space.registry
             pred, fixed = registry.atom_pattern(concept)
             parent = registry.concept_of(pred)
             parent_rel = self._concept_extension(parent)

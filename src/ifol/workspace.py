@@ -494,9 +494,8 @@ def render_workspace(ws: Workspace) -> str:
 
     out: list[str] = []
     registered = {c.name for c in ws.registry.by_predicate.values()}
-    canonical = set(ws.registry._subconcept_home)
     for name in ws.domain.lattice.nodes:
-        if name in RESERVED_SORTS or name in registered or name in canonical:
+        if name in RESERVED_SORTS or name in registered:
             continue
         concept = ws.domain.concepts.get(name)
         attr = ""
@@ -504,8 +503,6 @@ def render_workspace(ws: Workspace) -> str:
             attr = f" : {sort_token(concept.attribute_sorts[0])}"
         out.append(f"sort {sort_token(name)}{attr}")
     for sub, sup in sorted(ws.domain.lattice.isa_edges):
-        if sub in canonical:
-            continue
         out.append(f"isa {sort_token(sub)} {sort_token(sup)}")
     for pred in sorted(ws.registry.by_predicate):
         concept = ws.registry.by_predicate[pred]

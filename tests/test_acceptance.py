@@ -312,8 +312,10 @@ def test_criterion_6_subconcept_bijection():
                 assert pred == "animal_of"
                 assert fixed == {pos: v.lexeme for pos, v in partial.items()}
                 round_trips += 1
-    assert "animal with breasts hairy" in ws.domain.concepts
-    assert "animal hairy with breasts" not in ws.domain.concepts
+    made = {c.name for c in ws.registry.subconcepts["animal_of"].values()}
+    assert "animal with breasts hairy" in made
+    assert "animal hairy with breasts" not in made
+    assert not made & set(ws.domain.concepts)
     report(6, f"atom/concept bijection round-trips on {round_trips} partial assignments")
 
 

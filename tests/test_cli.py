@@ -156,7 +156,9 @@ def test_evaluation_materializes_subconcepts_lazily(tmp_path):
     )
     ws = load_workspace(f.read_text())
     report, _ = run_queries(ws)
-    assert {"ranking g1", "ranking g2"} <= set(ws.domain.concepts)
+    made = {c.name for c in ws.registry.subconcepts["ranks"].values()}
+    assert {"ranking g1", "ranking g2"} <= made
+    assert not made & set(ws.domain.concepts)
     assert "CONSEQUENCE yes" in report
 
 
@@ -204,6 +206,29 @@ GOLDEN_REPORTS = {
 def test_golden_reports(name):
     got = run_queries(load_workspace(FIXTURES / f"{name}.ifol"))
     assert got == GOLDEN_REPORTS[name]
+
+
+# Two predicates whose canonical subconcepts share a name: neither name is a
+# declared concept, and the second predicate to reach it is refused.
+COLLISION_WS = (
+    "sort k\n"
+    "sort k2\n"
+    "sort a\n"
+    "extent k = { with breasts }\n"
+    "extent k2 = { breasts }\n"
+    "extent a = { x1 }\n"
+    "concept animal arity 2 sorts k a predicate p\n"
+    "concept animal with arity 2 sorts k2 a predicate q\n"
+    "query concepts p\n"
+    "query concepts q\n"
+)
+
+
+def test_golden_canonical_name_collision():
+    report = ("animal:k,a\n  animal with breasts:a\n  animal x1:k\n\n"
+              "ERROR DuplicateName: canonical name 'animal with breasts' collides "
+              "with a declared concept\n")
+    assert run_queries(load_workspace(COLLISION_WS)) == (report, 0)
 
 
 def test_render_concept_tree_matches_query_block():

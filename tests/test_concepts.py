@@ -26,7 +26,6 @@ from ifol.errors import (
     InfiniteSortExtent,
     MixedArity,
     SortViolation,
-    UnknownSort,
     UnregisteredPredicate,
 )
 
@@ -113,7 +112,9 @@ def test_canonical_subconcept_errors(animals):
 def test_canonical_subconcept_is_below_root(animals):
     sub = animals.registry.canonical_subconcept(
         "animal_of", {0: breasts(animals), 1: hairy(animals)})
-    assert animals.domain.is_subsort(sub.name, "animal")
+    pred, fixed = animals.registry.atom_pattern(sub)
+    assert animals.registry.concept_of(pred).name == "animal"
+    assert fixed == {0: "with breasts", 1: "hairy"}
 
 
 def test_atom_pattern_roundtrip_all_partials(animals):
@@ -155,30 +156,6 @@ def test_subconcept_tree_infinite_extent_guard():
     ws.register_concept("bounded below", ("reals",), "bounded")
     with pytest.raises(InfiniteSortExtent):
         ws.registry.subconcept_tree("bounded")
-
-
-def test_add_attribute_sort_inherits_into_tree(animals):
-    sub = animals.registry.canonical_subconcept("animal_of", {0: breasts(animals)})
-    animals.declare_sort("age")
-    updated = animals.registry.add_attribute_sort("animal_of", "age")
-    assert updated.arity == 4
-    assert updated.attribute_sorts[-1] == "age"
-    grown = animals.domain.concepts["animal with breasts"]
-    assert grown.arity == 3 and grown.attribute_sorts[-1] == "age"
-    assert animals.signature.predicate_sorts("animal_of")[-1] == "age"
-
-
-def test_add_attribute_sort_leaves_independent_concepts_alone(animals):
-    animals.declare_sort("cat", attribute="kind-of-animals")
-    animals.declare_isa("cat", "animal")
-    animals.declare_sort("age")
-    animals.registry.add_attribute_sort("animal_of", "age")
-    assert animals.domain.concepts["cat"].arity == 1
-
-
-def test_add_attribute_sort_unknown(animals):
-    with pytest.raises(UnknownSort):
-        animals.registry.add_attribute_sort("animal_of", "ghost")
 
 
 def test_interpretation_top_is_truth():

@@ -24,6 +24,23 @@ def test_fixture_loads(path):
     assert ws.queries
 
 
+def declarations(ws) -> tuple:
+    lattice = ws.domain.lattice
+    return (lattice.nodes, sorted(lattice.isa_edges),
+            {s: lattice.supersorts(s) for s in lattice.nodes},
+            sorted(ws.domain.concepts), render_workspace(ws))
+
+
+@pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+def test_queries_leave_declarations_unchanged(path):
+    """Loading is the only writer of the lattice and the concept table:
+    running every query, canonical subconcepts included, changes neither."""
+    ws = load_workspace(path)
+    before = declarations(ws)
+    run_queries(ws)
+    assert declarations(ws) == before
+
+
 def test_load_order_independence():
     text = (FIXTURES / "purrs.ifol").read_text()
     lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]

@@ -15,6 +15,7 @@ from .concepts import TreeNode
 from .errors import IfolError, ValidationError
 from .kernel import ConceptRef, Element, element_lexeme
 from .semantics import (
+    MAX_WORLDS,
     Countermodel,
     bealer_montague_check,
     consequence,
@@ -31,6 +32,7 @@ from .workspace import (
     IntensionQuery,
     Workspace,
     load_workspace,
+    sort_error_line,
 )
 
 
@@ -90,9 +92,8 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
     if isinstance(query, CheckQuery):
         lines = []
         for label, phi in ws.all_formulas():
-            for err in check_formula(phi, ws.signature, ws.domain.lattice, ws.domain):
-                lines.append(f"SORT-ERR {label} arg{err.position}: "
-                             f"found {err.found} required {err.required}")
+            for err in check_formula(phi, ws.signature, ws.domain):
+                lines.append(sort_error_line(label, err))
         if lines:
             return lines, False
         return [f"CHECK ok ({len(ws.all_formulas())} formulas)"], True
@@ -189,7 +190,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     run_p = sub.add_parser("run", help="load a workspace and execute its queries")
     run_p.add_argument("file", type=Path)
-    run_p.add_argument("--max-worlds", type=_positive_int, default=2 ** 20,
+    run_p.add_argument("--max-worlds", type=_positive_int, default=MAX_WORLDS,
                        help="refuse to enumerate beyond this many candidate worlds")
 
     check_p = sub.add_parser("check", help="load and validate a workspace only")
@@ -202,7 +203,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         ws = load_workspace(Path(args.file),
-                            max_worlds=getattr(args, "max_worlds", 2 ** 20))
+                            max_worlds=getattr(args, "max_worlds", MAX_WORLDS))
     except ValidationError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)

@@ -18,11 +18,9 @@ from .errors import (
     DuplicateName,
     DuplicatePhrase,
     EmptyAssignment,
-    EmptyParts,
     FullAssignment,
     InfiniteExtent,
     InfiniteSortExtent,
-    MixedArity,
     SortViolation,
     UnknownSymbol,
     UnregisteredPredicate,
@@ -104,12 +102,6 @@ class ConceptRegistry:
         except KeyError:
             raise UnregisteredPredicate(pred) from None
 
-    def predicate_of(self, concept_name: str) -> str:
-        try:
-            return self.by_concept[concept_name]
-        except KeyError:
-            raise UnregisteredPredicate(concept_name) from None
-
     # --- canonical subconcepts -------------------------------------------
 
     def canonical_subconcept(self, pred: str, partial: Mapping[int, Particular]) -> Concept:
@@ -139,8 +131,12 @@ class ConceptRegistry:
         bound = dict(key)
         name = " ".join([root.name] + [bound[i] for i in sorted(bound)])
         rest = tuple(s for i, s in enumerate(root.attribute_sorts) if i not in bound)
-        if name in self.domain.concepts or name in self._subconcept_home:
+        if name in self.domain.concepts:
             raise DuplicateName(f"canonical name {name!r} collides with a declared concept")
+        home = self._subconcept_home.get(name)
+        if home is not None:
+            raise DuplicateName(f"canonical name {name!r} collides with a canonical "
+                                f"subconcept of predicate {home[0]!r}")
         concept = Concept(name, len(rest), rest)
         cache[key] = concept
         self._subconcept_home[name] = (pred, key)
@@ -205,12 +201,11 @@ class Interpretation:
         self.truth = TRUTH
         self._memo: dict[tuple[str, int], Intension] = {(TRUTH.fingerprint, 0): TRUTH}
 
-    def _intern(self, fingerprint: str, arity: int, origin: Optional[Formula] = None,
-                parts: Optional[tuple[Element, ...]] = None) -> Intension:
+    def _intern(self, fingerprint: str, arity: int, origin: Formula) -> Intension:
         key = (fingerprint, arity)
         found = self._memo.get(key)
         if found is None:
-            found = Intension(fingerprint, arity, origin=origin, parts=parts)
+            found = Intension(fingerprint, arity, origin=origin)
             self._memo[key] = found
         return found
 
@@ -264,28 +259,3 @@ class Interpretation:
         if not seen_vars:
             return None  # ground atom: falls through to the proposition path
         return ConceptRef(self.registry.canonical_subconcept(phi.pred, partial))
-
-    def union_concept(self, parts: Sequence[Element]) -> Intension:
-        """Derived concept whose extension in every world is the union of the
-        parts' extensions there."""
-        parts = tuple(parts)
-        if not parts:
-            raise EmptyParts("union of no concepts")
-        arities = {self._arity_of(p) for p in parts}
-        if len(arities) != 1:
-            raise MixedArity(f"arities {sorted(arities)}")
-        keys = sorted(self._part_key(p) for p in parts)
-        fingerprint = f"union({'|'.join(keys)})"
-        return self._intern(fingerprint, arities.pop(), parts=parts)
-
-    @staticmethod
-    def _arity_of(el: Element) -> int:
-        if isinstance(el, Intension):
-            return el.arity
-        if isinstance(el, ConceptRef):
-            return el.concept.arity
-        raise MixedArity(f"particular {el!r} has no arity")
-
-    @staticmethod
-    def _part_key(el: Element) -> str:
-        return el.fingerprint if isinstance(el, Intension) else el.concept.name

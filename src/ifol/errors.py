@@ -75,10 +75,6 @@ class UnboundVariable(IfolError):
     pass
 
 
-class ClosedFormula(IfolError):
-    pass
-
-
 # --- sort checking -----------------------------------------------------------
 
 class SortMismatch(IfolError):
@@ -132,14 +128,6 @@ class FunctionUndefinedAt(IfolError):
 
 
 class EvaluationFailure(IfolError):
-    pass
-
-
-class MixedArity(IfolError):
-    pass
-
-
-class EmptyParts(IfolError):
     pass
 
 

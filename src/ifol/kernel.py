@@ -52,10 +52,6 @@ class Concept:
         if self.arity != len(self.attribute_sorts):
             raise ValueError(f"arity {self.arity} != {len(self.attribute_sorts)} attributes")
 
-    @property
-    def layer(self) -> int:
-        return self.arity
-
     def render(self) -> str:
         if not self.attribute_sorts:
             return self.name
@@ -130,18 +126,6 @@ class SortLattice:
             raise UnknownSort(s)
         return frozenset(n for n in self._nodes if s in self._up[n])
 
-    def meet(self, s1: SortId, s2: SortId) -> SortId:
-        """Greatest lower bound when unique, else "empty set"."""
-        lower = self.subsorts(s1) & self.subsorts(s2)
-        maximal = [s for s in lower if not any(t != s and self.is_subsort(s, t) for t in lower)]
-        return maximal[0] if len(maximal) == 1 else BOTTOM_SORT
-
-    def join(self, s1: SortId, s2: SortId) -> SortId:
-        """Least upper bound when unique, else "everything"."""
-        upper = self.supersorts(s1) & self.supersorts(s2)
-        minimal = [s for s in upper if not any(t != s and self.is_subsort(t, s) for t in upper)]
-        return minimal[0] if len(minimal) == 1 else TOP_SORT
-
 
 # --- domain elements ---------------------------------------------------------
 
@@ -178,14 +162,12 @@ class Intension:
     """A proposition (arity 0) or derived concept produced by interpretation.
 
     Identity is the normalized-syntax fingerprint; `origin` keeps the formula
-    whose per-world evaluation yields the element's extension, `parts` marks a
-    derived union of same-arity concepts.
+    whose per-world evaluation yields the element's extension.
     """
 
     fingerprint: str
     arity: int
-    origin: object = field(default=None, compare=False, hash=False)
-    parts: Optional[tuple["Element", ...]] = field(default=None, compare=False, hash=False)
+    origin: object = field(compare=False, hash=False)
 
 
 Element = Particular | ConceptRef | Intension
@@ -356,7 +338,9 @@ class Domain:
         c = el.concept
         if c.arity == 1:
             return c.attribute_sorts[0]
-        return c.name
+        # a canonical subconcept is no lattice node; like a derived concept it
+        # sits at the top
+        return c.name if c.name in self.concepts else TOP_SORT
 
     def all_particulars(self) -> tuple[Particular, ...]:
         return tuple(sorted(self._pool, key=lambda p: p.lexeme))

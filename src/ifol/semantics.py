@@ -90,6 +90,9 @@ Args = Callable[["World", list], tuple]
 
 _EMPTY: frozenset = frozenset()
 
+# Default bound on the candidate worlds `enumerate_worlds` may generate.
+MAX_WORLDS = 2 ** 20
+
 
 @dataclass
 class Structure:
@@ -130,15 +133,7 @@ class World:
             raise EvaluationFailure(f"{prop.fingerprint!r} is not a proposition")
         cached = self._prop_memo.get(prop.fingerprint)
         if cached is None:
-            if prop.parts is not None:
-                # union of propositions: true where any part is (f is the empty
-                # extension, t the singleton)
-                cached = any(self.truth_of(p) for p in prop.parts
-                             if isinstance(p, Intension))
-            elif prop.origin is None:
-                cached = False
-            else:
-                cached = tarski_eval(self, {}, prop.origin)
+            cached = tarski_eval(self, {}, prop.origin)
             self._prop_memo[prop.fingerprint] = cached
         return cached
 
@@ -147,15 +142,6 @@ class World:
         if isinstance(el, Intension):
             if el.arity == 0:
                 return self.truth_of(el)
-            if el.parts is not None:
-                out: frozenset[tuple[Element, ...]] = frozenset()
-                for part in el.parts:
-                    ext = self.extension_of(part)
-                    assert not isinstance(ext, bool)
-                    out |= ext
-                return out
-            if el.origin is None:
-                return frozenset()
             return self._formula_extension(el.origin)
         if isinstance(el, ConceptRef):
             return self._concept_extension(el.concept)
@@ -203,18 +189,9 @@ def accessible(g1: Assignment, g2: Assignment, x: Variable) -> bool:
 
 
 def accessible_values(x: Variable, domain: Domain) -> tuple[Element, ...]:
-    """The values x takes across the successors of any assignment along the
-    accessibility relation for x: the valid elements of its sort."""
+    """The values x takes across the assignments accessible from any assignment
+    along the accessibility relation for x: the valid elements of its sort."""
     return domain.valid_elements(x.sort)
-
-
-def successors(g: Assignment, x: Variable, domain: Domain) -> Iterator[Assignment]:
-    """The assignments reachable from g along the accessibility relation for x,
-    rebinding x within the valid elements of its sort."""
-    for u in accessible_values(x, domain):
-        g2 = dict(g)
-        g2[x] = u
-        yield g2
 
 
 # --- the compiled core ------------------------------------------------------------
@@ -493,7 +470,7 @@ def satisfies(world: World, g: Assignment, phi: Formula) -> bool:
 
 def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure) -> _Core:
     """Kripke satisfaction compiled.  An existential steps through the
-    successors of the assignment along the accessibility relation for its
+    assignments accessible from the current one along the relation for its
     variable, and an atom follows the generalized interpretation of
     `eval_atom`: with a variable still unbound it is no truth value."""
     domain = space.domain
@@ -721,7 +698,7 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
 
 # --- world enumeration ---------------------------------------------------------------
 
-def enumerate_worlds(space: Structure, max_worlds: int = 2 ** 20) -> list[World]:
+def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[World]:
     """All extensionalization functions over the registered concepts.
 
     Each registered predicate-concept receives every subset of its sorted tuple
@@ -843,12 +820,10 @@ def is_model_of(world: World, axioms: Sequence[Formula]) -> bool:
 
 
 def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
-                worlds: Optional[Sequence[World]] = None) -> tuple[bool, Optional[Countermodel]]:
+                worlds: Sequence[World]) -> tuple[bool, Optional[Countermodel]]:
     """phi follows from the axioms iff it holds at every generalized world
     (model of the axioms, many-sorted assignment); otherwise the first failing
     pair is the countermodel certificate."""
-    if worlds is None:
-        worlds = enumerate_worlds(space)
     core = _core(space, phi, _compile_kripke)
     for world in worlds:
         if not is_model_of(world, axioms):
@@ -859,13 +834,10 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
     return True, None
 
 
-def montague_intension(space: Structure, phi: Formula,
-                       worlds: Optional[Sequence[World]] = None
+def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
                        ) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
     """The meaning of phi as a map from worlds to extensions: per world, the
     set of free-variable tuples it satisfies, or its truth value if closed."""
-    if worlds is None:
-        worlds = enumerate_worlds(space)
     core = _core(space, phi, _compile_kripke)
     if not core.params:
         return {w.label: core.test(w, [None] * core.size) for w in worlds}
@@ -879,13 +851,10 @@ class ExtensionMismatch:
     intension_side: frozenset | bool
 
 
-def bealer_montague_check(space: Structure, phi: Formula,
-                          worlds: Optional[Sequence[World]] = None
+def bealer_montague_check(space: Structure, phi: Formula, worlds: Sequence[World]
                           ) -> Optional[ExtensionMismatch]:
     """Verify that extensionalizing the interpreted concept of phi agrees with
     phi's per-world meaning; returns the first mismatch, None when exact."""
-    if worlds is None:
-        worlds = enumerate_worlds(space)
     concept = space.interp.of_formula(phi)
     intension = montague_intension(space, phi, worlds)
     for world in worlds:

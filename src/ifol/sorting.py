@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
-    ClosedFormula,
     DuplicateName,
     SortMismatch,
     SortViolation,
@@ -29,7 +28,6 @@ from .syntax import (
     Not,
     Term,
     Var,
-    free_vars,
 )
 
 if TYPE_CHECKING:
@@ -46,27 +44,25 @@ class Signature:
     builtin_functions: dict[str, str] = field(default_factory=dict)
 
     def declare_predicate(self, symbol: str, sorts: tuple[SortId, ...],
-                          lattice: Optional[SortLattice] = None,
+                          lattice: SortLattice,
                           evaluator: Optional[str] = None) -> None:
         if symbol in self.predicates or symbol in self.functions:
             raise DuplicateName(f"symbol {symbol!r} already declared")
-        if lattice is not None:
-            for s in sorts:
-                if s not in lattice:
-                    raise UnknownSort(s)
+        for s in sorts:
+            if s not in lattice:
+                raise UnknownSort(s)
         self.predicates[symbol] = sorts
         if evaluator is not None:
             self.builtin_predicates[symbol] = evaluator
 
     def declare_function(self, symbol: str, arg_sorts: tuple[SortId, ...], ret: SortId,
-                         lattice: Optional[SortLattice] = None,
+                         lattice: SortLattice,
                          evaluator: Optional[str] = None) -> None:
         if symbol in self.functions or symbol in self.predicates:
             raise DuplicateName(f"symbol {symbol!r} already declared")
-        if lattice is not None:
-            for s in (*arg_sorts, ret):
-                if s not in lattice:
-                    raise UnknownSort(s)
+        for s in (*arg_sorts, ret):
+            if s not in lattice:
+                raise UnknownSort(s)
         self.functions[symbol] = (arg_sorts, ret)
         if evaluator is not None:
             self.builtin_functions[symbol] = evaluator
@@ -84,7 +80,7 @@ class Signature:
             raise UnknownSymbol(f"function {symbol!r}") from None
 
 
-def static_sort(t: Term, sig: Signature, domain: Optional[Domain] = None) -> SortId:
+def static_sort(t: Term, sig: Signature, domain: Domain) -> SortId:
     """The declared sort of a term; abstraction terms sit at nested-sentence."""
     if isinstance(t, Var):
         return t.var.sort
@@ -92,49 +88,38 @@ def static_sort(t: Term, sig: Signature, domain: Optional[Domain] = None) -> Sor
         return NESTED_SENTENCE_SORT
     if isinstance(t, FnApp):
         return sig.function_sorts(t.symbol)[1]
-    if domain is not None:
-        p = domain.lookup(t.symbol)
-        if p is not None:
-            return p.sort
+    p = domain.lookup(t.symbol)
+    if p is not None:
+        return p.sort
     value = numeric_value(t.symbol)
-    if value is not None and domain is not None:
+    if value is not None:
         return domain.numeric_sort_of(value)
     raise UnknownSymbol(f"constant {t.symbol!r}")
 
 
-def virtual_predicate_sort(phi: Formula, sig: Signature) -> tuple[SortId, ...]:
-    """Sorts of the free-variable tuple, in first-appearance order."""
-    fv = free_vars(phi)
-    if not fv:
-        raise ClosedFormula("sentence has no virtual-predicate sort")
-    return tuple(v.sort for v in fv)
-
-
-def check_term(t: Term, expected: SortId, sig: Signature, lattice: SortLattice,
-               domain: Optional[Domain] = None) -> None:
+def check_term(t: Term, expected: SortId, sig: Signature, domain: Domain) -> None:
     """Accept t at `expected` under the subsort rule, else raise SortMismatch."""
-    errors = _check_term(t, expected, 0, sig, lattice, domain, "")
+    errors = _check_term(t, expected, 0, sig, domain, "")
     if errors:
         raise errors[0]
 
 
 def _check_term(t: Term, expected: SortId, position: int, sig: Signature,
-                lattice: SortLattice, domain: Optional[Domain], ctx: str) -> list[SortMismatch]:
+                domain: Domain, ctx: str) -> list[SortMismatch]:
     errors: list[SortMismatch] = []
     found = static_sort(t, sig, domain)
-    if not lattice.is_subsort(found, expected):
+    if not domain.lattice.is_subsort(found, expected):
         errors.append(SortMismatch(position, found, expected, ctx))
     if isinstance(t, FnApp):
         arg_sorts, _ = sig.function_sorts(t.symbol)
         if len(arg_sorts) != len(t.args):
             raise UnknownSymbol(f"function {t.symbol!r} expects {len(arg_sorts)} args")
         for i, (a, s) in enumerate(zip(t.args, arg_sorts), start=1):
-            errors.extend(_check_term(a, s, i, sig, lattice, domain, t.symbol))
+            errors.extend(_check_term(a, s, i, sig, domain, t.symbol))
     return errors
 
 
-def check_formula(phi: Formula, sig: Signature, lattice: SortLattice,
-                  domain: Optional[Domain] = None) -> list[SortMismatch]:
+def check_formula(phi: Formula, sig: Signature, domain: Domain) -> list[SortMismatch]:
     """Collect every sort error in the formula; an empty list means well-sorted."""
     errors: list[SortMismatch] = []
 
@@ -152,7 +137,7 @@ def check_formula(phi: Formula, sig: Signature, lattice: SortLattice,
             if len(sorts) != len(f.args):
                 raise UnknownSymbol(f"predicate {f.pred!r} expects {len(sorts)} args")
             for i, (a, s) in enumerate(zip(f.args, sorts), start=1):
-                errors.extend(_check_term(a, s, i, sig, lattice, domain, f.pred))
+                errors.extend(_check_term(a, s, i, sig, domain, f.pred))
                 walk_bodies(a)
         elif isinstance(f, Not):
             walk(f.sub)
@@ -160,7 +145,7 @@ def check_formula(phi: Formula, sig: Signature, lattice: SortLattice,
             walk(f.left)
             walk(f.right)
         else:
-            if f.var.sort not in lattice:
+            if f.var.sort not in domain.lattice:
                 raise UnknownSort(f.var.sort)
             walk(f.body)
 

@@ -1,7 +1,8 @@
 """Workspace files: the declaration unit the CLI loads and runs.
 
-One declaration per line, `#` comments.  Loading is atomic: every diagnostic is
-collected and the whole file is rejected on any failure.  Declarations are
+One declaration per line, `#` comments (a `#` inside a lexeme is text).
+Loading is atomic: every diagnostic is collected and the whole file is rejected
+on any failure.  Declarations are
 order-independent; the loader canonicalizes by kind and name, so permutations
 of independent lines build identical workspaces.
 
@@ -20,13 +21,14 @@ of independent lines build identical workspaces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import builtins as builtin_defs
 from .concepts import ConceptRegistry, Interpretation
-from .errors import IfolError, ParseError, ValidationError
+from .errors import IfolError, ParseError, SortMismatch, ValidationError
 from .kernel import (
     Domain,
     NESTED_SENTENCE_SORT,
@@ -37,7 +39,7 @@ from .kernel import (
     VERB_FORM_SORT,
 )
 from .parser import SORT_ALIASES, parse_formula, resolve_sort_token
-from .semantics import Structure, World, enumerate_worlds
+from .semantics import MAX_WORLDS, Structure, World, enumerate_worlds
 from .sorting import Signature, check_formula
 from .syntax import Formula, format_formula, free_vars
 
@@ -81,7 +83,7 @@ class Workspace:
     """Sorts, signatures, finite extents, axioms and queries -- and the derived
     structure the semantic layer evaluates over."""
 
-    def __init__(self, max_worlds: int = 2 ** 20):
+    def __init__(self, max_worlds: int = MAX_WORLDS):
         self.domain = Domain()
         self.signature = Signature()
         self.registry = ConceptRegistry(self.domain, self.signature)
@@ -148,6 +150,11 @@ class _Line:
     indent: int  # where `text` starts in the source line
 
 
+# A `#` opens a comment at the start of a line or after whitespace; inside a
+# lexeme such as `C#` it is text.
+_COMMENT = re.compile(r"(?<!\S)#.*")
+
+
 def _classify(number: int, text: str, indent: int) -> _Line:
     head = text.split(None, 1)[0]
     if head == "builtin":
@@ -161,7 +168,7 @@ def _classify(number: int, text: str, indent: int) -> _Line:
     raise ParseError(f"unknown declaration {head!r}", line=number)
 
 
-def load_workspace(source: Union[str, Path], max_worlds: int = 2 ** 20) -> Workspace:
+def load_workspace(source: Union[str, Path], max_worlds: int = MAX_WORLDS) -> Workspace:
     """Parse and validate a workspace; raises ValidationError with every
     line-numbered diagnostic on any failure.
 
@@ -174,7 +181,7 @@ def load_workspace(source: Union[str, Path], max_worlds: int = 2 ** 20) -> Works
     lines: list[_Line] = []
     diagnostics: list[str] = []
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        stripped = (_COMMENT.sub("", raw, count=1) if "#" in raw else raw).strip()
         if not stripped:
             continue
         try:
@@ -471,15 +478,17 @@ class _Loader:
         for (label, phi), number in zip(self.ws.all_formulas(), self.formula_lines,
                                         strict=True):
             try:
-                errors = check_formula(phi, self.ws.signature, self.ws.domain.lattice,
-                                       self.ws.domain)
+                errors = check_formula(phi, self.ws.signature, self.ws.domain)
             except IfolError as exc:
                 self.diagnostics.append(f"line {number}: {exc}")
                 continue
             for err in errors:
-                self.diagnostics.append(
-                    f"SORT-ERR {label} arg{err.position}: found {err.found} "
-                    f"required {err.required}")
+                self.diagnostics.append(sort_error_line(label, err))
+
+
+def sort_error_line(label: str, err: SortMismatch) -> str:
+    """The report line for an argument of the wrong sort in a formula."""
+    return f"SORT-ERR {label} arg{err.position}: found {err.found} required {err.required}"
 
 
 # --- canonical rendering ----------------------------------------------------------

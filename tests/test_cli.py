@@ -227,8 +227,13 @@ COLLISION_WS = (
 def test_golden_canonical_name_collision():
     report = ("animal:k,a\n  animal with breasts:a\n  animal x1:k\n\n"
               "ERROR DuplicateName: canonical name 'animal with breasts' collides "
-              "with a declared concept\n")
+              "with a canonical subconcept of predicate 'p'\n")
     assert run_queries(load_workspace(COLLISION_WS)) == (report, 0)
+    declared = ("sort k\nsort a\nsort animal x1\nextent k = { b }\nextent a = { x1 }\n"
+                "concept animal arity 2 sorts k a predicate p\nquery concepts p\n")
+    report = ("ERROR DuplicateName: canonical name 'animal x1' collides "
+              "with a declared concept\n")
+    assert run_queries(load_workspace(declared)) == (report, 0)
 
 
 def test_render_concept_tree_matches_query_block():

@@ -21,10 +21,8 @@ from ifol.errors import (
     ArityMismatch,
     DuplicatePhrase,
     EmptyAssignment,
-    EmptyParts,
     FullAssignment,
     InfiniteSortExtent,
-    MixedArity,
     SortViolation,
     UnregisteredPredicate,
 )
@@ -46,7 +44,7 @@ def test_register_predicate_concept(animals):
     concept = animals.registry.concept_of("animal_of")
     assert concept.name == "animal"
     assert concept.arity == 3
-    assert animals.registry.predicate_of("animal") == "animal_of"
+    assert animals.registry.atom_pattern(concept) == ("animal_of", {})
     assert "animal" in animals.domain.lattice
 
 
@@ -227,16 +225,3 @@ def test_interpretation_deterministic(grid_arith):
     a = ws.interp.of_formula(ws.parse("leq2(x:reals, 4)"))
     b = ws.interp.of_formula(ws.parse("leq2(x:reals, 4)"))
     assert a is b
-
-
-def test_union_concept_singleton_and_errors(pets):
-    purring = ConceptRef(pets.registry.concept_of("purrs"))
-    u = pets.interp.union_concept([purring])
-    assert u.arity == 1
-    with pytest.raises(EmptyParts):
-        pets.interp.union_concept([])
-    barking = ConceptRef(pets.registry.concept_of("barks"))
-    two = pets.interp.of_formula(pets.parse("purrs(x:cat) & purrs(y:cat)"))
-    with pytest.raises(MixedArity):
-        pets.interp.union_concept([purring, two])
-    assert pets.interp.union_concept([purring, barking]).arity == 1

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from ifol import (
     BOTTOM_SORT,
+    ConceptRef,
     Domain,
     NESTED_SENTENCE_SORT,
     SortLattice,
     TOP_SORT,
     Workspace,
+    load_workspace,
 )
 from ifol.errors import (
     CycleDetected,
@@ -27,7 +29,7 @@ from ifol.errors import (
     ZeroArityNonProposition,
 )
 
-from conftest import arithmetic_ws, pets_ws
+from conftest import FIXTURES, arithmetic_ws, pets_ws
 
 
 def chain_domain() -> Domain:
@@ -51,7 +53,7 @@ def test_declare_sort_registers_concept_and_node():
     d.declare_sort("kind-of-animals", 1, ("kind-of-animals",))
     d.declare_sort("hairness", 1, ("hairness",))
     c = d.declare_sort("animal", 2, ("kind-of-animals", "hairness"))
-    assert c.arity == 2 and c.layer == 2
+    assert c.arity == 2
     assert "animal" in d.lattice
 
 
@@ -219,15 +221,6 @@ def test_incremental_closure_matches_reference_bfs(steps):
             assert lat.supersorts(s) == reference_supersorts(lat, s), s
 
 
-def test_meet_join_bounds():
-    ws = pets_ws()
-    lat = ws.domain.lattice
-    assert lat.join("cat", "dog") == "animal"
-    assert lat.meet("cat", "dog") == BOTTOM_SORT
-    assert lat.meet("cat", "animal") == "cat"
-    assert lat.join("cat", "animal") == "animal"
-
-
 def test_valid_elements_filters_by_dynamic_sort():
     ws = pets_ws()
     animal = {p.lexeme for p in ws.domain.valid_elements("animal")}
@@ -307,6 +300,25 @@ def test_derived_sort_extent_requires_relational_concept():
     ws = pets_ws()
     with pytest.raises(NotARelationalConcept):
         ws.domain.derived_sort_extent(ws.domain.concepts["cat"])
+
+
+def test_reified_canonical_subconcept_sits_at_the_top():
+    """A canonical subconcept is no lattice node: reified, its dynamic sort is
+    "everything", as for a derived concept; a declared concept keeps its own."""
+    ws = load_workspace(FIXTURES / "animals.ifol")
+    d = ws.domain
+
+    def walk(node):
+        yield node.concept
+        for child in node.children:
+            yield from walk(child)
+
+    concepts = list(walk(ws.registry.subconcept_tree("animal_of")))
+    by_name = {c.name: c for c in concepts}
+    assert d.dynamic_sort(ConceptRef(by_name["animal"])) == "animal"
+    assert d.dynamic_sort(ConceptRef(by_name["animal with breasts"])) == TOP_SORT
+    for c in concepts:
+        assert d.is_subsort(d.dynamic_sort(ConceptRef(c)), TOP_SORT), c.name
 
 
 def test_verb_form_auto_extent():

@@ -31,9 +31,9 @@ from ifol.kernel import element_lexeme, numeric_lexeme
 from ifol.semantics import (
     World,
     accessible,
+    accessible_values,
     is_model_of,
     many_sorted_assignments,
-    successors,
 )
 from ifol.syntax import TOP, Abstracted, And, Exists, free_vars, ground_instance
 
@@ -311,17 +311,17 @@ def test_tarski_negated_atom():
 def test_consequence_purrs_singleton():
     ws = singleton_ws()
     ws.add_axiom(ws.parse("exists x:s . p(x)"))
-    holds, cm = consequence(ws.space, ws.axioms, ws.parse("p(a)"))
+    holds, cm = consequence(ws.space, ws.axioms, ws.parse("p(a)"), ws.worlds())
     assert holds and cm is None
 
 
 def test_consequence_empty_gamma():
     ws = singleton_ws()
-    holds, cm = consequence(ws.space, [], ws.parse("p(a)"))
+    holds, cm = consequence(ws.space, [], ws.parse("p(a)"), ws.worlds())
     assert not holds
     assert cm is not None
     assert cm.world.relation("p-hood") == frozenset()
-    holds_top, _ = consequence(ws.space, [], TOP)
+    holds_top, _ = consequence(ws.space, [], TOP, ws.worlds())
     assert holds_top
 
 
@@ -331,7 +331,8 @@ def test_consequence_ground_axiom_entails_existential():
     ws.domain.declare_particular("a", "s")
     ws.domain.declare_particular("b", "s")
     ws.register_concept("p-hood", ("s",), "p")
-    holds, _ = consequence(ws.space, [ws.parse("p(a)")], ws.parse("exists x:s . p(x)"))
+    holds, _ = consequence(ws.space, [ws.parse("p(a)")], ws.parse("exists x:s . p(x)"),
+                           ws.worlds())
     assert holds
 
 
@@ -515,18 +516,17 @@ def test_builtin_arithmetic_matches_fraction_reference(tree):
 
 
 def test_union_concept_extension_is_pointwise_union():
-    """The derived union of two canonical subconcepts has, in every world, the
-    union of the projections the subconcepts stand for."""
+    """The derived concept of a disjunction of two canonical subconcepts has,
+    in every world, the union of the projections the subconcepts stand for."""
     ws = Workspace()
     ws.declare_sort("s")
     ws.domain.declare_particular("a", "s")
     ws.domain.declare_particular("b", "s")
     ws.register_concept("r-hood", ("s", "s"), "r")
-    ws.max_worlds = 2 ** 21
     left = ws.interp.of_formula(ws.parse("r(a, x:s)"))
     right = ws.interp.of_formula(ws.parse("r(b, x:s)"))
-    union = ws.interp.union_concept([left, right])
-    for world in enumerate_worlds(ws.space, max_worlds=2 ** 21):
+    union = ws.interp.of_formula(ws.parse("r(a, x:s) | r(b, x)"))
+    for world in enumerate_worlds(ws.space):
         a = ws.domain.lookup("a")
         b = ws.domain.lookup("b")
         brute = frozenset(
@@ -535,18 +535,6 @@ def test_union_concept_extension_is_pointwise_union():
         lhs = world.extension_of(left)
         rhs = world.extension_of(right)
         assert world.extension_of(union) == lhs | rhs
-
-
-def test_union_of_propositions_is_disjunction():
-    ws = singleton_ws()
-    p_a = ws.interp.of_formula(ws.parse("p(a)"))
-    not_p_a = ws.interp.of_formula(ws.parse("~p(a)"))
-    union = ws.interp.union_concept([p_a, not_p_a])
-    assert union.arity == 0
-    for world in enumerate_worlds(ws.space):
-        assert world.truth_of(union) is True
-        single = ws.interp.union_concept([p_a])
-        assert world.truth_of(single) == world.truth_of(p_a)
 
 
 def test_accessibility_is_equivalence():
@@ -569,10 +557,11 @@ def test_successors_rebind_only_the_modal_variable():
     y = Variable("y", "animal")
     tom, rex = ws.domain.lookup("tom"), ws.domain.lookup("rex")
     g = {x: tom, y: rex}
-    succ = list(successors(g, x, ws.domain))
-    assert all(s[y] == rex for s in succ)
-    assert {element_lexeme(s[x]) for s in succ} == {"tom"}
-    assert all(accessible(g, s, x) for s in succ)
+    values = accessible_values(x, ws.domain)
+    assert {element_lexeme(u) for u in values} == {"tom"}
+    for u in values:
+        assert accessible(g, {**g, x: u}, x)
+    assert not accessible(g, {**g, y: tom}, x)
 
 
 def test_diamond_monotone(pets):

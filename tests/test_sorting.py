@@ -22,10 +22,9 @@ from ifol import (
     mk_abstracted,
     static_sort,
 )
-from ifol.errors import ClosedFormula, SortMismatch, SortViolation, UnknownSymbol
+from ifol.errors import SortMismatch, SortViolation, UnknownSymbol
 from ifol.semantics import World, enumerate_worlds, eval_term, many_sorted_assignments
-from ifol.sorting import dynamic_soundness, virtual_predicate_sort
-from ifol.syntax import Exists
+from ifol.sorting import dynamic_soundness
 
 
 DIV22 = FnApp("div", (Const("2"), Const("2")))
@@ -51,26 +50,16 @@ def test_static_sort_unknown_symbol(arith):
         static_sort(FnApp("mystery", ()), arith.signature, arith.domain)
 
 
-def test_virtual_predicate_sort_orders_free_vars(arith):
-    xi = Variable("x", "integers")
-    yq = Variable("y", "rationals")
-    phi = Atom("leq2", (Var(xi), Var(yq)))
-    assert virtual_predicate_sort(phi, arith.signature) == ("integers", "rationals")
-    assert virtual_predicate_sort(Exists(yq, phi), arith.signature) == ("integers",)
-    with pytest.raises(ClosedFormula):
-        virtual_predicate_sort(TOP, arith.signature)
-
-
 def test_check_term_div_subsumption(arith):
-    check_term(DIV22, "rationals", arith.signature, arith.domain.lattice, arith.domain)
+    check_term(DIV22, "rationals", arith.signature, arith.domain)
     with pytest.raises(SortMismatch) as exc:
-        check_term(DIV22, "integers", arith.signature, arith.domain.lattice, arith.domain)
+        check_term(DIV22, "integers", arith.signature, arith.domain)
     assert exc.value.found == "rationals" and exc.value.required == "integers"
 
 
 def test_check_term_variable_subsort(pets):
     v = Variable("x", "cat")
-    check_term(Var(v), "animal", pets.signature, pets.domain.lattice, pets.domain)
+    check_term(Var(v), "animal", pets.signature, pets.domain)
 
 
 def test_check_term_weakening(arith):
@@ -81,10 +70,10 @@ def test_check_term_weakening(arith):
         if not lattice.is_subsort(s1, s2):
             continue
         try:
-            check_term(t, s1, arith.signature, lattice, arith.domain)
+            check_term(t, s1, arith.signature, arith.domain)
         except SortMismatch:
             continue
-        check_term(t, s2, arith.signature, lattice, arith.domain)
+        check_term(t, s2, arith.signature, arith.domain)
 
 
 def test_check_formula_accepts_nested_sentence_argument():
@@ -94,7 +83,7 @@ def test_check_formula_accepts_nested_sentence_argument():
     ws.domain.declare_particular("zoran", "person")
     ws.register_concept("to know", ("verb-form", "person", NESTED_SENTENCE_SORT), "knows")
     phi = ws.parse("knows(present, x2:person, << knows(past, x2, << true >>) >>|beta: x2)")
-    assert check_formula(phi, ws.signature, ws.domain.lattice, ws.domain) == []
+    assert check_formula(phi, ws.signature, ws.domain) == []
 
 
 def test_check_formula_rejects_element_in_nested_position():
@@ -104,7 +93,7 @@ def test_check_formula_rejects_element_in_nested_position():
     ws.domain.declare_particular("zoran", "person")
     ws.register_concept("to know", ("verb-form", "person", NESTED_SENTENCE_SORT), "knows")
     phi = Atom("knows", (Const("present"), Const("zoran"), Const("zoran")))
-    errors = check_formula(phi, ws.signature, ws.domain.lattice, ws.domain)
+    errors = check_formula(phi, ws.signature, ws.domain)
     assert len(errors) == 1
     assert errors[0].position == 3 and errors[0].required == NESTED_SENTENCE_SORT
 
@@ -113,7 +102,7 @@ def test_check_formula_rejects_abstraction_in_element_position(pets):
     v = Variable("x", "cat")
     abst = mk_abstracted(Atom("purrs", (Var(v),)), [v], [])
     errors = check_formula(Atom("purrs", (abst,)), pets.signature,
-                           pets.domain.lattice, pets.domain)
+                           pets.domain)
     assert [e.found for e in errors] == [NESTED_SENTENCE_SORT]
 
 
@@ -130,7 +119,7 @@ def test_check_formula_walks_nested_abstraction_bodies():
     inner = mk_abstracted(Atom("knows", (Const("present"), Var(v),
                                          mk_abstracted(bad_body, (), ()))), [v], [])
     phi = Atom("knows", (Const("present"), Const("zoran"), inner))
-    errors = check_formula(phi, ws.signature, ws.domain.lattice, ws.domain)
+    errors = check_formula(phi, ws.signature, ws.domain)
     assert [(e.found, e.required) for e in errors] == [("person", "integers")]
 
 
@@ -139,7 +128,7 @@ def test_check_formula_single_mismatch(arith):
     ws = arith
     ws.signature.declare_predicate("int_only", ("integers",), ws.domain.lattice)
     errors = check_formula(Atom("int_only", (Var(xq),)), ws.signature,
-                           ws.domain.lattice, ws.domain)
+                           ws.domain)
     assert len(errors) == 1
 
 
@@ -149,7 +138,7 @@ def test_check_formula_accumulates_all_errors(arith):
     xq = Variable("x", "rationals")
     yr = Variable("y", "reals")
     bad = Atom("pair", (Var(xq), Var(yr)))
-    errors = check_formula(bad, ws.signature, ws.domain.lattice, ws.domain)
+    errors = check_formula(bad, ws.signature, ws.domain)
     assert sorted(e.position for e in errors) == [1, 2]
 
 
@@ -158,15 +147,15 @@ def test_check_formula_error_multiset_is_traversal_independent(arith):
     ws.signature.declare_predicate("unary_int", ("integers",), ws.domain.lattice)
     xq = Variable("x", "rationals")
     a = Atom("unary_int", (Var(xq),))
-    left = check_formula(Not(a), ws.signature, ws.domain.lattice, ws.domain)
+    left = check_formula(Not(a), ws.signature, ws.domain)
     both = check_formula(
-        __import__("ifol").And(a, Not(a)), ws.signature, ws.domain.lattice, ws.domain)
+        __import__("ifol").And(a, Not(a)), ws.signature, ws.domain)
     key = lambda e: (e.position, e.found, e.required)
     assert sorted(map(key, both)) == sorted(map(key, left)) * 2
 
 
 def test_check_formula_top_ok(arith):
-    assert check_formula(TOP, arith.signature, arith.domain.lattice, arith.domain) == []
+    assert check_formula(TOP, arith.signature, arith.domain) == []
 
 
 def test_dynamic_soundness_div(arith):

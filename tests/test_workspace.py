@@ -112,6 +112,25 @@ def test_parse_error_carries_line_number():
     assert any("line 2" in d for d in exc.value.diagnostics)
 
 
+# A `#` opens a comment only at the start of a line or after whitespace.
+HASH_LEXEME_WS = (
+    "#a comment at the start of a line\n"
+    "sort lang\n"
+    "particular C# : lang\n"
+    "extent lang = { C#, python }   # note\n"
+    "concept typed arity 1 sorts lang predicate typed\t#tabbed note\n"
+    'query eval typed("C#")\n'
+)
+
+
+def test_hash_inside_a_lexeme_is_not_a_comment():
+    ws = load_workspace(HASH_LEXEME_WS)
+    assert [p.lexeme for p in ws.domain.valid_elements("lang")] == ["C#", "python"]
+    report = 'EVAL typed("C#")\nGROUND typed("C#")\nPROPOSITION D0 typed(#C#)\n'
+    assert run_queries(ws) == (report, 0)
+    assert run_queries(load_workspace(render_workspace(ws))) == (report, 0)
+
+
 @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
 def test_render_reload_round_trip(path):
     ws = load_workspace(path)

@@ -23,17 +23,7 @@ from .semantics import (
 )
 from .sorting import check_formula
 from .syntax import format_formula, free_vars, ground_instance
-from .workspace import (
-    BealerMontagueQuery,
-    CheckQuery,
-    ConceptsQuery,
-    ConsequenceQuery,
-    EvalQuery,
-    IntensionQuery,
-    Workspace,
-    load_workspace,
-    sort_error_line,
-)
+from .workspace import DECIDING, Workspace, load_workspace, sort_error_line
 
 
 def _render_tuple(t: tuple[Element, ...]) -> str:
@@ -81,15 +71,14 @@ def run_queries(ws: Workspace) -> tuple[str, int]:
             block, passed = _run_query(ws, query)
         except IfolError as exc:
             block = [f"ERROR {type(exc).__name__}: {exc}"]
-            passed = not isinstance(query, (CheckQuery, ConsequenceQuery,
-                                            BealerMontagueQuery))
+            passed = query.kind not in DECIDING
         blocks.append("\n".join(block))
         ok = ok and passed
     return "\n\n".join(blocks) + ("\n" if blocks else ""), 0 if ok else 1
 
 
 def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
-    if isinstance(query, CheckQuery):
+    if query.kind == "check":
         lines = []
         for label, phi in ws.all_formulas():
             for err in check_formula(phi, ws.signature, ws.domain):
@@ -98,14 +87,14 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
             return lines, False
         return [f"CHECK ok ({len(ws.all_formulas())} formulas)"], True
 
-    if isinstance(query, ConsequenceQuery):
+    if query.kind == "consequence":
         holds, cm = consequence(ws.space, ws.axioms, query.formula, worlds=ws.worlds())
         if holds:
             return ["CONSEQUENCE yes"], True
         assert cm is not None
         return ["CONSEQUENCE no"] + render_countermodel(ws, cm), False
 
-    if isinstance(query, EvalQuery):
+    if query.kind == "eval":
         phi = query.formula
         by_name = {v.name: v for v in free_vars(phi)}
         grounding = {}
@@ -123,10 +112,10 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
         arity = prop.concept.arity if isinstance(prop, ConceptRef) else prop.arity
         lines = [f"EVAL {format_formula(phi)}",
                  f"GROUND {format_formula(ground)}",
-                 f"PROPOSITION D{arity} {_element_id(prop)}"]
+                 f"PROPOSITION D{arity} {element_lexeme(prop)}"]
         return lines, True
 
-    if isinstance(query, IntensionQuery):
+    if query.kind == "intension":
         worlds = ws.worlds()
         meaning = montague_intension(ws.space, query.formula, worlds)
         lines = [f"INTENSION {format_formula(query.formula)}"]
@@ -143,10 +132,10 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
                 lines.extend(rendered)
         return lines, True
 
-    if isinstance(query, ConceptsQuery):
+    if query.kind == "concepts":
         return [render_concept_tree(ws, query.predicate)], True
 
-    assert isinstance(query, BealerMontagueQuery)
+    assert query.kind == "bealer-montague"
     mismatch = bealer_montague_check(ws.space, query.formula, worlds=ws.worlds())
     if mismatch is None:
         return [f"BEALER-MONTAGUE ok ({len(ws.worlds())} worlds)"], True
@@ -154,10 +143,6 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
              f"  concept-extension: {_render_side(mismatch.concept_side)}",
              f"  intension: {_render_side(mismatch.intension_side)}"]
     return lines, False
-
-
-def _element_id(el) -> str:
-    return getattr(el, "fingerprint", None) or element_lexeme(el)
 
 
 def _render_side(side) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from .errors import (
     AlphaBetaOverlap,
@@ -172,15 +172,12 @@ def mk_abstracted(body: Formula, alpha: Iterable[Variable], beta: Iterable[Varia
                       tuple(sorted(b, key=order.__getitem__)))
 
 
-def substitute(phi: Formula, x: Variable, t: Term,
-               sort_check: Optional[Callable[[Term, SortId], None]] = None) -> Formula:
+def substitute(phi: Formula, x: Variable, t: Term) -> Formula:
     """Capture-avoiding replacement of every free occurrence of x by t.
 
     Occurrences among an abstraction term's beta variables are replaced inside
     the reified body and the beta list is rebuilt from the new free variables.
     """
-    if sort_check is not None:
-        sort_check(t, x.sort)
     t_vars = set(term_free_vars(t))
 
     def sub_term(term: Term, bound: frozenset[Variable]) -> Term:

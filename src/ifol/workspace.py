@@ -1,10 +1,14 @@
 """Workspace files: the declaration unit the CLI loads and runs.
 
-One declaration per line, `#` comments (a `#` inside a lexeme is text).
-Loading is atomic: every diagnostic is collected and the whole file is rejected
-on any failure.  Declarations are
-order-independent; the loader canonicalizes by kind and name, so permutations
-of independent lines build identical workspaces.
+One declaration per line.  A `#` at the start of a line or after whitespace
+opens a comment; elsewhere (`C#`) it is text, so no lexeme holds whitespace
+followed by `#`.  Loading is atomic: every diagnostic is collected and the whole
+file is rejected on any failure; a malformed line is a `line N:` diagnostic.
+Declarations are order-independent: the loader declares one kind at a time
+(sorts, concepts, IS-A edges, extents, particulars, functions, builtin
+functions, builtin predicates), each kind's lines in text order, so
+permutations of independent lines build identical workspaces.  Axioms and
+queries follow in file order; each `query` line becomes one `Query` record.
 
     sort <name> [: <attribute-sort>] [isa <name>]
     isa <sub> <super>
@@ -22,9 +26,9 @@ of independent lines build identical workspaces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import builtins as builtin_defs
 from .concepts import ConceptRegistry, Interpretation
@@ -44,39 +48,19 @@ from .sorting import Signature, check_formula
 from .syntax import Formula, format_formula, free_vars
 
 
-@dataclass
-class CheckQuery:
-    pass
+# The query kinds whose failure fails the run (exit status 1).
+DECIDING = ("check", "consequence", "bealer-montague")
 
 
 @dataclass
-class ConsequenceQuery:
-    formula: Formula
+class Query:
+    """One `query` line: its kind and the formula, predicate or eval bindings
+    that kind takes."""
 
-
-@dataclass
-class EvalQuery:
-    formula: Formula
-    bindings: dict[str, str]
-
-
-@dataclass
-class IntensionQuery:
-    formula: Formula
-
-
-@dataclass
-class ConceptsQuery:
-    predicate: str
-
-
-@dataclass
-class BealerMontagueQuery:
-    formula: Formula
-
-
-Query = Union[CheckQuery, ConsequenceQuery, EvalQuery, IntensionQuery,
-              ConceptsQuery, BealerMontagueQuery]
+    kind: str
+    formula: Optional[Formula] = None
+    predicate: str = ""
+    bindings: dict[str, str] = field(default_factory=dict)
 
 
 class Workspace:
@@ -118,7 +102,6 @@ class Workspace:
 
     def add_axiom(self, phi: Formula) -> None:
         self.axioms.append(phi)
-        self._worlds = None
 
     def worlds(self) -> list[World]:
         if self._worlds_error is not None:
@@ -134,9 +117,8 @@ class Workspace:
     def all_formulas(self) -> list[tuple[str, Formula]]:
         out = [(f"axiom{i + 1}", phi) for i, phi in enumerate(self.axioms)]
         for i, q in enumerate(self.queries):
-            phi = getattr(q, "formula", None)
-            if phi is not None:
-                out.append((f"query{i + 1}", phi))
+            if q.formula is not None:
+                out.append((f"query{i + 1}", q.formula))
         return out
 
 
@@ -153,6 +135,15 @@ class _Line:
 # A `#` opens a comment at the start of a line or after whitespace; inside a
 # lexeme such as `C#` it is text.
 _COMMENT = re.compile(r"(?<!\S)#.*")
+
+
+# Per signature kind: what must follow the argument sorts, and the test a
+# builtin's evaluator name must pass.
+_SIGNATURE_TAILS: dict[str, tuple[str, Optional[Callable[[str], bool]]]] = {
+    "function": ("-> <return sort>", None),
+    "builtin-function": ("-> <sort> = <evaluator>", builtin_defs.known_function_evaluator),
+    "builtin-predicate": ("= <evaluator>", builtin_defs.known_predicate_evaluator),
+}
 
 
 def _classify(number: int, text: str, indent: int) -> _Line:
@@ -207,25 +198,26 @@ class _Loader:
         # the source line of each formula in `ws.all_formulas()` order, recorded
         # as its axiom or query is added
         self.formula_lines: list[int] = []
+        # IS-A edges from `sort ... isa` clauses and `isa` lines, declared
+        # together once the concepts they may name exist
+        self.edges: list[tuple[_Line, str, str]] = []
 
     def run(self) -> None:
         by_kind: dict[str, list[_Line]] = {}
         for line in self.lines:
             by_kind.setdefault(line.kind, []).append(line)
 
-        self._sorts(by_kind.get("sort", []))
-        self._concepts(by_kind.get("concept", []))
-        self._isa_edges(by_kind.get("sort", []), by_kind.get("isa", []))
-        for line in sorted(by_kind.get("extent", []), key=lambda l: l.text):
-            self._guard(line, self._extent)
-        for line in sorted(by_kind.get("particular", []), key=lambda l: l.text):
-            self._guard(line, self._particular)
-        for line in sorted(by_kind.get("function", []), key=lambda l: l.text):
-            self._guard(line, self._function)
-        for line in sorted(by_kind.get("builtin-function", []), key=lambda l: l.text):
-            self._guard(line, self._builtin_function)
-        for line in sorted(by_kind.get("builtin-predicate", []), key=lambda l: l.text):
-            self._guard(line, self._builtin_predicate)
+        # Each kind may name what the kinds before it declare: concepts name
+        # sorts, IS-A edges name concepts, particulars test IS-A.
+        for kind, declare in (("sort", self._sorts),
+                              ("concept", self._each(self._concept)),
+                              ("isa", self._isa_edges),
+                              ("extent", self._each(self._extent)),
+                              ("particular", self._each(self._particular)),
+                              ("function", self._each(self._signature)),
+                              ("builtin-function", self._each(self._signature)),
+                              ("builtin-predicate", self._each(self._signature))):
+            declare(by_kind.get(kind, []))
         if self.diagnostics:
             return  # formulas would cascade spurious errors
         for line in by_kind.get("axiom", []):
@@ -233,6 +225,13 @@ class _Loader:
         for line in by_kind.get("query", []):
             self._guard(line, self._query)
         self._check_formulas()
+
+    def _each(self, handler: Callable[[_Line], None]) -> Callable[[list[_Line]], None]:
+        """A declaration step that runs `handler` on each line in text order."""
+        def declare(lines: list[_Line]) -> None:
+            for line in sorted(lines, key=lambda l: l.text):
+                self._guard(line, handler)
+        return declare
 
     def _guard(self, line: _Line, action) -> None:
         try:
@@ -253,10 +252,14 @@ class _Loader:
         parsed: list[tuple[_Line, str, Optional[str]]] = []
         for line in pending:
             try:
-                name, attr, _ = self._parse_sort(line)
-                parsed.append((line, name, attr))
+                name, attr, sup = self._parse_sort(line)
             except IfolError as exc:
                 self._diagnose(line, exc)
+                continue
+            parsed.append((line, name, attr))
+            if sup is not None:
+                self.edges.append((line, name, sup))
+        self.edges.sort(key=lambda e: e[0].number)  # equal edges then declare in file order
         remaining = parsed
         while remaining:
             progressed = []
@@ -294,39 +297,27 @@ class _Loader:
             raise ParseError("empty sort name", line=line.number)
         return name, attr, sup
 
-    def _isa_edges(self, sort_lines: list[_Line], isa_lines: list[_Line]) -> None:
-        edges: list[tuple[_Line, str, str]] = []
-        for line in sort_lines:
-            try:
-                name, _, sup = self._parse_sort(line)
-            except IfolError:
-                continue
-            if sup is not None:
-                edges.append((line, name, sup))
+    def _isa_edges(self, isa_lines: list[_Line]) -> None:
         for line in isa_lines:
             parts = line.text.split()
             if len(parts) != 3:
                 self.diagnostics.append(f"line {line.number}: expected 'isa <sub> <super>'")
                 continue
-            edges.append((line, resolve_sort_token(parts[1]), resolve_sort_token(parts[2])))
-        for line, sub, sup in sorted(edges, key=lambda e: (e[1], e[2])):
+            self.edges.append((line, resolve_sort_token(parts[1]), resolve_sort_token(parts[2])))
+        for line, sub, sup in sorted(self.edges, key=lambda e: (e[1], e[2])):
             try:
                 self.ws.declare_isa(sub, sup)
             except IfolError as exc:
                 self._diagnose(line, exc)
 
-    def _concepts(self, lines: list[_Line]) -> None:
-        for line in sorted(lines, key=lambda l: l.text):
-            self._guard(line, self._concept)
-
     def _concept(self, line: _Line) -> None:
         body = line.text[len("concept"):].strip()
-        if " arity " not in body or " sorts " not in body or " predicate " not in body:
+        phrase, arity_kw, rest = body.partition(" arity ")
+        arity_text, sorts_kw, rest = rest.partition(" sorts ")
+        sorts_text, predicate_kw, pred = rest.rpartition(" predicate ")
+        if not (arity_kw and sorts_kw and predicate_kw):
             raise ParseError("expected 'concept <phrase> arity <k> sorts ... predicate <p>'",
                              line=line.number)
-        phrase, rest = body.split(" arity ", 1)
-        arity_text, rest = rest.split(" sorts ", 1)
-        sorts_text, pred = rest.rsplit(" predicate ", 1)
         try:
             arity = int(arity_text.strip())
         except ValueError:
@@ -354,64 +345,48 @@ class _Loader:
         lexemes = [m.strip() for m in members[1:-1].split(",") if m.strip()]
         self.ws.domain.declare_extent(resolve_sort_token(sort_token.strip()), lexemes)
 
-    def _signature_parts(self, line: _Line, text: str) -> tuple[str, int, str]:
-        head, rest = text.split(":", 1)
+    def _signature(self, line: _Line) -> None:
+        """A `function`, `builtin function` or `builtin predicate` line."""
+        # `line.kind` is as long as its keyword spelled with one space
+        head, colon, rest = line.text[len(line.kind):].partition(":")
+        if not colon:
+            raise ParseError("expected '<symbol>/<arity> : <argument sorts>'", line=line.number)
         head = head.strip()
-        if "/" not in head:
+        symbol, slash, arity_text = head.rpartition("/")
+        if not slash:
             raise ParseError(f"expected '<symbol>/<arity>', found {head!r}", line=line.number)
-        symbol, arity_text = head.rsplit("/", 1)
         try:
             arity = int(arity_text)
         except ValueError:
             raise ParseError(f"bad arity {arity_text!r}", line=line.number) from None
-        return symbol.strip(), arity, rest.strip()
-
-    def _arg_sorts(self, line: _Line, text: str, arity: int) -> tuple[str, ...]:
-        tokens = [resolve_sort_token(t.strip()) for t in text.split(" x ")] if text else []
-        if arity == 0 and text in ("", "()"):
-            tokens = []
-        if len(tokens) != arity:
-            raise ParseError(f"arity {arity} but {len(tokens)} argument sorts",
+        tail, known_evaluator = _SIGNATURE_TAILS[line.kind]
+        returns = line.kind != "builtin-predicate"
+        args_text, equals, evaluator = (rest.rpartition("=") if known_evaluator
+                                        else (rest, "", None))
+        if (known_evaluator and not equals) or (returns and "->" not in args_text):
+            raise ParseError(f"expected '{tail}'", line=line.number)
+        if returns:
+            args_text, _, ret = args_text.rpartition("->")
+        if known_evaluator:
+            evaluator = evaluator.strip()
+            if not known_evaluator(evaluator):
+                raise ParseError(f"unknown {line.kind[len('builtin-'):]} evaluator {evaluator!r}",
+                                 line=line.number)
+        args_text = args_text.strip()
+        if not args_text or (arity == 0 and args_text == "()"):
+            arg_sorts: tuple[str, ...] = ()
+        else:
+            arg_sorts = tuple(resolve_sort_token(t.strip()) for t in args_text.split(" x "))
+        if len(arg_sorts) != arity:
+            raise ParseError(f"arity {arity} but {len(arg_sorts)} argument sorts",
                              line=line.number)
-        return tuple(tokens)
-
-    def _function(self, line: _Line) -> None:
-        symbol, arity, rest = self._signature_parts(line, line.text[len("function"):].strip())
-        if "->" not in rest:
-            raise ParseError("expected '-> <return sort>'", line=line.number)
-        args_text, ret = rest.rsplit("->", 1)
-        arg_sorts = self._arg_sorts(line, args_text.strip(), arity)
-        self.ws.signature.declare_function(symbol, arg_sorts,
-                                           resolve_sort_token(ret.strip()),
-                                           self.ws.domain.lattice)
-
-    def _builtin_function(self, line: _Line) -> None:
-        body = line.text[len("builtin function"):].strip()
-        symbol, arity, rest = self._signature_parts(line, body)
-        if "=" not in rest or "->" not in rest:
-            raise ParseError("expected '-> <sort> = <evaluator>'", line=line.number)
-        rest, evaluator = rest.rsplit("=", 1)
-        args_text, ret = rest.rsplit("->", 1)
-        evaluator = evaluator.strip()
-        if not builtin_defs.known_function_evaluator(evaluator):
-            raise ParseError(f"unknown function evaluator {evaluator!r}", line=line.number)
-        arg_sorts = self._arg_sorts(line, args_text.strip(), arity)
-        self.ws.signature.declare_function(symbol, arg_sorts,
-                                           resolve_sort_token(ret.strip()),
-                                           self.ws.domain.lattice, evaluator=evaluator)
-
-    def _builtin_predicate(self, line: _Line) -> None:
-        body = line.text[len("builtin predicate"):].strip()
-        symbol, arity, rest = self._signature_parts(line, body)
-        if "=" not in rest:
-            raise ParseError("expected '= <evaluator>'", line=line.number)
-        args_text, evaluator = rest.rsplit("=", 1)
-        evaluator = evaluator.strip()
-        if not builtin_defs.known_predicate_evaluator(evaluator):
-            raise ParseError(f"unknown predicate evaluator {evaluator!r}", line=line.number)
-        arg_sorts = self._arg_sorts(line, args_text.strip(), arity)
-        self.ws.signature.declare_predicate(symbol, arg_sorts, self.ws.domain.lattice,
-                                            evaluator=evaluator)
+        if returns:
+            self.ws.signature.declare_function(symbol.strip(), arg_sorts,
+                                               resolve_sort_token(ret.strip()),
+                                               self.ws.domain.lattice, evaluator=evaluator)
+        else:
+            self.ws.signature.declare_predicate(symbol.strip(), arg_sorts,
+                                                self.ws.domain.lattice, evaluator=evaluator)
 
     def _formula(self, line: _Line, start: int, end: Optional[int] = None) -> Formula:
         """Parse line.text[start:end]; diagnostic columns count from the start
@@ -427,7 +402,7 @@ class _Loader:
     def _query(self, line: _Line) -> None:
         query = self._parse_query(line)
         self.ws.queries.append(query)
-        if getattr(query, "formula", None) is not None:
+        if query.formula is not None:
             self.formula_lines.append(line.number)
 
     def _parse_query(self, line: _Line) -> Query:
@@ -436,16 +411,12 @@ class _Loader:
         rest = rest.strip()
         start = line.text.find(kind, len("query")) + len(kind)
         if kind == "check":
-            return CheckQuery()
-        if kind == "consequence":
-            return ConsequenceQuery(self._formula(line, start))
-        if kind == "intension":
-            return IntensionQuery(self._formula(line, start))
-        if kind == "bealer-montague":
-            return BealerMontagueQuery(self._formula(line, start))
+            return Query(kind)
+        if kind in ("consequence", "intension", "bealer-montague"):
+            return Query(kind, self._formula(line, start))
         if kind == "concepts":
             self.ws.registry.concept_of(rest)
-            return ConceptsQuery(rest)
+            return Query(kind, predicate=rest)
         if kind == "eval":
             end, bindings = None, {}
             if " with " in rest:
@@ -459,7 +430,7 @@ class _Loader:
                                      line=line.number)
                 if not self.ws.is_constant(lexeme):
                     raise ParseError(f"unknown element {lexeme!r}", line=line.number)
-            return EvalQuery(phi, bindings)
+            return Query(kind, phi, bindings=bindings)
         raise ParseError(f"unknown query kind {kind!r}", line=line.number)
 
     def _bindings(self, line: _Line, text: str) -> dict[str, str]:
@@ -553,16 +524,10 @@ def render_workspace(ws: Workspace) -> str:
 
 
 def _render_query(q: Query) -> str:
-    if isinstance(q, CheckQuery):
+    if q.kind == "check":
         return "query check"
-    if isinstance(q, ConsequenceQuery):
-        return f"query consequence {format_formula(q.formula)}"
-    if isinstance(q, IntensionQuery):
-        return f"query intension {format_formula(q.formula)}"
-    if isinstance(q, BealerMontagueQuery):
-        return f"query bealer-montague {format_formula(q.formula)}"
-    if isinstance(q, ConceptsQuery):
+    if q.kind == "concepts":
         return f"query concepts {q.predicate}"
     bindings = ", ".join(f"{name}={lexeme}" for name, lexeme in sorted(q.bindings.items()))
-    text = f"query eval {format_formula(q.formula)}"
+    text = f"query {q.kind} {format_formula(q.formula)}"
     return f"{text} with {bindings}" if bindings else text

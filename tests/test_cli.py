@@ -578,6 +578,22 @@ def test_parse_diagnostics_carry_one_prefix_and_line_columns(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["line 2: empty sort name"]
 
 
+@pytest.mark.parametrize("line, diagnostic", [
+    ("function f/1 thing -> thing", "expected '<symbol>/<arity> : <argument sorts>'"),
+    ("builtin predicate lt/2 reals x reals = lt",
+     "expected '<symbol>/<arity> : <argument sorts>'"),
+    ("concept p-hood arity sorts thing predicate p",
+     "expected 'concept <phrase> arity <k> sorts ... predicate <p>'"),
+    ("concept p-hood arity 1 sorts predicate p",
+     "expected 'concept <phrase> arity <k> sorts ... predicate <p>'"),
+])
+def test_malformed_declaration_exits_2(tmp_path, capsys, line, diagnostic):
+    f = _write(tmp_path, "bad.ifol", f"sort thing\n{line}\n")
+    for command in ("run", "check"):
+        assert main([command, str(f)]) == 2
+        assert capsys.readouterr().err == f"line 2: {diagnostic}\n"
+
+
 def test_bealer_montague_on_derived_formulas():
     """Bealer-Montague checks compile derived formulas, all on one structure."""
     text = ("sort s\n"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ifol import load_workspace, render_workspace
 from ifol.cli import run_queries
-from ifol.errors import ValidationError
+from ifol.errors import IfolError, ValidationError
 
 from conftest import FIXTURES
 
@@ -138,3 +140,35 @@ def test_render_reload_round_trip(path):
     reloaded = load_workspace(rendered)
     assert run_queries(ws) == run_queries(reloaded)
     assert render_workspace(reloaded) == rendered
+
+
+def _mutate(rng: random.Random, line: str) -> str:
+    """Delete a character, drop a token, insert a character or truncate."""
+    op = rng.randrange(4)
+    if op == 0 and line:
+        i = rng.randrange(len(line))
+        return line[:i] + line[i + 1:]
+    tokens = line.split(" ")
+    if op == 1 and len(tokens) > 1:
+        del tokens[rng.randrange(len(tokens))]
+        return " ".join(tokens)
+    if op == 2:
+        i = rng.randrange(len(line) + 1)
+        return line[:i] + rng.choice(":=/{}()<>|,x-># ") + line[i:]
+    return line[:rng.randrange(len(line) + 1)]
+
+
+def test_mutated_declarations_load_or_diagnose():
+    """A fixture with one damaged line loads or is rejected with diagnostics,
+    and a loaded one runs; nothing escapes as a Python exception."""
+    rng = random.Random(8)
+    fixtures = [path.read_text().splitlines() for path in ALL_FIXTURES]
+    for _ in range(2000):
+        lines = list(rng.choice(fixtures))
+        i = rng.randrange(len(lines))
+        lines[i] = _mutate(rng, lines[i])
+        try:
+            ws = load_workspace("\n".join(lines))
+        except IfolError:
+            continue
+        run_queries(ws)

@@ -36,7 +36,10 @@ without evaluating, or raising at, any later assignment.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
-are all decided by exhaustive enumeration over these worlds.
+are all decided by exhaustive enumeration over these worlds.  The deciding
+functions walk the worlds they are given: for a query whose formulas cannot
+raise, the runner gives them one world per class of isomorphic worlds (see
+`ifol.symmetry`).
 """
 
 from __future__ import annotations
@@ -115,7 +118,6 @@ class World:
     space: Structure
     relations: dict[str, frozenset[tuple[Element, ...]]]
     functions: dict[str, dict[tuple[Element, ...], Element]] = field(default_factory=dict)
-    _prop_memo: dict[str, bool] = field(default_factory=dict, repr=False)
 
     def relation(self, concept_name: str) -> frozenset[tuple[Element, ...]]:
         return self.relations.get(concept_name, frozenset())
@@ -128,20 +130,11 @@ class World:
             return frozenset(t[0] for t in self.relations[sort_name])
         return frozenset(self.space.domain.valid_elements(sort_name))
 
-    def truth_of(self, prop: Intension) -> bool:
-        if prop.arity != 0:
-            raise EvaluationFailure(f"{prop.fingerprint!r} is not a proposition")
-        cached = self._prop_memo.get(prop.fingerprint)
-        if cached is None:
-            cached = tarski_eval(self, {}, prop.origin)
-            self._prop_memo[prop.fingerprint] = cached
-        return cached
-
     def extension_of(self, el: Element) -> frozenset[tuple[Element, ...]] | bool:
         """The extensionalization of an intensional element in this world."""
         if isinstance(el, Intension):
             if el.arity == 0:
-                return self.truth_of(el)
+                return tarski_eval(self, {}, el.origin)
             return self._formula_extension(el.origin)
         if isinstance(el, ConceptRef):
             return self._concept_extension(el.concept)

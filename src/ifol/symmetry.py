@@ -1,0 +1,203 @@
+"""Isomorphism classes of worlds: which particulars are interchangeable, and
+which formulas may be decided on one world per class.
+
+Two particulars of one sort that no formula names cannot be told apart: every
+world has an isomorphic twin in which the two are swapped, and a formula that
+reads only relation membership gives the twin the swapped answer.  A query
+whose formulas lie in the fragment that cannot raise (`cannot_raise`) is
+therefore decided on the first world of each class (`WorldClasses`) alone:
+a failure found in some world is found in the first world of its class, and
+an intension carries over to each member through a bijection.  The classes
+are those of lex-leader symmetry breaking (Crawford, Ginsberg, Luks & Roy,
+KR 1996) and of isomorphism elimination in MACE-style model finders
+(Claessen & Sörensson, 2003), restricted to unary relations: concepts of
+higher arity and function graphs pin every particular in their pools.
+"""
+
+from __future__ import annotations
+
+from operator import or_
+from typing import Iterable, Sequence
+
+from .kernel import (
+    Element,
+    NESTED_SENTENCE_SORT,
+    Particular,
+    RESERVED_SORTS,
+    TOP_SORT,
+    numeric_value,
+)
+from .semantics import Structure, World
+from .syntax import Abstracted, And, Atom, Const, Exists, FnApp, Formula, Not, Term, Var
+
+
+def cannot_raise(space: Structure, phi: Formula) -> bool:
+    """Whether phi lies in the fragment whose evaluation cannot raise: atoms of
+    registered concepts (not built-ins) over variables and declared
+    non-numeric constants, `~`, `&` and `exists`, every variable of a finite
+    sort.  Such a formula also reads only relation membership, so its answer
+    in a world carries over to every isomorphic world.  Outside it, a lazy
+    error meets short-circuiting: `exists y . q(y) | lt(y, 1)` can find a
+    true q(y) in one world and reach the raising y first in its twin."""
+    domain = space.domain
+    stack: list[Formula] = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Atom):
+            if f.pred not in space.registry.by_predicate \
+                    or f.pred in space.signature.builtin_predicates:
+                return False
+            for t in f.args:
+                if isinstance(t, Var):
+                    if not domain.sort_is_finite(t.var.sort):
+                        return False
+                elif not (isinstance(t, Const) and numeric_value(t.symbol) is None
+                          and domain.lookup(t.symbol) is not None):
+                    return False
+        elif isinstance(f, Not):
+            stack.append(f.sub)
+        elif isinstance(f, And):
+            stack.extend((f.left, f.right))
+        else:
+            if not domain.sort_is_finite(f.var.sort):
+                return False
+            stack.append(f.body)
+    return True
+
+
+def movable_particulars(space: Structure, formulas: Iterable[Formula]
+                        ) -> tuple[tuple[Particular, ...], ...]:
+    """The interchangeable particulars, one group per dynamic sort with two or
+    more members, each in lexeme order.  A particular is movable when it is
+    not numeric, its sort is not reserved, no constant in `formulas` names it
+    (abstraction bodies and function arguments included), and it is in the
+    sort pool of no position of a concept of arity other than 1 and of no
+    argument or return of a declared function.  Swapping two movable
+    particulars of one sort keeps every sort pool, so it maps each world onto
+    a world.  The pools are those `enumerate_worlds` read, so call this only
+    once it succeeded."""
+    domain = space.domain
+    candidates: dict[str, list[Particular]] = {}
+    for p in domain.valid_elements(TOP_SORT):
+        if p.value is None and p.sort not in RESERVED_SORTS:
+            candidates.setdefault(p.sort, []).append(p)
+    if all(len(group) < 2 for group in candidates.values()):
+        return ()
+    named = _constant_symbols(formulas)
+    pools = [c.attribute_sorts for c in space.registry.by_predicate.values() if c.arity != 1]
+    pools += [(*arg_sorts, ret) for symbol, (arg_sorts, ret) in space.signature.functions.items()
+              if symbol not in space.signature.builtin_functions]
+    pinned: set[Element] = set()
+    for sorts in pools:
+        # a nested-sentence position leaves the pool, and the graphs, empty
+        if NESTED_SENTENCE_SORT not in sorts:
+            for sort in sorts:
+                pinned.update(domain.valid_elements(sort))
+    groups = ([p for p in group if p.lexeme not in named and p not in pinned]
+              for group in candidates.values())
+    return tuple(tuple(group) for group in groups if len(group) > 1)
+
+
+def _constant_symbols(formulas: Iterable[Formula]) -> set[str]:
+    """Every constant symbol in the formulas, inside abstraction bodies and
+    function arguments too."""
+    out: set[str] = set()
+    stack: list[Formula | Term] = list(formulas)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Const):
+            out.add(node.symbol)
+        elif isinstance(node, (Atom, FnApp)):
+            stack.extend(node.args)
+        elif isinstance(node, Not):
+            stack.append(node.sub)
+        elif isinstance(node, And):
+            stack.extend((node.left, node.right))
+        elif isinstance(node, (Exists, Abstracted)):
+            stack.append(node.body)
+    return out
+
+
+class WorldClasses:
+    """A world list partitioned into classes of isomorphic worlds.
+
+    `groups` are the movable particulars (see `movable_particulars`).  A
+    particular's signature in a world is its group's index followed by one
+    bit per unary relation, set when the particular is in the relation.  Two
+    worlds are isomorphic when their unary relations agree on the fixed
+    particulars, they have the same multiset of signatures, and their other
+    relations and function graphs are equal: those hold no movable
+    particular.  `representatives` are the first world of each class in
+    enumeration order, and `class_of[i]` is the index there of world i's
+    class.  With no groups every world is its own class, and nothing is
+    walked.
+    """
+
+    __slots__ = ("groups", "representatives", "class_of",
+                 "_unary", "_movable", "_base", "_orders")
+
+    def __init__(self, space: Structure, worlds: Sequence[World],
+                 groups: tuple[tuple[Particular, ...], ...] = ()):
+        self.groups = groups
+        self.representatives: Sequence[World] = worlds
+        self.class_of: Sequence[int] = range(len(worlds))
+        if not groups:
+            return
+        concepts = space.registry.by_predicate.values()
+        unary = [c.name for c in concepts if c.arity == 1]
+        # per unary relation: its name, its bit, and a cache of the splits of
+        # the relations it has (worlds share them)
+        self._unary = [(name, 1 << j, {}) for j, name in enumerate(unary)]
+        self._movable = tuple(p for group in groups for p in group)
+        self._base = [g << len(unary) for g, group in enumerate(groups) for _ in group]
+        # per class: its representative's movable particulars in signature order
+        self._orders: dict[int, list[Particular]] = {}
+        others = [c.name for c in concepts if c.arity != 1]
+        first: dict[tuple, int] = {}
+        representatives: list[World] = []
+        class_of: list[int] = []
+        for world in worlds:
+            fixed, signatures = self._profile(world)
+            # function graphs are shared by the worlds that have them; keying
+            # them by identity can only split a class, never merge two
+            key = (fixed, tuple(sorted(signatures)),
+                   tuple([world.relations[name] for name in others]),
+                   tuple(map(id, world.functions.values())))
+            index = first.get(key)
+            if index is None:
+                index = first[key] = len(representatives)
+                representatives.append(world)
+            class_of.append(index)
+        self.representatives, self.class_of = representatives, class_of
+
+    def isomorphism(self, k: int, world: World) -> dict[Particular, Particular]:
+        """A bijection of the movable particulars carrying representative k
+        onto `world`, a member of its class: it matches signature to
+        signature, in lexeme order within a signature."""
+        before = self._orders.get(k)
+        if before is None:
+            before = self._orders[k] = self._ordered(self.representatives[k])
+        return dict(zip(before, self._ordered(world)))
+
+    def _ordered(self, world: World) -> list[Particular]:
+        """The movable particulars sorted by their signature in the world,
+        then by lexeme."""
+        signatures = self._profile(world)[1]
+        order = sorted(range(len(signatures)), key=signatures.__getitem__)
+        return list(map(self._movable.__getitem__, order))
+
+    def _profile(self, world: World) -> tuple[tuple[frozenset, ...], list[int]]:
+        """The world's unary relations over fixed particulars, and the
+        signature of each movable particular."""
+        fixed = []
+        signatures: Iterable[int] = self._base
+        for name, bit, splits in self._unary:
+            rel = world.relations[name]
+            split = splits.get(rel)
+            if split is None:
+                split = splits[rel] = (
+                    frozenset(t for t in rel if t[0] not in self._movable),
+                    tuple(bit if (p,) in rel else 0 for p in self._movable))
+            fixed.append(split[0])
+            signatures = map(or_, signatures, split[1])
+        return tuple(fixed), list(signatures)

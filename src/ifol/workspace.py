@@ -45,6 +45,7 @@ from .kernel import (
 from .parser import SORT_ALIASES, parse_formula, resolve_sort_token
 from .semantics import MAX_WORLDS, Structure, World, enumerate_worlds
 from .sorting import Signature, check_formula
+from .symmetry import WorldClasses, cannot_raise, movable_particulars
 from .syntax import Formula, format_formula, free_vars
 
 
@@ -78,6 +79,7 @@ class Workspace:
         self.max_worlds = max_worlds
         self._worlds: Optional[list[World]] = None
         self._worlds_error: Optional[IfolError] = None
+        self._classes: Optional[WorldClasses] = None
 
     # --- declaration helpers ------------------------------------------------
 
@@ -113,6 +115,20 @@ class Workspace:
                 self._worlds_error = exc
                 raise
         return self._worlds
+
+    def world_classes(self, formulas: Sequence[Formula]) -> WorldClasses:
+        """The classes of `worlds()` that a query evaluating `formulas` needs
+        only one world of: the isomorphism classes when no formula can raise
+        (see `cannot_raise`), one class per world otherwise.  The isomorphism
+        classes are computed once, on first use; when no particulars are
+        interchangeable they are the one class per world too."""
+        worlds = self.worlds()
+        if not all(cannot_raise(self.space, phi) for phi in formulas):
+            return WorldClasses(self.space, worlds)
+        if self._classes is None:
+            groups = movable_particulars(self.space, [phi for _, phi in self.all_formulas()])
+            self._classes = WorldClasses(self.space, worlds, groups)
+        return self._classes
 
     def all_formulas(self) -> list[tuple[str, Formula]]:
         out = [(f"axiom{i + 1}", phi) for i, phi in enumerate(self.axioms)]
@@ -347,8 +363,10 @@ class _Loader:
 
     def _signature(self, line: _Line) -> None:
         """A `function`, `builtin function` or `builtin predicate` line."""
-        # `line.kind` is as long as its keyword spelled with one space
-        head, colon, rest = line.text[len(line.kind):].partition(":")
+        # drop the keyword tokens: `function`, or `builtin` and its kind
+        keywords = line.kind.count("-") + 1
+        parts = line.text.split(None, keywords)
+        head, colon, rest = (parts[keywords] if len(parts) > keywords else "").partition(":")
         if not colon:
             raise ParseError("expected '<symbol>/<arity> : <argument sorts>'", line=line.number)
         head = head.strip()

@@ -392,6 +392,78 @@ def test_golden_intension_reports(name):
     assert run_queries(load_workspace(text)) == (report, 0)
 
 
+# Workspaces with interchangeable particulars: b and c (and bar and foo) have
+# one sort and no formula names them, so every world has an isomorphic twin.
+# The first countermodel is not w0, and `a` is named, so it stays fixed.
+GOLDEN_SYMMETRIC_REPORTS = {
+    "named_and_movable": (
+        "sort thing\n"
+        "extent thing = { c, a, b }\n"
+        "concept p-hood arity 1 sorts thing predicate p\n"
+        "concept q-hood arity 1 sorts thing predicate q\n"
+        "isa p-hood q-hood\n"
+        "axiom exists x:thing . p(x)\n"
+        "query consequence forall y:thing . q(y) -> p(y)\n"
+        "query consequence q(y:thing) -> p(y)\n"
+        "query intension q(x:thing) & ~p(a)\n"
+        "query bealer-montague exists y:thing . q(y) & ~p(y)\n",
+        "CONSEQUENCE no\nWORLD w9\n  p-hood: (a)\n  q-hood: (a) (b)\n\n"
+        "CONSEQUENCE no\nWORLD w9\n  p-hood: (a)\n  q-hood: (a) (b)\nASSIGN y=b\n\n"
+        "INTENSION q(x:thing) & ~p(a)\n"
+        "WORLD w0\n"
+        "WORLD w1\n  (a)\n"
+        "WORLD w2\n  (b)\n"
+        "WORLD w3\n  (a)\n  (b)\n"
+        "WORLD w4\n  (c)\n"
+        "WORLD w5\n  (a)\n  (c)\n"
+        "WORLD w6\n  (b)\n  (c)\n"
+        "WORLD w7\n  (a)\n  (b)\n  (c)\n"
+        "WORLD w8\n"
+        "WORLD w9\n"
+        "WORLD w10\n"
+        "WORLD w11\n"
+        "WORLD w12\n  (b)\n"
+        "WORLD w13\n  (a)\n  (b)\n"
+        "WORLD w14\n  (b)\n  (c)\n"
+        "WORLD w15\n  (a)\n  (b)\n  (c)\n"
+        "WORLD w16\n"
+        "WORLD w17\n"
+        "WORLD w18\n  (c)\n"
+        "WORLD w19\n  (a)\n  (c)\n"
+        "WORLD w20\n  (b)\n  (c)\n"
+        "WORLD w21\n  (a)\n  (b)\n  (c)\n"
+        "WORLD w22\n"
+        "WORLD w23\n"
+        "WORLD w24\n  (b)\n  (c)\n"
+        "WORLD w25\n  (a)\n  (b)\n  (c)\n"
+        "WORLD w26\n\n"
+        "BEALER-MONTAGUE ok (27 worlds)\n", 1),
+    # The first query has a built-in, so it may raise: the model r = {bar}
+    # makes it true before `leq` meets bar, but its twin r = {foo} reaches
+    # leq(bar, 0) and raises.  Evaluating one world per class would hide that.
+    "lazy_error_twin": (
+        "sort reals\n"
+        "extent reals = { 1 }\n"
+        "particular bar : reals\n"
+        "particular foo : reals\n"
+        "concept r-hood arity 1 sorts reals predicate r\n"
+        "builtin predicate leq/2 : reals x reals = leq\n"
+        "axiom exists y:reals . r(y) & ~r(1)\n"
+        "query consequence exists y:reals . r(y) | leq(y, 0)\n"
+        "query consequence exists y:reals . r(y)\n"
+        "query bealer-montague r(x:reals) & ~r(1)\n",
+        "ERROR EvaluationFailure: 'bar' is not a numeric particular\n\n"
+        "CONSEQUENCE yes\n\n"
+        "BEALER-MONTAGUE ok (8 worlds)\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYMMETRIC_REPORTS), ids=str)
+def test_golden_symmetric_reports(name):
+    text, report, status = GOLDEN_SYMMETRIC_REPORTS[name]
+    assert run_queries(load_workspace(text)) == (report, status)
+
+
 # Boundaries of built-in arithmetic: where an intermediate value leaves the
 # declared numeric tower, where a value is boxed into a relation argument, and
 # which error wins when an argument is no number at all.

@@ -109,7 +109,7 @@ def test_enumerate_deterministic_labels():
 def test_worlds_satisfy_invariants():
     ws = pets_ws()
     for world in enumerate_worlds(ws.space):
-        assert world.truth_of(ws.interp.truth) is True
+        assert world.extension_of(ws.interp.truth) is True
         for pred, concept in ws.registry.by_predicate.items():
             pools = [set(ws.domain.valid_elements(s)) for s in concept.attribute_sorts]
             for t in world.relation(concept.name):

@@ -96,6 +96,17 @@ def test_unknown_evaluator_rejected():
     assert any("frobnicate" in d for d in exc.value.diagnostics)
 
 
+def test_builtin_keywords_may_be_spaced_apart():
+    """`builtin` and its kind may be separated by any run of whitespace."""
+    ws = load_workspace("sort reals\n"
+                        "builtin  predicate lt/2 : reals x reals = lt\n"
+                        "builtin   function add/2 : reals x reals -> reals = add\n")
+    assert ws.signature.builtin_predicates.get("lt") == "lt"
+    assert ws.signature.builtin_functions.get("add") == "add"
+    assert ws.signature.predicates["lt"] == ("reals", "reals")
+    assert ws.signature.functions["add"] == (("reals", "reals"), "reals")
+
+
 def test_eval_binding_validation():
     base = (
         "sort cat\n"

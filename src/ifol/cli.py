@@ -88,10 +88,8 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
         return [f"CHECK ok ({len(ws.all_formulas())} formulas)"], True
 
     if query.kind == "consequence":
-        # the first failing world is the first of its class: a representative
-        classes = ws.world_classes([*ws.axioms, query.formula])
         holds, cm = consequence(ws.space, ws.axioms, query.formula,
-                                worlds=classes.representatives)
+                                worlds=ws.representatives([*ws.axioms, query.formula]))
         if holds:
             return ["CONSEQUENCE yes"], True
         assert cm is not None
@@ -119,21 +117,14 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
         return lines, True
 
     if query.kind == "intension":
-        worlds = ws.worlds()
-        classes = ws.world_classes([query.formula])
-        representatives = classes.representatives
-        meaning = montague_intension(ws.space, query.formula, representatives)
+        meaning = montague_intension(ws.space, query.formula, ws.worlds())
         lines = [f"INTENSION {format_formula(query.formula)}"]
         rows: dict[frozenset, list[str]] = {}  # many worlds share an extension
-        for world, k in zip(worlds, classes.class_of):
-            rep = representatives[k]
-            ext = meaning[rep.label]
+        for label, ext in meaning.items():
             if isinstance(ext, bool):
-                lines.append(f"WORLD {world.label} {'t' if ext else 'f'}")
+                lines.append(f"WORLD {label} {'t' if ext else 'f'}")
             else:
-                if ext and rep is not world:
-                    ext = _relabel(ext, classes.isomorphism(k, world))
-                lines.append(f"WORLD {world.label}")
+                lines.append(f"WORLD {label}")
                 rendered = rows.get(ext)
                 if rendered is None:
                     rendered = rows[ext] = [f"  {_render_tuple(t)}" for t in _sorted_tuples(ext)]
@@ -144,21 +135,14 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
         return [render_concept_tree(ws, query.predicate)], True
 
     assert query.kind == "bealer-montague"
-    classes = ws.world_classes([query.formula])
     mismatch = bealer_montague_check(ws.space, query.formula,
-                                     worlds=classes.representatives)
+                                     worlds=ws.representatives([query.formula]))
     if mismatch is None:
         return [f"BEALER-MONTAGUE ok ({len(ws.worlds())} worlds)"], True
     lines = [f"BEALER-MONTAGUE mismatch WORLD {mismatch.world_label}",
              f"  concept-extension: {_render_side(mismatch.concept_side)}",
              f"  intension: {_render_side(mismatch.intension_side)}"]
     return lines, False
-
-
-def _relabel(ext: frozenset, bijection: dict) -> frozenset:
-    """The image of an extension under a bijection of particulars; elements
-    it does not list stay in place."""
-    return frozenset([tuple(map(bijection.get, t, t)) for t in ext])
 
 
 def _render_side(side) -> str:

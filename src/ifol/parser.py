@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ParseError
-from .kernel import numeric_lexeme, numeric_value
+from .kernel import NESTED_SENTENCE_SORT, numeric_lexeme, numeric_value
 from .syntax import (
     Abstracted,
     And,
@@ -186,13 +186,13 @@ class FormulaParser:
 
     def _quantifier(self) -> Formula:
         quant = self._next().value
-        name = self._expect("ident").value
+        name = self._expect("ident")
         self._expect("sym", ":")
-        sort = self._sort_name()
+        sort = self._sort_name(name)
         self._expect("sym", ".")
-        var = self._bind(name, sort)
+        var = self._bind(name.value, sort)
         body = self._formula()  # binder scope extends maximally right
-        self._unbind(name, var)
+        self._unbind(name.value, var)
         if quant == "forall":
             return Not(Exists(var, Not(body)))
         return Exists(var, body)
@@ -266,7 +266,8 @@ class FormulaParser:
         raise self._fail("expected a term")
 
     def _identifier_term(self) -> Term:
-        name = self._next().value
+        name_tok = self._next()
+        name = name_tok.value
         nxt = self._peek()
         if nxt.kind == "sym" and nxt.value == "(":
             self._next()
@@ -280,7 +281,7 @@ class FormulaParser:
             return FnApp(name, tuple(args))
         if nxt.kind == "sym" and nxt.value == ":":
             self._next()
-            sort = self._sort_name()
+            sort = self._sort_name(name_tok)
             known = self.by_source.get(name)
             if known is not None:
                 if known.sort != sort:
@@ -329,7 +330,9 @@ class FormulaParser:
             raise self._fail(f"variable {name!r} is not free in the abstraction body")
         return var
 
-    def _sort_name(self) -> str:
+    def _sort_name(self, var: Token) -> str:
+        """The sort annotating the variable named by `var`.  A nested sentence
+        has no element-level extent, so no variable ranges over it."""
         # Sorts may be hyphenated (kind-of-animals), but '-' is also the
         # subtraction operator: keep the longest join naming a declared sort
         # and backtrack the rest.
@@ -351,6 +354,9 @@ class FormulaParser:
         if best is None:
             raise self._fail(f"unknown sort {'-'.join(parts)!r}")
         sort, index = best
+        if sort == NESTED_SENTENCE_SORT:
+            raise ParseError(f"variable {var.value!r} may not have the nested-sentence sort",
+                             line=self.line, col=self.col_offset + var.pos + 1)
         self.i = index
         return sort
 

@@ -29,17 +29,18 @@ whose arguments are all bound variables tests `(env[slot],)` (one argument)
 or an `itemgetter` pick of its slots (several) against the world's relation
 inline, with no argument closure; particulars hash by identity (see
 `Particular`), so the test hashes pointers.  An assignment sweep either
-collects every tuple where a formula holds into a list (`_tuples_where`, for
-intensions and extensions) or stops at the first assignment where it fails
-(`_first_failure`, for consequence and axiom models), so a failure is found
-without evaluating, or raising at, any later assignment.
+collects, world after world, every tuple where a formula holds
+(`_tuples_where`, for intensions and extensions; its sort pools and slot
+environment are built once per sweep) or stops at the first assignment where
+it fails (`_first_failure`, for consequence and axiom models), so a failure
+is found without evaluating, or raising at, any later assignment.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
 are all decided by exhaustive enumeration over these worlds.  The deciding
-functions walk the worlds they are given: for a query whose formulas cannot
-raise, the runner gives them one world per class of isomorphic worlds (see
-`ifol.symmetry`).
+functions walk the worlds they are given: every world for an intension, one
+world per class of isomorphic worlds where the workspace finds that enough
+(`Workspace.representatives`, `ifol.symmetry`).
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class World:
 
     def _formula_extension(self, phi: Formula) -> frozenset[tuple[Element, ...]]:
         # Derived-concept extension rule: collect tuples through the Tarski route.
-        return frozenset(_tuples_where(_core(self.space, phi, _compile_tarski), self))
+        return next(_tuples_where(_core(self.space, phi, _compile_tarski), (self,)))
 
     def _concept_extension(self, concept: Concept) -> frozenset[tuple[Element, ...]]:
         if concept.name in self.relations:
@@ -246,38 +247,41 @@ def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
     return core.test(world, env)
 
 
-def _sweep(core: _Core, world: World,
+def _sweep(core: _Core, domain: Domain,
            fixed: Sequence[Element]) -> tuple[int, list[tuple[Element, ...]], list]:
     """What an assignment sweep over the core's leading parameters needs: how
     many there are, their sort pools and the slot environment, whose trailing
-    parameters take the `fixed` values.  Sort pools are read only once a world
-    is evaluated, so a query over no worlds never meets an infinite sort."""
+    parameters take the `fixed` values."""
     k = len(core.params) - len(fixed)
-    domain = world.space.domain
     pools = [domain.valid_elements(v.sort) for v in core.params[:k]]
     env: list = [None] * k + list(fixed) + [None] * (core.size - len(core.params))
     return k, pools, env
 
 
-def _tuples_where(core: _Core, world: World,
-                  fixed: Sequence[Element] = ()) -> list[tuple[Element, ...]]:
-    """Every sorted assignment to the core's leading parameters under which the
-    formula holds, as value tuples in enumeration order."""
-    k, pools, env = _sweep(core, world, fixed)
+def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element] = ()
+                  ) -> Iterator[frozenset[tuple[Element, ...]]]:
+    """Per world, in order: every sorted assignment to the core's leading
+    parameters under which the formula holds, as value tuples.  The pools and
+    the environment are built once, at the first world reached, so a sweep
+    over no worlds never reads a sort pool and never meets an infinite sort."""
     test = core.test
-    out = []
-    for combo in itertools.product(*pools):
-        env[:k] = combo
-        if test(world, env):
-            out.append(combo)
-    return out
+    pools = None
+    for world in worlds:
+        if pools is None:
+            k, pools, env = _sweep(core, world.space.domain, fixed)
+        out = []
+        for combo in itertools.product(*pools):
+            env[:k] = combo
+            if test(world, env):
+                out.append(combo)
+        yield frozenset(out)
 
 
 def _first_failure(core: _Core, world: World) -> Optional[tuple[Element, ...]]:
     """The first sorted assignment to the core's parameters, in enumeration
     order, under which the formula fails, or None.  The sweep stops there, so
     no later assignment is evaluated and none can raise."""
-    k, pools, env = _sweep(core, world, ())
+    k, pools, env = _sweep(core, world.space.domain, ())
     test = core.test
     for combo in itertools.product(*pools):
         env[:k] = combo
@@ -578,7 +582,7 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     core = _core(world.space, a, _compile_kripke, free + given)
     fixed = [g[v] for v in given]
     if free:
-        return frozenset(_tuples_where(core, world, fixed))
+        return next(_tuples_where(core, (world,), fixed))
     return core.test(world, fixed + [None] * (core.size - len(fixed)))
 
 
@@ -834,7 +838,7 @@ def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
     core = _core(space, phi, _compile_kripke)
     if not core.params:
         return {w.label: core.test(w, [None] * core.size) for w in worlds}
-    return {w.label: frozenset(_tuples_where(core, w)) for w in worlds}
+    return {w.label: rows for w, rows in zip(worlds, _tuples_where(core, worlds))}
 
 
 @dataclass(frozen=True)

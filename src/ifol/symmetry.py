@@ -3,15 +3,20 @@ which formulas may be decided on one world per class.
 
 Two particulars of one sort that no formula names cannot be told apart: every
 world has an isomorphic twin in which the two are swapped, and a formula that
-reads only relation membership gives the twin the swapped answer.  A query
-whose formulas lie in the fragment that cannot raise (`cannot_raise`) is
-therefore decided on the first world of each class (`WorldClasses`) alone:
-a failure found in some world is found in the first world of its class, and
-an intension carries over to each member through a bijection.  The classes
-are those of lex-leader symmetry breaking (Crawford, Ginsberg, Luks & Roy,
-KR 1996) and of isomorphism elimination in MACE-style model finders
-(Claessen & Sörensson, 2003), restricted to unary relations: concepts of
-higher arity and function graphs pin every particular in their pools.
+reads only relation membership gives the twin the swapped answer.  A
+consequence or Bealer-Montague query whose formulas lie in the fragment that
+cannot raise (`cannot_raise`) is therefore decided on the first world of each
+class (`representatives`) alone: a failure found in some world is found in
+the first world of its class.  The classes are those of lex-leader symmetry
+breaking (Crawford, Ginsberg, Luks & Roy, KR 1996) and of isomorphism
+elimination in MACE-style model finders (Claessen & Sörensson, 2003),
+restricted to unary relations: concepts of higher arity and function graphs
+pin every particular in their pools.
+
+An intension evaluates every world: carrying a representative's rows to its
+class through a bijection of particulars cost more than one sweep over every
+world.  Relabelling could win for two or more free variables over large
+pools, which no workload has.
 """
 
 from __future__ import annotations
@@ -118,86 +123,44 @@ def _constant_symbols(formulas: Iterable[Formula]) -> set[str]:
     return out
 
 
-class WorldClasses:
-    """A world list partitioned into classes of isomorphic worlds.
-
-    `groups` are the movable particulars (see `movable_particulars`).  A
-    particular's signature in a world is its group's index followed by one
+def representatives(space: Structure, worlds: Sequence[World],
+                    groups: tuple[tuple[Particular, ...], ...]) -> list[World]:
+    """The first world of each class of isomorphic worlds, in enumeration
+    order.  `groups` are the movable particulars (see `movable_particulars`).
+    A particular's signature in a world is its group's index followed by one
     bit per unary relation, set when the particular is in the relation.  Two
     worlds are isomorphic when their unary relations agree on the fixed
     particulars, they have the same multiset of signatures, and their other
     relations and function graphs are equal: those hold no movable
-    particular.  `representatives` are the first world of each class in
-    enumeration order, and `class_of[i]` is the index there of world i's
-    class.  With no groups every world is its own class, and nothing is
-    walked.
-    """
-
-    __slots__ = ("groups", "representatives", "class_of",
-                 "_unary", "_movable", "_base", "_orders")
-
-    def __init__(self, space: Structure, worlds: Sequence[World],
-                 groups: tuple[tuple[Particular, ...], ...] = ()):
-        self.groups = groups
-        self.representatives: Sequence[World] = worlds
-        self.class_of: Sequence[int] = range(len(worlds))
-        if not groups:
-            return
-        concepts = space.registry.by_predicate.values()
-        unary = [c.name for c in concepts if c.arity == 1]
-        # per unary relation: its name, its bit, and a cache of the splits of
-        # the relations it has (worlds share them)
-        self._unary = [(name, 1 << j, {}) for j, name in enumerate(unary)]
-        self._movable = tuple(p for group in groups for p in group)
-        self._base = [g << len(unary) for g, group in enumerate(groups) for _ in group]
-        # per class: its representative's movable particulars in signature order
-        self._orders: dict[int, list[Particular]] = {}
-        others = [c.name for c in concepts if c.arity != 1]
-        first: dict[tuple, int] = {}
-        representatives: list[World] = []
-        class_of: list[int] = []
-        for world in worlds:
-            fixed, signatures = self._profile(world)
-            # function graphs are shared by the worlds that have them; keying
-            # them by identity can only split a class, never merge two
-            key = (fixed, tuple(sorted(signatures)),
-                   tuple([world.relations[name] for name in others]),
-                   tuple(map(id, world.functions.values())))
-            index = first.get(key)
-            if index is None:
-                index = first[key] = len(representatives)
-                representatives.append(world)
-            class_of.append(index)
-        self.representatives, self.class_of = representatives, class_of
-
-    def isomorphism(self, k: int, world: World) -> dict[Particular, Particular]:
-        """A bijection of the movable particulars carrying representative k
-        onto `world`, a member of its class: it matches signature to
-        signature, in lexeme order within a signature."""
-        before = self._orders.get(k)
-        if before is None:
-            before = self._orders[k] = self._ordered(self.representatives[k])
-        return dict(zip(before, self._ordered(world)))
-
-    def _ordered(self, world: World) -> list[Particular]:
-        """The movable particulars sorted by their signature in the world,
-        then by lexeme."""
-        signatures = self._profile(world)[1]
-        order = sorted(range(len(signatures)), key=signatures.__getitem__)
-        return list(map(self._movable.__getitem__, order))
-
-    def _profile(self, world: World) -> tuple[tuple[frozenset, ...], list[int]]:
-        """The world's unary relations over fixed particulars, and the
-        signature of each movable particular."""
+    particular."""
+    concepts = space.registry.by_predicate.values()
+    unary = [c.name for c in concepts if c.arity == 1]
+    others = [c.name for c in concepts if c.arity != 1]
+    movable = tuple(p for group in groups for p in group)
+    base = [g << len(unary) for g, group in enumerate(groups) for _ in group]
+    # per unary relation: its name, its bit, and a cache of the splits of
+    # the relations it has (worlds share them)
+    splits: list[tuple[str, int, dict]] = [(name, 1 << j, {}) for j, name in enumerate(unary)]
+    seen: set[tuple] = set()
+    out: list[World] = []
+    for world in worlds:
         fixed = []
-        signatures: Iterable[int] = self._base
-        for name, bit, splits in self._unary:
+        signatures: Iterable[int] = base
+        for name, bit, cache in splits:
             rel = world.relations[name]
-            split = splits.get(rel)
+            split = cache.get(rel)
             if split is None:
-                split = splits[rel] = (
-                    frozenset(t for t in rel if t[0] not in self._movable),
-                    tuple(bit if (p,) in rel else 0 for p in self._movable))
+                split = cache[rel] = (
+                    frozenset(t for t in rel if t[0] not in movable),
+                    tuple(bit if (p,) in rel else 0 for p in movable))
             fixed.append(split[0])
             signatures = map(or_, signatures, split[1])
-        return tuple(fixed), list(signatures)
+        # function graphs are shared by the worlds that have them; keying
+        # them by identity can only split a class, never merge two
+        key = (tuple(fixed), tuple(sorted(signatures)),
+               tuple([world.relations[name] for name in others]),
+               tuple(map(id, world.functions.values())))
+        if key not in seen:
+            seen.add(key)
+            out.append(world)
+    return out

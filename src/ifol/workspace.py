@@ -45,7 +45,7 @@ from .kernel import (
 from .parser import SORT_ALIASES, parse_formula, resolve_sort_token
 from .semantics import MAX_WORLDS, Structure, World, enumerate_worlds
 from .sorting import Signature, check_formula
-from .symmetry import WorldClasses, cannot_raise, movable_particulars
+from .symmetry import cannot_raise, movable_particulars, representatives
 from .syntax import Formula, format_formula, free_vars
 
 
@@ -79,7 +79,8 @@ class Workspace:
         self.max_worlds = max_worlds
         self._worlds: Optional[list[World]] = None
         self._worlds_error: Optional[IfolError] = None
-        self._classes: Optional[WorldClasses] = None
+        self._groups: Optional[tuple] = None
+        self._representatives: Optional[list[World]] = None
 
     # --- declaration helpers ------------------------------------------------
 
@@ -116,19 +117,20 @@ class Workspace:
                 raise
         return self._worlds
 
-    def world_classes(self, formulas: Sequence[Formula]) -> WorldClasses:
-        """The classes of `worlds()` that a query evaluating `formulas` needs
-        only one world of: the isomorphism classes when no formula can raise
-        (see `cannot_raise`), one class per world otherwise.  The isomorphism
-        classes are computed once, on first use; when no particulars are
-        interchangeable they are the one class per world too."""
+    def representatives(self, formulas: Sequence[Formula]) -> Sequence[World]:
+        """The worlds a query evaluating `formulas` must walk to find its
+        first failure: the first world of each class of isomorphic worlds
+        when some particulars are interchangeable and no formula can raise
+        (see `ifol.symmetry`), every world otherwise.  The interchangeable
+        particulars and the classes are computed once, on first use."""
         worlds = self.worlds()
-        if not all(cannot_raise(self.space, phi) for phi in formulas):
-            return WorldClasses(self.space, worlds)
-        if self._classes is None:
-            groups = movable_particulars(self.space, [phi for _, phi in self.all_formulas()])
-            self._classes = WorldClasses(self.space, worlds, groups)
-        return self._classes
+        if self._groups is None:
+            self._groups = movable_particulars(self.space, [phi for _, phi in self.all_formulas()])
+        if not self._groups or not all(cannot_raise(self.space, phi) for phi in formulas):
+            return worlds
+        if self._representatives is None:
+            self._representatives = representatives(self.space, worlds, self._groups)
+        return self._representatives
 
     def all_formulas(self) -> list[tuple[str, Formula]]:
         out = [(f"axiom{i + 1}", phi) for i, phi in enumerate(self.axioms)]

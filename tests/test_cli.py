@@ -637,13 +637,17 @@ def test_parse_diagnostics_carry_one_prefix_and_line_columns(tmp_path, capsys):
                "particular a : s\n"
                "concept p-hood arity 1 sorts s predicate p\n"
                "  axiom p(a) &\n"
+               "axiom forall y:nested-sentence . p(a)\n"
                "query consequence p(a) $ p(a)\n"
-               "query eval p(x:s) & with x=a\n")
+               "query eval p(x:s) & with x=a\n"
+               "query intension p(a) & p(x:nested-sentence)\n")
     assert main(["run", str(f)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "line 4:15: expected a formula (at '')",
-        "line 5:24: unexpected character '$'",
-        "line 6:20: expected a formula (at '')",
+        "line 5:14: variable 'y' may not have the nested-sentence sort",
+        "line 6:24: unexpected character '$'",
+        "line 7:20: expected a formula (at '')",
+        "line 8:26: variable 'x' may not have the nested-sentence sort",
     ]
     f = _write(tmp_path, "bad_sort.ifol", "sort s\nsort\n")
     assert main(["run", str(f)]) == 2

@@ -4,7 +4,9 @@ every report stays the one a walk over every world gives."""
 
 from __future__ import annotations
 
+import itertools
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,10 @@ import ifol.semantics
 import ifol.workspace
 from ifol import load_workspace
 from ifol.cli import run_queries
+from ifol.symmetry import movable_particulars
 from ifol.syntax import And, Atom, Const, Exists, Not, Var, Variable, format_formula
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def unary_worlds_text(n: int) -> str:
@@ -28,24 +33,41 @@ def unary_worlds_text(n: int) -> str:
             "query consequence exists y:thing . q(y)\n")
 
 
+def first_of_each_orbit(ws) -> list[str]:
+    """By brute force: the label of the first world of each orbit, in
+    enumeration order, under every permutation of the particulars."""
+    worlds = ws.worlds()
+    names = sorted(worlds[0].relations)
+    particulars = ws.domain.valid_elements("thing")
+    index = {tuple(w.relations[name] for name in names): i for i, w in enumerate(worlds)}
+    firsts: list[str] = []
+    reached: set[int] = set()
+    for i, world in enumerate(worlds):
+        if i in reached:
+            continue
+        firsts.append(world.label)
+        for image in itertools.permutations(particulars):
+            swap = dict(zip(particulars, image))
+            reached.add(index[tuple(frozenset(tuple(swap[e] for e in t)
+                                              for t in world.relations[name])
+                                    for name in names)])
+    return firsts
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_unary_worlds_fall_into_one_class_per_signature_multiset(n, monkeypatch):
     """Each particular is in neither relation, in q only or in both, so a
-    class is a multiset of n of those 3 signatures: C(n+2, 2) classes.  A
-    consequence that holds checks the axiom once per representative."""
+    class is a multiset of n of those 3 signatures: C(n+2, 2) classes, each
+    represented by the first of its worlds that a brute-force permutation of
+    the particulars reaches.  A consequence that holds checks the axiom once
+    per representative."""
     ws = load_workspace(unary_worlds_text(n))
-    formulas = [*ws.axioms, ws.queries[0].formula]
-    classes = ws.world_classes(formulas)
+    reps = ws.representatives([*ws.axioms, ws.queries[0].formula])
     assert len(ws.worlds()) == 3 ** n
-    assert len(classes.representatives) == comb(n + 2, 2)
-    assert [len(group) for group in classes.groups] == [n]
-    # a representative is the first world of its class
-    position = {id(w): i for i, w in enumerate(ws.worlds())}
-    reps = classes.representatives
-    firsts = {}
-    for i, k in enumerate(classes.class_of):
-        firsts.setdefault(k, i)
-    assert [position[id(rep)] for rep in reps] == [firsts[k] for k in range(len(reps))]
+    assert len(reps) == comb(n + 2, 2)
+    assert [w.label for w in reps] == first_of_each_orbit(ws)
+    groups = movable_particulars(ws.space, [phi for _, phi in ws.all_formulas()])
+    assert [len(group) for group in groups] == [n]
 
     checked = []
     real = ifol.semantics.is_model_of
@@ -68,7 +90,8 @@ def test_named_and_pinned_particulars_stay_fixed():
         "concept r-ness arity 2 sorts k k predicate r\n"
         "function f/1 : m -> m\n"
         "query consequence p(a) | ~p(a)\n")
-    groups = ws.world_classes([ws.queries[0].formula]).groups
+    ws.worlds()
+    groups = movable_particulars(ws.space, [phi for _, phi in ws.all_formulas()])
     assert [[p.lexeme for p in group] for group in groups] == [["b", "c"]]
 
 
@@ -77,11 +100,21 @@ def test_a_query_that_may_raise_walks_every_world():
                         + "sort integers\nextent integers = { 0 }\n"
                         "builtin predicate lt/2 : integers x integers = lt\n"
                         "query consequence lt(0, 1) & exists y:thing . q(y)\n")
-    worlds = ws.worlds()
-    assert len(ws.world_classes([ws.queries[0].formula]).representatives) == 10
-    raising = ws.world_classes([ws.queries[1].formula])
-    assert list(raising.representatives) == worlds
-    assert list(raising.class_of) == list(range(len(worlds)))
+    assert len(ws.representatives([ws.queries[0].formula])) == 10
+    assert ws.representatives([ws.queries[1].formula]) is ws.worlds()
+
+
+def test_no_interchangeable_particulars_scan_no_formula(monkeypatch):
+    """With no particulars to swap, a query walks every world without its
+    formulas being scanned for the fragment that cannot raise."""
+    scanned = []
+    real = ifol.workspace.cannot_raise
+    monkeypatch.setattr(ifol.workspace, "cannot_raise",
+                        lambda space, phi: scanned.append(phi) or real(space, phi))
+    ws = load_workspace(FIXTURES / "bealer.ifol")
+    report, status = run_queries(ws)
+    assert status == 0 and report.count("BEALER-MONTAGUE ok (8 worlds)") == 3
+    assert scanned == []
 
 
 # --- differential: the same reports with every world its own class -------------

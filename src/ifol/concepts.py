@@ -19,7 +19,6 @@ from .errors import (
     DuplicatePhrase,
     EmptyAssignment,
     FullAssignment,
-    InfiniteExtent,
     InfiniteSortExtent,
     SortViolation,
     UnknownSymbol,
@@ -168,11 +167,7 @@ class ConceptRegistry:
                 continue
             if not self.domain.sort_is_finite(s):
                 raise InfiniteSortExtent(s)
-            try:
-                extents.append(tuple(sorted(self.domain.valid_elements(s),
-                                            key=lambda p: p.lexeme)))
-            except InfiniteExtent as exc:
-                raise InfiniteSortExtent(str(exc)) from None
+            extents.append(self.domain.valid_elements(s))
 
         def expand(node: TreeNode, partial: dict[int, Particular], last: int) -> None:
             if len(partial) + 1 >= root.arity:

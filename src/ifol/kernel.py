@@ -405,6 +405,5 @@ class Domain:
                         members = world.sort_extent(attr)
                     else:
                         members = self.valid_elements(attr)
-                    for p in sorted(members, key=element_lexeme):
-                        out.add(f"{c.name} {element_lexeme(p)}")
+                    out.update(f"{c.name} {element_lexeme(p)}" for p in members)
         return out

@@ -721,7 +721,7 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[Wor
             continue
         arg_sorts, ret = space.signature.functions[symbol]
         arg_pool = _tuple_pool(domain, arg_sorts)
-        ret_pool = sorted(domain.valid_elements(ret), key=element_lexeme)
+        ret_pool = domain.valid_elements(ret)
         count = len(ret_pool) ** len(arg_pool)
         candidates *= max(count, 1)
         if candidates > max_worlds:
@@ -764,14 +764,15 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[Wor
 
 
 def _tuple_pool(domain: Domain, sorts: Sequence[str]) -> list[tuple[Element, ...]]:
-    per_position: list[list[Element]] = []
+    """Every tuple over the sorts' pools, lexicographic by lexeme because each
+    pool is in lexeme order.  A nested-sentence position empties it, but the
+    sorts before it are still read, so an infinite one raises."""
+    per_position: list[tuple[Element, ...]] = []
     for s in sorts:
         if s == NESTED_SENTENCE_SORT:
             return []
-        per_position.append(sorted(domain.valid_elements(s), key=element_lexeme))
-    pool = [tuple(t) for t in itertools.product(*per_position)]
-    pool.sort(key=lambda t: tuple(element_lexeme(e) for e in t))
-    return pool
+        per_position.append(domain.valid_elements(s))
+    return list(itertools.product(*per_position))
 
 
 def _subsets(pool: list[tuple[Element, ...]]) -> list[frozenset[tuple[Element, ...]]]:

@@ -7,11 +7,13 @@ reads only relation membership gives the twin the swapped answer.  A
 consequence or Bealer-Montague query whose formulas lie in the fragment that
 cannot raise (`cannot_raise`) is therefore decided on the first world of each
 class (`representatives`) alone: a failure found in some world is found in
-the first world of its class.  The classes are those of lex-leader symmetry
-breaking (Crawford, Ginsberg, Luks & Roy, KR 1996) and of isomorphism
+the first world of its class.  That world is picked by the lex-leader test
+of symmetry breaking (Crawford, Ginsberg, Luks & Roy, KR 1996), one world at
+a time: along each group of movable particulars, their memberships in the
+unary relations never increase.  The classes are those of isomorphism
 elimination in MACE-style model finders (Claessen & Sörensson, 2003),
 restricted to unary relations: concepts of higher arity and function graphs
-pin every particular in their pools.
+pin every particular in their pools, so they never enter the test.
 
 An intension evaluates every world: carrying a representative's rows to its
 class through a bijection of particulars cost more than one sweep over every
@@ -21,7 +23,6 @@ pools, which no workload has.
 
 from __future__ import annotations
 
-from operator import or_
 from typing import Iterable, Sequence
 
 from .kernel import (
@@ -126,41 +127,31 @@ def _constant_symbols(formulas: Iterable[Formula]) -> set[str]:
 def representatives(space: Structure, worlds: Sequence[World],
                     groups: tuple[tuple[Particular, ...], ...]) -> list[World]:
     """The first world of each class of isomorphic worlds, in enumeration
-    order.  `groups` are the movable particulars (see `movable_particulars`).
-    A particular's signature in a world is its group's index followed by one
-    bit per unary relation, set when the particular is in the relation.  Two
-    worlds are isomorphic when their unary relations agree on the fixed
-    particulars, they have the same multiset of signatures, and their other
-    relations and function graphs are equal: those hold no movable
-    particular."""
-    concepts = space.registry.by_predicate.values()
-    unary = [c.name for c in concepts if c.arity == 1]
-    others = [c.name for c in concepts if c.arity != 1]
-    movable = tuple(p for group in groups for p in group)
-    base = [g << len(unary) for g, group in enumerate(groups) for _ in group]
-    # per unary relation: its name, its bit, and a cache of the splits of
-    # the relations it has (worlds share them)
-    splits: list[tuple[str, int, dict]] = [(name, 1 << j, {}) for j, name in enumerate(unary)]
-    seen: set[tuple] = set()
-    out: list[World] = []
-    for world in worlds:
-        fixed = []
-        signatures: Iterable[int] = base
-        for name, bit, cache in splits:
-            rel = world.relations[name]
-            split = cache.get(rel)
-            if split is None:
-                split = cache[rel] = (
-                    frozenset(t for t in rel if t[0] not in movable),
-                    tuple(bit if (p,) in rel else 0 for p in movable))
-            fixed.append(split[0])
-            signatures = map(or_, signatures, split[1])
-        # function graphs are shared by the worlds that have them; keying
-        # them by identity can only split a class, never merge two
-        key = (tuple(fixed), tuple(sorted(signatures)),
-               tuple([world.relations[name] for name in others]),
-               tuple(map(id, world.functions.values())))
-        if key not in seen:
-            seen.add(key)
-            out.append(world)
-    return out
+    order.  `groups` are the movable particulars (see `movable_particulars`),
+    each in lexeme order.  `enumerate_worlds` takes the concepts in
+    registration order, the first outermost, gives each the subsets of its
+    pool by ascending mask, bit i for the pool's i-th particular in lexeme
+    order, and varies function graphs innermost.  A swap inside a group
+    leaves concepts of arity other than 1 and function graphs alone (they pin
+    their pools) and moves the group's bits inside each unary relation's
+    mask.  So a world is the first of its class when its masks are the least,
+    the first concept's before the next: when, for each particular and the
+    next of its group, the first unary relation in registration order that
+    holds one of the two holds the earlier.  Neighbours suffice: swapping a
+    pair out of that order gives an earlier world of the class.  The IS-A
+    filter keeps or drops a class whole."""
+    unary = [c.name for c in space.registry.by_predicate.values() if c.arity == 1]
+    pairs = [((p,), (q,)) for group in groups for p, q in zip(group, group[1:])]
+
+    def leads(world: World) -> bool:
+        relations = [world.relations[name] for name in unary]
+        for p, q in pairs:
+            # the first relation that tells p from q must hold p
+            for rel in relations:
+                if (p in rel) != (q in rel):
+                    if q in rel:
+                        return False
+                    break
+        return True
+
+    return [world for world in worlds if leads(world)]

@@ -225,36 +225,9 @@ def ground_instance(phi: Formula, g: dict[Variable, str]) -> Formula:
     missing = [v for v in fv if v not in g]
     if missing:
         raise UnboundVariable(f"{sorted(v.name for v in missing)}")
-
-    def g_term(t: Term, bound: frozenset[Variable]) -> Term:
-        if isinstance(t, Var):
-            if t.var in g and t.var not in bound:
-                return Const(g[t.var])
-            return t
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, FnApp):
-            return FnApp(t.symbol, tuple(g_term(a, bound) for a in t.args))
-        if not t.beta:
-            return t
-        body = t.body
-        grounded = []
-        for v in t.beta:
-            if v in g and v not in bound:
-                body = substitute(body, v, Const(g[v]))
-                grounded.append(v)
-        return Abstracted(body, t.alpha, tuple(v for v in t.beta if v not in grounded))
-
-    def walk(f: Formula, bound: frozenset[Variable]) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(g_term(a, bound) for a in f.args))
-        if isinstance(f, Not):
-            return Not(walk(f.sub, bound))
-        if isinstance(f, And):
-            return And(walk(f.left, bound), walk(f.right, bound))
-        return Exists(f.var, walk(f.body, bound | {f.var}))
-
-    return walk(phi, frozenset())
+    for v in fv:
+        phi = substitute(phi, v, Const(g[v]))
+    return phi
 
 
 # --- normalization -------------------------------------------------------------

@@ -204,7 +204,9 @@ def load_workspace(source: Union[str, Path], max_worlds: int = MAX_WORLDS) -> Wo
     loader = _Loader(ws, lines)
     loader.run()
     if loader.diagnostics:
-        raise ValidationError(loader.diagnostics)
+        # stable: one line's diagnostics keep the order they were found in
+        loader.diagnostics.sort(key=lambda d: d[0])
+        raise ValidationError([text for _, text in loader.diagnostics])
     return ws
 
 
@@ -212,7 +214,8 @@ class _Loader:
     def __init__(self, ws: Workspace, lines: list[_Line]):
         self.ws = ws
         self.lines = lines
-        self.diagnostics: list[str] = []
+        # (source line, text), in the order the declaration steps find them
+        self.diagnostics: list[tuple[int, str]] = []
         # the source line of each formula in `ws.all_formulas()` order, recorded
         # as its axiom or query is added
         self.formula_lines: list[int] = []
@@ -258,9 +261,13 @@ class _Loader:
             self._diagnose(line, exc)
 
     def _diagnose(self, line: _Line, exc: IfolError) -> None:
-        # a ParseError names its line (and column) itself
-        self.diagnostics.append(str(exc) if isinstance(exc, ParseError)
-                                else f"line {line.number}: {exc}")
+        if isinstance(exc, ParseError):  # it names its line (and column) itself
+            self.diagnostics.append((line.number, str(exc)))
+        else:
+            self._note(line.number, exc)
+
+    def _note(self, number: int, message: object) -> None:
+        self.diagnostics.append((number, f"line {number}: {message}"))
 
     # --- per-kind handlers -----------------------------------------------
 
@@ -295,8 +302,7 @@ class _Loader:
                 progressed.append(item)
             if not progressed:
                 for line, name, attr in stuck:
-                    self.diagnostics.append(
-                        f"line {line.number}: unknown attribute sort {attr!r}")
+                    self._note(line.number, f"unknown attribute sort {attr!r}")
                 break
             remaining = stuck
 
@@ -319,7 +325,7 @@ class _Loader:
         for line in isa_lines:
             parts = line.text.split()
             if len(parts) != 3:
-                self.diagnostics.append(f"line {line.number}: expected 'isa <sub> <super>'")
+                self._note(line.number, "expected 'isa <sub> <super>'")
                 continue
             self.edges.append((line, resolve_sort_token(parts[1]), resolve_sort_token(parts[2])))
         for line, sub, sup in sorted(self.edges, key=lambda e: (e[1], e[2])):
@@ -471,10 +477,10 @@ class _Loader:
             try:
                 errors = check_formula(phi, self.ws.signature, self.ws.domain)
             except IfolError as exc:
-                self.diagnostics.append(f"line {number}: {exc}")
+                self._note(number, exc)
                 continue
             for err in errors:
-                self.diagnostics.append(sort_error_line(label, err))
+                self.diagnostics.append((number, sort_error_line(label, err)))
 
 
 def sort_error_line(label: str, err: SortMismatch) -> str:
@@ -511,7 +517,7 @@ def render_workspace(ws: Workspace) -> str:
                    f"predicate {pred}")
     overridden: set[str] = set()
     for sort in ws.domain.finite_numeric_sorts():
-        members = sorted(p.lexeme for p in ws.domain.valid_elements(sort))
+        members = [p.lexeme for p in ws.domain.valid_elements(sort)]
         overridden.update(members)
         out.append(f"extent {sort_token(sort)} = {{ {', '.join(members)} }}")
     auto_forms = set(VERB_FORMS) if VERB_FORM_SORT in ws.domain.lattice else set()

@@ -654,6 +654,26 @@ def test_parse_diagnostics_carry_one_prefix_and_line_columns(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["line 2: empty sort name"]
 
 
+@pytest.mark.parametrize("text, diagnostics", [
+    # queries are loaded after axioms, concepts after sorts
+    ("sort s\n"
+     "particular a : s\n"
+     "concept p-hood arity 1 sorts s predicate p\n"
+     "query intension p(a) & p(x:nested-sentence)\n"
+     "axiom forall y:nested-sentence . p(a)\n",
+     ["line 4:26: variable 'x' may not have the nested-sentence sort",
+      "line 5:14: variable 'y' may not have the nested-sentence sort"]),
+    ("sort s\n"
+     "concept p-hood arity 2 sorts s predicate p\n"
+     "sort s\n",
+     ["line 2: arity 2 but 1 sorts",
+      "line 3: concept 's' already declared"]),
+])
+def test_load_diagnostics_come_in_line_order(tmp_path, capsys, text, diagnostics):
+    assert main(["run", str(_write(tmp_path, "bad.ifol", text))]) == 2
+    assert capsys.readouterr().err.splitlines() == diagnostics
+
+
 @pytest.mark.parametrize("line, diagnostic", [
     ("function f/1 thing -> thing", "expected '<symbol>/<arity> : <argument sorts>'"),
     ("builtin predicate lt/2 reals x reals = lt",

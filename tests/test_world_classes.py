@@ -15,6 +15,7 @@ import ifol.semantics
 import ifol.workspace
 from ifol import load_workspace
 from ifol.cli import run_queries
+from ifol.kernel import TOP_SORT
 from ifol.symmetry import movable_particulars
 from ifol.syntax import And, Atom, Const, Exists, Not, Var, Variable, format_formula
 
@@ -35,10 +36,14 @@ def unary_worlds_text(n: int) -> str:
 
 def first_of_each_orbit(ws) -> list[str]:
     """By brute force: the label of the first world of each orbit, in
-    enumeration order, under every permutation of the particulars."""
+    enumeration order, under every permutation of the particulars that keeps
+    each one's sort.  Every particular of the workspace may move."""
     worlds = ws.worlds()
     names = sorted(worlds[0].relations)
-    particulars = ws.domain.valid_elements("thing")
+    groups: dict[str, list] = {}
+    for p in ws.domain.valid_elements(TOP_SORT):
+        groups.setdefault(p.sort, []).append(p)
+    particulars = [p for group in groups.values() for p in group]
     index = {tuple(w.relations[name] for name in names): i for i, w in enumerate(worlds)}
     firsts: list[str] = []
     reached: set[int] = set()
@@ -46,8 +51,8 @@ def first_of_each_orbit(ws) -> list[str]:
         if i in reached:
             continue
         firsts.append(world.label)
-        for image in itertools.permutations(particulars):
-            swap = dict(zip(particulars, image))
+        for images in itertools.product(*map(itertools.permutations, groups.values())):
+            swap = dict(zip(particulars, itertools.chain(*images)))
             reached.add(index[tuple(frozenset(tuple(swap[e] for e in t)
                                               for t in world.relations[name])
                                     for name in names)])
@@ -75,6 +80,28 @@ def test_unary_worlds_fall_into_one_class_per_signature_multiset(n, monkeypatch)
                         lambda world, axioms: checked.append(world) or real(world, axioms))
     assert run_queries(ws) == ("CONSEQUENCE yes\n", 0)
     assert checked == list(reps)
+
+
+def test_each_group_keeps_the_first_world_of_each_orbit():
+    """a, b, c of s and d, e of its subsort t move in two groups under p and r
+    over s and q ⊑ r over t.  Each of a, b, c is in p, r, both or neither; each
+    of d, e has one of the 6 memberships with q inside r: C(6, 3) * C(7, 2) =
+    420 classes of 4^3 * 6^2 = 2,304 worlds.  Unlike one group under p ⊑ q,
+    this tells a first world apart from one found with the concepts read in
+    another order."""
+    ws = load_workspace("sort s\n"
+                        "extent s = { a, b, c }\n"
+                        "sort t isa s\n"
+                        "extent t = { d, e }\n"
+                        "concept p-hood arity 1 sorts s predicate p\n"
+                        "concept q-hood arity 1 sorts t predicate q\n"
+                        "concept r-hood arity 1 sorts s predicate r\n"
+                        "isa q-hood r-hood\n"
+                        "query consequence exists y:s . r(y) | ~r(y)\n")
+    reps = ws.representatives([ws.queries[0].formula])
+    assert len(ws.worlds()) == 2304
+    assert len(reps) == 420
+    assert [w.label for w in reps] == first_of_each_orbit(ws)
 
 
 def test_named_and_pinned_particulars_stay_fixed():

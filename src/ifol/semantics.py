@@ -30,10 +30,30 @@ or an `itemgetter` pick of its slots (several) against the world's relation
 inline, with no argument closure; particulars hash by identity (see
 `Particular`), so the test hashes pointers.  An assignment sweep either
 collects, world after world, every tuple where a formula holds
-(`_tuples_where`, for intensions and extensions; its sort pools and slot
-environment are built once per sweep) or stops at the first assignment where
-it fails (`_first_failure`, for consequence and axiom models), so a failure
-is found without evaluating, or raising at, any later assignment.
+(`_tuples_where`, for intensions and extensions) or stops at the first
+assignment where it fails (`_first_failure`, for consequence and axiom
+models), so a failure is found without raising at any later assignment.
+
+Sweeps are staged (loop-invariant code motion, Aho et al., *Compilers*
+ch. 9; factorised evaluation, Olteanu & Schleich, SIGMOD Record 2016).  The
+shared term compiler gives each built-in application that reads only
+parameters -- no quantifier-bound variable, no abstraction, no function
+graph -- a slot of its own at the end of the environment, and the closure
+that computed it reads the slot instead.  A sweep binds the parameters in
+nested loops, the first outermost as `itertools.product` orders them, and
+fills each slot once per binding of the parameters it reads: a ground term
+once per sweep, a term over one parameter as a table over that parameter's
+pool, a term over several at the loop level of its last one.  No staged term
+reads the world, so folds and tables hold in every world.  Errors stay lazy:
+a fill that raises stores the error in its slot and the read re-raises it,
+so where a short-circuit skips the read nothing is raised, though a table
+may have evaluated a term at assignments after the one where a sweep stops.
+A sweep lasts one query: a consequence builds the sweep of its formula and
+of each axiom once, at the first world that reaches it, not once per world;
+nothing is evaluated at compile time, and a sweep over no worlds reads no
+pool.  A sweep, or a hidden-variable union in `eval_atom`, over more than
+`MAX_ASSIGNMENTS` assignments raises `ExplosionGuard` before it allocates
+anything.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
@@ -46,6 +66,7 @@ world per class of isomorphic worlds where the workspace finds that enough
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -96,6 +117,8 @@ _EMPTY: frozenset = frozenset()
 
 # Default bound on the candidate worlds `enumerate_worlds` may generate.
 MAX_WORLDS = 2 ** 20
+# Bound on the assignments one sweep of a formula's free variables may visit.
+MAX_ASSIGNMENTS = 2 ** 24
 
 
 @dataclass
@@ -190,13 +213,28 @@ def accessible_values(x: Variable, domain: Domain) -> tuple[Element, ...]:
 
 # --- the compiled core ------------------------------------------------------------
 
-class _Core(NamedTuple):
-    """One formula compiled on one route: `test(world, env)` reads parameter i
-    from env[i]; the slots after the parameters belong to the quantifiers."""
+class _Stage(NamedTuple):
+    """A staged application: `fill` is the term's own closure, and its value,
+    or the error it raised, goes to env[slot] before the reads that need it."""
 
-    test: Test
-    params: tuple[Variable, ...]
-    size: int
+    fill: Value
+    slot: int  # negative: the staged slots close the environment
+    reads: frozenset[int]  # the parameter slots the term reads
+
+
+class _Core:
+    """One formula compiled on one route: `test(world, env)` reads parameter i
+    from env[i]; the slots after the parameters belong to the quantifiers, and
+    the last `len(stages)` slots to the staged applications."""
+
+    __slots__ = ("test", "params", "size", "stages")
+
+    def __init__(self, test: Test, params: tuple[Variable, ...], size: int,
+                 stages: Sequence[_Stage]):
+        self.test = test
+        self.params = params
+        self.stages = tuple(stages)
+        self.size = size + len(self.stages)
 
 
 Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
@@ -239,55 +277,157 @@ def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
     unbound: evaluation fails where it reaches one, as the route prescribes."""
     core = _core(space, phi, route)
     try:
-        env = [g[v] for v in core.params]
+        values = [g[v] for v in core.params]
     except KeyError:
         core = _core(space, phi, route, tuple(v for v in core.params if v in g))
-        env = [g[v] for v in core.params]
-    env += [None] * (core.size - len(env))
+        values = [g[v] for v in core.params]
+    return _holds(core, world, values)
+
+
+def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
+    """The core's test at one assignment, its parameters taking `values`, with
+    the staged slots filled first, in the order they were staged."""
+    env = [*values, *[None] * (core.size - len(values))]
+    for stage in core.stages:
+        env[stage.slot] = _fill(stage.fill, world, env)
     return core.test(world, env)
 
 
-def _sweep(core: _Core, domain: Domain,
-           fixed: Sequence[Element]) -> tuple[int, list[tuple[Element, ...]], list]:
-    """What an assignment sweep over the core's leading parameters needs: how
-    many there are, their sort pools and the slot environment, whose trailing
-    parameters take the `fixed` values."""
-    k = len(core.params) - len(fixed)
-    pools = [domain.valid_elements(v.sort) for v in core.params[:k]]
-    env: list = [None] * k + list(fixed) + [None] * (core.size - len(core.params))
-    return k, pools, env
+# --- assignment sweeps ---------------------------------------------------------------
+
+class _Raised:
+    """What a staged slot holds when its evaluation raised.  The error is kept
+    without its traceback, whose frames would hold the environment that
+    holds it."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error: Exception):
+        self.error = error.with_traceback(None)
+
+
+def _fill(fill: Value, world: World, env: list) -> object:
+    try:
+        return fill(world, env)
+    except Exception as exc:  # any error waits for the read that would have met it
+        return _Raised(exc)
+
+
+def _within_budget(pools: Sequence[Sequence[Element]]) -> None:
+    if math.prod(map(len, pools)) > MAX_ASSIGNMENTS:
+        raise ExplosionGuard(f"more than {MAX_ASSIGNMENTS} assignments")
+
+
+_Level = tuple[Sequence[Element], list[tuple[int, list]], list[tuple[int, Value]]]
+
+
+class _Sweep:
+    """How one query binds a core's leading parameters, built at the first
+    world the query reaches, so that a sweep over no worlds reads no sort
+    pool.  A sweep lives no longer than its query: what it holds is read from
+    the domain as the query found it.
+
+    Each staged slot is filled when the last swept parameter it reads is bound:
+    a term over no swept parameter once, in `template`; a term over one as a
+    table over that parameter's pool; a term over several at the loop level of
+    its last one.  No staged term reads a function graph, so the folds and
+    tables hold in every world."""
+
+    __slots__ = ("template", "levels")
+
+    def __init__(self, core: _Core, world: World, fixed: Sequence[Element] = ()):
+        params = core.params
+        k = len(params) - len(fixed)
+        pools = [world.space.domain.valid_elements(v.sort) for v in params[:k]]
+        _within_budget(pools)
+        env = self.template = [None] * k + list(fixed) + [None] * (core.size - len(params))
+        tables: list[list[_Stage]] = [[] for _ in pools]
+        fills: list[list[tuple[int, Value]]] = [[] for _ in pools]
+        for stage in core.stages:
+            swept = sorted(i for i in stage.reads if i < k)
+            if not swept:
+                env[stage.slot] = _fill(stage.fill, world, env)
+            elif len(swept) == 1:
+                tables[swept[0]].append(stage)
+            else:
+                fills[swept[-1]].append((stage.slot, stage.fill))
+        self.levels: list[_Level] = [
+            (pool, _tabulate(group, pool, i, world, env), later)
+            for i, (pool, group, later) in enumerate(zip(pools, tables, fills))]
+
+
+def _tabulate(group: list[_Stage], pool: Sequence[Element], i: int, world: World,
+              env: list) -> list[tuple[int, list]]:
+    """Each staged term of one parameter, evaluated at every element of its
+    pool, in registration order so that one may read another."""
+    columns: list[list] = [[] for _ in group]
+    for env[i] in pool:
+        for stage, column in zip(group, columns):
+            value = env[stage.slot] = _fill(stage.fill, world, env)
+            column.append(value)
+    return [(stage.slot, column) for stage, column in zip(group, columns)]
+
+
+def _matches(world: World, env: list, levels: list[_Level], test: Test, want: bool,
+             i: int = 0) -> Iterator[tuple[Element, ...]]:
+    """Bind parameter i, then the ones after it, with the first outermost as
+    `itertools.product` orders them, filling each level's staged slots as its
+    parameter moves; yield every assignment at which the test is `want`."""
+    depth = len(levels)
+    if not depth:  # no parameter to bind: the one assignment ()
+        if test(world, env) == want:
+            yield ()
+        return
+    pool, tables, fills = levels[i]
+    inner = i + 1 < depth
+    if not (inner or tables or fills):
+        # the innermost level with nothing to fill, as in any formula without
+        # arithmetic: a bare loop, which keeps a unary sweep per world as fast
+        # as a plain `itertools.product` loop (about 10% faster than below)
+        bound = tuple(env[:i])
+        for env[i] in pool:
+            if test(world, env) == want:
+                yield (*bound, env[i])
+        return
+    for j, env[i] in enumerate(pool):
+        for slot, table in tables:
+            env[slot] = table[j]
+        for slot, fill in fills:
+            try:
+                env[slot] = fill(world, env)
+            except Exception as exc:  # as in `_fill`, inline in the hot loop
+                env[slot] = _Raised(exc)
+        if inner:
+            yield from _matches(world, env, levels, test, want, i + 1)
+        elif test(world, env) == want:
+            yield tuple(env[:depth])
 
 
 def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element] = ()
                   ) -> Iterator[frozenset[tuple[Element, ...]]]:
     """Per world, in order: every sorted assignment to the core's leading
-    parameters under which the formula holds, as value tuples.  The pools and
-    the environment are built once, at the first world reached, so a sweep
-    over no worlds never reads a sort pool and never meets an infinite sort."""
-    test = core.test
-    pools = None
+    parameters under which the formula holds, as value tuples; the trailing
+    parameters take the `fixed` values.  The sweep and its environment are
+    built once, at the first world reached."""
+    sweep = None
     for world in worlds:
-        if pools is None:
-            k, pools, env = _sweep(core, world.space.domain, fixed)
-        out = []
-        for combo in itertools.product(*pools):
-            env[:k] = combo
-            if test(world, env):
-                out.append(combo)
-        yield frozenset(out)
+        if sweep is None:
+            sweep = _Sweep(core, world, fixed)
+            env = sweep.template.copy()
+        yield frozenset(_matches(world, env, sweep.levels, core.test, True))
 
 
-def _first_failure(core: _Core, world: World) -> Optional[tuple[Element, ...]]:
+def _first_failure(core: _Core, world: World, sweeps: dict[_Core, _Sweep]
+                   ) -> Optional[tuple[Element, ...]]:
     """The first sorted assignment to the core's parameters, in enumeration
-    order, under which the formula fails, or None.  The sweep stops there, so
-    no later assignment is evaluated and none can raise."""
-    k, pools, env = _sweep(core, world.space.domain, ())
-    test = core.test
-    for combo in itertools.product(*pools):
-        env[:k] = combo
-        if not test(world, env):
-            return combo
-    return None
+    order, under which the formula fails, or None.  The sweep stops there:
+    staged terms may have been evaluated at later assignments, but nothing
+    raises at any of them.  `sweeps` holds the sweep of every core the query
+    has met, so that each is built once per query."""
+    sweep = sweeps.get(core)
+    if sweep is None:
+        sweep = sweeps[core] = _Sweep(core, world)
+    return next(_matches(world, sweep.template.copy(), sweep.levels, core.test, False), None)
 
 
 def _conjuncts(phi: And) -> list[Formula]:
@@ -318,49 +458,105 @@ def eval_term(t: Term, g: Assignment, world: World) -> Element:
     return _compile_term(t, bound, world.space)(world, list(g.values()))
 
 
+# The parameter slots a term that may be staged reads; None for a term that
+# may not be staged.
+_Reads = Optional[frozenset[int]]
+_GROUND: _Reads = frozenset()
+
+
+class _Stager:
+    """The staged slots of one core while it is compiled; `params` is how many
+    leading slots hold parameters."""
+
+    def __init__(self, params: int):
+        self.params = params
+        self.stages: list[_Stage] = []
+
+    def slot(self, value: Value, reads: _Reads) -> Value:
+        """Stage `value`: the returned closure reads its slot and raises what
+        its evaluation raised."""
+        slot = -1 - len(self.stages)
+        self.stages.append(_Stage(value, slot, reads))
+
+        def read(w: World, env: list) -> Element:
+            held = env[slot]
+            if held.__class__ is _Raised:
+                raise held.error.with_traceback(None)
+            return held
+
+        return read
+
+
+def _level(reads: frozenset[int]) -> tuple[bool, int]:
+    """When a staged term is filled: once, per element of one parameter's
+    pool, or at the loop level of its last parameter."""
+    return len(reads) > 1, max(reads, default=-1)
+
+
 def _compile_term(t: Term, bound: dict[Variable, int], space: Structure,
-                  raw: bool = False) -> Value:
+                  raw: bool = False, stager: Optional[_Stager] = None) -> Value:
     """Compile a term; `bound` maps the variables in scope to their slots.
 
     With `raw` the term's consumer is arithmetic (a built-in function or
     predicate): a built-in application then yields its raw number and a
     numeric constant its value.  Otherwise numbers are boxed as particulars.
+    With a `stager`, a built-in application that reads no quantifier-bound
+    variable, no abstraction and no function graph is staged; inside it, such
+    an application gets a slot of its own only where it is filled at another
+    level than its consumer.
     """
+    value, reads = _term(t, bound, space, raw, stager)
+    if stager is not None and reads is not None and isinstance(t, FnApp):
+        return stager.slot(value, reads)
+    return value
+
+
+def _term(t: Term, bound: dict[Variable, int], space: Structure, raw: bool,
+          stager: Optional[_Stager]) -> tuple[Value, _Reads]:
+    """`_compile_term`'s recursion: the closure and what the term reads."""
     interp = space.interp
     if isinstance(t, Var):
         slot = bound.get(t.var)
         if slot is None:
-            return _unbound(t.var)
-        return lambda w, env: env[slot]
+            return _unbound(t.var), None
+        param = stager is not None and slot < stager.params
+        return (lambda w, env: env[slot]), frozenset((slot,)) if param else None
     if isinstance(t, Const):
         found = space.domain.lookup(t.symbol)
         if found is None:
             # not declared (yet): resolve when reached, failing there
-            return lambda w, env: interp.of_constant(t.symbol)
+            return (lambda w, env: interp.of_constant(t.symbol)), _GROUND
         value = found.value if raw and found.value is not None else found
-        return lambda w, env: value
+        return (lambda w, env: value), _GROUND
     if isinstance(t, FnApp):
         evaluator = space.signature.builtin_functions.get(t.symbol)
-        values = []
+        parts = []
         for a in t.args:  # a loop, not a comprehension: one frame per nesting level
-            values.append(_compile_term(a, bound, space, evaluator is not None))
+            parts.append(_term(a, bound, space, evaluator is not None, stager))
+        reads: _Reads = None
+        if evaluator is not None and all(r is not None for _, r in parts):
+            reads = frozenset().union(*(r for _, r in parts))
+        values = []
+        for a, (value, part) in zip(t.args, parts):
+            if stager is not None and part is not None and isinstance(a, FnApp) \
+                    and (reads is None or _level(part) != _level(reads)):
+                value = stager.slot(value, part)
+            values.append(value)
         if evaluator is not None:
-            return _builtin_application(evaluator, values, _finish(space.domain, raw))
-        return _graph_application(t.symbol, _tuple_of(values))
+            return _builtin_application(evaluator, values, _finish(space.domain, raw)), reads
+        return _graph_application(t.symbol, _tuple_of(values)), None
     if not t.beta:
-        return lambda w, env: interp.of_ground_term(t)
+        return (lambda w, env: interp.of_ground_term(t)), None
     missing = next((v for v in t.beta if v not in bound), None)
     if missing is not None:
-        return _unbound(missing)
+        return _unbound(missing), None
     beta = [(v, bound[v]) for v in t.beta]
 
     def reify(w: World, env: list) -> Element:
-        body = t.body
-        for v, slot in beta:
-            body = substitute(body, v, Const(element_lexeme(env[slot])))
+        body = substitute(t.body, {v: Const(element_lexeme(env[slot])) for v, slot in beta})
         return interp.of_ground_term(Abstracted(body, t.alpha, ()))
 
-    return reify
+    return reify, None
 
 
 def _finish(domain: Domain, raw: bool) -> Optional[Callable[[Number], object]]:
@@ -419,7 +615,7 @@ def _graph_application(symbol: str, args: Args) -> Value:
 
 
 def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
-                  space: Structure, raw: bool) -> Args:
+                  space: Structure, raw: bool, stager: _Stager) -> Args:
     """The argument tuple of an atom, left to right; `raw` for a built-in
     predicate, whose arguments need not be boxed."""
     if all(isinstance(t, Var) and t.var in bound for t in terms):
@@ -433,7 +629,7 @@ def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
         return lambda w, env: pick(env)
     values = []
     for t in terms:
-        values.append(_compile_term(t, bound, space, raw))
+        values.append(_compile_term(t, bound, space, raw, stager))
     return _tuple_of(values)
 
 
@@ -472,6 +668,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
     `eval_atom`: with a variable still unbound it is no truth value."""
     domain = space.domain
     size = len(params)
+    stager = _Stager(size)
 
     def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
         nonlocal size
@@ -537,7 +734,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
                 return lambda w, env: (env[slot],) in w.relations.get(name, _EMPTY)
             pick = itemgetter(*slots)
             return lambda w, env: pick(env) in w.relations.get(name, _EMPTY)
-        args = _compile_args(a.args, bound, space, evaluator is not None)
+        args = _compile_args(a.args, bound, space, evaluator is not None, stager)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
@@ -550,7 +747,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
     test = compile_(phi, {v: i for i, v in enumerate(params)})
-    return _Core(test, params, size)
+    return _Core(test, params, size, stager.stages)
 
 
 def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[Element, ...]]:
@@ -568,6 +765,7 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
         for v in hidden:
             if not domain.sort_is_finite(v.sort):
                 raise InfiniteHiddenDomain(f"{v.name}:{v.sort}")
+        _within_budget([domain.valid_elements(v.sort) for v in hidden])
         out: frozenset[tuple[Element, ...]] = frozenset()
         for g_hidden in many_sorted_assignments(hidden, domain):
             merged = dict(g)
@@ -583,7 +781,7 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     fixed = [g[v] for v in given]
     if free:
         return next(_tuples_where(core, (world,), fixed))
-    return core.test(world, fixed + [None] * (core.size - len(fixed)))
+    return _holds(core, world, fixed)
 
 
 def _atom_vars(a: Atom) -> tuple[list[Variable], list[Variable]]:
@@ -623,6 +821,7 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
     directly; an unbound variable fails where its term is evaluated."""
     valid = space.domain.valid_elements
     size = len(params)
+    stager = _Stager(size)
 
     def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
         nonlocal size
@@ -677,7 +876,7 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
                 return lambda w, env: (env[slot],) in w.relations.get(name, _EMPTY)
             pick = itemgetter(*slots)
             return lambda w, env: pick(env) in w.relations.get(name, _EMPTY)
-        args = _compile_args(a.args, bound, space, evaluator is not None)
+        args = _compile_args(a.args, bound, space, evaluator is not None, stager)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
@@ -690,7 +889,7 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
     test = compile_(phi, {v: i for i, v in enumerate(params)})
-    return _Core(test, params, size)
+    return _Core(test, params, size, stager.stages)
 
 
 # --- world enumeration ---------------------------------------------------------------
@@ -809,10 +1008,13 @@ class Countermodel:
     assignment: tuple[tuple[Variable, Element], ...]
 
 
-def is_model_of(world: World, axioms: Sequence[Formula]) -> bool:
-    """Open axioms are read universally closed."""
+def is_model_of(world: World, axioms: Sequence[Formula],
+                sweeps: Optional[dict[_Core, _Sweep]] = None) -> bool:
+    """Open axioms are read universally closed.  A query that checks many
+    worlds passes its own `sweeps`, so each axiom's sweep is built once."""
+    sweeps = {} if sweeps is None else sweeps
     for ax in axioms:
-        if _first_failure(_core(world.space, ax, _compile_tarski), world) is not None:
+        if _first_failure(_core(world.space, ax, _compile_tarski), world, sweeps) is not None:
             return False
     return True
 
@@ -823,10 +1025,11 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
     (model of the axioms, many-sorted assignment); otherwise the first failing
     pair is the countermodel certificate."""
     core = _core(space, phi, _compile_kripke)
+    sweeps: dict[_Core, _Sweep] = {}
     for world in worlds:
-        if not is_model_of(world, axioms):
+        if not is_model_of(world, axioms, sweeps):
             continue
-        failing = _first_failure(core, world)
+        failing = _first_failure(core, world, sweeps)
         if failing is not None:
             return False, Countermodel(world, tuple(zip(core.params, failing)))
     return True, None
@@ -837,9 +1040,10 @@ def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
     """The meaning of phi as a map from worlds to extensions: per world, the
     set of free-variable tuples it satisfies, or its truth value if closed."""
     core = _core(space, phi, _compile_kripke)
-    if not core.params:
-        return {w.label: core.test(w, [None] * core.size) for w in worlds}
-    return {w.label: rows for w, rows in zip(worlds, _tuples_where(core, worlds))}
+    meaning = zip(worlds, _tuples_where(core, worlds))
+    if not core.params:  # the one assignment of a closed formula is ()
+        return {w.label: () in rows for w, rows in meaning}
+    return {w.label: rows for w, rows in meaning}
 
 
 @dataclass(frozen=True)

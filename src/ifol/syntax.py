@@ -172,32 +172,34 @@ def mk_abstracted(body: Formula, alpha: Iterable[Variable], beta: Iterable[Varia
                       tuple(sorted(b, key=order.__getitem__)))
 
 
-def substitute(phi: Formula, x: Variable, t: Term) -> Formula:
-    """Capture-avoiding replacement of every free occurrence of x by t.
+def substitute(phi: Formula, mapping: dict[Variable, Term]) -> Formula:
+    """Capture-avoiding simultaneous replacement of every free occurrence of
+    each variable in `mapping` by its term, in one walk.
 
     Occurrences among an abstraction term's beta variables are replaced inside
     the reified body and the beta list is rebuilt from the new free variables.
     """
-    t_vars = set(term_free_vars(t))
+    incoming = {x: set(term_free_vars(t)) for x, t in mapping.items()}
 
     def sub_term(term: Term, bound: frozenset[Variable]) -> Term:
         if isinstance(term, Var):
-            return t if term.var == x and x not in bound else term
+            return term if term.var in bound else mapping.get(term.var, term)
         if isinstance(term, Const):
             return term
         if isinstance(term, FnApp):
             return FnApp(term.symbol, tuple(sub_term(a, bound) for a in term.args))
-        if x not in term.beta or x in bound:
+        hit = [x for x in term.beta if x in mapping and x not in bound]
+        if not hit:
             return term
-        if t_vars & set(term.alpha):
-            raise VariableCapture(
-                f"{x.name} -> term whose variables are hidden by the abstraction")
-        new_body = sub(term.body, bound | set(term.alpha))
-        fv = free_vars(new_body)
-        order = {v: i for i, v in enumerate(fv)}
-        keep = [v for v in term.beta if v != x] + [v for v in t_vars if v not in term.beta]
-        new_beta = tuple(sorted((v for v in keep if v in order), key=order.__getitem__))
-        return Abstracted(new_body, term.alpha, new_beta)
+        hidden = set(term.alpha)
+        for x in hit:
+            if incoming[x] & hidden:
+                raise VariableCapture(
+                    f"{x.name} -> term whose variables are hidden by the abstraction")
+        new_body = sub(term.body, bound | hidden)
+        keep = {v for v in term.beta if v not in hit}.union(*(incoming[x] for x in hit))
+        return Abstracted(new_body, term.alpha,
+                          tuple(v for v in free_vars(new_body) if v in keep))
 
     def sub(f: Formula, bound: frozenset[Variable]) -> Formula:
         if isinstance(f, Atom):
@@ -206,11 +208,11 @@ def substitute(phi: Formula, x: Variable, t: Term) -> Formula:
             return Not(sub(f.sub, bound))
         if isinstance(f, And):
             return And(sub(f.left, bound), sub(f.right, bound))
-        if f.var == x:
-            return f
-        if f.var in t_vars and x in free_vars(f.body) and x not in bound:
-            raise VariableCapture(f"{x.name} -> {f.var.name} bound by exists")
-        return Exists(f.var, sub(f.body, bound))
+        for x, t_vars in incoming.items():
+            if f.var in t_vars and x != f.var and x not in bound \
+                    and x in free_vars(f.body):
+                raise VariableCapture(f"{x.name} -> {f.var.name} bound by exists")
+        return Exists(f.var, sub(f.body, bound | {f.var}))
 
     return sub(phi, frozenset())
 
@@ -225,9 +227,7 @@ def ground_instance(phi: Formula, g: dict[Variable, str]) -> Formula:
     missing = [v for v in fv if v not in g]
     if missing:
         raise UnboundVariable(f"{sorted(v.name for v in missing)}")
-    for v in fv:
-        phi = substitute(phi, v, Const(g[v]))
-    return phi
+    return substitute(phi, {v: Const(g[v]) for v in fv})
 
 
 # --- normalization -------------------------------------------------------------

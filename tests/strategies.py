@@ -1,0 +1,179 @@
+"""Hypothesis strategies for generated workspaces, shared by the
+differential tests: each draws the text of a small `.ifol` file."""
+
+from __future__ import annotations
+
+from hypothesis import strategies as st
+
+from ifol.syntax import And, Atom, Const, Exists, FnApp, Not, Var, Variable, format_formula
+
+
+@st.composite
+def _formula(draw, concepts, constants, free, depth, bound=()):
+    """A formula over the unary and binary concepts: atoms take variables in
+    scope or constants of the argument's sort; `exists` may range over
+    truth-values and bind nothing the body uses."""
+    kind = draw(st.sampled_from(["atom", "not", "and", "exists"] if depth else ["atom"]))
+    if kind == "not":
+        return Not(draw(_formula(concepts, constants, free, depth - 1, bound)))
+    if kind == "and":
+        return And(draw(_formula(concepts, constants, free, depth - 1, bound)),
+                   draw(_formula(concepts, constants, free, depth - 1, bound)))
+    if kind == "exists":
+        sort = draw(st.sampled_from(sorted({s for _, sorts in concepts for s in sorts})
+                                    + ["truth values"]))
+        v = Variable(f"y{depth}", sort)
+        return Exists(v, draw(_formula(concepts, constants, free, depth - 1, (*bound, v))))
+    pred, sorts = draw(st.sampled_from(concepts))
+    args = []
+    for sort in sorts:
+        options = [Var(v) for v in (*bound, *free) if v.sort == sort]
+        options += [Const(lexeme) for lexeme in constants.get(sort, ())]
+        args.append(draw(st.sampled_from(options)))
+    return Atom(pred, tuple(args))
+
+
+@st.composite
+def symmetric_workspaces(draw) -> str:
+    """2-4 particulars in each of 1-2 sorts, unary concepts with IS-A edges, a
+    binary concept, constants naming some particulars, and one query with a
+    built-in predicate or a declared function.  At most 2^8 candidate worlds."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    sorts = [f"s{i}" for i in range(len(sizes))]
+    lines = ["sort k", "particular o : k"]
+    members: dict[str, list[str]] = {"k": ["o"]}
+    for sort, size in zip(sorts, sizes):
+        members[sort] = [f"{sort}{chr(ord('a') + j)}" for j in range(size)]
+        lines += [f"sort {sort}", f"extent {sort} = {{ {', '.join(members[sort])} }}"]
+    free = [Variable(f"x{sort}", sort) for sort in members]
+    builtin = draw(st.booleans())
+    if builtin:
+        # a built-in that raises on the non-numeric reals u0 and u1 unless the
+        # concept atom before it short-circuits: it holds where rr = {u0} and
+        # raises in the isomorphic world where rr = {u1}
+        budget = 8 - 3
+        extra = ["sort reals", "extent reals = { 1 }", "particular u0 : reals",
+                 "particular u1 : reals", "concept rr-hood arity 1 sorts reals predicate rr",
+                 "builtin predicate leq/2 : reals x reals = leq",
+                 "query consequence (exists y:reals . rr(y) & ~rr(1))"
+                 " -> exists z:reals . rr(z) | leq(z, 0)"]
+    else:
+        budget = 8 - 1
+        extra = ["concept kk-hood arity 1 sorts k predicate kk",
+                 f"function f/1 : {sorts[0]} -> k"]
+    # one bit per tuple of a concept's pool: the binary concept takes 1 or
+    # the size of the last sort, the unary ones what is left
+    binary_sorts = draw(st.sampled_from([("k", "k"), ("k", sorts[-1])]))
+    if len(members[binary_sorts[1]]) + len(members[sorts[0]]) > budget:
+        binary_sorts = ("k", "k")
+    budget -= len(members[binary_sorts[1]])
+    lines.append(f"concept r-ness arity 2 sorts {' '.join(binary_sorts)} predicate r")
+    unary = [(f"p{i}", draw(st.sampled_from(sorts))) for i in range(draw(st.integers(1, 3)))]
+    while len(unary) > 1 and sum(len(members[s]) for _, s in unary) > budget:
+        unary.pop()
+    if sum(len(members[s]) for _, s in unary) > budget:
+        unary = [("p0", sorts[0])]
+    for pred, sort in unary:
+        lines.append(f"concept {pred}-hood arity 1 sorts {sort} predicate {pred}")
+    for (sub, _), (sup, _) in zip(unary, unary[1:]):
+        if draw(st.booleans()):
+            lines.append(f"isa {sub}-hood {sup}-hood")
+    concepts = [(pred, (sort,)) for pred, sort in unary] + [("r", binary_sorts)]
+    named = {sort: draw(st.lists(st.sampled_from(members[sort]), max_size=1, unique=True))
+             for sort in members}
+
+    def formula(depth: int) -> str:
+        return format_formula(draw(_formula(concepts, named, free, depth)))
+
+    for _ in range(draw(st.integers(0, 1))):
+        lines.append(f"axiom {formula(2)}")
+    for kind in draw(st.lists(st.sampled_from(["consequence", "intension", "bealer-montague"]),
+                              min_size=2, max_size=4)):
+        lines.append(f"query {kind} {formula(3)}")
+    if not builtin:
+        extra.append(f"query intension kk(f(x{sorts[0]}:{sorts[0]})) & {formula(1)}")
+    return "\n".join(draw(st.permutations(lines + extra))) + "\n"
+
+
+
+
+# --- built-in arithmetic over two or three free variables --------------------------
+
+NUMERALS = ("-2", "-1", "0", "1", "2", "1/2")
+_BUILTIN_FUNCTIONS = {"add": 2, "sub": 2, "mul": 2, "div": 2, "pow": 2, "neg": 1}
+
+
+@st.composite
+def _arith_term(draw, scope, depth):
+    """A term of sort reals: a variable, a numeral, the declared function f of
+    an s-variable, or a built-in application.  div by 0, pow of 0 to a
+    negative power and pow to 1/2 raise where they are reached."""
+    reals = [Var(v) for v in scope if v.sort == "reals"]
+    things = [Var(v) for v in scope if v.sort == "s"] + [Const("c0")]
+    kinds = (["var"] if reals else []) + ["numeral"]
+    kind = draw(st.sampled_from(kinds + (["builtin", "builtin", "graph"] if depth else [])))
+    if kind == "var":
+        return draw(st.sampled_from(reals))
+    if kind == "numeral":
+        return Const(draw(st.sampled_from(NUMERALS)))
+    if kind == "graph":
+        return FnApp("f", (draw(st.sampled_from(things)),))
+    symbol = draw(st.sampled_from(sorted(_BUILTIN_FUNCTIONS)))
+    args = []
+    for _ in range(_BUILTIN_FUNCTIONS[symbol]):
+        args.append(draw(_arith_term(scope, depth - 1)))
+    return FnApp(symbol, tuple(args))
+
+
+@st.composite
+def _arith_formula(draw, scope, depth, terms):
+    """Built-in comparisons and the unary concept p over arithmetic terms,
+    under ~, & and exists."""
+    kind = draw(st.sampled_from(["atom", "atom", "not", "and", "exists"] if depth else ["atom"]))
+    if kind == "not":
+        return Not(draw(_arith_formula(scope, depth - 1, terms)))
+    if kind == "and":
+        return And(draw(_arith_formula(scope, depth - 1, terms)),
+                   draw(_arith_formula(scope, depth - 1, terms)))
+    if kind == "exists":
+        v = Variable(f"z{depth}", draw(st.sampled_from(["reals", "s"])))
+        return Exists(v, draw(_arith_formula((*scope, v), depth - 1, terms)))
+    pred = draw(st.sampled_from(["leq", "lt", "eq", "p"]))
+    arity = 1 if pred == "p" else 2
+    args = []
+    for _ in range(arity):
+        args.append(draw(_arith_term(scope, terms)))
+    return Atom(pred, tuple(args))
+
+
+@st.composite
+def arithmetic_workspaces(draw) -> str:
+    """Queries and axioms whose atoms compare built-in arithmetic over two or
+    three free reals and an s-variable, with terms that raise at some
+    assignments; a unary concept over the 2-3 reals and a function graph from
+    s to reals make at most 8 * 9 worlds."""
+    reals = draw(st.lists(st.sampled_from(NUMERALS), min_size=2, max_size=3, unique=True))
+    things = ["c0", "c1"][:draw(st.integers(1, 2))]
+    lines = ["sort integers", "sort rationals", "sort reals",
+             "isa integers rationals", "isa rationals reals",
+             f"extent reals = {{ {', '.join(reals)} }}",
+             "sort s", f"extent s = {{ {', '.join(things)} }}",
+             "concept p-hood arity 1 sorts reals predicate p",
+             "function f/1 : s -> reals"]
+    for symbol, arity in _BUILTIN_FUNCTIONS.items():
+        sorts = " x ".join(["reals"] * arity)
+        lines.append(f"builtin function {symbol}/{arity} : {sorts} -> reals = {symbol}")
+    for pred in ("leq", "lt", "eq"):
+        lines.append(f"builtin predicate {pred}/2 : reals x reals = {pred}")
+    free = [Variable(name, "reals") for name in "xyz"][:draw(st.integers(2, 3))]
+    free.append(Variable("u", "s"))
+
+    def formula(depth: int) -> str:
+        return format_formula(draw(_arith_formula(tuple(free), depth, 2)))
+
+    for _ in range(draw(st.integers(0, 1))):
+        lines.append(f"axiom {formula(1)}")
+    for kind in draw(st.lists(st.sampled_from(["consequence", "intension", "bealer-montague"]),
+                              min_size=2, max_size=4)):
+        lines.append(f"query {kind} {formula(2)}")
+    return "\n".join(lines) + "\n"

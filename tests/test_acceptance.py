@@ -238,9 +238,7 @@ def test_criterion_4_hidden_variable_union():
     from ifol.semantics import World
 
     def reified(body, g_h):
-        grounded = body
-        for v, el in g_h.items():
-            grounded = substitute(grounded, v, Const(element_lexeme(el)))
+        grounded = substitute(body, {v: Const(element_lexeme(el)) for v, el in g_h.items()})
         return ws.interp.of_formula(grounded)
 
     checked = 0

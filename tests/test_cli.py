@@ -126,6 +126,18 @@ def test_max_worlds_flag(tmp_path, capsys):
     assert "ERROR ExplosionGuard" in capsys.readouterr().out
 
 
+def test_assignment_budget_is_reported_before_any_sweep():
+    """Four variables of a 100-element sort: 10^8 assignments, over the
+    2^24 budget, so each query reports the guard without sweeping."""
+    text = ("sort reals\n"
+            f"extent reals = {{ {', '.join(str(i) for i in range(100))} }}\n"
+            "builtin predicate leq2/2 : reals x reals = leq\n"
+            "query intension leq2(x:reals, y:reals) & leq2(z:reals, w:reals)\n"
+            "query consequence leq2(x:reals, y:reals) | leq2(z:reals, w:reals)\n")
+    guard = "ERROR ExplosionGuard: more than 16777216 assignments\n"
+    assert run_queries(load_workspace(text)) == (guard + "\n" + guard, 1)
+
+
 def test_eval_error_rendered_without_failing_exit(tmp_path, capsys):
     f = tmp_path / "unbound.ifol"
     f.write_text(
@@ -320,6 +332,72 @@ LAZY_ERROR_REPORTS = {
 @pytest.mark.parametrize("name", sorted(LAZY_ERROR_REPORTS), ids=str)
 def test_golden_lazy_error_reports(name):
     text, report, status = LAZY_ERROR_REPORTS[name]
+    assert run_queries(load_workspace(text)) == (report, status)
+
+
+# Terms over the parameters raise at an inner loop level: div(1, y) at y = 0
+# and div(1, add(x, y)) where x + y = 0, each where a conjunct before it
+# short-circuits.  A staged term is evaluated at every binding, guarded or
+# not, so its error must surface only where the unstaged term would raise:
+# these reports were taken before terms were staged.
+STAGED_ERROR_DECLARATIONS = (
+    "sort integers\n"
+    "sort rationals\n"
+    "sort reals\n"
+    "isa integers rationals\n"
+    "isa rationals reals\n"
+    "extent reals = { -1, 0, 1 }\n"
+    "builtin function add/2 : reals x reals -> reals = add\n"
+    "builtin function div/2 : reals x reals -> reals = div\n"
+    "builtin predicate leq2/2 : reals x reals = leq\n"
+    "builtin predicate eq2/2 : reals x reals = eq\n"
+    "sort s\n"
+    "particular a : s\n"
+    "concept p-hood arity 1 sorts s predicate p\n"
+)
+
+
+def _in_both_worlds(*rows: str) -> str:
+    return "".join(f"WORLD w{i}\n" + "".join(f"  ({r})\n" for r in rows) for i in (0, 1))
+
+
+DIVISION_BY_ZERO = "ERROR EvaluationFailure: division by zero\n"
+
+STAGED_ERROR_REPORTS = {
+    "consequence": (
+        STAGED_ERROR_DECLARATIONS
+        + "query consequence leq2(x:reals, 1) & ~eq2(y:reals, 0) -> leq2(add(x, div(1, y)), 1)\n"
+        "query consequence ~eq2(add(x:reals, y:reals), 0) -> leq2(div(1, add(x, y)), 0)\n"
+        "query consequence p(a) & ~eq2(y:reals, 0)"
+        " -> leq2(add(div(x:reals, y), div(1, y)), 2)\n"
+        "query consequence leq2(x:reals, 0) -> leq2(div(1, y:reals), 1)\n",
+        "CONSEQUENCE no\nWORLD w0\n  p-hood: {}\nASSIGN x=1\nASSIGN y=1\n\n"
+        "CONSEQUENCE no\nWORLD w0\n  p-hood: {}\nASSIGN x=0\nASSIGN y=1\n\n"
+        "CONSEQUENCE yes\n\n" + DIVISION_BY_ZERO, 1),
+    "intension": (
+        STAGED_ERROR_DECLARATIONS
+        + "query intension ~eq2(y:reals, 0) & leq2(add(x:reals, div(1, y)), 0)\n"
+        "query intension leq2(x:reals, 0) & ~eq2(y:reals, 0) & leq2(add(x, div(1, y)), 0)\n"
+        "query intension ~eq2(add(x:reals, y:reals), 0) & leq2(div(1, add(x, y)), 0)\n"
+        "query intension exists z:reals . ~eq2(z, 0)"
+        " & leq2(add(div(x:reals, z), div(1, add(y:reals, 2))), 0)\n"
+        "query intension leq2(x:reals, 0) & leq2(div(1, y:reals), x)\n",
+        "INTENSION ~eq2(y:reals, 0) & leq2(add(x:reals, div(1, y)), 0)\n"
+        + _in_both_worlds("-1, -1", "-1, 0", "-1, 1", "1, -1")
+        + "\nINTENSION (leq2(x:reals, 0) & ~eq2(y:reals, 0)) & leq2(add(x, div(1, y)), 0)\n"
+        + _in_both_worlds("-1, -1", "-1, 1", "0, -1")
+        + "\nINTENSION ~eq2(add(x:reals, y:reals), 0) & leq2(div(1, add(x, y)), 0)\n"
+        + _in_both_worlds("-1, -1", "-1, 0", "0, -1")
+        + "\nINTENSION exists z:reals . ~eq2(z, 0)"
+        " & leq2(add(div(x:reals, z), div(1, add(y:reals, 2))), 0)\n"
+        + _in_both_worlds("-1, -1", "-1, 0", "-1, 1", "1, -1", "1, 0", "1, 1")
+        + "\n" + DIVISION_BY_ZERO, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED_ERROR_REPORTS), ids=str)
+def test_golden_staged_error_reports(name):
+    text, report, status = STAGED_ERROR_REPORTS[name]
     assert run_queries(load_workspace(text)) == (report, status)
 
 

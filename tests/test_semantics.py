@@ -29,6 +29,7 @@ from ifol import (
 from ifol.errors import ExplosionGuard, InfiniteExtent
 from ifol.kernel import element_lexeme, numeric_lexeme
 from ifol.semantics import (
+    MAX_ASSIGNMENTS,
     World,
     accessible,
     accessible_values,
@@ -417,6 +418,22 @@ def test_eval_atom_infinite_hidden_domain():
     world = World("w", ws.space, {"r-hood": frozenset()})
     from ifol.errors import InfiniteHiddenDomain
     with pytest.raises(InfiniteHiddenDomain):
+        eval_atom(atom, {}, world)
+
+
+def test_eval_atom_hidden_union_budget():
+    """Four hidden beta variables over 100 reals: 10^8 assignments to union
+    over, so the guard is raised before any of them is evaluated."""
+    ws = arithmetic_ws()
+    ws.domain.declare_extent("reals", [str(i) for i in range(100)])
+    ws.declare_sort("s")
+    ws.domain.declare_particular("a", "s")
+    ws.register_concept("r-hood", ("s", "nested sentence"), "r")
+    u1, u2, u3, u4 = (Variable(f"u{i}", "reals") for i in range(1, 5))
+    body = And(Atom("leq2", (Var(u1), Var(u2))), Atom("leq2", (Var(u3), Var(u4))))
+    atom = Atom("r", (Const("a"), mk_abstracted(body, [], [u1, u2, u3, u4])))
+    world = World("w", ws.space, {"r-hood": frozenset()})
+    with pytest.raises(ExplosionGuard, match=f"more than {MAX_ASSIGNMENTS} assignments"):
         eval_atom(atom, {}, world)
 
 

@@ -1,0 +1,140 @@
+"""Staged assignment sweeps: a built-in or declared-function application over
+the parameters only is evaluated once per binding of the parameters it reads,
+and every report, lazy error included, stays the one evaluation at each
+assignment gives."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ifol.semantics
+from ifol import load_workspace, satisfies, tarski_eval
+from ifol.cli import run_queries
+from ifol.errors import IfolError
+from ifol.kernel import element_lexeme
+from ifol.semantics import (
+    _compile_kripke,
+    _compile_tarski,
+    _core,
+    _tuples_where,
+    consequence,
+    enumerate_worlds,
+    is_model_of,
+    many_sorted_assignments,
+    montague_intension,
+)
+from ifol.syntax import free_vars
+
+from strategies import arithmetic_workspaces, symmetric_workspaces
+
+WORKSPACES = st.one_of(arithmetic_workspaces(), symmetric_workspaces())
+
+
+def _unstaged(self, value, reads):
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(WORKSPACES)
+def test_reports_equal_those_with_staging_off(text):
+    staged = run_queries(load_workspace(text))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ifol.semantics._Stager, "slot", _unstaged)
+        unstaged = run_queries(load_workspace(text))
+    assert staged == unstaged
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except IfolError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(WORKSPACES)
+def test_kripke_equals_tarski_on_generated_workspaces(text):
+    """Per formula and world, the staged sweeps of both routes give the same
+    rows or the same error, and so does evaluation at each assignment: the
+    rows where it holds, or the first error in enumeration order."""
+    ws = load_workspace(text)
+    for _, phi in ws.all_formulas():
+        cores = [_core(ws.space, phi, route) for route in (_compile_kripke, _compile_tarski)]
+        variables = free_vars(phi)
+        for world in ws.worlds():
+            kripke, tarski = (_outcome(lambda: next(_tuples_where(core, (world,))))
+                              for core in cores)
+            assert kripke == tarski
+            rows, error = set(), None
+            for g in many_sorted_assignments(variables, ws.domain):
+                holds = _outcome(lambda: satisfies(world, g, phi))
+                assert holds == _outcome(lambda: tarski_eval(world, g, phi))
+                if isinstance(holds, tuple):
+                    error = error or holds
+                elif holds:
+                    rows.add(tuple(g.values()))
+            assert kripke == (error or frozenset(rows))
+
+
+def _applies(monkeypatch) -> list:
+    calls = []
+    real = ifol.semantics.apply_function
+    monkeypatch.setattr(ifol.semantics, "apply_function",
+                        lambda evaluator, args: calls.append(evaluator) or real(evaluator, args))
+    return calls
+
+
+def test_each_term_is_evaluated_once_per_binding_of_what_it_reads(monkeypatch):
+    """Over 4 worlds (the graphs of f) and 4 * 4 assignments: pow(2, 3) is
+    folded once, mul(x, 2) and add(x, 1) are tabled over x's 4 values, and
+    add(mul(x, 2), y) is filled once per (x, y) in each world.  f(c) reads a
+    function graph, so it is not staged.  Unstaged, each term is evaluated at
+    each assignment that reaches it."""
+    text = ("sort integers\n"
+            "sort reals\n"
+            "isa integers reals\n"
+            "extent reals = { 0, 1, 2, 3 }\n"
+            "sort s\n"
+            "extent s = { c }\n"
+            "function f/1 : s -> integers\n"
+            "builtin function add/2 : reals x reals -> reals = add\n"
+            "builtin function mul/2 : reals x reals -> reals = mul\n"
+            "builtin function pow/2 : reals x reals -> reals = pow\n"
+            "builtin predicate leq/2 : reals x reals = leq\n"
+            "query intension leq(add(mul(x:reals, 2), y:reals), pow(2, 3))"
+            " & leq(f(c), add(x, 1))\n")
+    calls = _applies(monkeypatch)
+    ws = load_workspace(text)
+    assert len(ws.worlds()) == 4
+    staged = run_queries(ws)
+    assert (calls.count("pow"), calls.count("mul"), calls.count("add")) == (1, 4, 4 * 16 + 4)
+    calls.clear()
+    monkeypatch.setattr(ifol.semantics._Stager, "slot", _unstaged)
+    assert run_queries(load_workspace(text)) == staged
+    assert (calls.count("pow"), calls.count("mul")) == (4 * 16, 4 * 16)
+
+
+def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():
+    """Sweeps last one query: evaluating a formula object again after a
+    declaration sweeps the grown pool, on both sweeps."""
+    ws = load_workspace("sort integers\n"
+                        "sort reals\n"
+                        "isa integers reals\n"
+                        "extent reals = { 0, 1, 2 }\n"
+                        "builtin function add/2 : reals x reals -> reals = add\n"
+                        "builtin predicate leq/2 : reals x reals = leq\n")
+    phi, psi = ws.parse("leq(add(x:reals, 0), 2)"), ws.parse("leq(add(x:reals, 0), 3)")
+    worlds = enumerate_worlds(ws.space)
+
+    def values(rows):
+        return sorted(element_lexeme(x) for x, in rows)
+
+    assert values(montague_intension(ws.space, psi, worlds)["w0"]) == ["0", "1", "2"]
+    assert consequence(ws.space, [], phi, worlds) == (True, None)
+    assert is_model_of(worlds[0], [phi])
+    ws.domain.declare_particular("3", "reals")
+    assert values(montague_intension(ws.space, psi, worlds)["w0"]) == ["0", "1", "2", "3"]
+    holds, countermodel = consequence(ws.space, [], phi, worlds)
+    assert not holds and [element_lexeme(v) for _, v in countermodel.assignment] == ["3"]
+    assert not is_model_of(worlds[0], [phi])

@@ -80,25 +80,30 @@ def test_free_vars_nested_abstraction_matches_example():
 
 
 def test_substitute_single_occurrence():
-    assert substitute(atom("p", x), x, Const("c")) == Atom("p", (Const("c"),))
+    assert substitute(atom("p", x), {x: Const("c")}) == Atom("p", (Const("c"),))
+
+
+def test_substitute_replaces_simultaneously():
+    """One walk over the whole mapping: a swap is not two replacements in a row."""
+    assert substitute(atom("p", x, y), {x: Var(y), y: Var(x)}) == atom("p", y, x)
 
 
 def test_substitute_leaves_bound_occurrences():
     phi = And(atom("p", x), Exists(x, atom("q", x)))
-    out = substitute(phi, x, Const("c"))
+    out = substitute(phi, {x: Const("c")})
     assert out == And(Atom("p", (Const("c"),)), Exists(x, atom("q", x)))
 
 
 def test_substitute_detects_capture():
     phi = Exists(y, atom("p", x, y))
     with pytest.raises(VariableCapture):
-        substitute(phi, x, FnApp("f", (Var(y),)))
+        substitute(phi, {x: FnApp("f", (Var(y),))})
 
 
 def test_substitute_updates_beta():
     body = atom("p", x, y)
     t = Atom("q", (mk_abstracted(body, [x], [y]),))
-    out = substitute(t, y, Var(z))
+    out = substitute(t, {y: Var(z)})
     abst = out.args[0]
     assert isinstance(abst, Abstracted)
     assert abst.beta == (z,)
@@ -109,7 +114,7 @@ def test_substitute_beta_capture_by_alpha():
     body = atom("p", x, y)
     t = Atom("q", (mk_abstracted(body, [x], [y]),))
     with pytest.raises(VariableCapture):
-        substitute(t, y, FnApp("f", (Var(x),)))
+        substitute(t, {y: FnApp("f", (Var(x),))})
 
 
 def test_mk_abstracted_sphere_partition():
@@ -203,7 +208,7 @@ def test_substitute_then_ground_equals_ground_of_composed():
             continue
         rest = [v for v in fv if v != x]
         for c in elements:
-            subst = substitute(phi, x, Const(c))
+            subst = substitute(phi, {x: Const(c)})
             for values in itertools.product(elements, repeat=len(rest)):
                 g = dict(zip(rest, values))
                 composed = dict(g)

@@ -9,7 +9,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import ifol.semantics
 import ifol.workspace
@@ -17,7 +17,8 @@ from ifol import load_workspace
 from ifol.cli import run_queries
 from ifol.kernel import TOP_SORT
 from ifol.symmetry import movable_particulars
-from ifol.syntax import And, Atom, Const, Exists, Not, Var, Variable, format_formula
+
+from strategies import symmetric_workspaces
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -77,7 +78,7 @@ def test_unary_worlds_fall_into_one_class_per_signature_multiset(n, monkeypatch)
     checked = []
     real = ifol.semantics.is_model_of
     monkeypatch.setattr(ifol.semantics, "is_model_of",
-                        lambda world, axioms: checked.append(world) or real(world, axioms))
+                        lambda world, *rest: checked.append(world) or real(world, *rest))
     assert run_queries(ws) == ("CONSEQUENCE yes\n", 0)
     assert checked == list(reps)
 
@@ -145,93 +146,6 @@ def test_no_interchangeable_particulars_scan_no_formula(monkeypatch):
 
 
 # --- differential: the same reports with every world its own class -------------
-
-@st.composite
-def _formula(draw, concepts, constants, free, depth, bound=()):
-    """A formula over the unary and binary concepts: atoms take variables in
-    scope or constants of the argument's sort; `exists` may range over
-    truth-values and bind nothing the body uses."""
-    kind = draw(st.sampled_from(["atom", "not", "and", "exists"] if depth else ["atom"]))
-    if kind == "not":
-        return Not(draw(_formula(concepts, constants, free, depth - 1, bound)))
-    if kind == "and":
-        return And(draw(_formula(concepts, constants, free, depth - 1, bound)),
-                   draw(_formula(concepts, constants, free, depth - 1, bound)))
-    if kind == "exists":
-        sort = draw(st.sampled_from(sorted({s for _, sorts in concepts for s in sorts})
-                                    + ["truth values"]))
-        v = Variable(f"y{depth}", sort)
-        return Exists(v, draw(_formula(concepts, constants, free, depth - 1, (*bound, v))))
-    pred, sorts = draw(st.sampled_from(concepts))
-    args = []
-    for sort in sorts:
-        options = [Var(v) for v in (*bound, *free) if v.sort == sort]
-        options += [Const(lexeme) for lexeme in constants.get(sort, ())]
-        args.append(draw(st.sampled_from(options)))
-    return Atom(pred, tuple(args))
-
-
-@st.composite
-def symmetric_workspaces(draw) -> str:
-    """2-4 particulars in each of 1-2 sorts, unary concepts with IS-A edges, a
-    binary concept, constants naming some particulars, and one query with a
-    built-in predicate or a declared function.  At most 2^8 candidate worlds."""
-    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
-    sorts = [f"s{i}" for i in range(len(sizes))]
-    lines = ["sort k", "particular o : k"]
-    members: dict[str, list[str]] = {"k": ["o"]}
-    for sort, size in zip(sorts, sizes):
-        members[sort] = [f"{sort}{chr(ord('a') + j)}" for j in range(size)]
-        lines += [f"sort {sort}", f"extent {sort} = {{ {', '.join(members[sort])} }}"]
-    free = [Variable(f"x{sort}", sort) for sort in members]
-    builtin = draw(st.booleans())
-    if builtin:
-        # a built-in that raises on the non-numeric reals u0 and u1 unless the
-        # concept atom before it short-circuits: it holds where rr = {u0} and
-        # raises in the isomorphic world where rr = {u1}
-        budget = 8 - 3
-        extra = ["sort reals", "extent reals = { 1 }", "particular u0 : reals",
-                 "particular u1 : reals", "concept rr-hood arity 1 sorts reals predicate rr",
-                 "builtin predicate leq/2 : reals x reals = leq",
-                 "query consequence (exists y:reals . rr(y) & ~rr(1))"
-                 " -> exists z:reals . rr(z) | leq(z, 0)"]
-    else:
-        budget = 8 - 1
-        extra = ["concept kk-hood arity 1 sorts k predicate kk",
-                 f"function f/1 : {sorts[0]} -> k"]
-    # one bit per tuple of a concept's pool: the binary concept takes 1 or
-    # the size of the last sort, the unary ones what is left
-    binary_sorts = draw(st.sampled_from([("k", "k"), ("k", sorts[-1])]))
-    if len(members[binary_sorts[1]]) + len(members[sorts[0]]) > budget:
-        binary_sorts = ("k", "k")
-    budget -= len(members[binary_sorts[1]])
-    lines.append(f"concept r-ness arity 2 sorts {' '.join(binary_sorts)} predicate r")
-    unary = [(f"p{i}", draw(st.sampled_from(sorts))) for i in range(draw(st.integers(1, 3)))]
-    while len(unary) > 1 and sum(len(members[s]) for _, s in unary) > budget:
-        unary.pop()
-    if sum(len(members[s]) for _, s in unary) > budget:
-        unary = [("p0", sorts[0])]
-    for pred, sort in unary:
-        lines.append(f"concept {pred}-hood arity 1 sorts {sort} predicate {pred}")
-    for (sub, _), (sup, _) in zip(unary, unary[1:]):
-        if draw(st.booleans()):
-            lines.append(f"isa {sub}-hood {sup}-hood")
-    concepts = [(pred, (sort,)) for pred, sort in unary] + [("r", binary_sorts)]
-    named = {sort: draw(st.lists(st.sampled_from(members[sort]), max_size=1, unique=True))
-             for sort in members}
-
-    def formula(depth: int) -> str:
-        return format_formula(draw(_formula(concepts, named, free, depth)))
-
-    for _ in range(draw(st.integers(0, 1))):
-        lines.append(f"axiom {formula(2)}")
-    for kind in draw(st.lists(st.sampled_from(["consequence", "intension", "bealer-montague"]),
-                              min_size=2, max_size=4)):
-        lines.append(f"query {kind} {formula(3)}")
-    if not builtin:
-        extra.append(f"query intension kk(f(x{sorts[0]}:{sorts[0]})) & {formula(1)}")
-    return "\n".join(draw(st.permutations(lines + extra))) + "\n"
-
 
 @settings(max_examples=60, deadline=None)
 @given(symmetric_workspaces())

@@ -51,9 +51,17 @@ may have evaluated a term at assignments after the one where a sweep stops.
 A sweep lasts one query: a consequence builds the sweep of its formula and
 of each axiom once, at the first world that reaches it, not once per world;
 nothing is evaluated at compile time, and a sweep over no worlds reads no
-pool.  A sweep, or a hidden-variable union in `eval_atom`, over more than
-`MAX_ASSIGNMENTS` assignments raises `ExplosionGuard` before it allocates
-anything.
+pool.  A hidden-variable union in `eval_atom` is one sweep too, with the
+hidden variables outermost.  A sweep over more than `MAX_ASSIGNMENTS`
+assignments raises `ExplosionGuard` before it allocates anything.
+
+Worlds come in the order of the candidate product -- concepts by
+registration, the first outermost, each taking the subsets of its pool by
+ascending mask, function graphs innermost -- but `enumerate_worlds` visits
+only the combinations that keep every IS-A edge between unary extents: it
+backtracks over the concepts, and the concept that fixes an edge's second
+side takes only the masks that fit the first.  `MAX_WORLDS` bounds the whole
+candidate product.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
@@ -189,15 +197,6 @@ class World:
 
 
 # --- assignments and accessibility ------------------------------------------------
-
-def many_sorted_assignments(variables: Sequence[Variable],
-                            domain: Domain) -> Iterator[Assignment]:
-    """Every assignment sending each variable into the valid elements of its sort."""
-    variables = tuple(variables)
-    pools = [domain.valid_elements(v.sort) for v in variables]
-    for combo in itertools.product(*pools):
-        yield dict(zip(variables, combo))
-
 
 def accessible(g1: Assignment, g2: Assignment, x: Variable) -> bool:
     """Accessibility for the existential modality on x: agreement off x."""
@@ -756,32 +755,27 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     Ground after g: a truth value.  Otherwise the atom is a virtual predicate:
     its extension ranges over the directly-free variables, and any beta
     variables still hidden inside abstraction arguments are unioned out over
-    all of their sorted assignments.
+    all of their sorted assignments: one sweep binds the hidden variables,
+    outermost, and the free ones, and the hidden columns are projected away.
     """
     domain = world.space.domain
     direct, hidden = _atom_vars(a)
     hidden = [v for v in hidden if v not in g]
-    if hidden:
-        for v in hidden:
-            if not domain.sort_is_finite(v.sort):
-                raise InfiniteHiddenDomain(f"{v.name}:{v.sort}")
-        _within_budget([domain.valid_elements(v.sort) for v in hidden])
-        out: frozenset[tuple[Element, ...]] = frozenset()
-        for g_hidden in many_sorted_assignments(hidden, domain):
-            merged = dict(g)
-            merged.update(g_hidden)
-            summand = eval_atom(a, merged, world)
-            if isinstance(summand, bool):
-                summand = frozenset([()]) if summand else frozenset()
-            out |= summand
-        return out
-    free = tuple(v for v in direct if v not in g)
+    for v in hidden:
+        if not domain.sort_is_finite(v.sort):
+            raise InfiniteHiddenDomain(f"{v.name}:{v.sort}")
+    if not all(domain.valid_elements(v.sort) for v in hidden):
+        return frozenset()  # a union over no assignment
+    free = tuple(v for v in direct if v not in g and v not in hidden)
     given = tuple(v for v in _compiled(world.space, a).free if v in g)
-    core = _core(world.space, a, _compile_kripke, free + given)
+    core = _core(world.space, a, _compile_kripke, (*hidden, *free, *given))
     fixed = [g[v] for v in given]
-    if free:
-        return next(_tuples_where(core, (world,), fixed))
-    return _holds(core, world, fixed)
+    if not (hidden or free):
+        return _holds(core, world, fixed)
+    rows = next(_tuples_where(core, (world,), fixed))
+    if hidden:
+        return frozenset(row[len(hidden):] for row in rows)
+    return rows
 
 
 def _atom_vars(a: Atom) -> tuple[list[Variable], list[Variable]]:
@@ -894,22 +888,48 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
 
 # --- world enumeration ---------------------------------------------------------------
 
-def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[World]:
-    """All extensionalization functions over the registered concepts.
+# Per concept level: the bits every mask there must hold (its floor), the
+# bits it may hold (its ceiling), and the IS-A edges to earlier levels that
+# close there.  Such an edge is (level, to, lost, raises_floor): the earlier
+# level's mask, mapped onto this level's pool (bit b becomes to[b]; to is None
+# when the pools are the same), raises this level's floor when this level is
+# the super side and lowers its ceiling when it is the sub side.  `lost` are
+# the earlier level's bits whose elements this pool lacks: no floor here can
+# hold them, so a mask there that sets one leaves this level no mask.
+_Link = tuple[int, Optional[list[int]], int, bool]
+_Bound = tuple[int, int, list[_Link]]
 
-    Each registered predicate-concept receives every subset of its sorted tuple
-    pool; positions of nested-sentence sort have no element-level extent, which
-    forces those relations empty.  Declared functions receive every total graph.
-    Candidates violating IS-A extent inclusion are dropped.  Deterministic
-    order: concepts by registration, pool tuples lexicographic by lexeme.
+
+def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[World]:
+    """All extensionalization functions over the registered concepts that keep
+    IS-A extent inclusion.
+
+    Each registered predicate-concept receives subsets of its sorted tuple
+    pool, as masks with bit i for the pool's i-th tuple; positions of
+    nested-sentence sort have no element-level extent, which forces those
+    relations empty.  Declared functions receive every total graph.  The
+    worlds come in candidate order: concepts by registration, the first
+    outermost, each taking its masks ascending, function graphs innermost;
+    pool tuples are lexicographic by lexeme.  `max_worlds` bounds the whole
+    candidate product and is checked before any world is built.
+
+    The walk backtracks over the concepts and never builds a candidate that
+    breaks an edge (orderly generation, Read 1978; propagation in finite
+    model search, McCune's Mace4 2003).  An edge whose sides both have a unary
+    extent -- an enumerated unary concept or a finite sort's declared members
+    -- is checked at the level that fixes its second side: that level takes
+    only the supersets of the sub side's mask, or the subsets of the super
+    side's, in ascending order, so the kept worlds and their order are those
+    of the filtered product.  Each relation is built once per mask reached.
     """
     domain = space.domain
-    concepts = list(space.registry.by_predicate.values())
-    pools: list[tuple[str, list[tuple[Element, ...]]]] = []
+    names: list[str] = []
+    pools: list[list[tuple[Element, ...]]] = []
     candidates = 1
-    for c in concepts:
+    for c in space.registry.by_predicate.values():
         pool = _tuple_pool(domain, c.attribute_sorts)
-        pools.append((c.name, pool))
+        names.append(c.name)
+        pools.append(pool)
         candidates *= 2 ** len(pool)
         if candidates > max_worlds:
             raise ExplosionGuard(f"more than {max_worlds} candidate worlds")
@@ -931,35 +951,15 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[Wor
                   for values in itertools.product(ret_pool, repeat=len(arg_pool))]
         fn_graphs.append((symbol, graphs))
 
-    # IS-A filter: an enumerated unary concept's extent is computed once per
-    # subset of its pool, not once per candidate world
-    names = [name for name, _ in pools]
-    position = {name: i for i, name in enumerate(names)}
-    choices = []
-    for name, pool in pools:
-        unary = _is_unary(domain, name)
-        choices.append([(rel, frozenset(t[0] for t in rel) if unary else None)
-                        for rel in _subsets(pool)])
-    checks = []
-    for sub, sup in domain.lattice.isa_edges:
-        sides = [_extent_side(domain, position, name) for name in (sub, sup)]
-        if None not in sides:
-            checks.append((*sides[0], *sides[1]))
-
-    worlds: list[World] = []
-    for combo in itertools.product(*choices):
-        for i, fixed_sub, j, fixed_sup in checks:
-            sub_ext = combo[i][1] if i >= 0 else fixed_sub
-            sup_ext = combo[j][1] if j >= 0 else fixed_sup
-            if not sub_ext <= sup_ext:
-                break
-        else:
-            relations = {name: rel for name, (rel, _) in zip(names, combo)}
-            for graph_combo in itertools.product(*(graphs for _, graphs in fn_graphs)):
-                functions = {symbol: graph
-                             for (symbol, _), graph in zip(fn_graphs, graph_combo)}
-                worlds.append(World(f"w{len(worlds)}", space, relations, functions))
-    return worlds
+    bounds = _bounds(domain, names, pools)
+    if bounds is None:
+        return []
+    symbols = [symbol for symbol, _ in fn_graphs]
+    functions = [dict(zip(symbols, combo))
+                 for combo in itertools.product(*(graphs for _, graphs in fn_graphs))]
+    combos = itertools.product(_relations(names, pools, bounds), functions)
+    return [World(f"w{i}", space, relations, graphs)
+            for i, (relations, graphs) in enumerate(combos)]
 
 
 def _tuple_pool(domain: Domain, sorts: Sequence[str]) -> list[tuple[Element, ...]]:
@@ -974,30 +974,146 @@ def _tuple_pool(domain: Domain, sorts: Sequence[str]) -> list[tuple[Element, ...
     return list(itertools.product(*per_position))
 
 
-def _subsets(pool: list[tuple[Element, ...]]) -> list[frozenset[tuple[Element, ...]]]:
+def _bounds(domain: Domain, names: list[str], pools: list[list[tuple[Element, ...]]]
+            ) -> Optional[list[_Bound]]:
+    """What the IS-A edges ask of each concept level, or None when no
+    combination keeps them.  Floors combine by OR and ceilings by AND, so the
+    order the edges come in does not matter."""
+    position = {name: i for i, name in enumerate(names)}
+    floors = [0] * len(pools)
+    ceilings = [(1 << len(pool)) - 1 for pool in pools]
+    links: list[list[_Link]] = [[] for _ in pools]
+    for sub_name, sup_name in domain.lattice.isa_edges:
+        sub = _side(domain, position, pools, sub_name)
+        sup = _side(domain, position, pools, sup_name)
+        if isinstance(sub, frozenset) and isinstance(sup, frozenset):
+            if not sub <= sup:
+                return None
+        elif isinstance(sub, frozenset) and isinstance(sup, int):  # sup holds every member
+            bits = _bit_of(pools[sup])
+            if not all(e in bits for e in sub):
+                return None
+            floors[sup] |= sum(bits[e] for e in sub)
+        elif isinstance(sub, int) and isinstance(sup, frozenset):  # sub stays among them
+            bits = _bit_of(pools[sub])
+            ceilings[sub] &= sum(bits[e] for e in sup if e in bits)
+        elif isinstance(sub, int) and isinstance(sup, int):
+            if sub < sup:
+                links[sup].append((sub, *_remap(pools[sub], pools[sup]), True))
+            elif sup < sub:
+                links[sub].append((sup, _remap(pools[sup], pools[sub])[0], 0, False))
+    return list(zip(floors, ceilings, links))
+
+
+def _side(domain: Domain, position: dict[str, int], pools: list[list[tuple[Element, ...]]],
+          name: str) -> int | frozenset[Element] | None:
+    """One side of an IS-A edge: the level of an enumerated unary concept, the
+    extent every world gives it when that is fixed (no element for a concept
+    whose pool is empty, the members of a finite sort), or None when it has
+    no unary extent and the edge constrains nothing."""
+    concept = domain.concepts.get(name)
+    if concept is None or concept.arity != 1:
+        return None
+    if name in position:
+        level = position[name]
+        return level if pools[level] else frozenset()
+    if not domain.sort_is_finite(name):
+        return None
+    return frozenset(domain.valid_elements(name))
+
+
+def _bit_of(pool: list[tuple[Element, ...]]) -> dict[Element, int]:
+    """The mask bit of each element of a unary pool."""
+    return {t[0]: 1 << b for b, t in enumerate(pool)}
+
+
+def _remap(source: list[tuple[Element, ...]], target: list[tuple[Element, ...]]
+           ) -> tuple[Optional[list[int]], int]:
+    """How a mask over the unary pool `source` reads over `target`: the bit
+    each source bit becomes (None when the pools are the same), and the
+    source bits that `target` lacks."""
+    if source == target:
+        return None, 0
+    bits = _bit_of(target)
+    to = [bits.get(t[0], 0) for t in source]
+    return to, sum(1 << b for b, bit in enumerate(to) if not bit)
+
+
+def _relations(names: list[str], pools: list[list[tuple[Element, ...]]],
+               bounds: list[_Bound]) -> list[dict[str, frozenset[tuple[Element, ...]]]]:
+    """The relations of every combination of masks that keeps the bounds, in
+    candidate order: a depth-first walk over the levels, without recursion,
+    since concepts with an empty pool add levels but no worlds.  The walk
+    ends at the last level with a nonempty pool: the levels after it hold
+    the empty relation in every world.  The outer levels' relations are
+    gathered once per prefix of the innermost level, and each relation is
+    built once per mask reached."""
+    if not names:
+        return [{}]
+    made = [_Subsets(pool) for pool in pools]
     out = []
-    for mask in range(2 ** len(pool)):
-        out.append(frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1))
+    last = len(pools) - 1
+    while last and not pools[last]:
+        last -= 1
+    tail = dict.fromkeys(names[last + 1:], frozenset())
+    chosen = [0] * last
+    walks = [_masks(bounds[0], chosen)] + [iter(())] * last
+    level = 0
+    while level >= 0:
+        if level == last:  # the innermost level: one relations dict per mask
+            prefix = {name: rels[mask] for name, rels, mask in zip(names, made, chosen)}
+            name, rels = names[last], made[last]
+            for mask in walks[last]:
+                out.append({**prefix, name: rels[mask], **tail})
+            level -= 1
+            continue
+        mask = next(walks[level], None)
+        if mask is None:
+            level -= 1
+            continue
+        chosen[level] = mask
+        level += 1
+        walks[level] = _masks(bounds[level], chosen)
     return out
 
 
-def _is_unary(domain: Domain, name: str) -> bool:
-    concept = domain.concepts.get(name)
-    return concept is not None and concept.arity == 1
+class _Subsets(dict):
+    """The relation of each mask over one pool, built when first asked for."""
+
+    __slots__ = ("pool",)
+
+    def __init__(self, pool: list[tuple[Element, ...]]):
+        self.pool = pool
+
+    def __missing__(self, mask: int) -> frozenset[tuple[Element, ...]]:
+        rel = self[mask] = frozenset(t for b, t in enumerate(self.pool) if mask >> b & 1)
+        return rel
 
 
-def _extent_side(domain: Domain, position: dict[str, int],
-                 name: str) -> Optional[tuple[int, Optional[frozenset[Element]]]]:
-    """One side of an IS-A inclusion check: (index of the enumerated concept,
-    None), (-1, fixed extent of a finite unary sort), or None when the side
-    has no unary extent and the edge constrains nothing."""
-    if not _is_unary(domain, name):
-        return None
-    if name in position:
-        return position[name], None
-    if not domain.sort_is_finite(name):
-        return None
-    return -1, frozenset(domain.valid_elements(name))
+def _masks(bound: _Bound, chosen: list[int]) -> Iterator[int]:
+    """The masks one level may take below the masks `chosen` above it, in
+    ascending order: floor | s for every s ⊆ free, the bits between the floor
+    and the ceiling; (s - free) & free is the next such s after s (Knuth,
+    TAOCP 7.1.3)."""
+    floor, ceiling, links = bound
+    for level, to, lost, raises_floor in links:
+        mask = chosen[level]
+        if mask & lost:
+            return
+        if to is not None:
+            mask = sum(bit for b, bit in enumerate(to) if mask >> b & 1)
+        if raises_floor:
+            floor |= mask
+        else:
+            ceiling &= mask
+    if floor & ~ceiling:
+        return
+    free, s = ceiling & ~floor, 0
+    while True:
+        yield floor | s
+        s = (s - free) & free
+        if not s:
+            return
 
 
 # --- consequence, intension, and the extension identity ------------------------------

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
-from ifol import Workspace
+from ifol import Domain, Variable, Workspace
+from ifol.kernel import Element
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def many_sorted_assignments(variables: Sequence[Variable],
+                            domain: Domain) -> Iterator[dict[Variable, Element]]:
+    """Every assignment sending each variable into the valid elements of its
+    sort, in `itertools.product` order: the brute-force counterpart of the
+    engine's assignment sweeps."""
+    variables = tuple(variables)
+    pools = [domain.valid_elements(v.sort) for v in variables]
+    for combo in itertools.product(*pools):
+        yield dict(zip(variables, combo))
 
 
 def arithmetic_ws(grid: bool = False) -> Workspace:

@@ -95,6 +95,61 @@ def symmetric_workspaces(draw) -> str:
     return "\n".join(draw(st.permutations(lines + extra))) + "\n"
 
 
+@st.composite
+def isa_workspaces(draw) -> str:
+    """IS-A edges between unary concepts over a sort s and over its subsort
+    t, whose pools differ (t's members sit among s's in lexeme order), and
+    between those concepts and the finite sorts, on either side; edges that
+    constrain nothing (to the infinite reals, to the binary k-ness); concepts
+    with a nested-sentence position, whose pools are empty, registered first
+    (k-ness) and last (z-hood); and a function graph.  At most 2^7 concept
+    combinations times 4 graphs."""
+    letters = draw(st.permutations("abcd"))
+    own, below = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    members = {"s": sorted(letters[:own]), "t": sorted(letters[own:own + below])}
+    pool = {"s": own + below, "t": below}
+    lines = ["sort s", f"extent s = {{ {', '.join(members['s'])} }}",
+             "sort t isa s", f"extent t = {{ {', '.join(members['t'])} }}",
+             "sort reals",
+             "concept k-ness arity 2 sorts t nested-sentence predicate k",
+             "concept z-hood arity 1 sorts nested-sentence predicate z",
+             "function f/1 : t -> t"]
+    unary: list[tuple[str, str]] = []
+    for i in range(draw(st.integers(1, 3))):
+        sort = draw(st.sampled_from(["s", "t"]))
+        if sum(pool[s] for _, s in unary) + pool[sort] <= 7:
+            unary.append((f"p{i}", sort))
+    lines += [f"concept {pred}-hood arity 1 sorts {sort} predicate {pred}"
+              for pred, sort in unary]
+    # edges among the unary concepts and the finite sorts, drawn without a
+    # cycle: `up` holds every node's supersorts
+    nodes = [f"{pred}-hood" for pred, _ in unary] + ["s", "t", "z-hood"]
+    up = {node: {node} for node in nodes}
+    up["t"].add("s")
+    for sub, sup in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                                  max_size=4)):
+        if sub in up[sup]:
+            continue
+        lines.append(f"isa {sub} {sup}")
+        for node in nodes:
+            if sub in up[node]:
+                up[node] |= up[sup]
+    for pred, _ in unary:
+        if draw(st.booleans()):
+            lines.append(f"isa {pred}-hood {draw(st.sampled_from(['reals', 'k-ness']))}")
+    concepts = [(pred, (sort,)) for pred, sort in unary]
+    free = [Variable("xs", "s"), Variable("xt", "t")]
+
+    def formula(depth: int) -> str:
+        return format_formula(draw(_formula(concepts, {}, free, depth)))
+
+    for _ in range(draw(st.integers(0, 1))):
+        lines.append(f"axiom {formula(1)}")
+    for kind in draw(st.lists(st.sampled_from(["consequence", "intension", "bealer-montague"]),
+                              min_size=1, max_size=3)):
+        lines.append(f"query {kind} {formula(2)}")
+    lines.append(f"query intension {unary[0][0]}(f(xt:t)) & {formula(1)}")
+    return "\n".join(lines) + "\n"
 
 
 # --- built-in arithmetic over two or three free variables --------------------------

@@ -38,9 +38,8 @@ from ifol import (
 from ifol.cli import main, run_queries
 from ifol.errors import EvaluationFailure
 from ifol.kernel import element_lexeme
-from ifol.semantics import many_sorted_assignments
 
-from conftest import FIXTURES, arithmetic_ws, pets_ws
+from conftest import FIXTURES, arithmetic_ws, many_sorted_assignments, pets_ws
 
 
 def report(criterion: int, name: str) -> None:

@@ -126,6 +126,23 @@ def test_max_worlds_flag(tmp_path, capsys):
     assert "ERROR ExplosionGuard" in capsys.readouterr().out
 
 
+def test_max_worlds_bounds_the_candidate_product(tmp_path, capsys):
+    """Unary p ⊑ q over 4 particulars: 2^4 * 2^4 = 256 candidate worlds, of
+    which 3^4 = 81 keep the edge.  The bound is on the candidates, not on the
+    worlds kept or visited."""
+    f = tmp_path / "unary.ifol"
+    f.write_text("sort thing\n"
+                 "extent thing = { a, b, c, d }\n"
+                 "concept p-hood arity 1 sorts thing predicate p\n"
+                 "concept q-hood arity 1 sorts thing predicate q\n"
+                 "isa p-hood q-hood\n"
+                 "query bealer-montague p(x:thing) | q(x)\n")
+    assert main(["run", str(f), "--max-worlds", "255"]) == 1
+    assert capsys.readouterr().out == "ERROR ExplosionGuard: more than 255 candidate worlds\n"
+    assert main(["run", str(f), "--max-worlds", "256"]) == 0
+    assert capsys.readouterr().out == "BEALER-MONTAGUE ok (81 worlds)\n"
+
+
 def test_assignment_budget_is_reported_before_any_sweep():
     """Four variables of a 100-element sort: 10^8 assignments, over the
     2^24 budget, so each query reports the guard without sweeping."""

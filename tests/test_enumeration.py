@@ -1,0 +1,149 @@
+"""World enumeration walks only the combinations that keep every IS-A edge,
+yet gives the worlds of the filtered candidate product, in its order and
+under its labels, and `max_worlds` still bounds the whole product."""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+
+from ifol import load_workspace
+from ifol.errors import ExplosionGuard
+from ifol.semantics import Structure, enumerate_worlds
+
+from strategies import isa_workspaces
+
+
+def _tuples(space: Structure, sorts) -> list[tuple]:
+    if "nested sentence" in sorts:
+        return []
+    return list(itertools.product(*(space.domain.valid_elements(s) for s in sorts)))
+
+
+def _graph_sets(space: Structure) -> list[tuple[str, list[dict]]]:
+    """Every total graph of every declared function, by symbol."""
+    signature = space.signature
+    out = []
+    for symbol in sorted(signature.functions):
+        if symbol not in signature.builtin_functions:
+            args, ret = signature.functions[symbol]
+            arg_pool = _tuples(space, args)
+            values = itertools.product(space.domain.valid_elements(ret), repeat=len(arg_pool))
+            out.append((symbol, [dict(zip(arg_pool, row)) for row in values]))
+    return out
+
+
+def candidate_count(space: Structure) -> int:
+    pools = [_tuples(space, c.attribute_sorts) for c in space.registry.by_predicate.values()]
+    return (math.prod(2 ** len(pool) for pool in pools)
+            * math.prod(max(len(graphs), 1) for _, graphs in _graph_sets(space)))
+
+
+def product_worlds(space: Structure, max_worlds: int) -> list[tuple[list, dict]]:
+    """By brute force: every subset of every concept's pool (ascending masks,
+    bit i for the pool's i-th tuple, the first concept outermost) times every
+    combination of function graphs, kept when every direct IS-A edge whose
+    sides both have a unary extent, enumerated or finite, holds.  Each world
+    is its relations, as items in registration order, and its graphs."""
+    if candidate_count(space) > max_worlds:
+        raise ExplosionGuard(f"more than {max_worlds} candidate worlds")
+    domain = space.domain
+    concepts = list(space.registry.by_predicate.values())
+    pools = [_tuples(space, c.attribute_sorts) for c in concepts]
+    graph_sets = _graph_sets(space)
+
+    def extent(name: str, relations: dict):
+        concept = domain.concepts.get(name)
+        if concept is None or concept.arity != 1:
+            return None
+        if name in relations:
+            return {t[0] for t in relations[name]}
+        if domain.sort_is_finite(name):
+            return set(domain.valid_elements(name))
+        return None
+
+    out = []
+    for masks in itertools.product(*(range(2 ** len(pool)) for pool in pools)):
+        relations = {c.name: frozenset(t for i, t in enumerate(pool) if mask >> i & 1)
+                     for c, pool, mask in zip(concepts, pools, masks)}
+        sides = [(extent(sub, relations), extent(sup, relations))
+                 for sub, sup in domain.lattice.isa_edges]
+        if all(low is None or high is None or low <= high for low, high in sides):
+            for graphs in itertools.product(*(graphs for _, graphs in graph_sets)):
+                out.append((list(relations.items()),
+                            dict(zip((symbol for symbol, _ in graph_sets), graphs))))
+    return out
+
+
+def _outcome(enumerate_, space: Structure, max_worlds: int):
+    try:
+        return enumerate_(space, max_worlds)
+    except ExplosionGuard as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(isa_workspaces())
+def test_enumeration_equals_the_filtered_candidate_product(text):
+    """Same worlds, same order, same labels; at one candidate below the
+    product both raise the guard, at the product both enumerate."""
+    space = load_workspace(text).space
+    n = candidate_count(space)
+    for bound in (n - 1, n):
+        expected = _outcome(product_worlds, space, bound)
+        worlds = _outcome(enumerate_worlds, space, bound)
+        if isinstance(expected, str):
+            assert worlds == expected == f"more than {n - 1} candidate worlds"
+            continue
+        assert [w.label for w in worlds] == [f"w{i}" for i in range(len(expected))]
+        assert [(list(w.relations.items()), w.functions) for w in worlds] == expected
+
+
+def test_edges_across_pools_and_to_finite_sorts():
+    """s = {a, c} with its subsort t = {b, d}; p and r over s, q and v over
+    t.  t ⊑ q fills q; p ⊑ q maps p's bits onto q's pool, where a and c have
+    no place, so p takes a subset of {b, d} (4 ways); r ⊑ t keeps r within
+    {b, d}, and v ⊑ r maps r's mask back onto v's pool (9 ways for r and v);
+    p ⊑ reals and the binary k-ness constrain nothing; f has 4 graphs."""
+    space = load_workspace("sort s\n"
+                           "extent s = { a, c }\n"
+                           "sort t isa s\n"
+                           "extent t = { b, d }\n"
+                           "sort reals\n"
+                           "concept p-hood arity 1 sorts s predicate p\n"
+                           "concept q-hood arity 1 sorts t predicate q\n"
+                           "concept r-hood arity 1 sorts s predicate r\n"
+                           "concept v-hood arity 1 sorts t predicate v\n"
+                           "concept k-ness arity 2 sorts t nested-sentence predicate k\n"
+                           "isa t q-hood\n"
+                           "isa p-hood q-hood\n"
+                           "isa r-hood t\n"
+                           "isa v-hood r-hood\n"
+                           "isa p-hood reals\n"
+                           "isa v-hood k-ness\n"
+                           "function f/1 : t -> t\n").space
+    worlds = enumerate_worlds(space)
+    assert len(worlds) == 4 * 9 * 4
+    assert [(list(w.relations.items()), w.functions) for w in worlds] \
+        == product_worlds(space, 2 ** 20)
+
+
+@pytest.mark.parametrize("edge", ["isa s q-hood", "isa t z-hood", "isa q-hood z-hood"])
+def test_an_edge_no_world_keeps(edge):
+    """s's member a has no place in q's pool over t; z-hood's pool is empty,
+    so no member of t, and no member of q once q holds one, fits in it."""
+    text = ("sort s\n"
+            "extent s = { a }\n"
+            "sort t isa s\n"
+            "extent t = { b }\n"
+            "concept q-hood arity 1 sorts t predicate q\n"
+            "concept z-hood arity 1 sorts nested-sentence predicate z\n"
+            f"{edge}\n")
+    space = load_workspace(text).space
+    expected = product_worlds(space, 2 ** 20)
+    assert [(list(w.relations.items()), w.functions) for w in enumerate_worlds(space)] \
+        == expected
+    assert len(expected) == (1 if edge == "isa q-hood z-hood" else 0)

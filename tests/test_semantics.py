@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifol.semantics
 from ifol import (
     Atom,
     ConceptRef,
@@ -34,11 +35,10 @@ from ifol.semantics import (
     accessible,
     accessible_values,
     is_model_of,
-    many_sorted_assignments,
 )
 from ifol.syntax import TOP, Abstracted, And, Exists, free_vars, ground_instance
 
-from conftest import arithmetic_ws, pets_ws
+from conftest import arithmetic_ws, many_sorted_assignments, pets_ws
 
 
 def singleton_ws() -> Workspace:
@@ -435,6 +435,47 @@ def test_eval_atom_hidden_union_budget():
     world = World("w", ws.space, {"r-hood": frozenset()})
     with pytest.raises(ExplosionGuard, match=f"more than {MAX_ASSIGNMENTS} assignments"):
         eval_atom(atom, {}, world)
+
+
+def test_eval_atom_union_over_an_empty_hidden_sort_is_empty():
+    """No assignment to the hidden u of the empty sort e: the union is empty,
+    and the free y of the infinite reals is never swept."""
+    ws = arithmetic_ws()
+    ws.declare_sort("e")
+    ws.register_concept("q-hood", ("e",), "q")
+    ws.register_concept("r-hood", ("reals", "nested sentence"), "r")
+    u = Variable("u", "e")
+    atom = Atom("r", (Var(Variable("y", "reals")), mk_abstracted(Atom("q", (Var(u),)), [], [u])))
+    assert eval_atom(atom, {}, World("w", ws.space, {"r-hood": frozenset()})) == frozenset()
+
+
+def test_eval_atom_hidden_union_is_one_sweep(monkeypatch):
+    """Two hidden reals of 10 values each and one direct variable over 3
+    particulars: one sweep binds all three, the hidden ones outermost, not
+    one sweep per hidden assignment, and its rows are the brute-force union
+    over the hidden assignments."""
+    ws = arithmetic_ws()
+    ws.domain.declare_extent("reals", [str(i) for i in range(10)])
+    ws.declare_sort("s")
+    for lex in ("a", "b", "c"):
+        ws.domain.declare_particular(lex, "s")
+    ws.register_concept("r-hood", ("s", "nested sentence"), "r")
+    u1, u2 = Variable("u1", "reals"), Variable("u2", "reals")
+    body = Atom("leq2", (Var(u1), Var(u2)))
+    atom = Atom("r", (Var(Variable("y", "s")), mk_abstracted(body, [], [u1, u2])))
+    told = ws.interp.of_ground_term(Abstracted(ws.parse("leq2(3, 5)"), (), ()))
+    a, c = ws.domain.lookup("a"), ws.domain.lookup("c")
+    world = World("w", ws.space, {"r-hood": frozenset({(a, told), (c, a)})})
+    sweeps = []
+    real = ifol.semantics._Sweep.__init__
+    monkeypatch.setattr(ifol.semantics._Sweep, "__init__",
+                        lambda self, *args: sweeps.append(self) or real(self, *args))
+    assert eval_atom(atom, {}, world) == frozenset({(a,)})
+    assert len(sweeps) == 1
+    brute = frozenset()
+    for g_hidden in many_sorted_assignments([u1, u2], ws.domain):
+        brute |= eval_atom(atom, g_hidden, world)
+    assert brute == frozenset({(a,)})
 
 
 def test_eval_term_function_undefined_at(pets):

@@ -23,8 +23,10 @@ from ifol import (
     static_sort,
 )
 from ifol.errors import SortMismatch, SortViolation, UnknownSymbol
-from ifol.semantics import World, enumerate_worlds, eval_term, many_sorted_assignments
+from ifol.semantics import World, enumerate_worlds, eval_term
 from ifol.sorting import dynamic_soundness
+
+from conftest import many_sorted_assignments
 
 
 DIV22 = FnApp("div", (Const("2"), Const("2")))

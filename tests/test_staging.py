@@ -21,12 +21,12 @@ from ifol.semantics import (
     consequence,
     enumerate_worlds,
     is_model_of,
-    many_sorted_assignments,
     montague_intension,
 )
 from ifol.syntax import free_vars
 
-from strategies import arithmetic_workspaces, symmetric_workspaces
+from conftest import many_sorted_assignments
+from strategies import arithmetic_workspaces, isa_workspaces, symmetric_workspaces
 
 WORKSPACES = st.one_of(arithmetic_workspaces(), symmetric_workspaces())
 
@@ -52,8 +52,8 @@ def _outcome(evaluate):
         return type(exc).__name__, str(exc)
 
 
-@settings(max_examples=40, deadline=None)
-@given(WORKSPACES)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(arithmetic_workspaces(), symmetric_workspaces(), isa_workspaces()))
 def test_kripke_equals_tarski_on_generated_workspaces(text):
     """Per formula and world, the staged sweeps of both routes give the same
     rows or the same error, and so does evaluation at each assignment: the

@@ -26,19 +26,18 @@ from .syntax import format_formula, free_vars, ground_instance
 from .workspace import DECIDING, Workspace, load_workspace, sort_error_line
 
 
-def _render_tuple(t: tuple[Element, ...]) -> str:
-    return "(" + ", ".join(element_lexeme(e) for e in t) + ")"
-
-
-def _sorted_tuples(rel: Iterable[tuple[Element, ...]]) -> list[tuple[Element, ...]]:
-    return sorted(rel, key=lambda t: tuple(element_lexeme(e) for e in t))
+def _rendered_rows(rel: Iterable[tuple[Element, ...]]) -> list[str]:
+    """Each tuple as `(a, b)`, in lexeme order; a row's lexemes are computed
+    once, for its sort key and its line alike."""
+    return ["(" + ", ".join(row) + ")"
+            for row in sorted(tuple(map(element_lexeme, t)) for t in rel)]
 
 
 def render_countermodel(ws: Workspace, cm: Countermodel) -> list[str]:
     lines = [f"WORLD {cm.world.label}"]
     for pred, concept in ws.registry.by_predicate.items():
         rel = cm.world.relation(concept.name)
-        cells = " ".join(_render_tuple(t) for t in _sorted_tuples(rel))
+        cells = " ".join(_rendered_rows(rel))
         lines.append(f"  {concept.name}: {cells if cells else '{}'}")
     for var, el in sorted(cm.assignment, key=lambda it: it[0].name):
         lines.append(f"ASSIGN {var.name}={element_lexeme(el)}")
@@ -127,7 +126,7 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
                 lines.append(f"WORLD {label}")
                 rendered = rows.get(ext)
                 if rendered is None:
-                    rendered = rows[ext] = [f"  {_render_tuple(t)}" for t in _sorted_tuples(ext)]
+                    rendered = rows[ext] = [f"  {row}" for row in _rendered_rows(ext)]
                 lines.extend(rendered)
         return lines, True
 
@@ -148,7 +147,7 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
 def _render_side(side) -> str:
     if isinstance(side, bool):
         return "t" if side else "f"
-    cells = " ".join(_render_tuple(t) for t in _sorted_tuples(side))
+    cells = " ".join(_rendered_rows(side))
     return cells if cells else "{}"
 
 

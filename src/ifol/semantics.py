@@ -69,6 +69,14 @@ are all decided by exhaustive enumeration over these worlds.  The deciding
 functions walk the worlds they are given: every world for an intension, one
 world per class of isomorphic worlds where the workspace finds that enough
 (`Workspace.representatives`, `ifol.symmetry`).
+
+An intension is computed a set at a time where it can be: a formula in the
+fragment that cannot raise has a relational plan (`ifol.plan`, the
+fragment's one definition), compiled once and cached beside its cores, which
+`montague_intension` runs on each world's relations.  Any other formula is
+swept on the Kripke route.  The plan is a third evaluator: consequence stays
+on the Kripke closures and a concept's extension on the Tarski ones, so
+Bealer-Montague still compares two independent routes.
 """
 
 from __future__ import annotations
@@ -99,6 +107,7 @@ from .kernel import (
     Number,
     element_lexeme,
 )
+from .plan import Plan, compile_plan
 from .sorting import Signature
 from .syntax import (
     Abstracted,
@@ -239,16 +248,21 @@ class _Core:
 Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
 
 
-class _Compiled:
-    """Every compiled core of one formula object.  Holding the formula pins its
-    id, the cache key, for as long as the entry lives."""
+_UNPLANNED = object()
 
-    __slots__ = ("formula", "free", "cores")
+
+class _Compiled:
+    """Every compiled core of one formula object, and its relational plan
+    (None outside the fragment), compiled when first asked for.  Holding the
+    formula pins its id, the cache key, for as long as the entry lives."""
+
+    __slots__ = ("formula", "free", "cores", "plan")
 
     def __init__(self, phi: Formula):
         self.formula = phi
         self.free = free_vars(phi)
         self.cores: dict[object, _Core] = {}
+        self.plan: object = _UNPLANNED
 
 
 def _compiled(space: Structure, phi: Formula) -> _Compiled:
@@ -268,6 +282,16 @@ def _core(space: Structure, phi: Formula, route: Compiler,
     if core is None:
         core = entry.cores[key] = route(phi, entry.free if params is None else params, space)
     return core
+
+
+def intension_plan(space: Structure, phi: Formula) -> Optional[Plan]:
+    """phi's relational plan over its free variables (see `ifol.plan`), or
+    None when phi is outside the fragment that cannot raise or its plan would
+    exceed `MAX_ASSIGNMENTS`; compiled on first use, cached after."""
+    entry = _compiled(space, phi)
+    if entry.plan is _UNPLANNED:
+        entry.plan = compile_plan(phi, entry.free, space, MAX_ASSIGNMENTS)
+    return entry.plan  # type: ignore[return-value]
 
 
 def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
@@ -1154,10 +1178,16 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
 def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
                        ) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
     """The meaning of phi as a map from worlds to extensions: per world, the
-    set of free-variable tuples it satisfies, or its truth value if closed."""
-    core = _core(space, phi, _compile_kripke)
-    meaning = zip(worlds, _tuples_where(core, worlds))
-    if not core.params:  # the one assignment of a closed formula is ()
+    set of free-variable tuples it satisfies, or its truth value if closed.
+    A formula with a relational plan runs it on each world's relations; any
+    other is swept on the Kripke route."""
+    plan = intension_plan(space, phi)
+    if plan is None:
+        core = _core(space, phi, _compile_kripke)
+        params, meaning = core.params, zip(worlds, _tuples_where(core, worlds))
+    else:
+        params, meaning = _compiled(space, phi).free, ((w, plan(w.relations)) for w in worlds)
+    if not params:  # the one assignment of a closed formula is ()
         return {w.label: () in rows for w, rows in meaning}
     return {w.label: rows for w, rows in meaning}
 

@@ -5,7 +5,8 @@ Two particulars of one sort that no formula names cannot be told apart: every
 world has an isomorphic twin in which the two are swapped, and a formula that
 reads only relation membership gives the twin the swapped answer.  A
 consequence or Bealer-Montague query whose formulas lie in the fragment that
-cannot raise (`cannot_raise`) is therefore decided on the first world of each
+cannot raise (`cannot_raise`: the formulas with a relational plan, see
+`ifol.plan`) is therefore decided on the first world of each
 class (`representatives`) alone: a failure found in some world is found in
 the first world of its class.  That world is picked by the lex-leader test
 of symmetry breaking (Crawford, Ginsberg, Luks & Roy, KR 1996), one world at
@@ -15,10 +16,10 @@ elimination in MACE-style model finders (Claessen & Sörensson, 2003),
 restricted to unary relations: concepts of higher arity and function graphs
 pin every particular in their pools, so they never enter the test.
 
-An intension evaluates every world: carrying a representative's rows to its
-class through a bijection of particulars cost more than one sweep over every
-world.  Relabelling could win for two or more free variables over large
-pools, which no workload has.
+An intension evaluates every world, by its relational plan where it has one:
+carrying a representative's rows to its class through a bijection of
+particulars cost more than one sweep over every world.  Relabelling could win
+for two or more free variables over large pools, which no workload has.
 """
 
 from __future__ import annotations
@@ -31,44 +32,20 @@ from .kernel import (
     Particular,
     RESERVED_SORTS,
     TOP_SORT,
-    numeric_value,
 )
-from .semantics import Structure, World
-from .syntax import Abstracted, And, Atom, Const, Exists, FnApp, Formula, Not, Term, Var
+from .semantics import Structure, World, intension_plan
+from .syntax import Abstracted, And, Atom, Const, Exists, FnApp, Formula, Not, Term
 
 
 def cannot_raise(space: Structure, phi: Formula) -> bool:
-    """Whether phi lies in the fragment whose evaluation cannot raise: atoms of
-    registered concepts (not built-ins) over variables and declared
-    non-numeric constants, `~`, `&` and `exists`, every variable of a finite
-    sort.  Such a formula also reads only relation membership, so its answer
-    in a world carries over to every isomorphic world.  Outside it, a lazy
-    error meets short-circuiting: `exists y . q(y) | lt(y, 1)` can find a
+    """Whether phi lies in the fragment whose evaluation cannot raise: whether
+    it has a relational plan (`ifol.plan` defines the fragment; a formula
+    whose plan would exceed the assignment budget has none, and its queries
+    walk every world).  Such a formula reads only relation membership, so its
+    answer in a world carries over to every isomorphic world.  Outside it, a
+    lazy error meets short-circuiting: `exists y . q(y) | lt(y, 1)` can find a
     true q(y) in one world and reach the raising y first in its twin."""
-    domain = space.domain
-    stack: list[Formula] = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Atom):
-            if f.pred not in space.registry.by_predicate \
-                    or f.pred in space.signature.builtin_predicates:
-                return False
-            for t in f.args:
-                if isinstance(t, Var):
-                    if not domain.sort_is_finite(t.var.sort):
-                        return False
-                elif not (isinstance(t, Const) and numeric_value(t.symbol) is None
-                          and domain.lookup(t.symbol) is not None):
-                    return False
-        elif isinstance(f, Not):
-            stack.append(f.sub)
-        elif isinstance(f, And):
-            stack.extend((f.left, f.right))
-        else:
-            if not domain.sort_is_finite(f.var.sort):
-                return False
-            stack.append(f.body)
-    return True
+    return intension_plan(space, phi) is not None
 
 
 def movable_particulars(space: Structure, formulas: Iterable[Formula]

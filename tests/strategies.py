@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from ifol.syntax import And, Atom, Const, Exists, FnApp, Not, Var, Variable, format_formula
+from ifol.syntax import (And, Atom, Const, Exists, FnApp, Not, Var, Variable, format_formula,
+                         free_vars)
 
 
 @st.composite
@@ -36,8 +37,9 @@ def _formula(draw, concepts, constants, free, depth, bound=()):
 @st.composite
 def symmetric_workspaces(draw) -> str:
     """2-4 particulars in each of 1-2 sorts, unary concepts with IS-A edges, a
-    binary concept, constants naming some particulars, and one query with a
-    built-in predicate or a declared function.  At most 2^8 candidate worlds."""
+    binary concept over k or the last sort, constants naming some
+    particulars, and one query with a built-in predicate or a declared
+    function.  At most 2^8 candidate worlds."""
     sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=2))
     sorts = [f"s{i}" for i in range(len(sizes))]
     lines = ["sort k", "particular o : k"]
@@ -61,12 +63,13 @@ def symmetric_workspaces(draw) -> str:
         budget = 8 - 1
         extra = ["concept kk-hood arity 1 sorts k predicate kk",
                  f"function f/1 : {sorts[0]} -> k"]
-    # one bit per tuple of a concept's pool: the binary concept takes 1 or
-    # the size of the last sort, the unary ones what is left
-    binary_sorts = draw(st.sampled_from([("k", "k"), ("k", sorts[-1])]))
-    if len(members[binary_sorts[1]]) + len(members[sorts[0]]) > budget:
-        binary_sorts = ("k", "k")
-    budget -= len(members[binary_sorts[1]])
+    # one bit per tuple of a concept's pool: the binary concept takes 1, the
+    # size of the last sort or its square, the unary ones what is left
+    binary_sorts = draw(st.sampled_from([("k", "k"), ("k", sorts[-1]), (sorts[-1], sorts[-1])]))
+    bits = len(members[binary_sorts[0]]) * len(members[binary_sorts[1]])
+    if bits + len(members[sorts[0]]) > budget:
+        binary_sorts, bits = ("k", "k"), 1
+    budget -= bits
     lines.append(f"concept r-ness arity 2 sorts {' '.join(binary_sorts)} predicate r")
     unary = [(f"p{i}", draw(st.sampled_from(sorts))) for i in range(draw(st.integers(1, 3)))]
     while len(unary) > 1 and sum(len(members[s]) for _, s in unary) > budget:
@@ -150,6 +153,75 @@ def isa_workspaces(draw) -> str:
         lines.append(f"query {kind} {formula(2)}")
     lines.append(f"query intension {unary[0][0]}(f(xt:t)) & {formula(1)}")
     return "\n".join(lines) + "\n"
+
+
+# --- formulas in and around the fragment that cannot raise ------------------------
+
+# Declarations that add a sort and a binary concept whose pools are empty,
+# and so no world: appended to a generated workspace, they give
+# `fragment_formulas` variables and a concept over an empty pool.
+EMPTY_POOLS = "sort void\nconcept v-ness arity 2 sorts void void predicate v\n"
+
+
+@st.composite
+def fragment_formulas(draw, ws, depth: int = 3):
+    """A well-sorted formula over a loaded workspace, mostly inside the
+    fragment that cannot raise.  Atoms of its registered concepts, of every
+    arity, take declared constants and variables of the position's sort or a
+    subsort; two variables per sort make repeated variables (`r(x0, x0)`) and
+    quantifiers that shadow a variable in scope common, and `exists` may bind
+    a variable the body does not read.  Some formulas are closed by binding
+    their free variables.  Built-in predicates, function applications,
+    numeric constants and quantifiers over an infinite sort mix formulas
+    outside the fragment in, also as sub-formulas of fragment ones."""
+    domain, signature = ws.domain, ws.signature
+    atoms = [(pred, c.attribute_sorts) for pred, c in ws.registry.by_predicate.items()
+             if all(domain.sort_is_finite(s) for s in c.attribute_sorts)]
+    atoms += [(pred, signature.predicate_sorts(pred)) for pred in signature.builtin_predicates
+              if pred != "true"]
+    sorts = sorted({s for _, position in atoms for s in position} | {"truth values"})
+    variables = [Variable(f"{name}{i}", sort) for i, sort in enumerate(sorts) for name in "xy"]
+    infinite = [s for s in ("reals", "integers") if s in domain.lattice
+                and not domain.sort_is_finite(s)]
+    graphs = {symbol: sorts_ for symbol, sorts_ in signature.functions.items()
+              if symbol not in signature.builtin_functions}
+
+    def argument(sort: str, outer: bool = True):
+        options: list = [Var(v) for v in variables if domain.is_subsort(v.sort, sort)]
+        options += [Const(p.lexeme) for p in domain.valid_elements(sort)]
+        if outer:
+            options += [symbol for symbol, (_, ret) in graphs.items()
+                        if domain.is_subsort(ret, sort)]
+        t = draw(st.sampled_from(options))
+        if isinstance(t, str):  # a function application, its arguments drawn alike
+            return FnApp(t, tuple(argument(s, outer=False) for s in graphs[t][0]))
+        return t
+
+    def formula(depth: int):
+        kind = draw(st.sampled_from(["atom", "atom", "not", "and", "exists"] if depth
+                                    else ["atom"]))
+        if kind == "not":
+            return Not(formula(depth - 1))
+        if kind == "and":
+            return And(formula(depth - 1), formula(depth - 1))
+        if kind == "exists":
+            sort = draw(st.sampled_from(sorts + infinite))
+            v = draw(st.sampled_from([v for v in variables if v.sort == sort]
+                                     or [Variable("z", sort)]))
+            return Exists(v, formula(depth - 1))
+        pred, position = draw(st.sampled_from(atoms))
+        args: list = []
+        for sort in position:
+            again = [t for t in args if isinstance(t, Var) and domain.is_subsort(t.var.sort, sort)]
+            args.append(draw(st.sampled_from(again)) if again and draw(st.booleans())
+                        else argument(sort))
+        return Atom(pred, tuple(args))
+
+    phi = formula(depth)
+    if draw(st.booleans()):
+        for v in free_vars(phi):
+            phi = Exists(v, phi)
+    return phi
 
 
 # --- built-in arithmetic over two or three free variables --------------------------

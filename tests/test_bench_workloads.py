@@ -1,8 +1,10 @@
-"""The benchmark's workloads and references, run at small sizes.
+"""The benchmark's workloads and references, run at small sizes, and the
+engine functions its trace hooks patch.
 
 `bench/workloads.py` builds each workload's `.ifol` inputs from a seed and
 checks reports against references it computes without the engine.  Running
 it here on small instances shows a wrong report without a benchmark run.
+`bench/spans.py` skips a hook whose target is gone; here a gone target fails.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ from ifol.cli import run_queries
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_bench("workloads")
+spans = _load_bench("spans")
 
 SMALL = {
     "unary-worlds": lambda seed: workloads.unary_worlds(seed, n=3),
@@ -66,3 +68,10 @@ def test_grid_pass_applies_each_builtin_once_per_binding(monkeypatch):
     report, status = run_queries(load_workspace(workload.files[0].text))
     assert workload.files[0].reference.wrong(workloads.split_report(report), status) == 0
     assert len(calls) <= 25_000
+
+
+@pytest.mark.parametrize("module, path", sorted(
+    {*(target for targets in spans.HOOKS.values() for target in targets),
+     *spans.AGGREGATE_HOOKS.values()}), ids=":".join)
+def test_every_bench_hook_finds_its_target(module, path):
+    spans._resolve(module, path)

@@ -478,6 +478,49 @@ GOLDEN_INTENSION_REPORTS = {
         "WORLD w13\n  (b, a)\n"
         "WORLD w14\n"
         "WORLD w15\n"),
+    # A closed formula's intension is a truth value per world.
+    "closed": (
+        "sort thing\n"
+        "extent thing = { b, a }\n"
+        "concept p-hood arity 1 sorts thing predicate p\n"
+        "concept q-hood arity 1 sorts thing predicate q\n"
+        "isa p-hood q-hood\n"
+        "query intension exists x:thing . q(x) & ~p(x)\n"
+        "query intension ~exists x:thing . ~q(x)\n",
+        "INTENSION exists x:thing . q(x) & ~p(x)\n"
+        "WORLD w0 f\nWORLD w1 t\nWORLD w2 t\nWORLD w3 t\nWORLD w4 f\n"
+        "WORLD w5 t\nWORLD w6 f\nWORLD w7 t\nWORLD w8 f\n\n"
+        "INTENSION ~(exists x:thing . ~q(x))\n"
+        "WORLD w0 f\nWORLD w1 f\nWORLD w2 f\nWORLD w3 t\nWORLD w4 f\n"
+        "WORLD w5 t\nWORLD w6 f\nWORLD w7 t\nWORLD w8 t\n"),
+    # A repeated variable selects the diagonal; a named constant selects a row.
+    "repeated_and_named": (
+        "sort thing\n"
+        "extent thing = { b, a }\n"
+        "concept r-ness arity 2 sorts thing thing predicate r\n"
+        "query intension r(x:thing, x) & ~r(a, y:thing)\n",
+        "INTENSION r(x:thing, x) & ~r(a, y:thing)\n"
+        "WORLD w0\n"
+        "WORLD w1\n  (a, b)\n"
+        "WORLD w2\nWORLD w3\nWORLD w4\n"
+        "WORLD w5\n  (a, b)\n"
+        "WORLD w6\nWORLD w7\n"
+        "WORLD w8\n  (b, a)\n  (b, b)\n"
+        "WORLD w9\n  (a, b)\n  (b, b)\n"
+        "WORLD w10\n  (b, a)\n"
+        "WORLD w11\n"
+        "WORLD w12\n  (b, a)\n  (b, b)\n"
+        "WORLD w13\n  (a, b)\n  (b, b)\n"
+        "WORLD w14\n  (b, a)\n"
+        "WORLD w15\n"),
+    "binary_bealer_montague": (
+        "sort thing\n"
+        "extent thing = { b, a }\n"
+        "concept r-ness arity 2 sorts thing thing predicate r\n"
+        "query bealer-montague exists y:thing . r(x:thing, y) & ~r(y, y)\n"
+        "query bealer-montague exists y:thing . r(y, b) & ~r(a, y)\n",
+        "BEALER-MONTAGUE ok (16 worlds)\n\n"
+        "BEALER-MONTAGUE ok (16 worlds)\n"),
 }
 
 

@@ -66,7 +66,7 @@ def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
     """phi's rows per world, as tuples over `params` (its free variables), or
     None when phi is outside the fragment or a node's column product exceeds
     `budget`.  Compiling reads sort pools and allocates nothing in proportion
-    to them."""
+    to a column product."""
     try:
         cols, rows = _Planner(space, budget).formula(phi)
     except _Outside:
@@ -96,6 +96,9 @@ def _negations(f: Formula) -> tuple[Formula, bool]:
 
 
 class _Planner:
+    """One compilation: the structure's declarations, the budget, and the
+    pool of each variable met so far."""
+
     def __init__(self, space: Structure, budget: int):
         self.domain = space.domain
         self.concepts = space.registry.by_predicate

@@ -168,9 +168,9 @@ def fragment_formulas(draw, ws, depth: int = 3):
     """A well-sorted formula over a loaded workspace, mostly inside the
     fragment that cannot raise.  Atoms of its registered concepts, of every
     arity, take declared constants and variables of the position's sort or a
-    subsort; two variables per sort make repeated variables (`r(x0, x0)`) and
-    quantifiers that shadow a variable in scope common, and `exists` may bind
-    a variable the body does not read.  Some formulas are closed by binding
+    subsort, and often repeat a variable (`r(x0, x0)`); with two variables
+    per sort, quantifiers that shadow a variable in scope are common, and
+    `exists` may bind a variable the body does not read.  Some formulas are closed by binding
     their free variables.  Built-in predicates, function applications,
     numeric constants and quantifiers over an infinite sort mix formulas
     outside the fragment in, also as sub-formulas of fragment ones."""

@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .kernel import Element, numeric_value
-from .syntax import And, Atom, Const, Exists, Formula, Not, Var, Variable
+from .syntax import And, Atom, Const, Exists, Formula, Not, Var, Variable, conjuncts
 
 if TYPE_CHECKING:
     from .semantics import Structure
@@ -205,12 +205,7 @@ class _Planner:
         so far, else by a join with its complement, once none does."""
         positive: list[_Node] = []
         negative: list[_Node] = []
-        stack: list[Formula] = [f]
-        while stack:  # the conjunction tree, left to right, without recursion
-            part = stack.pop()
-            if isinstance(part, And):
-                stack += (part.right, part.left)
-                continue
+        for part in conjuncts(f):
             part, negated = _negations(part)
             (negative if negated else positive).append(self.positive(part))
         node = positive[0] if positive else self.complement(negative.pop(0))

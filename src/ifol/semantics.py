@@ -120,6 +120,7 @@ from .syntax import (
     Term,
     Var,
     Variable,
+    conjuncts,
     free_vars,
     substitute,
 )
@@ -453,21 +454,6 @@ def _first_failure(core: _Core, world: World, sweeps: dict[_Core, _Sweep]
     return next(_matches(world, sweep.template.copy(), sweep.levels, core.test, False), None)
 
 
-def _conjuncts(phi: And) -> list[Formula]:
-    """The maximal conjunction tree under phi, flattened left to right without
-    recursion."""
-    out: list[Formula] = []
-    stack: list[Formula] = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.append(f.right)
-            stack.append(f.left)
-        else:
-            out.append(f)
-    return out
-
-
 # --- term evaluation (shared by both routes) ---------------------------------------
 
 def eval_term(t: Term, g: Assignment, world: World) -> Element:
@@ -702,7 +688,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
             test = atom(f, bound)
         elif isinstance(f, And):
             parts = []
-            for part in _conjuncts(f):
+            for part in conjuncts(f):
                 parts.append(compile_(part, bound))
             test = conjunction(parts)
         else:
@@ -850,7 +836,7 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
             test = atom(f, bound)
         elif isinstance(f, And):
             parts = []
-            for part in _conjuncts(f):
+            for part in conjuncts(f):
                 parts.append(compile_(part, bound))
             test = conjunction(parts)
         else:

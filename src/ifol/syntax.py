@@ -90,6 +90,21 @@ Formula = Atom | Not | And | Exists
 TOP = Atom("true", ())
 
 
+def conjuncts(phi: And) -> list[Formula]:
+    """The maximal conjunction tree under phi, flattened left to right without
+    recursion."""
+    out: list[Formula] = []
+    stack: list[Formula] = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.append(f.right)
+            stack.append(f.left)
+        else:
+            out.append(f)
+    return out
+
+
 def free_vars(phi: Formula) -> tuple[Variable, ...]:
     """Free variables in first-appearance order.
 

@@ -21,13 +21,14 @@ of tuples over the columns' sort pools:
   conjunct whose columns lie inside the others' is a difference or an
   antijoin, so no universe is built for it;
 * any other `~` is a difference from the product of the column pools, built
-  on the first world that needs it and kept;
+  on the first world that needs it and kept for the plan's life;
 * `exists` is a projection; over a variable its body does not read, it is the
   body when the variable's pool is nonempty and empty otherwise.
 
 At the root the columns are reordered to the parameters', so a closed formula
-gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, and a
-world as `enumerate_worlds` builds it: each relation lies within its concept's
+gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
+it serves one query, as a sweep does; and it reads a world as
+`enumerate_worlds` builds it: each relation lies within its concept's
 tuple pool, so an atom filters a column by its variable's pool only where the
 concept's pool there is wider.  A node whose column product exceeds the
 budget ends the compilation: such a formula gets no plan, and keeps the

@@ -72,8 +72,9 @@ world per class of isomorphic worlds where the workspace finds that enough
 
 An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise has a relational plan (`ifol.plan`, the
-fragment's one definition), compiled once and cached beside its cores, which
-`montague_intension` runs on each world's relations.  Any other formula is
+fragment's one definition), compiled anew for each query so that it reads
+the sort pools as they stand, which `montague_intension` runs on each world's
+relations.  Any other formula is
 swept on the Kripke route.  The plan is a third evaluator: consequence stays
 on the Kripke closures and a concept's extension on the Tarski ones, so
 Bealer-Montague still compares two independent routes.
@@ -249,21 +250,16 @@ class _Core:
 Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
 
 
-_UNPLANNED = object()
-
-
 class _Compiled:
-    """Every compiled core of one formula object, and its relational plan
-    (None outside the fragment), compiled when first asked for.  Holding the
-    formula pins its id, the cache key, for as long as the entry lives."""
+    """Every compiled core of one formula object.  Holding the formula pins
+    its id, the cache key, for as long as the entry lives."""
 
-    __slots__ = ("formula", "free", "cores", "plan")
+    __slots__ = ("formula", "free", "cores")
 
     def __init__(self, phi: Formula):
         self.formula = phi
         self.free = free_vars(phi)
         self.cores: dict[object, _Core] = {}
-        self.plan: object = _UNPLANNED
 
 
 def _compiled(space: Structure, phi: Formula) -> _Compiled:
@@ -288,11 +284,9 @@ def _core(space: Structure, phi: Formula, route: Compiler,
 def intension_plan(space: Structure, phi: Formula) -> Optional[Plan]:
     """phi's relational plan over its free variables (see `ifol.plan`), or
     None when phi is outside the fragment that cannot raise or its plan would
-    exceed `MAX_ASSIGNMENTS`; compiled on first use, cached after."""
-    entry = _compiled(space, phi)
-    if entry.plan is _UNPLANNED:
-        entry.plan = compile_plan(phi, entry.free, space, MAX_ASSIGNMENTS)
-    return entry.plan  # type: ignore[return-value]
+    exceed `MAX_ASSIGNMENTS`.  A plan reads the sort pools as they stand when
+    it is compiled, so it is compiled anew for every query, like a sweep."""
+    return compile_plan(phi, _compiled(space, phi).free, space, MAX_ASSIGNMENTS)
 
 
 def _truth(space: Structure, route: Compiler, world: World, g: Assignment,

@@ -71,11 +71,9 @@ def test_an_atom_outside_the_fragment_gets_no_plan():
         assert intension_plan(ws.space, atom) is None
 
 
-def test_a_plan_is_compiled_once_and_an_atom_over_its_variables_is_the_relation():
+def test_an_atom_over_its_variables_is_the_relation():
     ws = load_workspace(BINARY)
-    phi = ws.parse("r(x:thing, y:thing)")
-    plan = intension_plan(ws.space, phi)
-    assert intension_plan(ws.space, phi) is plan
+    plan = intension_plan(ws.space, ws.parse("r(x:thing, y:thing)"))
     world = ws.worlds()[5]
     assert plan(world.relations) is world.relations["r-ness"]
     # the join keeps r's columns (y, x); the root puts them in parameter order

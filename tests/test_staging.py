@@ -20,6 +20,7 @@ from ifol.semantics import (
     _tuples_where,
     consequence,
     enumerate_worlds,
+    intension_plan,
     is_model_of,
     montague_intension,
 )
@@ -116,25 +117,37 @@ def test_each_term_is_evaluated_once_per_binding_of_what_it_reads(monkeypatch):
 
 
 def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():
-    """Sweeps last one query: evaluating a formula object again after a
-    declaration sweeps the grown pool, on both sweeps."""
+    """Sweeps and relational plans last one query: evaluating a formula
+    object again after a declaration sweeps the grown pool, on both sweeps,
+    and its plan spans the grown pool (a complement) or finds the element
+    declared since (an `exists` over a sort empty at first use)."""
     ws = load_workspace("sort integers\n"
                         "sort reals\n"
                         "isa integers reals\n"
                         "extent reals = { 0, 1, 2 }\n"
+                        "sort spare\n"
                         "builtin function add/2 : reals x reals -> reals = add\n"
-                        "builtin predicate leq/2 : reals x reals = leq\n")
+                        "builtin predicate leq/2 : reals x reals = leq\n"
+                        "concept p-hood arity 1 sorts reals predicate p\n")
     phi, psi = ws.parse("leq(add(x:reals, 0), 2)"), ws.parse("leq(add(x:reals, 0), 3)")
+    complement, over_spare = ws.parse("~p(x:reals)"), ws.parse("exists y:spare . ~p(x:reals)")
+    assert intension_plan(ws.space, complement) and intension_plan(ws.space, over_spare)
     worlds = enumerate_worlds(ws.space)
+    assert not worlds[0].relations.get("p-hood")
 
     def values(rows):
         return sorted(element_lexeme(x) for x, in rows)
 
     assert values(montague_intension(ws.space, psi, worlds)["w0"]) == ["0", "1", "2"]
+    assert values(montague_intension(ws.space, complement, worlds)["w0"]) == ["0", "1", "2"]
+    assert values(montague_intension(ws.space, over_spare, worlds)["w0"]) == []
     assert consequence(ws.space, [], phi, worlds) == (True, None)
     assert is_model_of(worlds[0], [phi])
     ws.domain.declare_particular("3", "reals")
+    ws.domain.declare_particular("d", "spare")
     assert values(montague_intension(ws.space, psi, worlds)["w0"]) == ["0", "1", "2", "3"]
+    assert values(montague_intension(ws.space, complement, worlds)["w0"]) == ["0", "1", "2", "3"]
+    assert values(montague_intension(ws.space, over_spare, worlds)["w0"]) == ["0", "1", "2", "3"]
     holds, countermodel = consequence(ws.space, [], phi, worlds)
     assert not holds and [element_lexeme(v) for _, v in countermodel.assignment] == ["3"]
     assert not is_model_of(worlds[0], [phi])

@@ -199,6 +199,10 @@ class FormulaParser:
 
     def _atom(self) -> Formula:
         pred = self._expect("ident").value
+        return Atom(pred, self._arguments())
+
+    def _arguments(self) -> tuple[Term, ...]:
+        """`( term, ... )`, possibly empty."""
         self._expect("sym", "(")
         args: list[Term] = []
         if not (self._peek().kind == "sym" and self._peek().value == ")"):
@@ -207,7 +211,7 @@ class FormulaParser:
                 self._next()
                 args.append(self._term())
         self._expect("sym", ")")
-        return Atom(pred, tuple(args))
+        return tuple(args)
 
     # --- terms ----------------------------------------------------------
 
@@ -270,15 +274,7 @@ class FormulaParser:
         name = name_tok.value
         nxt = self._peek()
         if nxt.kind == "sym" and nxt.value == "(":
-            self._next()
-            args: list[Term] = []
-            if not (self._peek().kind == "sym" and self._peek().value == ")"):
-                args.append(self._term())
-                while self._peek().kind == "sym" and self._peek().value == ",":
-                    self._next()
-                    args.append(self._term())
-            self._expect("sym", ")")
-            return FnApp(name, tuple(args))
+            return FnApp(name, self._arguments())
         if nxt.kind == "sym" and nxt.value == ":":
             self._next()
             sort = self._sort_name(name_tok)

@@ -43,7 +43,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .kernel import Element, numeric_value
-from .syntax import And, Atom, Const, Exists, Formula, Not, Var, Variable, conjuncts
+from .syntax import And, Atom, Const, Exists, Formula, Var, Variable, conjuncts, negations
 
 if TYPE_CHECKING:
     from .semantics import Structure
@@ -88,14 +88,6 @@ def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*positions)
 
 
-def _negations(f: Formula) -> tuple[Formula, bool]:
-    """f with its leading `~`s stripped, and whether their number is odd."""
-    negated = False
-    while isinstance(f, Not):
-        f, negated = f.sub, not negated
-    return f, negated
-
-
 class _Planner:
     """One compilation: the structure's declarations, the budget, and the
     pool of each variable met so far."""
@@ -121,7 +113,7 @@ class _Planner:
         return cols, rows
 
     def formula(self, f: Formula) -> _Node:
-        f, negated = _negations(f)
+        f, negated = negations(f)
         node = self.positive(f)
         return self.complement(node) if negated else node
 
@@ -207,7 +199,7 @@ class _Planner:
         positive: list[_Node] = []
         negative: list[_Node] = []
         for part in conjuncts(f):
-            part, negated = _negations(part)
+            part, negated = negations(part)
             (negative if negated else positive).append(self.positive(part))
         node = positive[0] if positive else self.complement(negative.pop(0))
         for other in positive[1:]:

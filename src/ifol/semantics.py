@@ -16,8 +16,9 @@ slot-indexed environment: a list with the formula's parameters (normally its
 free variables, in first-appearance order) in the leading slots and one slot
 per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
-once per node instead of once per call.  Each route has its own compiler, so
-their agreement stays an independent check; they share only term evaluation.
+once per node instead of once per call (a constant or predicate not declared
+yet, where it is reached).  Each route has its own compiler, so their
+agreement stays an independent check; they share only term evaluation.
 Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic.
 The compiled closures are cached on the `Structure`, keyed by the formula's
@@ -25,9 +26,9 @@ identity, and each cache entry holds its formula so that the identity cannot
 be reused while the entry exists.
 
 The hot loop is one membership test per atom and assignment.  A concept atom
-whose arguments are all bound variables tests `(env[slot],)` (one argument)
-or an `itemgetter` pick of its slots (several) against the world's relation
-inline, with no argument closure; particulars hash by identity (see
+tests its argument tuple against the world's relation; over bound variables
+that tuple is `(env[slot],)` (one argument) or an `itemgetter` pick of the
+slots (several), built by `_compile_args`.  Particulars hash by identity (see
 `Particular`), so the test hashes pointers.  An assignment sweep either
 collects, world after world, every tuple where a formula holds
 (`_tuples_where`, for intensions and extensions) or stops at the first
@@ -117,12 +118,12 @@ from .syntax import (
     Const,
     FnApp,
     Formula,
-    Not,
     Term,
     Var,
     Variable,
     conjuncts,
     free_vars,
+    negations,
     substitute,
 )
 
@@ -398,15 +399,6 @@ def _matches(world: World, env: list, levels: list[_Level], test: Test, want: bo
         return
     pool, tables, fills = levels[i]
     inner = i + 1 < depth
-    if not (inner or tables or fills):
-        # the innermost level with nothing to fill, as in any formula without
-        # arithmetic: a bare loop, which keeps a unary sweep per world as fast
-        # as a plain `itertools.product` loop (about 10% faster than below)
-        bound = tuple(env[:i])
-        for env[i] in pool:
-            if test(world, env) == want:
-                yield (*bound, env[i])
-        return
     for j, env[i] in enumerate(pool):
         for slot, table in tables:
             env[slot] = table[j]
@@ -583,19 +575,12 @@ def _finish(domain: Domain, raw: bool) -> Optional[Callable[[Number], object]]:
 def _builtin_application(evaluator: str, values: list[Value],
                          finish: Optional[Callable[[Number], object]]) -> Value:
     # apply_function is looked up per call so that it can be instrumented.
-    # Unary and binary calls build their arguments inline and apply `finish`
-    # inline: one frame per nesting level of arithmetic.
-    if len(values) == 1:
-        only = values[0]
-        if finish is None:
-            return lambda w, env: apply_function(evaluator, (only(w, env),))
-        return lambda w, env: finish(apply_function(evaluator, (only(w, env),)))
-    if len(values) == 2:
+    # A binary call with nothing to finish, as in all arithmetic once
+    # rationals or reals exist, builds its arguments inline: one frame per
+    # nesting level.  Any other call builds them with `_tuple_of`.
+    if len(values) == 2 and finish is None:
         first, second = values
-        if finish is None:
-            return lambda w, env: apply_function(evaluator, (first(w, env), second(w, env)))
-        return lambda w, env: finish(apply_function(evaluator,
-                                                    (first(w, env), second(w, env))))
+        return lambda w, env: apply_function(evaluator, (first(w, env), second(w, env)))
     args = _tuple_of(values)
     if finish is None:
         return lambda w, env: apply_function(evaluator, args(w, env))
@@ -618,13 +603,11 @@ def _graph_application(symbol: str, args: Args) -> Value:
 
 
 def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
-                  space: Structure, raw: bool, stager: _Stager) -> Args:
+                  space: Structure, raw: bool, stager: Optional[_Stager]) -> Args:
     """The argument tuple of an atom, left to right; `raw` for a built-in
     predicate, whose arguments need not be boxed."""
-    if all(isinstance(t, Var) and t.var in bound for t in terms):
+    if terms and all(isinstance(t, Var) and t.var in bound for t in terms):
         slots = [bound[t.var] for t in terms]  # type: ignore[union-attr]
-        if not slots:
-            return lambda w, env: ()
         if len(slots) == 1:
             slot = slots[0]
             return lambda w, env: (env[slot],)
@@ -675,16 +658,20 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
 
     def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
         nonlocal size
-        negated = False
-        while isinstance(f, Not):
-            f, negated = f.sub, not negated
+        f, negated = negations(f)
         if isinstance(f, Atom):
-            test = atom(f, bound)
+            test = atom(f, bound, stager)
         elif isinstance(f, And):
             parts = []
             for part in conjuncts(f):
                 parts.append(compile_(part, bound))
-            test = conjunction(parts)
+
+            def test(w: World, env: list) -> bool:
+                for part in parts:
+                    if not part(w, env):
+                        return False
+                return True
+
         else:
             x, slot = f.var, size
             size += 1
@@ -700,20 +687,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
             return lambda w, env: not test(w, env)
         return test
 
-    def conjunction(parts: list[Test]) -> Test:
-        if len(parts) == 2:
-            left, right = parts
-            return lambda w, env: left(w, env) and right(w, env)
-
-        def every(w: World, env: list) -> bool:
-            for part in parts:
-                if not part(w, env):
-                    return False
-            return True
-
-        return every
-
-    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
+    def atom(a: Atom, bound: dict[Variable, int], stager: Optional[_Stager]) -> Test:
         direct, hidden = _atom_vars(a)
         if any(v not in bound for v in direct + hidden):
             scope = list(bound.items())
@@ -727,25 +701,21 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
             return generalized
         evaluator = space.signature.builtin_predicates.get(a.pred)
         concept = space.registry.by_predicate.get(a.pred)
-        if evaluator is None and concept is not None and a.args \
-                and all(isinstance(t, Var) for t in a.args):
-            # arguments all bound variables: test membership inline
-            name = concept.name
-            slots = [bound[t.var] for t in a.args]  # type: ignore[union-attr]
-            if len(slots) == 1:
-                slot = slots[0]
-                return lambda w, env: (env[slot],) in w.relations.get(name, _EMPTY)
-            pick = itemgetter(*slots)
-            return lambda w, env: pick(env) in w.relations.get(name, _EMPTY)
         args = _compile_args(a.args, bound, space, evaluator is not None, stager)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
-        if concept is None:
-            def unknown(w: World, env: list) -> bool:
-                args(w, env)
-                raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
-            return unknown
+        if concept is None:  # not declared (yet): resolve when reached, failing there
+            late: list[Test] = []
+            def undeclared(w: World, env: list) -> bool:
+                if not late:
+                    if a.pred not in space.registry.by_predicate \
+                            and a.pred not in space.signature.builtin_predicates:
+                        args(w, env)
+                        raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
+                    late.append(atom(a, bound, None))  # declared since: compiled unstaged
+                return late[0](w, env)
+            return undeclared
         name = concept.name
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
@@ -823,16 +793,20 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
 
     def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
         nonlocal size
-        negated = False
-        while isinstance(f, Not):
-            f, negated = f.sub, not negated
+        f, negated = negations(f)
         if isinstance(f, Atom):
-            test = atom(f, bound)
+            test = atom(f, bound, stager)
         elif isinstance(f, And):
             parts = []
             for part in conjuncts(f):
                 parts.append(compile_(part, bound))
-            test = conjunction(parts)
+
+            def test(w: World, env: list) -> bool:
+                for part in parts:
+                    if not part(w, env):
+                        return False
+                return True
+
         else:
             sort, slot = f.var.sort, size
             size += 1
@@ -848,41 +822,24 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
             return lambda w, env: not test(w, env)
         return test
 
-    def conjunction(parts: list[Test]) -> Test:
-        if len(parts) == 2:
-            left, right = parts
-            return lambda w, env: left(w, env) and right(w, env)
-
-        def every(w: World, env: list) -> bool:
-            for part in parts:
-                if not part(w, env):
-                    return False
-            return True
-
-        return every
-
-    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
+    def atom(a: Atom, bound: dict[Variable, int], stager: Optional[_Stager]) -> Test:
         evaluator = space.signature.builtin_predicates.get(a.pred)
         concept = space.registry.by_predicate.get(a.pred)
-        if evaluator is None and concept is not None and a.args \
-                and all(isinstance(t, Var) and t.var in bound for t in a.args):
-            # arguments all bound variables: test membership inline
-            name = concept.name
-            slots = [bound[t.var] for t in a.args]  # type: ignore[union-attr]
-            if len(slots) == 1:
-                slot = slots[0]
-                return lambda w, env: (env[slot],) in w.relations.get(name, _EMPTY)
-            pick = itemgetter(*slots)
-            return lambda w, env: pick(env) in w.relations.get(name, _EMPTY)
         args = _compile_args(a.args, bound, space, evaluator is not None, stager)
         if evaluator is not None:
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
-        if concept is None:
-            def unknown(w: World, env: list) -> bool:
-                args(w, env)
-                raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
-            return unknown
+        if concept is None:  # not declared (yet): resolve when reached, failing there
+            late: list[Test] = []
+            def undeclared(w: World, env: list) -> bool:
+                if not late:
+                    if a.pred not in space.registry.by_predicate \
+                            and a.pred not in space.signature.builtin_predicates:
+                        args(w, env)
+                        raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
+                    late.append(atom(a, bound, None))  # declared since: compiled unstaged
+                return late[0](w, env)
+            return undeclared
         name = concept.name
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
@@ -1130,8 +1087,10 @@ class Countermodel:
 
 def is_model_of(world: World, axioms: Sequence[Formula],
                 sweeps: Optional[dict[_Core, _Sweep]] = None) -> bool:
-    """Open axioms are read universally closed.  A query that checks many
-    worlds passes its own `sweeps`, so each axiom's sweep is built once."""
+    """Open axioms are read universally closed and checked on the Tarski
+    route (a consequence checks its formula on the Kripke route).  A query
+    that checks many worlds passes its own `sweeps`, so each axiom's sweep is
+    built once."""
     sweeps = {} if sweeps is None else sweeps
     for ax in axioms:
         if _first_failure(_core(world.space, ax, _compile_tarski), world, sweeps) is not None:

@@ -105,6 +105,14 @@ def conjuncts(phi: And) -> list[Formula]:
     return out
 
 
+def negations(f: Formula) -> tuple[Formula, bool]:
+    """f with its leading `~`s stripped, and whether their number is odd."""
+    odd = False
+    while isinstance(f, Not):
+        f, odd = f.sub, not odd
+    return f, odd
+
+
 def free_vars(phi: Formula) -> tuple[Variable, ...]:
     """Free variables in first-appearance order.
 

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from ifol.kernel import NESTED_SENTENCE_SORT
 from ifol.syntax import (And, Atom, Const, Exists, FnApp, Not, Var, Variable, format_formula,
-                         free_vars)
+                         free_vars, mk_abstracted)
 
 
 @st.composite
@@ -173,13 +174,19 @@ def fragment_formulas(draw, ws, depth: int = 3):
     `exists` may bind a variable the body does not read.  Some formulas are closed by binding
     their free variables.  Built-in predicates, function applications,
     numeric constants and quantifiers over an infinite sort mix formulas
-    outside the fragment in, also as sub-formulas of fragment ones."""
+    outside the fragment in, also as sub-formulas of fragment ones, and so
+    do atoms of concepts with a nested-sentence position, which takes an
+    abstraction term: its body is a drawn formula, each of whose free
+    variables is hidden (alpha) or exposed (beta) at random."""
     domain, signature = ws.domain, ws.signature
     atoms = [(pred, c.attribute_sorts) for pred, c in ws.registry.by_predicate.items()
-             if all(domain.sort_is_finite(s) for s in c.attribute_sorts)]
+             if all(domain.sort_is_finite(s) or s == NESTED_SENTENCE_SORT
+                    for s in c.attribute_sorts)]
     atoms += [(pred, signature.predicate_sorts(pred)) for pred in signature.builtin_predicates
               if pred != "true"]
-    sorts = sorted({s for _, position in atoms for s in position} | {"truth values"})
+    nested = [atom for atom in atoms if NESTED_SENTENCE_SORT in atom[1]]
+    plain = [atom for atom in atoms if atom not in nested]
+    sorts = sorted({s for _, position in plain for s in position} | {"truth values"})
     variables = [Variable(f"{name}{i}", sort) for i, sort in enumerate(sorts) for name in "xy"]
     infinite = [s for s in ("reals", "integers") if s in domain.lattice
                 and not domain.sort_is_finite(s)]
@@ -197,6 +204,11 @@ def fragment_formulas(draw, ws, depth: int = 3):
             return FnApp(t, tuple(argument(s, outer=False) for s in graphs[t][0]))
         return t
 
+    def abstraction(depth: int):
+        body = formula(depth)
+        beta = [v for v in free_vars(body) if draw(st.booleans())]
+        return mk_abstracted(body, [v for v in free_vars(body) if v not in beta], beta)
+
     def formula(depth: int):
         kind = draw(st.sampled_from(["atom", "atom", "not", "and", "exists"] if depth
                                     else ["atom"]))
@@ -209,9 +221,15 @@ def fragment_formulas(draw, ws, depth: int = 3):
             v = draw(st.sampled_from([v for v in variables if v.sort == sort]
                                      or [Variable("z", sort)]))
             return Exists(v, formula(depth - 1))
-        pred, position = draw(st.sampled_from(atoms))
+        # about one atom in four above the last level takes an abstraction,
+        # whose body is a formula one level down
+        pred, position = draw(st.sampled_from(
+            nested if depth and nested and draw(st.integers(0, 3)) == 3 else plain))
         args: list = []
         for sort in position:
+            if sort == NESTED_SENTENCE_SORT:
+                args.append(abstraction(depth - 1))
+                continue
             again = [t for t in args if isinstance(t, Var) and domain.is_subsort(t.var.sort, sort)]
             args.append(draw(st.sampled_from(again)) if again and draw(st.booleans())
                         else argument(sort))

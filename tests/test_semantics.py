@@ -18,6 +18,7 @@ from ifol import (
     Variable,
     Workspace,
     bealer_montague_check,
+    load_workspace,
     consequence,
     enumerate_worlds,
     eval_atom,
@@ -27,7 +28,7 @@ from ifol import (
     tarski_eval,
     mk_abstracted,
 )
-from ifol.errors import ExplosionGuard, InfiniteExtent
+from ifol.errors import ExplosionGuard, IfolError, InfiniteExtent, UnknownSymbol
 from ifol.kernel import element_lexeme, numeric_lexeme
 from ifol.semantics import (
     MAX_ASSIGNMENTS,
@@ -36,9 +37,10 @@ from ifol.semantics import (
     accessible_values,
     is_model_of,
 )
-from ifol.syntax import TOP, Abstracted, And, Exists, free_vars, ground_instance
+from ifol.syntax import TOP, Abstracted, And, Exists, Not, free_vars, ground_instance
 
 from conftest import arithmetic_ws, many_sorted_assignments, pets_ws
+from strategies import fragment_formulas, isa_workspaces
 
 
 def singleton_ws() -> Workspace:
@@ -731,3 +733,122 @@ def test_unbound_variable_fails_only_where_reached():
         satisfies(w_full, {}, phi)
     with pytest.raises(UnboundVariable):
         tarski_eval(w_full, {}, phi)
+
+
+def test_a_predicate_declared_after_first_use_is_resolved_when_reached():
+    """A core compiled while its predicate was undeclared fails where the atom
+    is reached, and answers as a fresh workspace does once the predicate is
+    declared: a concept and a built-in predicate, on both routes, whichever
+    route met the formula first."""
+    def unary() -> Workspace:
+        ws = Workspace()
+        ws.declare_sort("s")
+        ws.domain.declare_extent("s", ["a", "b"])
+        return ws
+
+    fresh = unary()
+    fresh.register_concept("q-hood", ("s",), "q")
+    closed = fresh.parse("exists x:s . q(x)")
+    expected = [satisfies(w, {}, closed) for w in enumerate_worlds(fresh.space)]
+    assert expected == [False, True, True, True]
+    for first in ((tarski_eval,), (satisfies,), (satisfies, tarski_eval)):
+        ws = unary()
+        phi = ws.parse("exists x:s . q(x)")
+        (world,) = enumerate_worlds(ws.space)
+        for route in first:
+            with pytest.raises(UnknownSymbol, match="predicate 'q' has no concept"):
+                route(world, {}, phi)
+        ws.register_concept("q-hood", ("s",), "q")
+        worlds = enumerate_worlds(ws.space)
+        for route in (tarski_eval, satisfies):
+            assert [route(w, {}, phi) for w in worlds] == expected
+
+    # x + 1 is staged, and boxed while lt2 reads as a concept atom; once lt2
+    # is a built-in it reads the raw sum
+    ws = arithmetic_ws(grid=True)
+    phi = ws.parse("lt2(x:reals + 1, 0)")
+    (x,) = free_vars(phi)
+    world = World("w", ws.space, {})
+    minus_two = ws.domain.lookup("-2")
+    for route in (satisfies, tarski_eval):
+        with pytest.raises(UnknownSymbol, match="predicate 'lt2' has no concept"):
+            route(world, {x: minus_two}, phi)
+    ws.signature.declare_predicate("lt2", ("reals", "reals"), ws.domain.lattice, evaluator="lt")
+    pool = ws.domain.valid_elements("reals")
+    for route in (satisfies, tarski_eval):
+        assert [route(world, {x: v}, phi) for v in pool] == [v is minus_two for v in pool]
+    assert montague_intension(ws.space, phi, [world]) == {"w": frozenset({(minus_two,)})}
+
+
+def _abstraction_atoms(phi) -> list[Atom]:
+    """The atoms of phi, abstraction bodies included, that take an
+    abstraction argument."""
+    found, stack = [], [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Not):
+            stack.append(f.sub)
+        elif isinstance(f, And):
+            stack += [f.left, f.right]
+        elif isinstance(f, Exists):
+            stack.append(f.body)
+        else:
+            bodies = [t.body for t in f.args if isinstance(t, Abstracted)]
+            found += [f] if bodies else []
+            stack += bodies
+    return found
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except IfolError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(isa_workspaces(), st.data())
+def test_abstraction_arguments_agree_per_world_and_assignment(text, data):
+    """Generated formulas whose nested-sentence positions take abstraction
+    terms, in worlds whose nested-sentence relations hold some of the values
+    those atoms test.  Per world and assignment both routes give the same
+    truth value or error; and `eval_atom`, with every variable open, unions
+    the hidden beta variables out as the Tarski route does assignment by
+    assignment, hidden variables outermost."""
+    ws = load_workspace(text)
+    finite = [phi for phi in data.draw(st.lists(fragment_formulas(ws), min_size=2, max_size=5))
+              if all(ws.domain.sort_is_finite(v.sort) for v in free_vars(phi))]
+    atoms = [a for phi in finite for a in _abstraction_atoms(phi)
+             if all(ws.domain.sort_is_finite(v.sort) for v in free_vars(a))]
+    keep = data.draw(st.integers(0, 2 ** 12 - 1))  # bit j: keep the j-th tested tuple (mod 12)
+    for world in ws.worlds():
+        relations = dict(world.relations)
+        tested = 0
+        for a in atoms:
+            name = ws.registry.by_predicate[a.pred].name
+            for g in many_sorted_assignments(free_vars(a), ws.domain):
+                try:
+                    values = tuple(eval_term(t, g, world) for t in a.args)
+                except IfolError:
+                    continue
+                if keep >> tested % 12 & 1:
+                    relations[name] = relations.get(name, frozenset()) | {values}
+                tested += 1
+        seeded = World(world.label, ws.space, relations, world.functions)
+        for phi in [*finite, *atoms]:
+            for g in many_sorted_assignments(free_vars(phi), ws.domain):
+                assert _outcome(lambda: satisfies(seeded, g, phi)) \
+                    == _outcome(lambda: tarski_eval(seeded, g, phi))
+        for a in atoms:
+            hidden = list(dict.fromkeys(v for t in a.args if isinstance(t, Abstracted)
+                                        for v in t.beta))
+            free = [v for v in free_vars(a) if v not in hidden]
+            rows, error = set(), None
+            for g in many_sorted_assignments([*hidden, *free], ws.domain):
+                holds = _outcome(lambda: tarski_eval(seeded, g, a))
+                if isinstance(holds, tuple):
+                    error = error or holds
+                elif holds:
+                    rows.add(tuple(g[v] for v in free))
+            union = () in rows if not (hidden or free) else frozenset(rows)
+            assert _outcome(lambda: eval_atom(a, {}, seeded)) == (error or union)

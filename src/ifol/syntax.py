@@ -345,7 +345,13 @@ def format_formula(phi: Formula) -> str:
             return f"~{wrap(f.sub)}"
         if isinstance(f, And):
             return f"{wrap(f.left)} & {wrap(f.right)}"
-        return f"exists {var(f.var, binder=True)} . {fmt(f.body)}"
+        outer = f.var in seen
+        text = f"exists {var(f.var, binder=True)} . {fmt(f.body)}"
+        if not outer:
+            # the binder's scope ends with its body: a later free use of the
+            # same variable is a first use again and needs its sort
+            seen.discard(f.var)
+        return text
 
     def wrap(f: Formula) -> str:
         text = fmt(f)

@@ -14,6 +14,7 @@ from ifol import (
     Not,
     TOP,
     Var,
+    Variable,
     format_formula,
     free_vars,
 )
@@ -143,6 +144,7 @@ def test_format_round_trips(pets, arith):
         "exists x:cat . purrs(x) & barks(x)",
         "~(purrs(tom) & ~barks(rex))",
         "exists x:cat . exists y:animal . purrs(x) & barks(y)",
+        "~((exists x:cat . purrs(x)) & ~barks(x:cat))",
     ]
     for text in pets_formulas:
         phi = pets.parse(text)
@@ -155,6 +157,13 @@ def test_format_round_trips(pets, arith):
     for text in arith_formulas:
         phi = arith.parse(text)
         assert arith.parse(format_formula(phi)) == phi
+
+
+def test_format_annotates_a_free_use_after_a_binder_of_the_same_variable(pets):
+    x = Variable("x", "cat")
+    phi = And(Exists(x, Atom("purrs", (Var(x),))), Atom("barks", (Var(x),)))
+    assert format_formula(phi) == "(exists x:cat . purrs(x)) & barks(x:cat)"
+    assert pets.parse(format_formula(phi)) == phi
 
 
 def test_format_quotes_spacey_lexemes(pets):

@@ -24,7 +24,6 @@ from .semantics import (
     World,
     bealer_montague_check,
     consequence,
-    enumerate_worlds,
     eval_atom,
     eval_term,
     montague_intension,
@@ -53,6 +52,7 @@ from .syntax import (
     substitute,
 )
 from .workspace import Workspace, load_workspace, render_workspace
+from .worlds import enumerate_worlds
 
 __all__ = [
     "Abstracted", "And", "Atom", "BOTTOM_SORT", "Concept", "ConceptRef",

@@ -56,20 +56,12 @@ pool.  A hidden-variable union in `eval_atom` is one sweep too, with the
 hidden variables outermost.  A sweep over more than `MAX_ASSIGNMENTS`
 assignments raises `ExplosionGuard` before it allocates anything.
 
-Worlds come in the order of the candidate product -- concepts by
-registration, the first outermost, each taking the subsets of its pool by
-ascending mask, function graphs innermost -- but `enumerate_worlds` visits
-only the combinations that keep every IS-A edge between unary extents: it
-backtracks over the concepts, and the concept that fixes an edge's second
-side takes only the masks that fit the first.  `MAX_WORLDS` bounds the whole
-candidate product.
-
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
-are all decided by exhaustive enumeration over these worlds.  The deciding
-functions walk the worlds they are given: every world for an intension, one
-world per class of isomorphic worlds where the workspace finds that enough
-(`Workspace.representatives`, `ifol.symmetry`).
+are all decided by exhaustive enumeration over the worlds `ifol.worlds`
+builds.  The deciding functions walk the worlds they are given: every world
+for an intension, one world per class of isomorphic worlds where the
+workspace finds that enough (`Workspace.representatives`, `World.leads`).
 
 An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise has a relational plan (`ifol.plan`, the
@@ -83,7 +75,6 @@ Bealer-Montague still compares two independent routes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -105,7 +96,6 @@ from .kernel import (
     Domain,
     Element,
     Intension,
-    NESTED_SENTENCE_SORT,
     Number,
     element_lexeme,
 )
@@ -162,6 +152,7 @@ class World:
     space: Structure
     relations: dict[str, frozenset[tuple[Element, ...]]]
     functions: dict[str, dict[tuple[Element, ...], Element]] = field(default_factory=dict)
+    leads: bool = True  # the first world of its class of isomorphic worlds
 
     def relation(self, concept_name: str) -> frozenset[tuple[Element, ...]]:
         return self.relations.get(concept_name, frozenset())
@@ -539,7 +530,12 @@ def _term(t: Term, bound: dict[Variable, int], space: Structure, raw: bool,
             values.append(value)
         if evaluator is not None:
             return _builtin_application(evaluator, values, _finish(space.domain, raw)), reads
-        return _graph_application(t.symbol, _tuple_of(values)), None
+        graph = _graph_application(t.symbol, _tuple_of(values))
+        if t.symbol in space.signature.functions:
+            return graph, None
+        # not declared (yet): a graph application until it is declared a built-in
+        return _once_declared(lambda: t.symbol in space.signature.builtin_functions, graph,
+                              lambda: _term(t, bound, space, raw, None)[0]), None
     if not t.beta:
         return (lambda w, env: interp.of_ground_term(t)), None
     missing = next((v for v in t.beta if v not in bound), None)
@@ -635,6 +631,27 @@ def _unbound(v: Variable) -> Value:
     return fail
 
 
+def _once_declared(declared: Callable[[], bool], before: Callable, after: Callable) -> Callable:
+    """The closure of a symbol that was not declared when it was compiled:
+    `before` until `declared()`, then the closure `after()` compiles, once,
+    unstaged, where it is first reached after the declaration."""
+    late: list[Callable] = []
+
+    def resolve(w: World, env: list):
+        if not late and declared():
+            late.append(after())
+        return (late[0] if late else before)(w, env)
+
+    return resolve
+
+
+def _no_predicate(pred: str, args: Args) -> Test:
+    def fail(w: World, env: list) -> bool:
+        args(w, env)
+        raise UnknownSymbol(f"predicate {pred!r} has no concept and no evaluator")
+    return fail
+
+
 # --- the Kripke route ---------------------------------------------------------------
 
 def satisfies(world: World, g: Assignment, phi: Formula) -> bool:
@@ -706,16 +723,9 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
         if concept is None:  # not declared (yet): resolve when reached, failing there
-            late: list[Test] = []
-            def undeclared(w: World, env: list) -> bool:
-                if not late:
-                    if a.pred not in space.registry.by_predicate \
-                            and a.pred not in space.signature.builtin_predicates:
-                        args(w, env)
-                        raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
-                    late.append(atom(a, bound, None))  # declared since: compiled unstaged
-                return late[0](w, env)
-            return undeclared
+            return _once_declared(lambda: a.pred in space.registry.by_predicate
+                                  or a.pred in space.signature.builtin_predicates,
+                                  _no_predicate(a.pred, args), lambda: atom(a, bound, None))
         name = concept.name
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
@@ -727,20 +737,21 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     """Generalized interpretation of one atom under a (possibly partial) assignment.
 
     Ground after g: a truth value.  Otherwise the atom is a virtual predicate:
-    its extension ranges over the directly-free variables, and any beta
-    variables still hidden inside abstraction arguments are unioned out over
-    all of their sorted assignments: one sweep binds the hidden variables,
-    outermost, and the free ones, and the hidden columns are projected away.
+    its extension ranges over the directly-free variables, and the beta
+    variables of abstraction arguments that are not also direct arguments
+    are hidden, unioned out over all of their sorted assignments: one sweep
+    binds the hidden variables, outermost, and the free ones, and the hidden
+    columns are projected away.
     """
     domain = world.space.domain
     direct, hidden = _atom_vars(a)
-    hidden = [v for v in hidden if v not in g]
+    hidden = [v for v in hidden if v not in g and v not in direct]
     for v in hidden:
         if not domain.sort_is_finite(v.sort):
             raise InfiniteHiddenDomain(f"{v.name}:{v.sort}")
     if not all(domain.valid_elements(v.sort) for v in hidden):
         return frozenset()  # a union over no assignment
-    free = tuple(v for v in direct if v not in g and v not in hidden)
+    free = tuple(v for v in direct if v not in g)
     given = tuple(v for v in _compiled(world.space, a).free if v in g)
     core = _core(world.space, a, _compile_kripke, (*hidden, *free, *given))
     fixed = [g[v] for v in given]
@@ -830,251 +841,14 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
             check = PREDICATE_EVALUATORS[evaluator]
             return lambda w, env: check(args(w, env))
         if concept is None:  # not declared (yet): resolve when reached, failing there
-            late: list[Test] = []
-            def undeclared(w: World, env: list) -> bool:
-                if not late:
-                    if a.pred not in space.registry.by_predicate \
-                            and a.pred not in space.signature.builtin_predicates:
-                        args(w, env)
-                        raise UnknownSymbol(f"predicate {a.pred!r} has no concept and no evaluator")
-                    late.append(atom(a, bound, None))  # declared since: compiled unstaged
-                return late[0](w, env)
-            return undeclared
+            return _once_declared(lambda: a.pred in space.registry.by_predicate
+                                  or a.pred in space.signature.builtin_predicates,
+                                  _no_predicate(a.pred, args), lambda: atom(a, bound, None))
         name = concept.name
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
     test = compile_(phi, {v: i for i, v in enumerate(params)})
     return _Core(test, params, size, stager.stages)
-
-
-# --- world enumeration ---------------------------------------------------------------
-
-# Per concept level: the bits every mask there must hold (its floor), the
-# bits it may hold (its ceiling), and the IS-A edges to earlier levels that
-# close there.  Such an edge is (level, to, lost, raises_floor): the earlier
-# level's mask, mapped onto this level's pool (bit b becomes to[b]; to is None
-# when the pools are the same), raises this level's floor when this level is
-# the super side and lowers its ceiling when it is the sub side.  `lost` are
-# the earlier level's bits whose elements this pool lacks: no floor here can
-# hold them, so a mask there that sets one leaves this level no mask.
-_Link = tuple[int, Optional[list[int]], int, bool]
-_Bound = tuple[int, int, list[_Link]]
-
-
-def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS) -> list[World]:
-    """All extensionalization functions over the registered concepts that keep
-    IS-A extent inclusion.
-
-    Each registered predicate-concept receives subsets of its sorted tuple
-    pool, as masks with bit i for the pool's i-th tuple; positions of
-    nested-sentence sort have no element-level extent, which forces those
-    relations empty.  Declared functions receive every total graph.  The
-    worlds come in candidate order: concepts by registration, the first
-    outermost, each taking its masks ascending, function graphs innermost;
-    pool tuples are lexicographic by lexeme.  `max_worlds` bounds the whole
-    candidate product and is checked before any world is built.
-
-    The walk backtracks over the concepts and never builds a candidate that
-    breaks an edge (orderly generation, Read 1978; propagation in finite
-    model search, McCune's Mace4 2003).  An edge whose sides both have a unary
-    extent -- an enumerated unary concept or a finite sort's declared members
-    -- is checked at the level that fixes its second side: that level takes
-    only the supersets of the sub side's mask, or the subsets of the super
-    side's, in ascending order, so the kept worlds and their order are those
-    of the filtered product.  Each relation is built once per mask reached.
-    """
-    domain = space.domain
-    names: list[str] = []
-    pools: list[list[tuple[Element, ...]]] = []
-    candidates = 1
-    for c in space.registry.by_predicate.values():
-        pool = _tuple_pool(domain, c.attribute_sorts)
-        names.append(c.name)
-        pools.append(pool)
-        candidates *= 2 ** len(pool)
-        if candidates > max_worlds:
-            raise ExplosionGuard(f"more than {max_worlds} candidate worlds")
-
-    fn_graphs: list[tuple[str, list[dict[tuple[Element, ...], Element]]]] = []
-    for symbol in sorted(space.signature.functions):
-        if symbol in space.signature.builtin_functions:
-            continue
-        arg_sorts, ret = space.signature.functions[symbol]
-        arg_pool = _tuple_pool(domain, arg_sorts)
-        ret_pool = domain.valid_elements(ret)
-        count = len(ret_pool) ** len(arg_pool)
-        candidates *= max(count, 1)
-        if candidates > max_worlds:
-            raise ExplosionGuard(f"more than {max_worlds} candidate worlds")
-        # no graphs at all (empty return pool, nonempty domain) means no total
-        # function exists, hence no world
-        graphs = [dict(zip(arg_pool, values))
-                  for values in itertools.product(ret_pool, repeat=len(arg_pool))]
-        fn_graphs.append((symbol, graphs))
-
-    bounds = _bounds(domain, names, pools)
-    if bounds is None:
-        return []
-    symbols = [symbol for symbol, _ in fn_graphs]
-    functions = [dict(zip(symbols, combo))
-                 for combo in itertools.product(*(graphs for _, graphs in fn_graphs))]
-    combos = itertools.product(_relations(names, pools, bounds), functions)
-    return [World(f"w{i}", space, relations, graphs)
-            for i, (relations, graphs) in enumerate(combos)]
-
-
-def _tuple_pool(domain: Domain, sorts: Sequence[str]) -> list[tuple[Element, ...]]:
-    """Every tuple over the sorts' pools, lexicographic by lexeme because each
-    pool is in lexeme order.  A nested-sentence position empties it, but the
-    sorts before it are still read, so an infinite one raises."""
-    per_position: list[tuple[Element, ...]] = []
-    for s in sorts:
-        if s == NESTED_SENTENCE_SORT:
-            return []
-        per_position.append(domain.valid_elements(s))
-    return list(itertools.product(*per_position))
-
-
-def _bounds(domain: Domain, names: list[str], pools: list[list[tuple[Element, ...]]]
-            ) -> Optional[list[_Bound]]:
-    """What the IS-A edges ask of each concept level, or None when no
-    combination keeps them.  Floors combine by OR and ceilings by AND, so the
-    order the edges come in does not matter."""
-    position = {name: i for i, name in enumerate(names)}
-    floors = [0] * len(pools)
-    ceilings = [(1 << len(pool)) - 1 for pool in pools]
-    links: list[list[_Link]] = [[] for _ in pools]
-    for sub_name, sup_name in domain.lattice.isa_edges:
-        sub = _side(domain, position, pools, sub_name)
-        sup = _side(domain, position, pools, sup_name)
-        if isinstance(sub, frozenset) and isinstance(sup, frozenset):
-            if not sub <= sup:
-                return None
-        elif isinstance(sub, frozenset) and isinstance(sup, int):  # sup holds every member
-            bits = _bit_of(pools[sup])
-            if not all(e in bits for e in sub):
-                return None
-            floors[sup] |= sum(bits[e] for e in sub)
-        elif isinstance(sub, int) and isinstance(sup, frozenset):  # sub stays among them
-            bits = _bit_of(pools[sub])
-            ceilings[sub] &= sum(bits[e] for e in sup if e in bits)
-        elif isinstance(sub, int) and isinstance(sup, int):
-            if sub < sup:
-                links[sup].append((sub, *_remap(pools[sub], pools[sup]), True))
-            elif sup < sub:
-                links[sub].append((sup, _remap(pools[sup], pools[sub])[0], 0, False))
-    return list(zip(floors, ceilings, links))
-
-
-def _side(domain: Domain, position: dict[str, int], pools: list[list[tuple[Element, ...]]],
-          name: str) -> int | frozenset[Element] | None:
-    """One side of an IS-A edge: the level of an enumerated unary concept, the
-    extent every world gives it when that is fixed (no element for a concept
-    whose pool is empty, the members of a finite sort), or None when it has
-    no unary extent and the edge constrains nothing."""
-    concept = domain.concepts.get(name)
-    if concept is None or concept.arity != 1:
-        return None
-    if name in position:
-        level = position[name]
-        return level if pools[level] else frozenset()
-    if not domain.sort_is_finite(name):
-        return None
-    return frozenset(domain.valid_elements(name))
-
-
-def _bit_of(pool: list[tuple[Element, ...]]) -> dict[Element, int]:
-    """The mask bit of each element of a unary pool."""
-    return {t[0]: 1 << b for b, t in enumerate(pool)}
-
-
-def _remap(source: list[tuple[Element, ...]], target: list[tuple[Element, ...]]
-           ) -> tuple[Optional[list[int]], int]:
-    """How a mask over the unary pool `source` reads over `target`: the bit
-    each source bit becomes (None when the pools are the same), and the
-    source bits that `target` lacks."""
-    if source == target:
-        return None, 0
-    bits = _bit_of(target)
-    to = [bits.get(t[0], 0) for t in source]
-    return to, sum(1 << b for b, bit in enumerate(to) if not bit)
-
-
-def _relations(names: list[str], pools: list[list[tuple[Element, ...]]],
-               bounds: list[_Bound]) -> list[dict[str, frozenset[tuple[Element, ...]]]]:
-    """The relations of every combination of masks that keeps the bounds, in
-    candidate order: a depth-first walk over the levels, without recursion,
-    since concepts with an empty pool add levels but no worlds.  The walk
-    ends at the last level with a nonempty pool: the levels after it hold
-    the empty relation in every world.  The outer levels' relations are
-    gathered once per prefix of the innermost level, and each relation is
-    built once per mask reached."""
-    if not names:
-        return [{}]
-    made = [_Subsets(pool) for pool in pools]
-    out = []
-    last = len(pools) - 1
-    while last and not pools[last]:
-        last -= 1
-    tail = dict.fromkeys(names[last + 1:], frozenset())
-    chosen = [0] * last
-    walks = [_masks(bounds[0], chosen)] + [iter(())] * last
-    level = 0
-    while level >= 0:
-        if level == last:  # the innermost level: one relations dict per mask
-            prefix = {name: rels[mask] for name, rels, mask in zip(names, made, chosen)}
-            name, rels = names[last], made[last]
-            for mask in walks[last]:
-                out.append({**prefix, name: rels[mask], **tail})
-            level -= 1
-            continue
-        mask = next(walks[level], None)
-        if mask is None:
-            level -= 1
-            continue
-        chosen[level] = mask
-        level += 1
-        walks[level] = _masks(bounds[level], chosen)
-    return out
-
-
-class _Subsets(dict):
-    """The relation of each mask over one pool, built when first asked for."""
-
-    __slots__ = ("pool",)
-
-    def __init__(self, pool: list[tuple[Element, ...]]):
-        self.pool = pool
-
-    def __missing__(self, mask: int) -> frozenset[tuple[Element, ...]]:
-        rel = self[mask] = frozenset(t for b, t in enumerate(self.pool) if mask >> b & 1)
-        return rel
-
-
-def _masks(bound: _Bound, chosen: list[int]) -> Iterator[int]:
-    """The masks one level may take below the masks `chosen` above it, in
-    ascending order: floor | s for every s ⊆ free, the bits between the floor
-    and the ceiling; (s - free) & free is the next such s after s (Knuth,
-    TAOCP 7.1.3)."""
-    floor, ceiling, links = bound
-    for level, to, lost, raises_floor in links:
-        mask = chosen[level]
-        if mask & lost:
-            return
-        if to is not None:
-            mask = sum(bit for b, bit in enumerate(to) if mask >> b & 1)
-        if raises_floor:
-            floor |= mask
-        else:
-            ceiling &= mask
-    if floor & ~ceiling:
-        return
-    free, s = ceiling & ~floor, 0
-    while True:
-        yield floor | s
-        s = (s - free) & free
-        if not s:
-            return
 
 
 # --- consequence, intension, and the extension identity ------------------------------

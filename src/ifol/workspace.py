@@ -43,10 +43,10 @@ from .kernel import (
     VERB_FORM_SORT,
 )
 from .parser import SORT_ALIASES, parse_formula, resolve_sort_token
-from .semantics import MAX_WORLDS, Structure, World, enumerate_worlds
+from .semantics import MAX_WORLDS, Structure, World, intension_plan
 from .sorting import Signature, check_formula
-from .symmetry import cannot_raise, movable_particulars, representatives
 from .syntax import Formula, format_formula, free_vars
+from .worlds import enumerate_worlds
 
 
 # The query kinds whose failure fails the run (exit status 1).
@@ -79,7 +79,6 @@ class Workspace:
         self.max_worlds = max_worlds
         self._worlds: Optional[list[World]] = None
         self._worlds_error: Optional[IfolError] = None
-        self._groups: Optional[tuple] = None
         self._representatives: Optional[list[World]] = None
 
     # --- declaration helpers ------------------------------------------------
@@ -111,7 +110,8 @@ class Workspace:
             raise self._worlds_error
         if self._worlds is None:
             try:
-                self._worlds = enumerate_worlds(self.space, self.max_worlds)
+                self._worlds = enumerate_worlds(self.space, self.max_worlds,
+                                                [phi for _, phi in self.all_formulas()])
             except IfolError as exc:
                 self._worlds_error = exc
                 raise
@@ -120,16 +120,15 @@ class Workspace:
     def representatives(self, formulas: Sequence[Formula]) -> Sequence[World]:
         """The worlds a query evaluating `formulas` must walk to find its
         first failure: the first world of each class of isomorphic worlds
-        when some particulars are interchangeable and no formula can raise
-        (see `ifol.symmetry`), every world otherwise.  The interchangeable
-        particulars and the classes are computed once, on first use."""
+        (`World.leads`, see `ifol.worlds`) when the classes merge some worlds
+        and every formula has a relational plan, so cannot raise; every world
+        otherwise."""
         worlds = self.worlds()
-        if self._groups is None:
-            self._groups = movable_particulars(self.space, [phi for _, phi in self.all_formulas()])
-        if not self._groups or not all(cannot_raise(self.space, phi) for phi in formulas):
-            return worlds
         if self._representatives is None:
-            self._representatives = representatives(self.space, worlds, self._groups)
+            self._representatives = [world for world in worlds if world.leads]
+        if len(self._representatives) == len(worlds) \
+                or not all(intension_plan(self.space, phi) is not None for phi in formulas):
+            return worlds
         return self._representatives
 
     def all_formulas(self) -> list[tuple[str, Formula]]:

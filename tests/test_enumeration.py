@@ -12,7 +12,8 @@ from hypothesis import given, settings
 
 from ifol import load_workspace
 from ifol.errors import ExplosionGuard
-from ifol.semantics import Structure, enumerate_worlds
+from ifol.semantics import Structure
+from ifol.worlds import enumerate_worlds
 
 from strategies import isa_workspaces
 

@@ -332,7 +332,8 @@ def test_one_lexeme_is_one_object():
     """Within a domain every particular is interned by lexeme: a lookup, a
     quantifier pool, the numeric tower and built-in arithmetic all hand out
     the same object, so particulars can compare and hash by identity."""
-    from ifol.semantics import enumerate_worlds, eval_term
+    from ifol.semantics import eval_term
+    from ifol.worlds import enumerate_worlds
     from ifol.syntax import Const, FnApp
 
     d = chain_domain()

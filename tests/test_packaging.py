@@ -79,3 +79,15 @@ def test_every_public_name_has_a_caller():
     uncalled = sorted(name for name in defined
                       if uses[name] == 0 and name not in ifol.__all__)
     assert uncalled == sorted(KEPT)
+
+
+def test_the_readme_names_every_module():
+    """Each engine module, other than the package's `__init__` and
+    `__main__`, has an entry in the README's list of moving parts: a line
+    `- **name** -- ...`, where one entry may name several (`workspace /
+    cli`)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {name.strip() for entry in re.findall(r"^- \*\*(.+?)\*\*", readme, re.MULTILINE)
+             for name in entry.split("/")}
+    modules = {path.stem for path in MODULES} - {"__init__", "__main__"}
+    assert sorted(modules - named) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifol import (
     Abstracted,
@@ -17,10 +18,14 @@ from ifol import (
     Variable,
     format_formula,
     free_vars,
+    load_workspace,
+    normalize,
 )
 from ifol.errors import ParseError
 
 from conftest import pets_ws
+from strategies import (EMPTY_POOLS, arithmetic_workspaces, fragment_formulas, isa_workspaces,
+                        symmetric_workspaces)
 
 
 def test_parse_atom_and_variables(pets):
@@ -157,6 +162,22 @@ def test_format_round_trips(pets, arith):
     for text in arith_formulas:
         phi = arith.parse(text)
         assert arith.parse(format_formula(phi)) == phi
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(symmetric_workspaces(), isa_workspaces(), arithmetic_workspaces()), st.data())
+def test_format_then_parse_is_the_identity(text, data):
+    """Generated formulas in and around the plan fragment, with shadowing
+    binders, repeated variables, function applications, numeric constants
+    and abstraction arguments, read back as the formula they were printed
+    from: the same free variables, and the same formula up to the names of
+    bound variables, which the parser renames apart (`x0'`) where a binder
+    reuses a name."""
+    ws = load_workspace(text + EMPTY_POOLS)
+    for phi in data.draw(st.lists(fragment_formulas(ws), min_size=1, max_size=4)):
+        again = ws.parse(format_formula(phi))
+        assert free_vars(again) == free_vars(phi)
+        assert normalize(again) == normalize(phi)
 
 
 def test_format_annotates_a_free_use_after_a_binder_of_the_same_variable(pets):

@@ -480,6 +480,22 @@ def test_eval_atom_hidden_union_is_one_sweep(monkeypatch):
     assert brute == frozenset({(a,)})
 
 
+def test_eval_atom_keeps_a_direct_argument_that_is_also_a_beta_variable():
+    """x is k's first argument and the beta variable of its abstraction
+    argument: the extension has x's column, and x is not unioned out."""
+    ws = Workspace()
+    ws.declare_sort("s")
+    ws.domain.declare_extent("s", ["a", "b"])
+    ws.register_concept("p-hood", ("s",), "p")
+    ws.register_concept("k-ness", ("s", "nested sentence"), "k")
+    atom = ws.parse("k(x:s, <<p(x:s)>>|beta: x)")
+    a = ws.domain.lookup("a")
+    told = ws.interp.of_ground_term(Abstracted(ws.parse("p(a)"), (), ()))
+    world = World("w", ws.space, {"k-ness": frozenset({(a, told)})})
+    assert eval_atom(atom, {}, world) == frozenset({(a,)})
+    assert eval_atom(atom, {Variable("x", "s"): a}, world) is True
+
+
 def test_eval_term_function_undefined_at(pets):
     ws = pets
     ws.signature.declare_function("mother", ("animal",), "animal", ws.domain.lattice)
@@ -780,6 +796,31 @@ def test_a_predicate_declared_after_first_use_is_resolved_when_reached():
     assert montague_intension(ws.space, phi, [world]) == {"w": frozenset({(minus_two,)})}
 
 
+def test_a_builtin_function_declared_after_first_use_is_resolved_when_reached():
+    """A core compiled while its function symbol was undeclared reads it as a
+    function graph, failing where it is reached, and answers as a freshly
+    parsed formula does once the symbol is declared a built-in: on both
+    routes, whichever route met the formula first."""
+    for first in ((tarski_eval,), (satisfies,), (satisfies, tarski_eval)):
+        ws = arithmetic_ws(grid=True)
+        phi = ws.parse("leq2(dbl(x:reals), 0)")
+        (x,) = free_vars(phi)
+        (world,) = enumerate_worlds(ws.space)
+        for route in first:
+            with pytest.raises(UnknownSymbol, match="function 'dbl' has no graph in world w0"):
+                route(world, {x: ws.domain.lookup("1")}, phi)
+        ws.signature.declare_function("dbl", ("reals",), "reals", ws.domain.lattice,
+                                      evaluator="neg")
+        fresh = ws.parse("leq2(dbl(x:reals), 0)")
+        pool = ws.domain.valid_elements("reals")
+        expected = [tarski_eval(world, {x: v}, fresh) for v in pool]
+        assert expected == [v.value >= 0 for v in pool]
+        for route in (satisfies, tarski_eval):
+            assert [route(world, {x: v}, phi) for v in pool] == expected
+        assert montague_intension(ws.space, phi, [world]) \
+            == montague_intension(ws.space, fresh, [world])
+
+
 def _abstraction_atoms(phi) -> list[Atom]:
     """The atoms of phi, abstraction bodies included, that take an
     abstraction argument."""
@@ -814,7 +855,8 @@ def test_abstraction_arguments_agree_per_world_and_assignment(text, data):
     those atoms test.  Per world and assignment both routes give the same
     truth value or error; and `eval_atom`, with every variable open, unions
     the hidden beta variables out as the Tarski route does assignment by
-    assignment, hidden variables outermost."""
+    assignment, hidden variables outermost (a beta variable that is also a
+    direct argument is a column, not hidden)."""
     ws = load_workspace(text)
     finite = [phi for phi in data.draw(st.lists(fragment_formulas(ws), min_size=2, max_size=5))
               if all(ws.domain.sort_is_finite(v.sort) for v in free_vars(phi))]
@@ -840,8 +882,10 @@ def test_abstraction_arguments_agree_per_world_and_assignment(text, data):
                 assert _outcome(lambda: satisfies(seeded, g, phi)) \
                     == _outcome(lambda: tarski_eval(seeded, g, phi))
         for a in atoms:
+            direct = free_vars(Atom(a.pred, tuple(t for t in a.args
+                                                  if not isinstance(t, Abstracted))))
             hidden = list(dict.fromkeys(v for t in a.args if isinstance(t, Abstracted)
-                                        for v in t.beta))
+                                        for v in t.beta if v not in direct))
             free = [v for v in free_vars(a) if v not in hidden]
             rows, error = set(), None
             for g in many_sorted_assignments([*hidden, *free], ws.domain):

@@ -23,8 +23,9 @@ from ifol import (
     static_sort,
 )
 from ifol.errors import SortMismatch, SortViolation, UnknownSymbol
-from ifol.semantics import World, enumerate_worlds, eval_term
+from ifol.semantics import World, eval_term
 from ifol.sorting import dynamic_soundness
+from ifol.worlds import enumerate_worlds
 
 from conftest import many_sorted_assignments
 

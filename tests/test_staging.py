@@ -19,12 +19,12 @@ from ifol.semantics import (
     _core,
     _tuples_where,
     consequence,
-    enumerate_worlds,
     intension_plan,
     is_model_of,
     montague_intension,
 )
 from ifol.syntax import free_vars
+from ifol.worlds import enumerate_worlds
 
 from conftest import many_sorted_assignments
 from strategies import arithmetic_workspaces, isa_workspaces, symmetric_workspaces

@@ -9,16 +9,16 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import ifol.semantics
 import ifol.workspace
+import ifol.worlds
 from ifol import load_workspace
 from ifol.cli import run_queries
-from ifol.kernel import TOP_SORT
-from ifol.symmetry import movable_particulars
+from ifol.worlds import movable_particulars
 
-from strategies import symmetric_workspaces
+from strategies import isa_workspaces, symmetric_workspaces
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,26 +37,27 @@ def unary_worlds_text(n: int) -> str:
 
 def first_of_each_orbit(ws) -> list[str]:
     """By brute force: the label of the first world of each orbit, in
-    enumeration order, under every permutation of the particulars that keeps
-    each one's sort.  Every particular of the workspace may move."""
+    enumeration order, under every permutation of the particulars that maps
+    each group of `movable_particulars` onto itself."""
     worlds = ws.worlds()
-    names = sorted(worlds[0].relations)
-    groups: dict[str, list] = {}
-    for p in ws.domain.valid_elements(TOP_SORT):
-        groups.setdefault(p.sort, []).append(p)
-    particulars = [p for group in groups.values() for p in group]
-    index = {tuple(w.relations[name] for name in names): i for i, w in enumerate(worlds)}
+    groups = movable_particulars(ws.space, [phi for _, phi in ws.all_formulas()])
+    particulars = [p for group in groups for p in group]
+
+    def image(world, swap) -> tuple:
+        relations = tuple(frozenset(tuple(swap.get(e, e) for e in t) for t in rel)
+                          for _, rel in sorted(world.relations.items()))
+        graphs = tuple(frozenset(graph.items()) for _, graph in sorted(world.functions.items()))
+        return relations, graphs
+
+    index = {image(w, {}): i for i, w in enumerate(worlds)}
     firsts: list[str] = []
     reached: set[int] = set()
     for i, world in enumerate(worlds):
         if i in reached:
             continue
         firsts.append(world.label)
-        for images in itertools.product(*map(itertools.permutations, groups.values())):
-            swap = dict(zip(particulars, itertools.chain(*images)))
-            reached.add(index[tuple(frozenset(tuple(swap[e] for e in t)
-                                              for t in world.relations[name])
-                                    for name in names)])
+        for images in itertools.product(*map(itertools.permutations, groups)):
+            reached.add(index[image(world, dict(zip(particulars, itertools.chain(*images))))])
     return firsts
 
 
@@ -136,13 +137,25 @@ def test_no_interchangeable_particulars_scan_no_formula(monkeypatch):
     """With no particulars to swap, a query walks every world without its
     formulas being scanned for the fragment that cannot raise."""
     scanned = []
-    real = ifol.workspace.cannot_raise
-    monkeypatch.setattr(ifol.workspace, "cannot_raise",
+    real = ifol.workspace.intension_plan
+    monkeypatch.setattr(ifol.workspace, "intension_plan",
                         lambda space, phi: scanned.append(phi) or real(space, phi))
     ws = load_workspace(FIXTURES / "bealer.ifol")
     report, status = run_queries(ws)
     assert status == 0 and report.count("BEALER-MONTAGUE ok (8 worlds)") == 3
     assert scanned == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(symmetric_workspaces(), isa_workspaces()))
+def test_the_walk_marks_the_first_world_of_each_orbit(text):
+    """Generated workspaces with named, pinned and movable particulars in one
+    or two groups, IS-A edges, function graphs and concepts over empty pools:
+    the worlds the mask walk marks as leading are, in order, the first world
+    of each orbit that a brute-force permutation of the movable particulars
+    finds."""
+    ws = load_workspace(text)
+    assert [w.label for w in ws.worlds() if w.leads] == first_of_each_orbit(ws)
 
 
 # --- differential: the same reports with every world its own class -------------
@@ -152,6 +165,6 @@ def test_no_interchangeable_particulars_scan_no_formula(monkeypatch):
 def test_reports_equal_those_of_the_walk_over_every_world(text):
     with_classes = run_queries(load_workspace(text))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ifol.workspace, "movable_particulars", lambda space, formulas: ())
+        patch.setattr(ifol.worlds, "movable_particulars", lambda space, formulas: ())
         every_world = run_queries(load_workspace(text))
     assert with_classes == every_world

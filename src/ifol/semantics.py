@@ -16,9 +16,10 @@ slot-indexed environment: a list with the formula's parameters (normally its
 free variables, in first-appearance order) in the leading slots and one slot
 per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
-once per node instead of once per call (a constant or predicate not declared
-yet, where it is reached).  Each route has its own compiler, so their
-agreement stays an independent check; they share only term evaluation.
+once per node instead of once per call (a constant, predicate or function
+not declared yet, where it is reached).  Each route has its own compiler, so
+their agreement stays an independent check; they share only term evaluation
+and that late lookup (`_once_declared`).
 Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic.
 The compiled closures are cached on the `Structure`, keyed by the formula's

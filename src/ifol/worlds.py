@@ -117,9 +117,11 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     bounds = _bounds(domain, names, pools)
     if bounds is None:
         return []
-    # the pools are read, so reading them again for the groups cannot raise
-    pairs = [pair for group in movable_particulars(space, formulas)
-             for pair in zip(group, group[1:])]
+    # The pools are read, so reading them again for the groups cannot raise.
+    # Only a unary relation can tell two movable particulars apart.
+    unary = any(len(pool[0]) == 1 for pool in pools if pool)
+    groups = movable_particulars(space, formulas) if unary else ()
+    pairs = [pair for group in groups for pair in zip(group, group[1:])]
     symbols = [symbol for symbol, _ in fn_graphs]
     functions = [dict(zip(symbols, combo))
                  for combo in itertools.product(*(graphs for _, graphs in fn_graphs))]

@@ -4,9 +4,11 @@ Built-in symbols are declared in the workspace with an evaluator name from the
 tables below; they are sort-checked like user symbols but evaluated by these
 functions instead of world relations, so they behave identically in every
 possible world.  All arithmetic is exact: values are Python `int`s when
-integral and `Fraction`s otherwise.  Evaluators take numeric particulars or
-raw numbers alike, so compiled terms pass intermediate results between them
-unboxed and box a value into a particular only where it leaves arithmetic.
+integral and `Fraction`s otherwise.  Function evaluators take numeric
+particulars or raw numbers alike, so compiled terms pass intermediate results
+between them unboxed and box a value into a particular only where it leaves
+arithmetic.  Comparisons are binary operators on raw numbers: a compiled
+comparison unwraps, with `number_of`, only an argument that is not raw.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .kernel import Element, Number, Particular, element_lexeme, exact_number
 _RAW = frozenset({int, Fraction})
 
 
-def _num(el: Union[Element, Number]) -> Number:
+def number_of(el: Union[Element, Number]) -> Number:
+    """The raw number of a numeric particular; a raw number is itself."""
     if el.__class__ in _RAW:
         return el  # type: ignore[return-value]
     if isinstance(el, Particular) and el.value is not None:
@@ -29,21 +32,13 @@ def _num(el: Union[Element, Number]) -> Number:
     raise EvaluationFailure(f"{element_lexeme(el)!r} is not a numeric particular")
 
 
-def _cmp(op: Callable[[Number, Number], bool]) -> Callable[[Sequence[Element]], bool]:
-    def run(args: Sequence[Element]) -> bool:
-        if len(args) != 2:
-            raise EvaluationFailure(f"comparison expects 2 args, got {len(args)}")
-        return op(_num(args[0]), _num(args[1]))
-    return run
-
-
-PREDICATE_EVALUATORS: dict[str, Callable[[Sequence[Element]], bool]] = {
-    "true": lambda args: True,
-    "leq": _cmp(operator.le),
-    "lt": _cmp(operator.lt),
-    "geq": _cmp(operator.ge),
-    "gt": _cmp(operator.gt),
-    "eq": _cmp(operator.eq),
+# The comparison evaluators; the other predicate evaluator is `true`.
+COMPARISONS: dict[str, Callable[[Number, Number], bool]] = {
+    "leq": operator.le,
+    "lt": operator.lt,
+    "geq": operator.ge,
+    "gt": operator.gt,
+    "eq": operator.eq,
 }
 
 
@@ -64,14 +59,16 @@ def _pow(a: Number, b: Number) -> Number:
     return exact_number(Fraction(a) ** n)
 
 
-_FUNCTIONS: dict[str, tuple[int, Callable[..., Number]]] = {
+# The function evaluators that cannot raise on numbers, with their arity;
+# `pow` only with a non-negative integer exponent, where it agrees with `_pow`.
+TOTAL_FUNCTIONS: dict[str, tuple[int, Callable[..., Number]]] = {
     "add": (2, operator.add),
     "sub": (2, operator.sub),
     "mul": (2, operator.mul),
-    "div": (2, _div),
-    "pow": (2, _pow),
     "neg": (1, operator.neg),
+    "pow": (2, operator.pow),
 }
+_FUNCTIONS = {**TOTAL_FUNCTIONS, "div": (2, _div), "pow": (2, _pow)}
 
 
 def apply_function(evaluator: str, args: Sequence[Union[Element, Number]]) -> Number:
@@ -84,12 +81,12 @@ def apply_function(evaluator: str, args: Sequence[Union[Element, Number]]) -> Nu
     if len(args) != arity:
         raise EvaluationFailure(f"{evaluator} expects {arity} args, got {len(args)}")
     if arity == 2:  # the common case, unwrapped inline
-        return fn(_num(args[0]), _num(args[1]))
-    return fn(*map(_num, args))
+        return fn(number_of(args[0]), number_of(args[1]))
+    return fn(*map(number_of, args))
 
 
 def known_predicate_evaluator(name: str) -> bool:
-    return name in PREDICATE_EVALUATORS
+    return name == "true" or name in COMPARISONS
 
 
 def known_function_evaluator(name: str) -> bool:

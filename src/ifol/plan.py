@@ -1,14 +1,20 @@
 """Relational plans: the fragment that cannot raise, evaluated a set at a time.
 
-The fragment is the formulas built from atoms of registered concepts (not
-built-ins), whose arguments are variables of finite sorts or declared
-non-numeric constants, with `~`, `&` and `exists` over finite sorts.  Such a
-formula reads only relation membership and cannot raise, and its meaning in a
-world -- the tuples over its free variables that satisfy it -- is relational
-algebra over the world's relations (Codd, "Relational completeness of data
-base sublanguages", 1972; set-at-a-time relational logic as in Kodkod, Torlak
-& Jackson, TACAS 2007).  `compile_plan` is the fragment's one definition: it
-returns a plan for a formula inside it and None for any other.
+The fragment is the formulas built from two kinds of atoms with `~`, `&` and
+`exists` over finite sorts.  An atom of a registered concept takes variables
+of finite sorts or declared non-numeric constants.  A built-in comparison
+(`leq`, `lt`, `geq`, `gt`, `eq`) takes two arithmetic terms built from
+variables of finite sorts whose pools hold only numeric particulars, numeric
+constants, `add`, `sub`, `mul`, `neg`, and `pow` to a constant non-negative
+integer, in a workspace that declares rationals or reals (elsewhere each raw
+result is checked against a numeric sort, which can raise).  Such a formula
+reads only relation membership and exact arithmetic and cannot raise, and
+its meaning in a world -- the tuples over its free variables that satisfy
+it -- is relational algebra over the world's relations (Codd, "Relational
+completeness of data base sublanguages", 1972; set-at-a-time relational
+logic as in Kodkod, Torlak & Jackson, TACAS 2007).  `compile_plan` is the
+fragment's one definition: it returns a plan for a formula inside it and
+None for any other.
 
 A plan is a tree of nodes.  Each node has columns, the free variables of its
 sub-formula, and a closure from a world's relations to its rows, a frozenset
@@ -23,7 +29,13 @@ of tuples over the columns' sort pools:
 * any other `~` is a difference from the product of the column pools, built
   on the first world that needs it and kept for the plan's life;
 * `exists` is a projection; over a variable its body does not read, it is the
-  body when the variable's pool is nonempty and empty otherwise.
+  body when the variable's pool is nonempty and empty otherwise;
+* a comparison is a selection over the product of its variables' pools, by
+  nested loops as a Datalog engine runs arithmetic (Soufflé, Jordan, Scholz
+  & Subotić, CAV 2016).  Its rows do not read the world: the first world
+  that needs them computes them, with the operators `apply_function` uses,
+  each sub-term once per binding of the variables it reads (see `_select`),
+  and the plan keeps them for its life.
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
@@ -40,10 +52,12 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from .kernel import Element, numeric_value
-from .syntax import And, Atom, Const, Exists, Formula, Var, Variable, conjuncts, negations
+from .builtins import COMPARISONS, TOTAL_FUNCTIONS
+from .kernel import Element, Number, numeric_value
+from .syntax import (And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variable, conjuncts,
+                     negations)
 
 if TYPE_CHECKING:
     from .semantics import Structure
@@ -55,6 +69,17 @@ _Node = tuple[tuple[Variable, ...], Plan]  # (columns, rows)
 
 _EMPTY: Rows = frozenset()
 _TRUE: Rows = frozenset({()})
+
+
+class _Cell(NamedTuple):
+    """One sub-term of a comparison: a variable's raw value (no `fn`, one
+    column read), a numeric constant (its `value`), or `fn` applied to the
+    values of the `args` cells."""
+
+    fn: Optional[Callable[..., Number]]
+    args: tuple[int, ...]
+    reads: frozenset[int]  # the columns it reads
+    value: Optional[Number] = None
 
 
 class _Outside(Exception):
@@ -96,6 +121,7 @@ class _Planner:
         self.domain = space.domain
         self.concepts = space.registry.by_predicate
         self.builtins = space.signature.builtin_predicates
+        self.functions = space.signature.builtin_functions
         self.budget = budget
         self.pools: dict[Variable, tuple[Element, ...]] = {}
 
@@ -127,8 +153,11 @@ class _Planner:
         return self.exists(f)
 
     def atom(self, a: Atom) -> _Node:
+        evaluator = self.builtins.get(a.pred)
+        if evaluator is not None:
+            return self.comparison(a, evaluator)
         concept = self.concepts.get(a.pred)
-        if concept is None or a.pred in self.builtins or len(a.args) != concept.arity:
+        if concept is None or len(a.args) != concept.arity:
             raise _Outside
         first: dict[Variable, int] = {}  # each variable's first position
         constants: list[tuple[int, Element]] = []
@@ -162,6 +191,58 @@ class _Planner:
                 and all(t[i] in pool for i, pool in wider))
 
         return self.node(cols, select)
+
+    def comparison(self, a: Atom, evaluator: str) -> _Node:
+        """A built-in comparison that cannot raise: a selection over the
+        product of its variables' pools, its columns in first-appearance
+        order.  No term is evaluated here: the rows do not read the world, so
+        the first call computes them and the plan keeps them."""
+        op = COMPARISONS.get(evaluator)
+        lattice = self.domain.lattice
+        if op is None or len(a.args) != 2 or not ("rationals" in lattice or "reals" in lattice):
+            raise _Outside  # without either, each raw result is checked against a sort
+        cells: list[_Cell] = []
+        cols: dict[Variable, int] = {}  # each variable's cell
+        left, right = (self.term(t, cells, cols) for t in a.args)
+        pools = [self.pools[v] for v in cols]
+        kept: list[Rows] = []
+
+        def rows(rels: Relations) -> Rows:
+            if not kept:
+                kept.append(_select(op, cells, left, right, pools))
+            return kept[0]
+
+        return self.node(tuple(cols), rows)
+
+    def term(self, t: Term, cells: list[_Cell], cols: dict[Variable, int]) -> int:
+        """The cell of an arithmetic term that cannot raise, its argument
+        cells before it; a variable has one cell however often it occurs."""
+        if isinstance(t, Var):
+            if t.var not in cols:
+                if any(p.value is None for p in self.pool(t.var)):
+                    raise _Outside
+                cols[t.var] = len(cells)
+                cells.append(_Cell(None, (), frozenset((len(cols) - 1,))))
+            return cols[t.var]
+        if isinstance(t, Const):
+            found = self.domain.lookup(t.symbol)
+            if found is None or found.value is None:
+                raise _Outside
+            cells.append(_Cell(None, (), frozenset(), found.value))
+            return len(cells) - 1
+        if not isinstance(t, FnApp):
+            raise _Outside
+        evaluator = self.functions.get(t.symbol)
+        arity, fn = TOTAL_FUNCTIONS.get(evaluator, (0, None))
+        if fn is None or len(t.args) != arity:
+            raise _Outside
+        args = tuple(self.term(u, cells, cols) for u in t.args)
+        if evaluator == "pow" and not (isinstance(t.args[1], Const)
+                                       and cells[args[1]].value.__class__ is int
+                                       and cells[args[1]].value >= 0):
+            raise _Outside  # it raises on a fractional exponent and on 0 to a negative one
+        cells.append(_Cell(fn, args, frozenset().union(*(cells[i].reads for i in args))))
+        return len(cells) - 1
 
     def covers(self, sort: str, v: Variable) -> bool:
         """Whether v's pool holds every element of the attribute sort."""
@@ -250,3 +331,54 @@ class _Planner:
             return frozenset(t for t in wrows(rels) if (key(t) in found) == keep)
 
         return self.node(cols, rows)
+
+
+def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int, right: int,
+            pools: list[tuple[Element, ...]]) -> Rows:
+    """The rows over `pools` at which `op` holds between the values of the
+    cells `left` and `right`, bound in nested loops, the first column
+    outermost.  A cell is evaluated once per binding of the columns it reads,
+    as a staged sweep fills its slots: a cell over no column once, over one
+    column as a table over its pool, over several once per binding of all but
+    the last, across the last one's pool by a `map`; the test is a `map`
+    across the innermost pool."""
+    last = [max(c.reads, default=-1) for c in cells]
+    scalar: list = [c.value for c in cells]  # a cell's value at the current binding
+    column: list = [None] * len(cells)  # its values across the pool of its last column
+    later: list[list[int]] = [[] for _ in pools]  # the cells over several columns
+
+    def across(i: int, j: int):
+        return column[i] if last[i] == j else itertools.repeat(scalar[i])
+
+    for i, c in enumerate(cells):
+        if c.fn is None:
+            if c.reads:
+                column[i] = [p.value for p in pools[last[i]]]
+        elif len(c.reads) > 1:
+            later[last[i]].append(i)
+        elif c.reads:
+            column[i] = list(map(c.fn, *[across(a, last[i]) for a in c.args]))
+        else:
+            scalar[i] = c.fn(*[scalar[a] for a in c.args])
+    if not pools:
+        return _TRUE if op(scalar[left], scalar[right]) else _EMPTY
+    bound = [[i for i in range(len(cells)) if last[i] == j] for j in range(len(pools))]
+    inputs = [[[(a, last[a] == j) for a in cells[i].args] for i in later[j]]
+              for j in range(len(pools))]
+    out: list[tuple[Element, ...]] = []
+
+    def walk(j: int, prefix: tuple[Element, ...]) -> None:
+        for i, args in zip(later[j], inputs[j]):
+            column[i] = list(map(cells[i].fn, *[column[a] if here else itertools.repeat(scalar[a])
+                                                for a, here in args]))
+        if j == len(pools) - 1:
+            keep = map(op, across(left, j), across(right, j))
+            out.extend(map(prefix.__add__, zip(itertools.compress(pools[j], keep))))
+            return
+        for index, p in enumerate(pools[j]):
+            for i in bound[j]:
+                scalar[i] = column[i][index]
+            walk(j + 1, prefix + (p,))
+
+    walk(0, ())
+    return frozenset(out)

@@ -18,10 +18,13 @@ per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
 once per node instead of once per call (a constant, predicate or function
 not declared yet, where it is reached).  Each route has its own compiler, so
-their agreement stays an independent check; they share only term evaluation
-and that late lookup (`_once_declared`).
+their agreement stays an independent check; they share only term evaluation,
+built-in predicate atoms (`_builtin_test`) and that late lookup
+(`_once_declared`).
 Compiled terms pass built-in arithmetic results between built-ins as raw
-numbers and box a value as a particular only where it leaves arithmetic.
+numbers and box a value as a particular only where it leaves arithmetic; a
+comparison applies its operator to its arguments, unwrapping only those
+that are not raw numbers already.
 The compiled closures are cached on the `Structure`, keyed by the formula's
 identity, and each cache entry holds its formula so that the identity cannot
 be reused while the entry exists.
@@ -65,11 +68,12 @@ for an intension, one world per class of isomorphic worlds where the
 workspace finds that enough (`Workspace.representatives`, `World.leads`).
 
 An intension is computed a set at a time where it can be: a formula in the
-fragment that cannot raise has a relational plan (`ifol.plan`, the
-fragment's one definition), compiled anew for each query so that it reads
-the sort pools as they stand, which `montague_intension` runs on each world's
-relations.  Any other formula is
-swept on the Kripke route.  The plan is a third evaluator: consequence stays
+fragment that cannot raise -- concept atoms and built-in comparisons over
+finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
+one definition), compiled anew for each query so that it reads the sort
+pools as they stand, which `montague_intension` runs on each world's
+relations; a comparison's rows read no world, so a query computes them
+once.  Any other formula is swept on the Kripke route.  The plan is a third evaluator: consequence stays
 on the Kripke closures and a concept's extension on the Tarski ones, so
 Bealer-Montague still compares two independent routes.
 """
@@ -81,7 +85,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .builtins import PREDICATE_EVALUATORS, apply_function
+from .builtins import COMPARISONS, apply_function, number_of
 from .concepts import ConceptRegistry, Interpretation
 from .errors import (
     EvaluationFailure,
@@ -626,6 +630,47 @@ def _tuple_of(values: list[Value]) -> Args:
     return lambda w, env: tuple([v(w, env) for v in values])
 
 
+def _builtin_test(evaluator: str, terms: Sequence[Term], bound: dict[Variable, int],
+                  space: Structure, stager: Optional[_Stager]) -> Test:
+    """A built-in predicate's atom on either route.  A comparison is its
+    operator on its two arguments, both evaluated, left to right, before
+    either is unwrapped, and only an argument that is not a raw number
+    already is unwrapped.  `true`, and a comparison with another number of
+    arguments (declared after first use), evaluate their arguments first."""
+    op = COMPARISONS.get(evaluator)
+    if op is None or len(terms) != 2:
+        args = _compile_args(terms, bound, space, True, stager)
+
+        def other(w: World, env: list) -> bool:
+            count = len(args(w, env))
+            if op is None:
+                return True
+            raise EvaluationFailure(f"comparison expects 2 args, got {count}")
+
+        return other
+    first, second = (_compile_term(t, bound, space, True, stager) for t in terms)
+    raw_first, raw_second = (_yields_raw(t, space) for t in terms)
+    if raw_first and raw_second:
+        return lambda w, env: op(first(w, env), second(w, env))
+    if raw_first:
+        return lambda w, env: op(first(w, env), number_of(second(w, env)))
+
+    def compare(w: World, env: list) -> bool:
+        a, b = first(w, env), second(w, env)
+        return op(number_of(a), b if raw_second else number_of(b))
+
+    return compare
+
+
+def _yields_raw(t: Term, space: Structure) -> bool:
+    """Whether `_term` compiles t, for an arithmetic consumer, to a raw
+    number: a declared numeric constant or a built-in application."""
+    if isinstance(t, Const):
+        found = space.domain.lookup(t.symbol)
+        return found is not None and found.value is not None
+    return isinstance(t, FnApp) and t.symbol in space.signature.builtin_functions
+
+
 def _unbound(v: Variable) -> Value:
     def fail(w: World, env: list) -> Element:
         raise UnboundVariable(v.name)
@@ -718,11 +763,10 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
 
             return generalized
         evaluator = space.signature.builtin_predicates.get(a.pred)
-        concept = space.registry.by_predicate.get(a.pred)
-        args = _compile_args(a.args, bound, space, evaluator is not None, stager)
         if evaluator is not None:
-            check = PREDICATE_EVALUATORS[evaluator]
-            return lambda w, env: check(args(w, env))
+            return _builtin_test(evaluator, a.args, bound, space, stager)
+        concept = space.registry.by_predicate.get(a.pred)
+        args = _compile_args(a.args, bound, space, False, stager)
         if concept is None:  # not declared (yet): resolve when reached, failing there
             return _once_declared(lambda: a.pred in space.registry.by_predicate
                                   or a.pred in space.signature.builtin_predicates,
@@ -836,11 +880,10 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
 
     def atom(a: Atom, bound: dict[Variable, int], stager: Optional[_Stager]) -> Test:
         evaluator = space.signature.builtin_predicates.get(a.pred)
-        concept = space.registry.by_predicate.get(a.pred)
-        args = _compile_args(a.args, bound, space, evaluator is not None, stager)
         if evaluator is not None:
-            check = PREDICATE_EVALUATORS[evaluator]
-            return lambda w, env: check(args(w, env))
+            return _builtin_test(evaluator, a.args, bound, space, stager)
+        concept = space.registry.by_predicate.get(a.pred)
+        args = _compile_args(a.args, bound, space, False, stager)
         if concept is None:  # not declared (yet): resolve when reached, failing there
             return _once_declared(lambda: a.pred in space.registry.by_predicate
                                   or a.pred in space.signature.builtin_predicates,

@@ -6,8 +6,8 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from ifol.kernel import NESTED_SENTENCE_SORT
-from ifol.syntax import (And, Atom, Const, Exists, FnApp, Not, Var, Variable, format_formula,
-                         free_vars, mk_abstracted)
+from ifol.syntax import (Abstracted, And, Atom, Const, Exists, FnApp, Not, Var, Variable,
+                         format_formula, free_vars, mk_abstracted)
 
 
 @st.composite
@@ -171,13 +171,17 @@ def fragment_formulas(draw, ws, depth: int = 3):
     arity, take declared constants and variables of the position's sort or a
     subsort, and often repeat a variable (`r(x0, x0)`); with two variables
     per sort, quantifiers that shadow a variable in scope are common, and
-    `exists` may bind a variable the body does not read.  Some formulas are closed by binding
-    their free variables.  Built-in predicates, function applications,
-    numeric constants and quantifiers over an infinite sort mix formulas
-    outside the fragment in, also as sub-formulas of fragment ones, and so
-    do atoms of concepts with a nested-sentence position, which takes an
-    abstraction term: its body is a drawn formula, each of whose free
-    variables is hidden (alpha) or exposed (beta) at random."""
+    `exists` may bind a variable the body does not read.  Some formulas are
+    closed by binding their free variables.  The arguments of built-in
+    predicates nest built-in applications two deep, `div` and `pow` to the
+    exponents 2, -1 and 1/2 among them, so comparisons fall on both sides of
+    the fragment.  Function graphs, numeric constants in concept atoms,
+    non-numeric particulars of a numeric sort and quantifiers over an infinite sort mix formulas outside
+    the fragment in, also as sub-formulas of fragment ones, and so do atoms
+    of concepts with a nested-sentence position, which takes an abstraction
+    term: its body is a drawn formula, each of whose free variables is
+    hidden (alpha) or exposed (beta) at random, and a direct argument of the
+    atom often repeats one of its beta variables (`k(x, <<p(x)>>|beta: x)`)."""
     domain, signature = ws.domain, ws.signature
     atoms = [(pred, c.attribute_sorts) for pred, c in ws.registry.by_predicate.items()
              if all(domain.sort_is_finite(s) or s == NESTED_SENTENCE_SORT
@@ -186,27 +190,47 @@ def fragment_formulas(draw, ws, depth: int = 3):
               if pred != "true"]
     nested = [atom for atom in atoms if NESTED_SENTENCE_SORT in atom[1]]
     plain = [atom for atom in atoms if atom not in nested]
-    sorts = sorted({s for _, position in plain for s in position} | {"truth values"})
+    sorts = sorted({s for _, position in atoms for s in position if s != NESTED_SENTENCE_SORT}
+                   | {"truth values"})
     variables = [Variable(f"{name}{i}", sort) for i, sort in enumerate(sorts) for name in "xy"]
     infinite = [s for s in ("reals", "integers") if s in domain.lattice
                 and not domain.sort_is_finite(s)]
     graphs = {symbol: sorts_ for symbol, sorts_ in signature.functions.items()
               if symbol not in signature.builtin_functions}
+    arithmetic = {symbol: sorts_ for symbol, sorts_ in signature.functions.items()
+                  if symbol in signature.builtin_functions}
 
-    def argument(sort: str, outer: bool = True):
+    def argument(sort: str, outer: bool = True, nesting: int = 0):
+        """A term of the sort: a variable, a constant, or, at the outer
+        level, a graph application; with `nesting`, built-in applications
+        too, that many deep."""
         options: list = [Var(v) for v in variables if domain.is_subsort(v.sort, sort)]
         options += [Const(p.lexeme) for p in domain.valid_elements(sort)]
         if outer:
             options += [symbol for symbol, (_, ret) in graphs.items()
                         if domain.is_subsort(ret, sort)]
+        if nesting:
+            options += [symbol for symbol, (_, ret) in arithmetic.items()
+                        if domain.is_subsort(ret, sort)] * 2
         t = draw(st.sampled_from(options))
-        if isinstance(t, str):  # a function application, its arguments drawn alike
+        if not isinstance(t, str):
+            return t
+        if t in graphs:  # a graph application, its arguments drawn alike
             return FnApp(t, tuple(argument(s, outer=False) for s in graphs[t][0]))
-        return t
+        args = [argument(s, outer, nesting - 1) for s in arithmetic[t][0]]
+        if signature.builtin_functions[t] == "pow" and draw(st.booleans()):
+            # a constant exponent: pow cannot raise on 2, and raises on 1/2
+            # everywhere and on -1 at 0
+            args[1] = Const(draw(st.sampled_from(["2", "-1", "1/2"])))
+        return FnApp(t, tuple(args))
 
-    def abstraction(depth: int):
+    def abstraction(depth: int, position: tuple[str, ...]):
+        """An abstraction term for an atom over `position`: a body variable
+        that could also be a direct argument of the atom is exposed three
+        times in four, any other one time in two."""
         body = formula(depth)
-        beta = [v for v in free_vars(body) if draw(st.booleans())]
+        beta = [v for v in free_vars(body) if draw(st.booleans()) or (draw(st.booleans()) and any(
+            s != NESTED_SENTENCE_SORT and domain.is_subsort(v.sort, s) for s in position))]
         return mk_abstracted(body, [v for v in free_vars(body) if v not in beta], beta)
 
     def formula(depth: int):
@@ -221,19 +245,30 @@ def fragment_formulas(draw, ws, depth: int = 3):
             v = draw(st.sampled_from([v for v in variables if v.sort == sort]
                                      or [Variable("z", sort)]))
             return Exists(v, formula(depth - 1))
-        # about one atom in four above the last level takes an abstraction,
+        # about one atom in two above the last level takes an abstraction,
         # whose body is a formula one level down
         pred, position = draw(st.sampled_from(
-            nested if depth and nested and draw(st.integers(0, 3)) == 3 else plain))
-        args: list = []
-        for sort in position:
-            if sort == NESTED_SENTENCE_SORT:
-                args.append(abstraction(depth - 1))
+            nested if depth and nested and draw(st.booleans()) else plain))
+        nesting = 2 if pred in signature.builtin_predicates else 0
+        # the abstractions first, so that a direct argument may repeat one of
+        # their beta variables as well as an earlier direct argument
+        args: dict[int, object] = {i: abstraction(depth - 1, position)
+                                   for i, sort in enumerate(position)
+                                   if sort == NESTED_SENTENCE_SORT}
+        for i, sort in enumerate(position):
+            if i in args:
                 continue
-            again = [t for t in args if isinstance(t, Var) and domain.is_subsort(t.var.sort, sort)]
-            args.append(draw(st.sampled_from(again)) if again and draw(st.booleans())
-                        else argument(sort))
-        return Atom(pred, tuple(args))
+            exposed = [Var(v) for t in args.values() if isinstance(t, Abstracted)
+                       for v in t.beta if domain.is_subsort(v.sort, sort)]
+            again = [t for t in args.values()
+                     if isinstance(t, Var) and domain.is_subsort(t.var.sort, sort)]
+            if exposed and draw(st.integers(0, 3)):
+                args[i] = draw(st.sampled_from(exposed))
+            elif again and draw(st.booleans()):
+                args[i] = draw(st.sampled_from(again))
+            else:
+                args[i] = argument(sort, nesting=nesting)
+        return Atom(pred, tuple(args[i] for i in range(len(position))))
 
     phi = formula(depth)
     if draw(st.booleans()):

@@ -18,6 +18,7 @@ import pytest
 import ifol.semantics
 from ifol import load_workspace
 from ifol.cli import run_queries
+from ifol.semantics import intension_plan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,17 +58,26 @@ def test_engine_reports_match_the_references(name, seed):
 def test_grid_pass_applies_each_builtin_once_per_binding(monkeypatch):
     """The grid-assignments workload at its benchmark size, k = 8: 17^3
     assignments, where evaluating every term at every assignment made 112,999
-    built-in applications.  Staged, each term is evaluated once per binding of
-    the parameters it reads: 17 * 3 + 289 + 4,913 for the INTENSION and
-    17 * 6 + 1 + 289 + 4,913 on each Bealer-Montague route."""
+    built-in applications.  Both intensions, of the INTENSION query and of
+    the Bealer-Montague query, are comparisons that cannot raise, so they
+    have relational plans, which apply no built-in through the engine's
+    `apply_function`.  The Tarski extension side of Bealer-Montague is a
+    staged sweep: each term is evaluated once per binding of the parameters
+    it reads, 17 * 6 + 1 + 289 + 4,913 = 5,305 applications."""
     calls = []
     real = ifol.semantics.apply_function
     monkeypatch.setattr(ifol.semantics, "apply_function",
                         lambda evaluator, args: calls.append(evaluator) or real(evaluator, args))
     workload = workloads.grid_assignments(1, k=8)
-    report, status = run_queries(load_workspace(workload.files[0].text))
+    ws = load_workspace(workload.files[0].text)
+    sphere = load_workspace((ROOT / "fixtures" / "sphere.ifol").read_text())
+    for space, query in [(ws.space, q) for q in ws.queries[:2]] + [(sphere.space,
+                                                                    sphere.queries[1])]:
+        assert query.kind in ("intension", "bealer-montague")
+        assert intension_plan(space, query.formula) is not None
+    report, status = run_queries(ws)
     assert workload.files[0].reference.wrong(workloads.split_report(report), status) == 0
-    assert len(calls) <= 25_000
+    assert len(calls) <= 6_000
 
 
 @pytest.mark.parametrize("module, path", sorted(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifol.plan
 import ifol.semantics
 from ifol import load_workspace
 from ifol.cli import run_queries
@@ -14,9 +15,10 @@ from ifol.errors import IfolError
 from ifol.semantics import _compile_kripke, _compile_tarski, _core, _tuples_where, intension_plan
 from ifol.syntax import Atom, Const, Var, Variable, format_formula
 
-from strategies import EMPTY_POOLS, fragment_formulas, isa_workspaces, symmetric_workspaces
+from strategies import (EMPTY_POOLS, arithmetic_workspaces, fragment_formulas, isa_workspaces,
+                        symmetric_workspaces)
 
-WORKSPACES = st.one_of(symmetric_workspaces(), isa_workspaces())
+WORKSPACES = st.one_of(symmetric_workspaces(), isa_workspaces(), arithmetic_workspaces())
 
 BINARY = ("sort thing\n"
           "extent thing = { c, a, b }\n"
@@ -25,10 +27,18 @@ BINARY = ("sort thing\n"
           "extent part = { a, b }\n"
           "concept p-hood arity 1 sorts thing predicate p\n"
           "concept r-ness arity 2 sorts thing thing predicate r\n")
-# ... and a built-in predicate, a function and an infinite sort
-OUTSIDE = (BINARY + "sort reals\n"
+# ... and a built-in predicate over an infinite sort, finite integers below
+# it and built-in arithmetic
+NUMBERS = (BINARY + "sort reals\n"
            "builtin predicate lt/2 : reals x reals = lt\n"
-           "function f/1 : thing -> thing\n")
+           "sort integers\n"
+           "isa integers reals\n"
+           "extent integers = { -1, 0, 2 }\n"
+           + "".join(f"builtin function {name}/2 : reals x reals -> reals = {name}\n"
+                     for name in ("add", "mul", "div", "pow"))
+           + "builtin function neg/1 : reals -> reals = neg\n")
+# ... and two function graphs
+OUTSIDE = NUMBERS + "function f/1 : thing -> thing\nfunction g/1 : thing -> integers\n"
 
 
 def _plans_off(patch: pytest.MonkeyPatch) -> None:
@@ -49,9 +59,18 @@ def _outcome(evaluate):
     ("~~p(x:part)", True),
     ("exists y:thing . p(a)", True),
     ("p(f(x:thing))", False),
-    ("p(x:thing) & lt(1, 2)", False),
+    ("p(x:thing) & lt(1, 2)", True),
     ("exists y:reals . p(x:thing)", False),
     ("p(x:thing) & ~(exists y:thing . r(x, f(y)))", False),
+    # built-in comparisons: in where they cannot raise
+    ("lt(x:integers^2 + (y:integers^2 + z:integers^2), 4)", True),
+    ("lt(-x:integers, x * 0)", True),
+    ("lt(x:integers, 1) & ~p(y:thing)", True),
+    ("lt(x:reals, 2)", False),
+    ("lt(div(x:integers, 2), 1)", False),
+    ("lt(x:integers ^ y:integers, 1)", False),
+    ("lt(x:integers ^ -1, 1)", False),
+    ("lt(g(x:thing), 2)", False),
 ])
 def test_the_plan_defines_the_fragment(text, planned):
     ws = load_workspace(OUTSIDE)
@@ -67,6 +86,51 @@ def test_an_atom_outside_the_fragment_gets_no_plan():
                  Atom("r", (x,)),                  # fewer arguments than positions
                  Atom("q", (x,))):                 # a predicate with no concept
         assert intension_plan(ws.space, atom) is None
+
+
+def test_a_comparison_without_rationals_or_reals_gets_no_plan():
+    """Without a rationals or reals sort, each raw result of arithmetic is
+    checked against a numeric sort, which can raise: no plan then."""
+    text = ("sort integers\n"
+            "extent integers = { 0, 1 }\n"
+            "builtin predicate lt/2 : integers x integers = lt\n")
+    phi = "lt(x:integers, 1)"
+    ws = load_workspace(text)
+    assert intension_plan(ws.space, ws.parse(phi)) is None
+    ws = load_workspace(text + "sort rationals\nisa integers rationals\n")
+    assert intension_plan(ws.space, ws.parse(phi)) is not None
+
+
+def test_a_comparison_is_computed_once_and_not_at_compile_time(monkeypatch):
+    """Compiling evaluates no term; the first run computes the rows and the
+    plan keeps them, as they do not read the world."""
+    calls = []
+    totals = {name: (arity, lambda *args, fn=fn: calls.append(fn) or fn(*args))
+              for name, (arity, fn) in ifol.plan.TOTAL_FUNCTIONS.items()}
+    monkeypatch.setattr(ifol.plan, "TOTAL_FUNCTIONS", totals)
+    ws = load_workspace(NUMBERS)
+    plan = intension_plan(ws.space, ws.parse("lt(x:integers^2 + -y:integers, 1)"))
+    assert calls == []
+    world, other = ws.worlds()[:2]
+    rows = plan(world.relations)
+    made = len(calls)
+    assert made and plan(other.relations) is rows and len(calls) == made
+    pool = ws.domain.valid_elements("integers")
+    assert rows == {(x, y) for x in pool for y in pool if x.value ** 2 - y.value < 1}
+
+
+def test_a_comparison_over_the_budget_keeps_the_sweep(monkeypatch):
+    """A comparison's node is checked against the budget like any other:
+    over it the formula is swept, and its sweep keeps the guard."""
+    text = NUMBERS + "query intension lt(x:integers + y:integers, 1)\n"
+    monkeypatch.setattr(ifol.semantics, "MAX_ASSIGNMENTS", 8)
+    ws = load_workspace(text)
+    assert intension_plan(ws.space, ws.queries[0].formula) is None
+    report, status = run_queries(ws)
+    assert "ERROR ExplosionGuard: more than 8 assignments" in report
+    monkeypatch.setattr(ifol.semantics, "MAX_ASSIGNMENTS", 9)
+    ws = load_workspace(text)
+    assert intension_plan(ws.space, ws.queries[0].formula) is not None
 
 
 def test_an_atom_over_its_variables_is_the_relation():

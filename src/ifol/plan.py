@@ -362,21 +362,18 @@ def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int,
             scalar[i] = c.fn(*[scalar[a] for a in c.args])
     if not pools:
         return _TRUE if op(scalar[left], scalar[right]) else _EMPTY
-    bound = [[i for i in range(len(cells)) if last[i] == j] for j in range(len(pools))]
-    inputs = [[[(a, last[a] == j) for a in cells[i].args] for i in later[j]]
-              for j in range(len(pools))]
+    at = [[i for i in range(len(cells)) if last[i] == j] for j in range(len(pools))]
     out: list[tuple[Element, ...]] = []
 
     def walk(j: int, prefix: tuple[Element, ...]) -> None:
-        for i, args in zip(later[j], inputs[j]):
-            column[i] = list(map(cells[i].fn, *[column[a] if here else itertools.repeat(scalar[a])
-                                                for a, here in args]))
+        for i in later[j]:
+            column[i] = list(map(cells[i].fn, *[across(a, j) for a in cells[i].args]))
         if j == len(pools) - 1:
             keep = map(op, across(left, j), across(right, j))
             out.extend(map(prefix.__add__, zip(itertools.compress(pools[j], keep))))
             return
         for index, p in enumerate(pools[j]):
-            for i in bound[j]:
+            for i in at[j]:  # the cells whose last column is j
                 scalar[i] = column[i][index]
             walk(j + 1, prefix + (p,))
 

@@ -73,9 +73,10 @@ finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
 one definition), compiled anew for each query so that it reads the sort
 pools as they stand, which `montague_intension` runs on each world's
 relations; a comparison's rows read no world, so a query computes them
-once.  Any other formula is swept on the Kripke route.  The plan is a third evaluator: consequence stays
-on the Kripke closures and a concept's extension on the Tarski ones, so
-Bealer-Montague still compares two independent routes.
+once.  Any other formula is swept on the Kripke route.  The plan is a third
+evaluator: consequence stays on the Kripke closures and a concept's
+extension on the Tarski ones, so Bealer-Montague still compares two
+independent routes.
 """
 
 from __future__ import annotations

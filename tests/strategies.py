@@ -176,12 +176,13 @@ def fragment_formulas(draw, ws, depth: int = 3):
     predicates nest built-in applications two deep, `div` and `pow` to the
     exponents 2, -1 and 1/2 among them, so comparisons fall on both sides of
     the fragment.  Function graphs, numeric constants in concept atoms,
-    non-numeric particulars of a numeric sort and quantifiers over an infinite sort mix formulas outside
-    the fragment in, also as sub-formulas of fragment ones, and so do atoms
-    of concepts with a nested-sentence position, which takes an abstraction
-    term: its body is a drawn formula, each of whose free variables is
-    hidden (alpha) or exposed (beta) at random, and a direct argument of the
-    atom often repeats one of its beta variables (`k(x, <<p(x)>>|beta: x)`)."""
+    non-numeric particulars of a numeric sort and quantifiers over an
+    infinite sort mix formulas outside the fragment in, also as sub-formulas
+    of fragment ones, and so do atoms of concepts with a nested-sentence
+    position, which takes an abstraction term: its body is a drawn formula,
+    each of whose free variables is hidden (alpha) or exposed (beta) at
+    random, and a direct argument of the atom often repeats one of its beta
+    variables (`k(x, <<p(x)>>|beta: x)`)."""
     domain, signature = ws.domain, ws.signature
     atoms = [(pred, c.attribute_sorts) for pred, c in ws.registry.by_predicate.items()
              if all(domain.sort_is_finite(s) or s == NESTED_SENTENCE_SORT
@@ -209,7 +210,7 @@ def fragment_formulas(draw, ws, depth: int = 3):
         if outer:
             options += [symbol for symbol, (_, ret) in graphs.items()
                         if domain.is_subsort(ret, sort)]
-        if nesting:
+        if nesting:  # each built-in twice, so that applications are common
             options += [symbol for symbol, (_, ret) in arithmetic.items()
                         if domain.is_subsort(ret, sort)] * 2
         t = draw(st.sampled_from(options))

@@ -218,6 +218,8 @@ class Domain:
         self._transient: dict[str, Particular] = {}
         self._finite_numeric: set[SortId] = set()
         self._valid_cache: dict[SortId, tuple[Particular, ...]] = {}
+        # raised by every declaration, which only ever adds (see `Structure.stamp`)
+        self.declarations = 0
         for name in RESERVED_SORTS:
             self.concepts[name] = Concept(name, 1, (name,))
         # Truth-value extent is fixed: f is the empty set, t the singleton tuple.
@@ -241,6 +243,7 @@ class Domain:
         concept = Concept(name, arity, attrs)
         self.lattice.declare(name)
         self.concepts[name] = concept
+        self.declarations += 1
         if name == VERB_FORM_SORT:
             for form in VERB_FORMS:
                 self._add_particular(Particular(form, VERB_FORM_SORT))
@@ -249,6 +252,7 @@ class Domain:
     def declare_isa(self, sub: SortId, sup: SortId) -> None:
         self.lattice.add_edge(sub, sup)
         self._valid_cache.clear()
+        self.declarations += 1
 
     def is_subsort(self, s1: SortId, s2: SortId) -> bool:
         return self.lattice.is_subsort(s1, s2)
@@ -285,6 +289,7 @@ class Domain:
         if sort in NUMERIC_SORTS:
             self._finite_numeric.add(sort)
             self._valid_cache.clear()
+            self.declarations += 1
         for lex in lexemes:
             self.declare_particular(lex, sort)
 
@@ -293,6 +298,7 @@ class Domain:
             self._pool.append(p)
             self._by_lexeme[p.lexeme] = p
             self._valid_cache.clear()
+            self.declarations += 1
 
     # --- numeric elements -------------------------------------------------
 

@@ -337,11 +337,10 @@ def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int,
             pools: list[tuple[Element, ...]]) -> Rows:
     """The rows over `pools` at which `op` holds between the values of the
     cells `left` and `right`, bound in nested loops, the first column
-    outermost.  A cell is evaluated once per binding of the columns it reads,
-    as a staged sweep fills its slots: a cell over no column once, over one
-    column as a table over its pool, over several once per binding of all but
-    the last, across the last one's pool by a `map`; the test is a `map`
-    across the innermost pool."""
+    outermost.  A cell is evaluated once per binding of the columns it reads:
+    a cell over no column once, over one column as a table over its pool,
+    over several once per binding of all but the last, across the last one's
+    pool by a `map`; the test is a `map` across the innermost pool."""
     last = [max(c.reads, default=-1) for c in cells]
     scalar: list = [c.value for c in cells]  # a cell's value at the current binding
     column: list = [None] * len(cells)  # its values across the pool of its last column

@@ -16,18 +16,20 @@ slot-indexed environment: a list with the formula's parameters (normally its
 free variables, in first-appearance order) in the leading slots and one slot
 per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
-once per node instead of once per call (a constant, predicate or function
-not declared yet, where it is reached).  Each route has its own compiler, so
-their agreement stays an independent check; they share only term evaluation,
-built-in predicate atoms (`_builtin_test`) and that late lookup
-(`_once_declared`).
+once per node instead of once per call.  Each route has its own compiler, so
+their agreement stays an independent check; they share only term evaluation
+and built-in predicate atoms (`_builtin_test`).
 Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic; a
 comparison applies its operator to its arguments, unwrapping only those
 that are not raw numbers already.
 The compiled closures are cached on the `Structure`, keyed by the formula's
 identity, and each cache entry holds its formula so that the identity cannot
-be reused while the entry exists.
+be reused while the entry exists.  An entry holds for one declaration stamp
+(`Structure.stamp`, which every declaration raises): a formula evaluated
+after a declaration is compiled anew, so a constant, predicate or function
+declared since then is resolved as in a fresh workspace, and one still not
+declared fails where it is reached.
 
 The hot loop is one membership test per atom and assignment.  A concept atom
 tests its argument tuple against the world's relation; over bound variables
@@ -41,18 +43,21 @@ models), so a failure is found without raising at any later assignment.
 
 Sweeps are staged (loop-invariant code motion, Aho et al., *Compilers*
 ch. 9; factorised evaluation, Olteanu & Schleich, SIGMOD Record 2016).  The
-shared term compiler gives each built-in application that reads only
+shared term compiler memoizes each built-in application that reads only
 parameters -- no quantifier-bound variable, no abstraction, no function
-graph -- a slot of its own at the end of the environment, and the closure
-that computed it reads the slot instead.  A sweep binds the parameters in
+graph -- at its first read (memo functions, Michie, Nature 1968), once per
+binding of the parameters it reads.  A ground term or a term over one
+parameter keeps its values in its own closure, keyed by that parameter's
+value, for the core's life: no staged term reads the world, and a
+declaration compiles a new core, so the values hold in every world and
+query.  A term over several parameters keeps one value in a slot of
+its own at the end of the environment.  A sweep binds the parameters in
 nested loops, the first outermost as `itertools.product` orders them, and
-fills each slot once per binding of the parameters it reads: a ground term
-once per sweep, a term over one parameter as a table over that parameter's
-pool, a term over several at the loop level of its last one.  No staged term
-reads the world, so folds and tables hold in every world.  Errors stay lazy:
-a fill that raises stores the error in its slot and the read re-raises it,
-so where a short-circuit skips the read nothing is raised, though a table
-may have evaluated a term at assignments after the one where a sweep stops.
+empties that slot when the last of the term's parameters moves.  Nothing is
+evaluated before it is read, so errors stay where the plain evaluation
+meets them: where a short-circuit skips a read nothing is raised, and a
+sweep evaluates nothing past the assignment where it stops.  An evaluation
+that raises keeps nothing, so a read after it raises again.
 A sweep lasts one query: a consequence builds the sweep of its formula and
 of each axiom once, at the first world that reaches it, not once per world;
 nothing is evaluated at compile time, and a sweep over no worlds reads no
@@ -149,6 +154,12 @@ class Structure:
     interp: Interpretation
     compiled: dict[int, "_Compiled"] = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def stamp(self) -> int:
+        """Grows with every declaration, as declarations only add: what is
+        compiled or enumerated under one stamp holds until it moves."""
+        return self.domain.declarations + self.signature.declarations
+
 
 @dataclass
 class World:
@@ -222,10 +233,9 @@ def accessible_values(x: Variable, domain: Domain) -> tuple[Element, ...]:
 # --- the compiled core ------------------------------------------------------------
 
 class _Stage(NamedTuple):
-    """A staged application: `fill` is the term's own closure, and its value,
-    or the error it raised, goes to env[slot] before the reads that need it."""
+    """A staged term over several parameters: its value stays in env[slot]
+    from its first read until a sweep empties the slot."""
 
-    fill: Value
     slot: int  # negative: the staged slots close the environment
     reads: frozenset[int]  # the parameter slots the term reads
 
@@ -233,7 +243,7 @@ class _Stage(NamedTuple):
 class _Core:
     """One formula compiled on one route: `test(world, env)` reads parameter i
     from env[i]; the slots after the parameters belong to the quantifiers, and
-    the last `len(stages)` slots to the staged applications."""
+    the last `len(stages)` slots to the staged terms over several parameters."""
 
     __slots__ = ("test", "params", "size", "stages")
 
@@ -249,21 +259,26 @@ Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
 
 
 class _Compiled:
-    """Every compiled core of one formula object.  Holding the formula pins
-    its id, the cache key, for as long as the entry lives."""
+    """Every compiled core of one formula object under one declaration
+    stamp.  Holding the formula pins its id, the cache key, for as long as
+    the entry lives."""
 
-    __slots__ = ("formula", "free", "cores")
+    __slots__ = ("formula", "free", "cores", "stamp")
 
-    def __init__(self, phi: Formula):
+    def __init__(self, phi: Formula, stamp: int):
         self.formula = phi
         self.free = free_vars(phi)
         self.cores: dict[object, _Core] = {}
+        self.stamp = stamp
 
 
 def _compiled(space: Structure, phi: Formula) -> _Compiled:
+    """phi's cache entry, made anew where a declaration has moved the stamp
+    since its cores were compiled, so that they see every symbol declared."""
     entry = space.compiled.get(id(phi))
-    if entry is None:
-        entry = space.compiled[id(phi)] = _Compiled(phi)
+    stamp = space.stamp
+    if entry is None or entry.stamp != stamp:
+        entry = space.compiled[id(phi)] = _Compiled(phi, stamp)
     return entry
 
 
@@ -301,40 +316,18 @@ def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
 
 
 def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
-    """The core's test at one assignment, its parameters taking `values`, with
-    the staged slots filled first, in the order they were staged."""
-    env = [*values, *[None] * (core.size - len(values))]
-    for stage in core.stages:
-        env[stage.slot] = _fill(stage.fill, world, env)
-    return core.test(world, env)
+    """The core's test at one assignment, its parameters taking `values`."""
+    return core.test(world, [*values, *[None] * (core.size - len(values))])
 
 
 # --- assignment sweeps ---------------------------------------------------------------
-
-class _Raised:
-    """What a staged slot holds when its evaluation raised.  The error is kept
-    without its traceback, whose frames would hold the environment that
-    holds it."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: Exception):
-        self.error = error.with_traceback(None)
-
-
-def _fill(fill: Value, world: World, env: list) -> object:
-    try:
-        return fill(world, env)
-    except Exception as exc:  # any error waits for the read that would have met it
-        return _Raised(exc)
-
 
 def _within_budget(pools: Sequence[Sequence[Element]]) -> None:
     if math.prod(map(len, pools)) > MAX_ASSIGNMENTS:
         raise ExplosionGuard(f"more than {MAX_ASSIGNMENTS} assignments")
 
 
-_Level = tuple[Sequence[Element], list[tuple[int, list]], list[tuple[int, Value]]]
+_Level = tuple[Sequence[Element], list[int]]
 
 
 class _Sweep:
@@ -343,11 +336,10 @@ class _Sweep:
     pool.  A sweep lives no longer than its query: what it holds is read from
     the domain as the query found it.
 
-    Each staged slot is filled when the last swept parameter it reads is bound:
-    a term over no swept parameter once, in `template`; a term over one as a
-    table over that parameter's pool; a term over several at the loop level of
-    its last one.  No staged term reads a function graph, so the folds and
-    tables hold in every world."""
+    Each level binds one parameter and empties the slots of the staged terms
+    whose last swept parameter it is, so that such a term is evaluated at its
+    first read after that parameter moves; a term over no swept parameter
+    keeps its slot for the sweep."""
 
     __slots__ = ("template", "levels")
 
@@ -356,54 +348,30 @@ class _Sweep:
         k = len(params) - len(fixed)
         pools = [world.space.domain.valid_elements(v.sort) for v in params[:k]]
         _within_budget(pools)
-        env = self.template = [None] * k + list(fixed) + [None] * (core.size - len(params))
-        tables: list[list[_Stage]] = [[] for _ in pools]
-        fills: list[list[tuple[int, Value]]] = [[] for _ in pools]
+        self.template = [None] * k + list(fixed) + [None] * (core.size - len(params))
+        resets: list[list[int]] = [[] for _ in pools]
         for stage in core.stages:
-            swept = sorted(i for i in stage.reads if i < k)
-            if not swept:
-                env[stage.slot] = _fill(stage.fill, world, env)
-            elif len(swept) == 1:
-                tables[swept[0]].append(stage)
-            else:
-                fills[swept[-1]].append((stage.slot, stage.fill))
-        self.levels: list[_Level] = [
-            (pool, _tabulate(group, pool, i, world, env), later)
-            for i, (pool, group, later) in enumerate(zip(pools, tables, fills))]
-
-
-def _tabulate(group: list[_Stage], pool: Sequence[Element], i: int, world: World,
-              env: list) -> list[tuple[int, list]]:
-    """Each staged term of one parameter, evaluated at every element of its
-    pool, in registration order so that one may read another."""
-    columns: list[list] = [[] for _ in group]
-    for env[i] in pool:
-        for stage, column in zip(group, columns):
-            value = env[stage.slot] = _fill(stage.fill, world, env)
-            column.append(value)
-    return [(stage.slot, column) for stage, column in zip(group, columns)]
+            swept = [i for i in stage.reads if i < k]
+            if swept:
+                resets[max(swept)].append(stage.slot)
+        self.levels: list[_Level] = list(zip(pools, resets))
 
 
 def _matches(world: World, env: list, levels: list[_Level], test: Test, want: bool,
              i: int = 0) -> Iterator[tuple[Element, ...]]:
     """Bind parameter i, then the ones after it, with the first outermost as
-    `itertools.product` orders them, filling each level's staged slots as its
+    `itertools.product` orders them, emptying each level's staged slots as its
     parameter moves; yield every assignment at which the test is `want`."""
     depth = len(levels)
     if not depth:  # no parameter to bind: the one assignment ()
         if test(world, env) == want:
             yield ()
         return
-    pool, tables, fills = levels[i]
+    pool, resets = levels[i]
     inner = i + 1 < depth
-    for j, env[i] in enumerate(pool):
-        for slot, table in tables:
-            env[slot] = table[j]
-        for slot, fill in fills:
-            try:
-                env[slot] = fill(world, env)
-            except Exception as exc:  # as in `_fill`, inline in the hot loop
-                env[slot] = _Raised(exc)
+    for env[i] in pool:
+        for slot in resets:
+            env[slot] = None
         if inner:
             yield from _matches(world, env, levels, test, want, i + 1)
         elif test(world, env) == want:
@@ -427,10 +395,9 @@ def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element]
 def _first_failure(core: _Core, world: World, sweeps: dict[_Core, _Sweep]
                    ) -> Optional[tuple[Element, ...]]:
     """The first sorted assignment to the core's parameters, in enumeration
-    order, under which the formula fails, or None.  The sweep stops there:
-    staged terms may have been evaluated at later assignments, but nothing
-    raises at any of them.  `sweeps` holds the sweep of every core the query
-    has met, so that each is built once per query."""
+    order, under which the formula fails, or None.  The sweep stops there and
+    evaluates nothing at any later assignment.  `sweeps` holds the sweep of
+    every core the query has met, so that each is built once per query."""
     sweep = sweeps.get(core)
     if sweep is None:
         sweep = sweeps[core] = _Sweep(core, world)
@@ -457,31 +424,55 @@ _GROUND: _Reads = frozenset()
 
 
 class _Stager:
-    """The staged slots of one core while it is compiled; `params` is how many
-    leading slots hold parameters."""
+    """The staged terms of one core while it is compiled; `params` is how
+    many leading slots hold parameters."""
 
     def __init__(self, params: int):
         self.params = params
         self.stages: list[_Stage] = []
 
     def slot(self, value: Value, reads: _Reads) -> Value:
-        """Stage `value`: the returned closure reads its slot and raises what
-        its evaluation raised."""
-        slot = -1 - len(self.stages)
-        self.stages.append(_Stage(value, slot, reads))
+        """Stage `value`: the returned closure evaluates it at its first read
+        for each binding of the parameters it `reads` and keeps the result.
+        Over at most one parameter it keeps a result per binding itself, for
+        the core's life; over several, one result in a slot of its own, which
+        a sweep empties when the last of them moves.  An evaluation that
+        raises keeps nothing, so the next read raises again."""
+        if len(reads) > 1:
+            slot = -1 - len(self.stages)
+            self.stages.append(_Stage(slot, reads))
+
+            def read(w: World, env: list) -> Element:
+                held = env[slot]
+                if held is None:
+                    held = env[slot] = value(w, env)
+                return held
+
+            return read
+        memo: dict[object, Element] = {}
+        if not reads:
+            def read(w: World, env: list) -> Element:
+                held = memo.get(None)
+                if held is None:
+                    held = memo[None] = value(w, env)
+                return held
+
+            return read
+        (param,) = reads
 
         def read(w: World, env: list) -> Element:
-            held = env[slot]
-            if held.__class__ is _Raised:
-                raise held.error.with_traceback(None)
+            key = env[param]
+            held = memo.get(key)
+            if held is None:
+                held = memo[key] = value(w, env)
             return held
 
         return read
 
 
 def _level(reads: frozenset[int]) -> tuple[bool, int]:
-    """When a staged term is filled: once, per element of one parameter's
-    pool, or at the loop level of its last parameter."""
+    """How often a staged term is evaluated: once, per binding of its one
+    parameter, or per move of the last of its several parameters."""
     return len(reads) > 1, max(reads, default=-1)
 
 
@@ -493,9 +484,9 @@ def _compile_term(t: Term, bound: dict[Variable, int], space: Structure,
     predicate): a built-in application then yields its raw number and a
     numeric constant its value.  Otherwise numbers are boxed as particulars.
     With a `stager`, a built-in application that reads no quantifier-bound
-    variable, no abstraction and no function graph is staged; inside it, such
-    an application gets a slot of its own only where it is filled at another
-    level than its consumer.
+    variable, no abstraction and no function graph is staged, so memoized at
+    its first read; inside it, such an application is staged on its own only
+    where it is evaluated more seldom than its consumer.
     """
     value, reads = _term(t, bound, space, raw, stager)
     if stager is not None and reads is not None and isinstance(t, FnApp):
@@ -516,7 +507,7 @@ def _term(t: Term, bound: dict[Variable, int], space: Structure, raw: bool,
     if isinstance(t, Const):
         found = space.domain.lookup(t.symbol)
         if found is None:
-            # not declared (yet): resolve when reached, failing there
+            # not declared: fails where reached
             return (lambda w, env: interp.of_constant(t.symbol)), _GROUND
         value = found.value if raw and found.value is not None else found
         return (lambda w, env: value), _GROUND
@@ -536,12 +527,8 @@ def _term(t: Term, bound: dict[Variable, int], space: Structure, raw: bool,
             values.append(value)
         if evaluator is not None:
             return _builtin_application(evaluator, values, _finish(space.domain, raw)), reads
-        graph = _graph_application(t.symbol, _tuple_of(values))
-        if t.symbol in space.signature.functions:
-            return graph, None
-        # not declared (yet): a graph application until it is declared a built-in
-        return _once_declared(lambda: t.symbol in space.signature.builtin_functions, graph,
-                              lambda: _term(t, bound, space, raw, None)[0]), None
+        # a declared function's graph, or, not declared, one no world has
+        return _graph_application(t.symbol, _tuple_of(values)), None
     if not t.beta:
         return (lambda w, env: interp.of_ground_term(t)), None
     missing = next((v for v in t.beta if v not in bound), None)
@@ -678,20 +665,6 @@ def _unbound(v: Variable) -> Value:
     return fail
 
 
-def _once_declared(declared: Callable[[], bool], before: Callable, after: Callable) -> Callable:
-    """The closure of a symbol that was not declared when it was compiled:
-    `before` until `declared()`, then the closure `after()` compiles, once,
-    unstaged, where it is first reached after the declaration."""
-    late: list[Callable] = []
-
-    def resolve(w: World, env: list):
-        if not late and declared():
-            late.append(after())
-        return (late[0] if late else before)(w, env)
-
-    return resolve
-
-
 def _no_predicate(pred: str, args: Args) -> Test:
     def fail(w: World, env: list) -> bool:
         args(w, env)
@@ -724,7 +697,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
         nonlocal size
         f, negated = negations(f)
         if isinstance(f, Atom):
-            test = atom(f, bound, stager)
+            test = atom(f, bound)
         elif isinstance(f, And):
             parts = []
             for part in conjuncts(f):
@@ -751,7 +724,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
             return lambda w, env: not test(w, env)
         return test
 
-    def atom(a: Atom, bound: dict[Variable, int], stager: Optional[_Stager]) -> Test:
+    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
         direct, hidden = _atom_vars(a)
         if any(v not in bound for v in direct + hidden):
             scope = list(bound.items())
@@ -768,10 +741,8 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
             return _builtin_test(evaluator, a.args, bound, space, stager)
         concept = space.registry.by_predicate.get(a.pred)
         args = _compile_args(a.args, bound, space, False, stager)
-        if concept is None:  # not declared (yet): resolve when reached, failing there
-            return _once_declared(lambda: a.pred in space.registry.by_predicate
-                                  or a.pred in space.signature.builtin_predicates,
-                                  _no_predicate(a.pred, args), lambda: atom(a, bound, None))
+        if concept is None:  # not declared: fails where reached
+            return _no_predicate(a.pred, args)
         name = concept.name
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
@@ -852,7 +823,7 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
         nonlocal size
         f, negated = negations(f)
         if isinstance(f, Atom):
-            test = atom(f, bound, stager)
+            test = atom(f, bound)
         elif isinstance(f, And):
             parts = []
             for part in conjuncts(f):
@@ -879,16 +850,14 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
             return lambda w, env: not test(w, env)
         return test
 
-    def atom(a: Atom, bound: dict[Variable, int], stager: Optional[_Stager]) -> Test:
+    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
         evaluator = space.signature.builtin_predicates.get(a.pred)
         if evaluator is not None:
             return _builtin_test(evaluator, a.args, bound, space, stager)
         concept = space.registry.by_predicate.get(a.pred)
         args = _compile_args(a.args, bound, space, False, stager)
-        if concept is None:  # not declared (yet): resolve when reached, failing there
-            return _once_declared(lambda: a.pred in space.registry.by_predicate
-                                  or a.pred in space.signature.builtin_predicates,
-                                  _no_predicate(a.pred, args), lambda: atom(a, bound, None))
+        if concept is None:  # not declared: fails where reached
+            return _no_predicate(a.pred, args)
         name = concept.name
         return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 

@@ -42,6 +42,8 @@ class Signature:
     functions: dict[str, tuple[tuple[SortId, ...], SortId]] = field(default_factory=dict)
     builtin_predicates: dict[str, str] = field(default_factory=lambda: {"true": "true"})
     builtin_functions: dict[str, str] = field(default_factory=dict)
+    # raised by every declaration, which only ever adds (see `Structure.stamp`)
+    declarations: int = field(default=0, compare=False, repr=False)
 
     def declare_predicate(self, symbol: str, sorts: tuple[SortId, ...],
                           lattice: SortLattice,
@@ -54,6 +56,7 @@ class Signature:
         self.predicates[symbol] = sorts
         if evaluator is not None:
             self.builtin_predicates[symbol] = evaluator
+        self.declarations += 1
 
     def declare_function(self, symbol: str, arg_sorts: tuple[SortId, ...], ret: SortId,
                          lattice: SortLattice,
@@ -66,6 +69,7 @@ class Signature:
         self.functions[symbol] = (arg_sorts, ret)
         if evaluator is not None:
             self.builtin_functions[symbol] = evaluator
+        self.declarations += 1
 
     def predicate_sorts(self, symbol: str) -> tuple[SortId, ...]:
         try:

@@ -80,6 +80,7 @@ class Workspace:
         self._worlds: Optional[list[World]] = None
         self._worlds_error: Optional[IfolError] = None
         self._representatives: Optional[list[World]] = None
+        self._worlds_stamp: Optional[tuple[int, int, int]] = None
 
     # --- declaration helpers ------------------------------------------------
 
@@ -106,6 +107,13 @@ class Workspace:
         self.axioms.append(phi)
 
     def worlds(self) -> list[World]:
+        """Every world, enumerated once and kept until a declaration, axiom
+        or query is added: the worlds read the declarations, and which world
+        leads its class reads the formulas too."""
+        stamp = (self.space.stamp, len(self.axioms), len(self.queries))
+        if stamp != self._worlds_stamp:
+            self._worlds = self._worlds_error = self._representatives = None
+            self._worlds_stamp = stamp
         if self._worlds_error is not None:
             raise self._worlds_error
         if self._worlds is None:

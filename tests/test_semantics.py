@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import ifol.semantics
 from ifol import (
@@ -847,7 +847,8 @@ def _outcome(evaluate):
         return type(exc).__name__, str(exc)
 
 
-@settings(max_examples=60, deadline=None)
+# No shrinking: a failure here shows in seconds, and shrinking it took minutes.
+@settings(max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(isa_workspaces(), st.data())
 def test_abstraction_arguments_agree_per_world_and_assignment(text, data):
     """Generated formulas whose nested-sentence positions take abstraction

@@ -1,5 +1,5 @@
-"""Staged assignment sweeps: a built-in or declared-function application over
-the parameters only is evaluated once per binding of the parameters it reads,
+"""Staged assignment sweeps: a built-in application over the parameters only
+is evaluated at its first read, once per binding of the parameters it reads,
 and every report, lazy error included, stays the one evaluation at each
 assignment gives."""
 
@@ -88,10 +88,10 @@ def _applies(monkeypatch) -> list:
 
 def test_each_term_is_evaluated_once_per_binding_of_what_it_reads(monkeypatch):
     """Over 4 worlds (the graphs of f) and 4 * 4 assignments: pow(2, 3) is
-    folded once, mul(x, 2) and add(x, 1) are tabled over x's 4 values, and
-    add(mul(x, 2), y) is filled once per (x, y) in each world.  f(c) reads a
-    function graph, so it is not staged.  Unstaged, each term is evaluated at
-    each assignment that reaches it."""
+    evaluated once, mul(x, 2) and add(x, 1) once per value of x, and
+    add(mul(x, 2), y) once per (x, y) in each world.  f(c) reads a function
+    graph, so it is not staged.  Unstaged, each term is evaluated at each
+    assignment that reaches it."""
     text = ("sort integers\n"
             "sort reals\n"
             "isa integers reals\n"
@@ -114,6 +114,25 @@ def test_each_term_is_evaluated_once_per_binding_of_what_it_reads(monkeypatch):
     monkeypatch.setattr(ifol.semantics._Stager, "slot", _unstaged)
     assert run_queries(load_workspace(text)) == staged
     assert (calls.count("pow"), calls.count("mul")) == (4 * 16, 4 * 16)
+
+
+def test_a_staged_term_is_evaluated_only_where_it_is_read(monkeypatch):
+    """div(1, x) is staged on x but read only where gt(x, 0) holds: at 1 and
+    2, never at 0, where it would raise."""
+    calls = _applies(monkeypatch)
+    ws = load_workspace("sort integers\n"
+                        "sort rationals\n"
+                        "sort reals\n"
+                        "isa integers rationals\n"
+                        "isa rationals reals\n"
+                        "extent reals = { -1, 0, 1, 2 }\n"
+                        "builtin function div/2 : reals x reals -> reals = div\n"
+                        "builtin predicate gt/2 : reals x reals = gt\n"
+                        "builtin predicate leq/2 : reals x reals = leq\n"
+                        "query intension gt(x:reals, 0) & leq(div(1, x), 2)\n")
+    assert run_queries(ws) == ("INTENSION gt(x:reals, 0) & leq(div(1, x), 2)\n"
+                               "WORLD w0\n  (1)\n  (2)\n", 0)
+    assert calls.count("div") == 2
 
 
 def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():

@@ -9,6 +9,7 @@ import pytest
 from ifol import load_workspace, render_workspace
 from ifol.cli import run_queries
 from ifol.errors import IfolError, ValidationError
+from ifol.workspace import Query
 
 from conftest import FIXTURES
 
@@ -38,9 +39,42 @@ def test_queries_leave_declarations_unchanged(path):
     """Loading is the only writer of the lattice and the concept table:
     running every query, canonical subconcepts included, changes neither."""
     ws = load_workspace(path)
-    before = declarations(ws)
+    before, stamp = declarations(ws), ws.space.stamp
     run_queries(ws)
     assert declarations(ws) == before
+    assert ws.space.stamp == stamp  # so no compiled core or cached world is dropped mid-run
+
+
+UNARY = ("sort s\n"
+         "extent s = { a, b }\n"
+         "concept p-hood arity 1 sorts s predicate p\n"
+         "query intension p(x:s)\n")
+
+
+def _last_block(ws) -> str:
+    return run_queries(ws)[0].rstrip("\n").split("\n\n")[-1]
+
+
+def test_worlds_follow_a_formula_added_after_they_were_enumerated():
+    """p(b) names b, so b no longer moves and the world {b} leads a class of
+    its own: the countermodel a fresh load finds, not the verdict the
+    enumeration before the axiom would give."""
+    ws = load_workspace(UNARY)
+    run_queries(ws)
+    ws.add_axiom(ws.parse("p(b)"))
+    ws.queries.append(Query("consequence", ws.parse("p(a)")))
+    assert _last_block(ws) == _last_block(load_workspace(render_workspace(ws))) \
+        == "CONSEQUENCE no\nWORLD w2\n  p-hood: (b)"
+
+
+def test_worlds_follow_a_concept_declared_after_they_were_enumerated():
+    ws = load_workspace(UNARY)
+    run_queries(ws)
+    ws.register_concept("q-hood", ["s"], "q")
+    ws.queries.append(Query("intension", ws.parse("q(x:s)")))
+    report = _last_block(ws)
+    assert report == _last_block(load_workspace(render_workspace(ws)))
+    assert report.count("WORLD") == 16 and report.count("(a)") == 8
 
 
 def test_load_order_independence():

@@ -43,7 +43,7 @@ class Signature:
     builtin_predicates: dict[str, str] = field(default_factory=lambda: {"true": "true"})
     builtin_functions: dict[str, str] = field(default_factory=dict)
     # raised by every declaration, which only ever adds (see `Structure.stamp`)
-    declarations: int = field(default=0, compare=False, repr=False)
+    declarations: int = field(default=0, init=False, compare=False, repr=False)
 
     def declare_predicate(self, symbol: str, sorts: tuple[SortId, ...],
                           lattice: SortLattice,

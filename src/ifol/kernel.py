@@ -315,6 +315,10 @@ class Domain:
                 return s
         raise UnknownSort(f"no numeric sort declared for value {value}")
 
+    def sorts_every_number(self) -> bool:
+        """Whether `numeric_sort_of` finds every number a sort: rationals or reals exist."""
+        return "rationals" in self.lattice or "reals" in self.lattice
+
     def numeric_particular(self, value: Number) -> Particular:
         lex = numeric_lexeme(value)
         cached = self._by_lexeme.get(lex) or self._transient.get(lex)

@@ -39,10 +39,11 @@ of tuples over the columns' sort pools:
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
-it serves one query, as a sweep does; and it reads a world as
-`enumerate_worlds` builds it: each relation lies within its concept's
-tuple pool, so an atom filters a column by its variable's pool only where the
-concept's pool there is wider.  A node whose column product exceeds the
+it holds for one declaration stamp, as its formula's compiled cores do (see
+`semantics.intension_plan`); and it reads a world as `enumerate_worlds`
+builds it: each relation lies within its concept's tuple pool, so an atom
+filters a column by its variable's pool only where the concept's pool there
+is wider.  A node whose column product exceeds the
 budget ends the compilation: such a formula gets no plan, and keeps the
 assignment sweep and its guard.
 """
@@ -198,9 +199,8 @@ class _Planner:
         order.  No term is evaluated here: the rows do not read the world, so
         the first call computes them and the plan keeps them."""
         op = COMPARISONS.get(evaluator)
-        lattice = self.domain.lattice
-        if op is None or len(a.args) != 2 or not ("rationals" in lattice or "reals" in lattice):
-            raise _Outside  # without either, each raw result is checked against a sort
+        if op is None or len(a.args) != 2 or not self.domain.sorts_every_number():
+            raise _Outside  # else each raw result is checked against a sort
         cells: list[_Cell] = []
         cols: dict[Variable, int] = {}  # each variable's cell
         left, right = (self.term(t, cells, cols) for t in a.args)

@@ -23,13 +23,14 @@ Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic; a
 comparison applies its operator to its arguments, unwrapping only those
 that are not raw numbers already.
-The compiled closures are cached on the `Structure`, keyed by the formula's
-identity, and each cache entry holds its formula so that the identity cannot
-be reused while the entry exists.  An entry holds for one declaration stamp
-(`Structure.stamp`, which every declaration raises): a formula evaluated
-after a declaration is compiled anew, so a constant, predicate or function
-declared since then is resolved as in a fresh workspace, and one still not
-declared fails where it is reached.
+Everything compiled from one formula object -- its cores on both routes,
+each with its sweep levels, and its relational plan -- lives in one cache
+entry on the `Structure`, keyed by the formula's identity, for one
+declaration stamp (`Structure.stamp`, which every declaration raises): after
+a declaration the formula is compiled anew, reading the pools and symbols
+as a fresh workspace would, and a symbol still not declared fails where it
+is reached.  The entry holds its formula weakly and leaves the cache with
+it, so no closure in the entry may hold the formula itself.
 
 The hot loop is one membership test per atom and assignment.  A concept atom
 tests its argument tuple against the world's relation; over bound variables
@@ -58,12 +59,12 @@ evaluated before it is read, so errors stay where the plain evaluation
 meets them: where a short-circuit skips a read nothing is raised, and a
 sweep evaluates nothing past the assignment where it stops.  An evaluation
 that raises keeps nothing, so a read after it raises again.
-A sweep lasts one query: a consequence builds the sweep of its formula and
-of each axiom once, at the first world that reaches it, not once per world;
-nothing is evaluated at compile time, and a sweep over no worlds reads no
-pool.  A hidden-variable union in `eval_atom` is one sweep too, with the
-hidden variables outermost.  A sweep over more than `MAX_ASSIGNMENTS`
-assignments raises `ExplosionGuard` before it allocates anything.
+A core builds its sweep levels -- per parameter, its pool and the staged
+slots to empty -- at the first world a sweep reaches and keeps them; nothing
+is evaluated at compile time, and a sweep over no worlds reads no pool.  A
+hidden-variable union in `eval_atom` is one sweep too, with the hidden
+variables outermost.  A sweep over more than `MAX_ASSIGNMENTS` assignments
+raises `ExplosionGuard` before it allocates anything.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
@@ -75,18 +76,18 @@ workspace finds that enough (`Workspace.representatives`, `World.leads`).
 An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise -- concept atoms and built-in comparisons over
 finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
-one definition), compiled anew for each query so that it reads the sort
-pools as they stand, which `montague_intension` runs on each world's
-relations; a comparison's rows read no world, so a query computes them
-once.  Any other formula is swept on the Kripke route.  The plan is a third
-evaluator: consequence stays on the Kripke closures and a concept's
-extension on the Tarski ones, so Bealer-Montague still compares two
-independent routes.
+one definition), compiled once per stamp and kept in the formula's entry,
+which `montague_intension` runs on each world's relations; a comparison's
+rows read no world, so the plan computes them once.  Any other formula is
+swept on the Kripke route.  The plan is a third evaluator: consequence stays
+on the Kripke closures and a concept's extension on the Tarski ones, so
+Bealer-Montague still compares two independent routes.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -187,14 +188,11 @@ class World:
         if isinstance(el, Intension):
             if el.arity == 0:
                 return tarski_eval(self, {}, el.origin)
-            return self._formula_extension(el.origin)
+            # derived-concept extension rule: collect tuples through the Tarski route
+            return next(_tuples_where(_core(self.space, el.origin, _compile_tarski), (self,)))
         if isinstance(el, ConceptRef):
             return self._concept_extension(el.concept)
         raise EvaluationFailure(f"particular {el!r} has no extension")
-
-    def _formula_extension(self, phi: Formula) -> frozenset[tuple[Element, ...]]:
-        # Derived-concept extension rule: collect tuples through the Tarski route.
-        return next(_tuples_where(_core(self.space, phi, _compile_tarski), (self,)))
 
     def _concept_extension(self, concept: Concept) -> frozenset[tuple[Element, ...]]:
         if concept.name in self.relations:
@@ -240,12 +238,17 @@ class _Stage(NamedTuple):
     reads: frozenset[int]  # the parameter slots the term reads
 
 
+# A sweep level: the pool one parameter takes and the staged slots it empties.
+_Level = tuple[Sequence[Element], list[int]]
+
+
 class _Core:
     """One formula compiled on one route: `test(world, env)` reads parameter i
     from env[i]; the slots after the parameters belong to the quantifiers, and
-    the last `len(stages)` slots to the staged terms over several parameters."""
+    the last `len(stages)` slots to the staged terms over several parameters.
+    `levels` keeps its sweeps' levels, by how many parameters they bind."""
 
-    __slots__ = ("test", "params", "size", "stages")
+    __slots__ = ("test", "params", "size", "stages", "levels")
 
     def __init__(self, test: Test, params: tuple[Variable, ...], size: int,
                  stages: Sequence[_Stage]):
@@ -253,32 +256,42 @@ class _Core:
         self.params = params
         self.stages = tuple(stages)
         self.size = size + len(self.stages)
+        self.levels: dict[int, list[_Level]] = {}
 
 
 Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
 
+_UNPLANNED: object = object()  # no plan compiled yet (None: phi has none)
+
 
 class _Compiled:
-    """Every compiled core of one formula object under one declaration
-    stamp.  Holding the formula pins its id, the cache key, for as long as
-    the entry lives."""
+    """The cores and the relational plan of one formula object under one
+    declaration stamp.  The entry holds the formula weakly and leaves the
+    cache with it, before its id, the cache key, can be reused."""
 
-    __slots__ = ("formula", "free", "cores", "stamp")
+    __slots__ = ("formula", "free", "cores", "plan", "stamp")
 
-    def __init__(self, phi: Formula, stamp: int):
-        self.formula = phi
+    def __init__(self, phi: Formula, space: Structure):
+        owner, key = weakref.ref(space), id(phi)  # weakly, so the cache makes no cycle
+
+        def leave(ref: weakref.ref) -> None:
+            space = owner()
+            if space is not None:  # None where the structure is being freed
+                space.compiled.pop(key, None)
+
+        self.formula = weakref.ref(phi, leave)
         self.free = free_vars(phi)
         self.cores: dict[object, _Core] = {}
-        self.stamp = stamp
+        self.plan: object = _UNPLANNED
+        self.stamp = space.stamp
 
 
 def _compiled(space: Structure, phi: Formula) -> _Compiled:
     """phi's cache entry, made anew where a declaration has moved the stamp
-    since its cores were compiled, so that they see every symbol declared."""
+    since it was made, so that what it holds reads every declaration."""
     entry = space.compiled.get(id(phi))
-    stamp = space.stamp
-    if entry is None or entry.stamp != stamp:
-        entry = space.compiled[id(phi)] = _Compiled(phi, stamp)
+    if entry is None or entry.stamp != space.stamp:
+        entry = space.compiled[id(phi)] = _Compiled(phi, space)
     return entry
 
 
@@ -297,9 +310,12 @@ def _core(space: Structure, phi: Formula, route: Compiler,
 def intension_plan(space: Structure, phi: Formula) -> Optional[Plan]:
     """phi's relational plan over its free variables (see `ifol.plan`), or
     None when phi is outside the fragment that cannot raise or its plan would
-    exceed `MAX_ASSIGNMENTS`.  A plan reads the sort pools as they stand when
-    it is compiled, so it is compiled anew for every query, like a sweep."""
-    return compile_plan(phi, _compiled(space, phi).free, space, MAX_ASSIGNMENTS)
+    exceed `MAX_ASSIGNMENTS`.  A plan reads the sort pools when it is
+    compiled, so it is kept in phi's entry, for one declaration stamp."""
+    entry = _compiled(space, phi)
+    if entry.plan is _UNPLANNED:
+        entry.plan = compile_plan(phi, entry.free, space, MAX_ASSIGNMENTS)
+    return entry.plan  # type: ignore[return-value]
 
 
 def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
@@ -322,39 +338,25 @@ def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
 
 # --- assignment sweeps ---------------------------------------------------------------
 
-def _within_budget(pools: Sequence[Sequence[Element]]) -> None:
-    if math.prod(map(len, pools)) > MAX_ASSIGNMENTS:
-        raise ExplosionGuard(f"more than {MAX_ASSIGNMENTS} assignments")
-
-
-_Level = tuple[Sequence[Element], list[int]]
-
-
-class _Sweep:
-    """How one query binds a core's leading parameters, built at the first
-    world the query reaches, so that a sweep over no worlds reads no sort
-    pool.  A sweep lives no longer than its query: what it holds is read from
-    the domain as the query found it.
-
-    Each level binds one parameter and empties the slots of the staged terms
-    whose last swept parameter it is, so that such a term is evaluated at its
-    first read after that parameter moves; a term over no swept parameter
-    keeps its slot for the sweep."""
-
-    __slots__ = ("template", "levels")
-
-    def __init__(self, core: _Core, world: World, fixed: Sequence[Element] = ()):
-        params = core.params
-        k = len(params) - len(fixed)
-        pools = [world.space.domain.valid_elements(v.sort) for v in params[:k]]
-        _within_budget(pools)
-        self.template = [None] * k + list(fixed) + [None] * (core.size - len(params))
+def _levels(core: _Core, domain: Domain, swept: int) -> list[_Level]:
+    """The levels of a sweep binding the core's first `swept` parameters,
+    built at the first world a sweep reaches and kept on the core; a build
+    that raises keeps nothing.  Each level binds one parameter and empties the
+    slots of the staged terms whose last swept parameter it is, so that such
+    a term is evaluated at its first read after that parameter moves; a term
+    over no swept parameter keeps its slot for the sweep."""
+    levels = core.levels.get(swept)
+    if levels is None:
+        pools = [domain.valid_elements(v.sort) for v in core.params[:swept]]
+        if math.prod(map(len, pools)) > MAX_ASSIGNMENTS:
+            raise ExplosionGuard(f"more than {MAX_ASSIGNMENTS} assignments")
         resets: list[list[int]] = [[] for _ in pools]
         for stage in core.stages:
-            swept = [i for i in stage.reads if i < k]
-            if swept:
-                resets[max(swept)].append(stage.slot)
-        self.levels: list[_Level] = list(zip(pools, resets))
+            reads = [i for i in stage.reads if i < swept]
+            if reads:
+                resets[max(reads)].append(stage.slot)
+        levels = core.levels[swept] = list(zip(pools, resets))
+    return levels
 
 
 def _matches(world: World, env: list, levels: list[_Level], test: Test, want: bool,
@@ -382,26 +384,22 @@ def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element]
                   ) -> Iterator[frozenset[tuple[Element, ...]]]:
     """Per world, in order: every sorted assignment to the core's leading
     parameters under which the formula holds, as value tuples; the trailing
-    parameters take the `fixed` values.  The sweep and its environment are
-    built once, at the first world reached."""
-    sweep = None
+    parameters take the `fixed` values.  The environment is built once, at
+    the first world reached."""
+    env = None
     for world in worlds:
-        if sweep is None:
-            sweep = _Sweep(core, world, fixed)
-            env = sweep.template.copy()
-        yield frozenset(_matches(world, env, sweep.levels, core.test, True))
+        if env is None:
+            levels = _levels(core, world.space.domain, len(core.params) - len(fixed))
+            env = [None] * len(levels) + list(fixed) + [None] * (core.size - len(core.params))
+        yield frozenset(_matches(world, env, levels, core.test, True))
 
 
-def _first_failure(core: _Core, world: World, sweeps: dict[_Core, _Sweep]
-                   ) -> Optional[tuple[Element, ...]]:
+def _first_failure(core: _Core, world: World) -> Optional[tuple[Element, ...]]:
     """The first sorted assignment to the core's parameters, in enumeration
     order, under which the formula fails, or None.  The sweep stops there and
-    evaluates nothing at any later assignment.  `sweeps` holds the sweep of
-    every core the query has met, so that each is built once per query."""
-    sweep = sweeps.get(core)
-    if sweep is None:
-        sweep = sweeps[core] = _Sweep(core, world)
-    return next(_matches(world, sweep.template.copy(), sweep.levels, core.test, False), None)
+    evaluates nothing at any later assignment."""
+    levels = _levels(core, world.space.domain, len(core.params))
+    return next(_matches(world, [None] * core.size, levels, core.test, False), None)
 
 
 # --- term evaluation (shared by both routes) ---------------------------------------
@@ -547,11 +545,11 @@ def _finish(domain: Domain, raw: bool) -> Optional[Callable[[Number], object]]:
     """What a built-in application does with its raw result: box it as a
     particular, or, for an arithmetic consumer, check that some declared
     numeric sort holds it (raising `UnknownSort` where boxing would) and pass
-    it on.  The check is vacuous, so skipped, once rationals or reals exist."""
+    it on.  The check is vacuous, so skipped, once every number has a sort."""
     box = domain.numeric_particular
     if not raw:
         return box
-    if "rationals" in domain.lattice or "reals" in domain.lattice:
+    if domain.sorts_every_number():
         return None
 
     def checked(value: Number) -> Number:
@@ -728,12 +726,13 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
         direct, hidden = _atom_vars(a)
         if any(v not in bound for v in direct + hidden):
             scope = list(bound.items())
+            copy = Atom(a.pred, a.args)  # a may be the root, which its entry must not hold
 
             def generalized(w: World, env: list) -> bool:
                 # a virtual predicate, not a truth value: compute it for the
                 # errors it raises, then refuse it
-                eval_atom(a, {v: env[slot] for v, slot in scope}, w)
-                raise UnboundVariable(f"free variables left in atom {a.pred}")
+                eval_atom(copy, {v: env[slot] for v, slot in scope}, w)
+                raise UnboundVariable(f"free variables left in atom {copy.pred}")
 
             return generalized
         evaluator = space.signature.builtin_predicates.get(a.pred)
@@ -873,15 +872,11 @@ class Countermodel:
     assignment: tuple[tuple[Variable, Element], ...]
 
 
-def is_model_of(world: World, axioms: Sequence[Formula],
-                sweeps: Optional[dict[_Core, _Sweep]] = None) -> bool:
+def is_model_of(world: World, axioms: Sequence[Formula]) -> bool:
     """Open axioms are read universally closed and checked on the Tarski
-    route (a consequence checks its formula on the Kripke route).  A query
-    that checks many worlds passes its own `sweeps`, so each axiom's sweep is
-    built once."""
-    sweeps = {} if sweeps is None else sweeps
+    route (a consequence checks its formula on the Kripke route)."""
     for ax in axioms:
-        if _first_failure(_core(world.space, ax, _compile_tarski), world, sweeps) is not None:
+        if _first_failure(_core(world.space, ax, _compile_tarski), world) is not None:
             return False
     return True
 
@@ -892,11 +887,10 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
     (model of the axioms, many-sorted assignment); otherwise the first failing
     pair is the countermodel certificate."""
     core = _core(space, phi, _compile_kripke)
-    sweeps: dict[_Core, _Sweep] = {}
     for world in worlds:
-        if not is_model_of(world, axioms, sweeps):
+        if not is_model_of(world, axioms):
             continue
-        failing = _first_failure(core, world, sweeps)
+        failing = _first_failure(core, world)
         if failing is not None:
             return False, Countermodel(world, tuple(zip(core.params, failing)))
     return True, None
@@ -910,11 +904,10 @@ def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
     other is swept on the Kripke route."""
     plan = intension_plan(space, phi)
     if plan is None:
-        core = _core(space, phi, _compile_kripke)
-        params, meaning = core.params, zip(worlds, _tuples_where(core, worlds))
+        meaning = zip(worlds, _tuples_where(_core(space, phi, _compile_kripke), worlds))
     else:
-        params, meaning = _compiled(space, phi).free, ((w, plan(w.relations)) for w in worlds)
-    if not params:  # the one assignment of a closed formula is ()
+        meaning = ((w, plan(w.relations)) for w in worlds)
+    if not _compiled(space, phi).free:  # the one assignment of a closed formula is ()
         return {w.label: () in rows for w, rows in meaning}
     return {w.label: rows for w, rows in meaning}
 

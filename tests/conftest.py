@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Iterator, Sequence
 
 import pytest
@@ -11,7 +14,19 @@ import pytest
 from ifol import Domain, Variable, Workspace
 from ifol.kernel import Element
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def load_bench(name: str) -> ModuleType:
+    """The module `bench/<name>.py`, loaded once per session."""
+    module = sys.modules.get(f"bench_{name}")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
 
 
 def many_sorted_assignments(variables: Sequence[Variable],

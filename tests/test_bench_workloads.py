@@ -9,30 +9,19 @@ it here on small instances shows a wrong report without a benchmark run.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
+import ifol.cli
 import ifol.semantics
+import ifol.workspace
 from ifol import load_workspace
 from ifol.cli import run_queries
 from ifol.semantics import intension_plan
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, load_bench
 
-
-def _load_bench(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_bench("workloads")
-spans = _load_bench("spans")
+workloads = load_bench("workloads")
+spans = load_bench("spans")
 
 SMALL = {
     "unary-worlds": lambda seed: workloads.unary_worlds(seed, n=3),
@@ -85,3 +74,22 @@ def test_grid_pass_applies_each_builtin_once_per_binding(monkeypatch):
      *spans.AGGREGATE_HOOKS.values()}), ids=":".join)
 def test_every_bench_hook_finds_its_target(module, path):
     spans._resolve(module, path)
+
+
+def test_the_small_workloads_reach_every_bench_span():
+    """Every span name and aggregate of `bench/spans.py` has a target that the
+    small workloads call, looked up where the benchmark looks it up, so a
+    refactor that goes around one fails here instead of zeroing a per-layer
+    counter of the benchmark."""
+    tracer = spans.Tracer()
+    tracer.install_spans()
+    try:
+        for make in SMALL.values():
+            for f in make(11).files:
+                ifol.cli.run_queries(ifol.workspace.load_workspace(f.text))
+    finally:
+        tracer.uninstall()
+    reached = {spans.NAMES[i] for i in tracer.names}
+    reached |= {name for name, (calls, _) in tracer.aggregates.items() if calls}
+    assert not tracer.missing
+    assert {*spans.HOOKS, *spans.AGGREGATE_HOOKS} - reached == set()

@@ -15,6 +15,7 @@ from ifol.errors import IfolError
 from ifol.semantics import _compile_kripke, _compile_tarski, _core, _tuples_where, intension_plan
 from ifol.syntax import Atom, Const, Var, Variable, format_formula
 
+from conftest import load_bench
 from strategies import (EMPTY_POOLS, arithmetic_workspaces, fragment_formulas, isa_workspaces,
                         symmetric_workspaces)
 
@@ -172,6 +173,38 @@ def test_a_plan_over_the_budget_leaves_the_sweep(monkeypatch):
     monkeypatch.setattr(ifol.semantics, "MAX_ASSIGNMENTS", 9)
     ws = load_workspace(text)
     assert intension_plan(ws.space, ws.queries[0].formula) is not None
+
+
+# --- the plan's lifetime: one declaration stamp --------------------------------------
+
+def test_a_plan_is_compiled_once_per_declaration_stamp():
+    """Under one stamp a formula object keeps its plan; a declaration
+    compiles a new one, which spans the grown pool."""
+    ws = load_workspace(BINARY)
+    phi = ws.parse("~p(x:thing)")
+    plan = intension_plan(ws.space, phi)
+    assert plan is not None and intension_plan(ws.space, phi) is plan
+    world = ws.worlds()[0]
+    assert len(plan(world.relations)) == 3
+    ws.domain.declare_particular("d", "thing")
+    grown = intension_plan(ws.space, phi)
+    assert grown is not plan and intension_plan(ws.space, phi) is grown
+    assert {x.lexeme for x, in grown(world.relations)} == {"a", "b", "c", "d"}
+
+
+def test_a_run_compiles_each_formulas_plan_once(monkeypatch):
+    """The unary-worlds text (n = 8): the axiom, the two consequence formulas,
+    the intension formula and the two Bealer-Montague formulas are planned
+    once each, though class walks and intensions both ask for the plans."""
+    calls = []
+    real = ifol.semantics.compile_plan
+    monkeypatch.setattr(ifol.semantics, "compile_plan",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    workloads = load_bench("workloads")
+    (unary,) = workloads.unary_worlds(1, n=8).files
+    report, status = run_queries(load_workspace(unary.text))
+    assert unary.reference.wrong(workloads.split_report(report), status) == 0
+    assert len(calls) == 6
 
 
 # --- the three evaluators on generated workspaces ----------------------------------

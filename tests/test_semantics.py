@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -262,8 +263,13 @@ def test_eval_atom_relation_mode_matches_world_relation():
     world = seeded_world(ws)
     xv = Variable("x1", "s")
     yv = Variable("y1", "s")
-    rel = eval_atom(Atom("q", (Var(xv), Var(yv))), {}, world)
+    atom = Atom("q", (Var(xv), Var(yv)))
+    rel = eval_atom(atom, {}, world)
     assert rel == world.relation("q-hood")
+    # with y1 given, the core over (x1, y1) again, a sweep binds x1 alone
+    b = ws.domain.lookup("b")
+    by_b = {(x,) for x, y in rel if y is b}
+    assert by_b and eval_atom(atom, {yv: b}, world) == by_b
 
 
 def test_satisfies_top_everywhere(pets):
@@ -468,12 +474,12 @@ def test_eval_atom_hidden_union_is_one_sweep(monkeypatch):
     told = ws.interp.of_ground_term(Abstracted(ws.parse("leq2(3, 5)"), (), ()))
     a, c = ws.domain.lookup("a"), ws.domain.lookup("c")
     world = World("w", ws.space, {"r-hood": frozenset({(a, told), (c, a)})})
-    sweeps = []
-    real = ifol.semantics._Sweep.__init__
-    monkeypatch.setattr(ifol.semantics._Sweep, "__init__",
-                        lambda self, *args: sweeps.append(self) or real(self, *args))
+    sweeps = []  # each sweep fetches its levels once
+    real = ifol.semantics._levels
+    monkeypatch.setattr(ifol.semantics, "_levels",
+                        lambda *args: sweeps.append(real(*args)) or sweeps[-1])
     assert eval_atom(atom, {}, world) == frozenset({(a,)})
-    assert len(sweeps) == 1
+    assert [[len(pool) for pool, _ in levels] for levels in sweeps] == [[10, 10, 3]]
     brute = frozenset()
     for g_hidden in many_sorted_assignments([u1, u2], ws.domain):
         brute |= eval_atom(atom, g_hidden, world)
@@ -689,6 +695,28 @@ def test_fresh_formulas_reusing_ids_get_their_own_closures(pets):
         assert satisfies(world, {}, phi) is CACHE_SHAPES[text], text
         assert tarski_eval(world, {}, phi) is CACHE_SHAPES[text], text
         del phi
+
+
+def test_the_compile_cache_lets_a_formula_go_with_its_last_holder():
+    """Each cache entry holds its formula weakly, and no closure in it holds
+    the formula: 1,000 fresh `p(a)` and 300 fresh `p(x:s)` under an empty
+    assignment (whose Kripke atom, a virtual predicate, is evaluated and
+    refused) leave no entry behind once they are dropped."""
+    from ifol.errors import UnboundVariable
+    ws = singleton_ws()
+    world = enumerate_worlds(ws.space)[1]
+    before = len(ws.space.compiled)
+    for _ in range(1000):
+        phi = ws.parse("p(a)")
+        assert satisfies(world, {}, phi) and tarski_eval(world, {}, phi)
+    for _ in range(300):
+        phi = ws.parse("p(x:s)")
+        for route in (satisfies, tarski_eval):
+            with pytest.raises(UnboundVariable):
+                route(world, {}, phi)
+    del phi
+    gc.collect()
+    assert len(ws.space.compiled) == before
 
 
 def rebinding_ws() -> Workspace:

@@ -136,10 +136,10 @@ def test_a_staged_term_is_evaluated_only_where_it_is_read(monkeypatch):
 
 
 def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():
-    """Sweeps and relational plans last one query: evaluating a formula
-    object again after a declaration sweeps the grown pool, on both sweeps,
-    and its plan spans the grown pool (a complement) or finds the element
-    declared since (an `exists` over a sort empty at first use)."""
+    """Sweeps and relational plans last one declaration stamp: evaluating a
+    formula object again after a declaration sweeps the grown pool, on both
+    sweeps, and its plan spans the grown pool (a complement) or finds the
+    element declared since (an `exists` over a sort empty at first use)."""
     ws = load_workspace("sort integers\n"
                         "sort reals\n"
                         "isa integers reals\n"

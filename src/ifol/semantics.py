@@ -24,47 +24,53 @@ numbers and box a value as a particular only where it leaves arithmetic; a
 comparison applies its operator to its arguments, unwrapping only those
 that are not raw numbers already.
 Everything compiled from one formula object -- its cores on both routes,
-each with its sweep levels, and its relational plan -- lives in one cache
+each with its sweep pools, and its relational plan -- lives in one cache
 entry on the `Structure`, keyed by the formula's identity, for one
 declaration stamp (`Structure.stamp`, which every declaration raises): after
 a declaration the formula is compiled anew, reading the pools and symbols
 as a fresh workspace would, and a symbol still not declared fails where it
 is reached.  The entry holds its formula weakly and leaves the cache with
-it, so no closure in the entry may hold the formula itself.
+it, so no closure in the entry may hold the formula itself.  No compiled
+closure holds the structure or the compile state either, so compiling
+makes no reference cycle and a dropped workspace goes at once.
 
 The hot loop is one membership test per atom and assignment.  A concept atom
 tests its argument tuple against the world's relation; over bound variables
 that tuple is `(env[slot],)` (one argument) or an `itemgetter` pick of the
 slots (several), built by `_compile_args`.  Particulars hash by identity (see
-`Particular`), so the test hashes pointers.  An assignment sweep either
-collects, world after world, every tuple where a formula holds
-(`_tuples_where`, for intensions and extensions) or stops at the first
-assignment where it fails (`_first_failure`, for consequence and axiom
-models), so a failure is found without raising at any later assignment.
+`Particular`), so the test hashes pointers.  An assignment sweep is one loop
+over `itertools.product` of the parameters' pools, writing each assignment
+into the leading slots; it either collects, world after world, every tuple
+where a formula holds (`_tuples_where`, for intensions and extensions) or
+stops at the first assignment where it fails (`_first_failure`, for
+consequence and axiom models), so a failure is found without raising at any
+later assignment.
 
-Sweeps are staged (loop-invariant code motion, Aho et al., *Compilers*
-ch. 9; factorised evaluation, Olteanu & Schleich, SIGMOD Record 2016).  The
-shared term compiler memoizes each built-in application that reads only
-parameters -- no quantifier-bound variable, no abstraction, no function
-graph -- at its first read (memo functions, Michie, Nature 1968), once per
-binding of the parameters it reads.  A ground term or a term over one
-parameter keeps its values in its own closure, keyed by that parameter's
-value, for the core's life: no staged term reads the world, and a
-declaration compiles a new core, so the values hold in every world and
-query.  A term over several parameters keeps one value in a slot of
-its own at the end of the environment.  A sweep binds the parameters in
-nested loops, the first outermost as `itertools.product` orders them, and
-empties that slot when the last of the term's parameters moves.  Nothing is
-evaluated before it is read, so errors stay where the plain evaluation
-meets them: where a short-circuit skips a read nothing is raised, and a
-sweep evaluates nothing past the assignment where it stops.  An evaluation
-that raises keeps nothing, so a read after it raises again.
-A core builds its sweep levels -- per parameter, its pool and the staged
-slots to empty -- at the first world a sweep reaches and keeps them; nothing
-is evaluated at compile time, and a sweep over no worlds reads no pool.  A
-hidden-variable union in `eval_atom` is one sweep too, with the hidden
-variables outermost.  A sweep over more than `MAX_ASSIGNMENTS` assignments
-raises `ExplosionGuard` before it allocates anything.
+Terms are staged (loop-invariant code motion, Aho et al., *Compilers* ch. 9;
+factorised evaluation, Olteanu & Schleich, SIGMOD Record 2016).  The shared
+term compiler memoizes each built-in application that reads only parameters
+-- no quantifier-bound variable, no abstraction, no function graph -- at its
+first read (memo functions, Michie, Nature 1968), once per binding of the
+parameters it reads, and the rule lives in its read closure alone
+(`_Stager.slot`).  A ground term or a term over one parameter keeps its
+values keyed by that parameter's value, for the core's life: no staged term
+reads the world, and a declaration compiles a new core, so the values hold
+in every world and query.  A term over several parameters keeps the last
+binding it read and its value, and evaluates again only when that binding
+moves; in a sweep's product order that is when the last of its parameters
+moves.  Outside every quantifier, a term that reads several parameters and
+every one of them is read once per assignment, where its binding always
+moves, so it is not staged.
+Nothing is evaluated before it is read, so errors stay where the plain
+evaluation meets them: where a short-circuit skips a read nothing is
+raised, and a sweep evaluates nothing past the assignment where it stops.
+An evaluation that raises keeps nothing, so a read after it raises again.
+A core builds its sweep pools at the first world a sweep reaches and keeps
+them; nothing is evaluated at compile time, and a sweep over no worlds
+reads no pool.  A hidden-variable union in `eval_atom` is one sweep too,
+with the hidden variables outermost.  A sweep over more than
+`MAX_ASSIGNMENTS` assignments raises `ExplosionGuard` before it allocates
+anything.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
@@ -88,9 +94,10 @@ from __future__ import annotations
 
 import math
 import weakref
+from itertools import product
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .builtins import COMPARISONS, apply_function, number_of
 from .concepts import ConceptRegistry, Interpretation
@@ -230,33 +237,18 @@ def accessible_values(x: Variable, domain: Domain) -> tuple[Element, ...]:
 
 # --- the compiled core ------------------------------------------------------------
 
-class _Stage(NamedTuple):
-    """A staged term over several parameters: its value stays in env[slot]
-    from its first read until a sweep empties the slot."""
-
-    slot: int  # negative: the staged slots close the environment
-    reads: frozenset[int]  # the parameter slots the term reads
-
-
-# A sweep level: the pool one parameter takes and the staged slots it empties.
-_Level = tuple[Sequence[Element], list[int]]
-
-
 class _Core:
     """One formula compiled on one route: `test(world, env)` reads parameter i
-    from env[i]; the slots after the parameters belong to the quantifiers, and
-    the last `len(stages)` slots to the staged terms over several parameters.
-    `levels` keeps its sweeps' levels, by how many parameters they bind."""
+    from env[i], and the slots after the parameters belong to the quantifiers.
+    `pools` keeps its sweeps' pools, by how many parameters they bind."""
 
-    __slots__ = ("test", "params", "size", "stages", "levels")
+    __slots__ = ("test", "params", "size", "pools")
 
-    def __init__(self, test: Test, params: tuple[Variable, ...], size: int,
-                 stages: Sequence[_Stage]):
+    def __init__(self, test: Test, params: tuple[Variable, ...], size: int):
         self.test = test
         self.params = params
-        self.stages = tuple(stages)
-        self.size = size + len(self.stages)
-        self.levels: dict[int, list[_Level]] = {}
+        self.size = size
+        self.pools: dict[int, list[Sequence[Element]]] = {}
 
 
 Compiler = Callable[[Formula, tuple[Variable, ...], Structure], _Core]
@@ -338,46 +330,29 @@ def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
 
 # --- assignment sweeps ---------------------------------------------------------------
 
-def _levels(core: _Core, domain: Domain, swept: int) -> list[_Level]:
-    """The levels of a sweep binding the core's first `swept` parameters,
+def _pools(core: _Core, domain: Domain, swept: int) -> list[Sequence[Element]]:
+    """The pools of a sweep binding the core's first `swept` parameters,
     built at the first world a sweep reaches and kept on the core; a build
-    that raises keeps nothing.  Each level binds one parameter and empties the
-    slots of the staged terms whose last swept parameter it is, so that such
-    a term is evaluated at its first read after that parameter moves; a term
-    over no swept parameter keeps its slot for the sweep."""
-    levels = core.levels.get(swept)
-    if levels is None:
+    that raises keeps nothing."""
+    pools = core.pools.get(swept)
+    if pools is None:
         pools = [domain.valid_elements(v.sort) for v in core.params[:swept]]
         if math.prod(map(len, pools)) > MAX_ASSIGNMENTS:
             raise ExplosionGuard(f"more than {MAX_ASSIGNMENTS} assignments")
-        resets: list[list[int]] = [[] for _ in pools]
-        for stage in core.stages:
-            reads = [i for i in stage.reads if i < swept]
-            if reads:
-                resets[max(reads)].append(stage.slot)
-        levels = core.levels[swept] = list(zip(pools, resets))
-    return levels
+        core.pools[swept] = pools
+    return pools
 
 
-def _matches(world: World, env: list, levels: list[_Level], test: Test, want: bool,
-             i: int = 0) -> Iterator[tuple[Element, ...]]:
-    """Bind parameter i, then the ones after it, with the first outermost as
-    `itertools.product` orders them, emptying each level's staged slots as its
-    parameter moves; yield every assignment at which the test is `want`."""
-    depth = len(levels)
-    if not depth:  # no parameter to bind: the one assignment ()
+def _sweep(world: World, env: list, pools: list[Sequence[Element]], test: Test,
+           want: bool) -> Iterator[tuple[Element, ...]]:
+    """Bind the leading parameters to each assignment of the pools, in
+    `itertools.product` order; yield every assignment at which the test is
+    `want`."""
+    depth = len(pools)
+    for values in product(*pools):
+        env[:depth] = values
         if test(world, env) == want:
-            yield ()
-        return
-    pool, resets = levels[i]
-    inner = i + 1 < depth
-    for env[i] in pool:
-        for slot in resets:
-            env[slot] = None
-        if inner:
-            yield from _matches(world, env, levels, test, want, i + 1)
-        elif test(world, env) == want:
-            yield tuple(env[:depth])
+            yield values
 
 
 def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element] = ()
@@ -385,21 +360,22 @@ def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element]
     """Per world, in order: every sorted assignment to the core's leading
     parameters under which the formula holds, as value tuples; the trailing
     parameters take the `fixed` values.  The environment is built once, at
-    the first world reached."""
+    the first world reached, and each assignment overwrites its leading
+    slots; a staged term keeps its value in its own closure, not there."""
     env = None
     for world in worlds:
         if env is None:
-            levels = _levels(core, world.space.domain, len(core.params) - len(fixed))
-            env = [None] * len(levels) + list(fixed) + [None] * (core.size - len(core.params))
-        yield frozenset(_matches(world, env, levels, core.test, True))
+            pools = _pools(core, world.space.domain, len(core.params) - len(fixed))
+            env = [None] * len(pools) + list(fixed) + [None] * (core.size - len(core.params))
+        yield frozenset(_sweep(world, env, pools, core.test, True))
 
 
 def _first_failure(core: _Core, world: World) -> Optional[tuple[Element, ...]]:
     """The first sorted assignment to the core's parameters, in enumeration
     order, under which the formula fails, or None.  The sweep stops there and
     evaluates nothing at any later assignment."""
-    levels = _levels(core, world.space.domain, len(core.params))
-    return next(_matches(world, [None] * core.size, levels, core.test, False), None)
+    pools = _pools(core, world.space.domain, len(core.params))
+    return next(_sweep(world, [None] * core.size, pools, core.test, False), None)
 
 
 # --- term evaluation (shared by both routes) ---------------------------------------
@@ -412,7 +388,7 @@ def eval_term(t: Term, g: Assignment, world: World) -> Element:
     the beta variables ground through g, landing in the layer fixed by alpha.
     """
     bound = {v: i for i, v in enumerate(g)}
-    return _compile_term(t, bound, world.space)(world, list(g.values()))
+    return _compile_term(t, bound, _Stager(world.space, 0))(world, list(g.values()))
 
 
 # The parameter slots a term that may be staged reads; None for a term that
@@ -422,29 +398,31 @@ _GROUND: _Reads = frozenset()
 
 
 class _Stager:
-    """The staged terms of one core while it is compiled; `params` is how
-    many leading slots hold parameters."""
+    """The compile state of one core: the structure it reads, how many
+    leading slots hold parameters, and `size`, the slots taken so far (the
+    parameters', then one per quantifier).  No compiled closure holds it."""
 
-    def __init__(self, params: int):
-        self.params = params
-        self.stages: list[_Stage] = []
+    def __init__(self, space: Structure, params: int):
+        self.space = space
+        self.params = self.size = params
 
-    def slot(self, value: Value, reads: _Reads) -> Value:
+    def slot(self, value: Value, reads: frozenset[int]) -> Value:
         """Stage `value`: the returned closure evaluates it at its first read
         for each binding of the parameters it `reads` and keeps the result.
-        Over at most one parameter it keeps a result per binding itself, for
-        the core's life; over several, one result in a slot of its own, which
-        a sweep empties when the last of them moves.  An evaluation that
+        Over at most one parameter it keeps a result per binding, for the
+        core's life; over several, the last binding read and its result, so
+        it evaluates again only when that binding moves.  An evaluation that
         raises keeps nothing, so the next read raises again."""
         if len(reads) > 1:
-            slot = -1 - len(self.stages)
-            self.stages.append(_Stage(slot, reads))
+            pick = itemgetter(*sorted(reads))
+            last: list = [None, None]  # the last binding read and its value
 
             def read(w: World, env: list) -> Element:
-                held = env[slot]
-                if held is None:
-                    held = env[slot] = value(w, env)
-                return held
+                key = pick(env)
+                if key != last[0]:
+                    last[1] = value(w, env)
+                    last[0] = key
+                return last[1]
 
             return read
         memo: dict[object, Element] = {}
@@ -469,38 +447,49 @@ class _Stager:
 
 
 def _level(reads: frozenset[int]) -> tuple[bool, int]:
-    """How often a staged term is evaluated: once, per binding of its one
-    parameter, or per move of the last of its several parameters."""
+    """How often a staged term is evaluated in a sweep: once, per binding of
+    its one parameter, or per move of the last of its several parameters."""
     return len(reads) > 1, max(reads, default=-1)
 
 
-def _compile_term(t: Term, bound: dict[Variable, int], space: Structure,
-                  raw: bool = False, stager: Optional[_Stager] = None) -> Value:
+def _staged(value: Value, reads: _Reads, bound: dict[Variable, int], stager: _Stager
+            ) -> Value:
+    """`value` staged (`_Stager.slot`) where it reads only parameters, but
+    not where it reads several and they are every variable in scope: outside
+    every quantifier it is read once per assignment, and a sweep moves that
+    binding at each, so staging would save nothing."""
+    if reads is None or len(reads) == len(bound) > 1:
+        return value
+    return stager.slot(value, reads)
+
+
+def _compile_term(t: Term, bound: dict[Variable, int], stager: _Stager,
+                  raw: bool = False) -> Value:
     """Compile a term; `bound` maps the variables in scope to their slots.
 
     With `raw` the term's consumer is arithmetic (a built-in function or
     predicate): a built-in application then yields its raw number and a
     numeric constant its value.  Otherwise numbers are boxed as particulars.
-    With a `stager`, a built-in application that reads no quantifier-bound
-    variable, no abstraction and no function graph is staged, so memoized at
-    its first read; inside it, such an application is staged on its own only
-    where it is evaluated more seldom than its consumer.
+    A built-in application that reads no quantifier-bound variable, no
+    abstraction and no function graph is staged (`_staged`), so memoized at
+    its first read, per binding of the parameters it reads; inside it, such
+    an application is staged on its own only where it is evaluated more
+    seldom than its consumer.
     """
-    value, reads = _term(t, bound, space, raw, stager)
-    if stager is not None and reads is not None and isinstance(t, FnApp):
-        return stager.slot(value, reads)
-    return value
+    value, reads = _term(t, bound, stager, raw)
+    return _staged(value, reads, bound, stager) if isinstance(t, FnApp) else value
 
 
-def _term(t: Term, bound: dict[Variable, int], space: Structure, raw: bool,
-          stager: Optional[_Stager]) -> tuple[Value, _Reads]:
+def _term(t: Term, bound: dict[Variable, int], stager: _Stager, raw: bool
+          ) -> tuple[Value, _Reads]:
     """`_compile_term`'s recursion: the closure and what the term reads."""
+    space = stager.space
     interp = space.interp
     if isinstance(t, Var):
         slot = bound.get(t.var)
         if slot is None:
             return _unbound(t.var), None
-        param = stager is not None and slot < stager.params
+        param = slot < stager.params
         return (lambda w, env: env[slot]), frozenset((slot,)) if param else None
     if isinstance(t, Const):
         found = space.domain.lookup(t.symbol)
@@ -513,15 +502,14 @@ def _term(t: Term, bound: dict[Variable, int], space: Structure, raw: bool,
         evaluator = space.signature.builtin_functions.get(t.symbol)
         parts = []
         for a in t.args:  # a loop, not a comprehension: one frame per nesting level
-            parts.append(_term(a, bound, space, evaluator is not None, stager))
+            parts.append(_term(a, bound, stager, evaluator is not None))
         reads: _Reads = None
         if evaluator is not None and all(r is not None for _, r in parts):
             reads = frozenset().union(*(r for _, r in parts))
         values = []
         for a, (value, part) in zip(t.args, parts):
-            if stager is not None and part is not None and isinstance(a, FnApp) \
-                    and (reads is None or _level(part) != _level(reads)):
-                value = stager.slot(value, part)
+            if isinstance(a, FnApp) and (reads is None or _level(part) != _level(reads)):
+                value = _staged(value, part, bound, stager)
             values.append(value)
         if evaluator is not None:
             return _builtin_application(evaluator, values, _finish(space.domain, raw)), reads
@@ -589,8 +577,8 @@ def _graph_application(symbol: str, args: Args) -> Value:
     return apply
 
 
-def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
-                  space: Structure, raw: bool, stager: Optional[_Stager]) -> Args:
+def _compile_args(terms: Sequence[Term], bound: dict[Variable, int], stager: _Stager,
+                  raw: bool) -> Args:
     """The argument tuple of an atom, left to right; `raw` for a built-in
     predicate, whose arguments need not be boxed."""
     if terms and all(isinstance(t, Var) and t.var in bound for t in terms):
@@ -602,7 +590,7 @@ def _compile_args(terms: Sequence[Term], bound: dict[Variable, int],
         return lambda w, env: pick(env)
     values = []
     for t in terms:
-        values.append(_compile_term(t, bound, space, raw, stager))
+        values.append(_compile_term(t, bound, stager, raw))
     return _tuple_of(values)
 
 
@@ -617,7 +605,7 @@ def _tuple_of(values: list[Value]) -> Args:
 
 
 def _builtin_test(evaluator: str, terms: Sequence[Term], bound: dict[Variable, int],
-                  space: Structure, stager: Optional[_Stager]) -> Test:
+                  stager: _Stager) -> Test:
     """A built-in predicate's atom on either route.  A comparison is its
     operator on its two arguments, both evaluated, left to right, before
     either is unwrapped, and only an argument that is not a raw number
@@ -625,7 +613,7 @@ def _builtin_test(evaluator: str, terms: Sequence[Term], bound: dict[Variable, i
     arguments (declared after first use), evaluate their arguments first."""
     op = COMPARISONS.get(evaluator)
     if op is None or len(terms) != 2:
-        args = _compile_args(terms, bound, space, True, stager)
+        args = _compile_args(terms, bound, stager, True)
 
         def other(w: World, env: list) -> bool:
             count = len(args(w, env))
@@ -634,8 +622,8 @@ def _builtin_test(evaluator: str, terms: Sequence[Term], bound: dict[Variable, i
             raise EvaluationFailure(f"comparison expects 2 args, got {count}")
 
         return other
-    first, second = (_compile_term(t, bound, space, True, stager) for t in terms)
-    raw_first, raw_second = (_yields_raw(t, space) for t in terms)
+    first, second = (_compile_term(t, bound, stager, True) for t in terms)
+    raw_first, raw_second = (_yields_raw(t, stager.space) for t in terms)
     if raw_first and raw_second:
         return lambda w, env: op(first(w, env), second(w, env))
     if raw_first:
@@ -687,66 +675,65 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
     assignments accessible from the current one along the relation for its
     variable, and an atom follows the generalized interpretation of
     `eval_atom`: with a variable still unbound it is no truth value."""
-    domain = space.domain
-    size = len(params)
-    stager = _Stager(size)
+    stager = _Stager(space, len(params))
+    test = _kripke(phi, {v: i for i, v in enumerate(params)}, stager)
+    return _Core(test, params, stager.size)
 
-    def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
-        nonlocal size
-        f, negated = negations(f)
-        if isinstance(f, Atom):
-            test = atom(f, bound)
-        elif isinstance(f, And):
-            parts = []
-            for part in conjuncts(f):
-                parts.append(compile_(part, bound))
 
-            def test(w: World, env: list) -> bool:
-                for part in parts:
-                    if not part(w, env):
-                        return False
-                return True
+def _kripke(f: Formula, bound: dict[Variable, int], stager: _Stager) -> Test:
+    f, negated = negations(f)
+    if isinstance(f, Atom):
+        test = _kripke_atom(f, bound, stager)
+    elif isinstance(f, And):
+        parts = []
+        for part in conjuncts(f):
+            parts.append(_kripke(part, bound, stager))
 
-        else:
-            x, slot = f.var, size
-            size += 1
-            body = compile_(f.body, {**bound, x: slot})
+        def test(w: World, env: list) -> bool:
+            for part in parts:
+                if not part(w, env):
+                    return False
+            return True
 
-            def test(w: World, env: list) -> bool:
-                for env[slot] in accessible_values(x, domain):
-                    if body(w, env):
-                        return True
-                return False
+    else:
+        x, slot, domain = f.var, stager.size, stager.space.domain
+        stager.size += 1
+        body = _kripke(f.body, {**bound, x: slot}, stager)
 
-        if negated:
-            return lambda w, env: not test(w, env)
-        return test
+        def test(w: World, env: list) -> bool:
+            for env[slot] in accessible_values(x, domain):
+                if body(w, env):
+                    return True
+            return False
 
-    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
-        direct, hidden = _atom_vars(a)
-        if any(v not in bound for v in direct + hidden):
-            scope = list(bound.items())
-            copy = Atom(a.pred, a.args)  # a may be the root, which its entry must not hold
+    if negated:
+        return lambda w, env: not test(w, env)
+    return test
 
-            def generalized(w: World, env: list) -> bool:
-                # a virtual predicate, not a truth value: compute it for the
-                # errors it raises, then refuse it
-                eval_atom(copy, {v: env[slot] for v, slot in scope}, w)
-                raise UnboundVariable(f"free variables left in atom {copy.pred}")
 
-            return generalized
-        evaluator = space.signature.builtin_predicates.get(a.pred)
-        if evaluator is not None:
-            return _builtin_test(evaluator, a.args, bound, space, stager)
-        concept = space.registry.by_predicate.get(a.pred)
-        args = _compile_args(a.args, bound, space, False, stager)
-        if concept is None:  # not declared: fails where reached
-            return _no_predicate(a.pred, args)
-        name = concept.name
-        return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
+def _kripke_atom(a: Atom, bound: dict[Variable, int], stager: _Stager) -> Test:
+    direct, hidden = _atom_vars(a)
+    if any(v not in bound for v in direct + hidden):
+        scope = list(bound.items())
+        copy = Atom(a.pred, a.args)  # a may be the root, which its entry must not hold
 
-    test = compile_(phi, {v: i for i, v in enumerate(params)})
-    return _Core(test, params, size, stager.stages)
+        def generalized(w: World, env: list) -> bool:
+            # a virtual predicate, not a truth value: compute it for the
+            # errors it raises, then refuse it
+            eval_atom(copy, {v: env[slot] for v, slot in scope}, w)
+            raise UnboundVariable(f"free variables left in atom {copy.pred}")
+
+        return generalized
+    space = stager.space
+    evaluator = space.signature.builtin_predicates.get(a.pred)
+    if evaluator is not None:
+        return _builtin_test(evaluator, a.args, bound, stager)
+    concept = space.registry.by_predicate.get(a.pred)
+    args = _compile_args(a.args, bound, stager, False)
+    if concept is None:  # not declared: fails where reached
+        return _no_predicate(a.pred, args)
+    name = concept.name
+    return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
 
 def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[Element, ...]]:
@@ -814,54 +801,53 @@ def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure
     """Tarski truth compiled: an existential ranges over the plain sort pool of
     its variable, and an atom tests relation membership (or its evaluator)
     directly; an unbound variable fails where its term is evaluated."""
-    valid = space.domain.valid_elements
-    size = len(params)
-    stager = _Stager(size)
+    stager = _Stager(space, len(params))
+    test = _tarski(phi, {v: i for i, v in enumerate(params)}, stager)
+    return _Core(test, params, stager.size)
 
-    def compile_(f: Formula, bound: dict[Variable, int]) -> Test:
-        nonlocal size
-        f, negated = negations(f)
-        if isinstance(f, Atom):
-            test = atom(f, bound)
-        elif isinstance(f, And):
-            parts = []
-            for part in conjuncts(f):
-                parts.append(compile_(part, bound))
 
-            def test(w: World, env: list) -> bool:
-                for part in parts:
-                    if not part(w, env):
-                        return False
-                return True
+def _tarski(f: Formula, bound: dict[Variable, int], stager: _Stager) -> Test:
+    f, negated = negations(f)
+    if isinstance(f, Atom):
+        test = _tarski_atom(f, bound, stager)
+    elif isinstance(f, And):
+        parts = []
+        for part in conjuncts(f):
+            parts.append(_tarski(part, bound, stager))
 
-        else:
-            sort, slot = f.var.sort, size
-            size += 1
-            body = compile_(f.body, {**bound, f.var: slot})
+        def test(w: World, env: list) -> bool:
+            for part in parts:
+                if not part(w, env):
+                    return False
+            return True
 
-            def test(w: World, env: list) -> bool:
-                for env[slot] in valid(sort):
-                    if body(w, env):
-                        return True
-                return False
+    else:
+        sort, slot, valid = f.var.sort, stager.size, stager.space.domain.valid_elements
+        stager.size += 1
+        body = _tarski(f.body, {**bound, f.var: slot}, stager)
 
-        if negated:
-            return lambda w, env: not test(w, env)
-        return test
+        def test(w: World, env: list) -> bool:
+            for env[slot] in valid(sort):
+                if body(w, env):
+                    return True
+            return False
 
-    def atom(a: Atom, bound: dict[Variable, int]) -> Test:
-        evaluator = space.signature.builtin_predicates.get(a.pred)
-        if evaluator is not None:
-            return _builtin_test(evaluator, a.args, bound, space, stager)
-        concept = space.registry.by_predicate.get(a.pred)
-        args = _compile_args(a.args, bound, space, False, stager)
-        if concept is None:  # not declared: fails where reached
-            return _no_predicate(a.pred, args)
-        name = concept.name
-        return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
+    if negated:
+        return lambda w, env: not test(w, env)
+    return test
 
-    test = compile_(phi, {v: i for i, v in enumerate(params)})
-    return _Core(test, params, size, stager.stages)
+
+def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager) -> Test:
+    space = stager.space
+    evaluator = space.signature.builtin_predicates.get(a.pred)
+    if evaluator is not None:
+        return _builtin_test(evaluator, a.args, bound, stager)
+    concept = space.registry.by_predicate.get(a.pred)
+    args = _compile_args(a.args, bound, stager, False)
+    if concept is None:  # not declared: fails where reached
+        return _no_predicate(a.pred, args)
+    name = concept.name
+    return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
 
 # --- consequence, intension, and the extension identity ------------------------------

@@ -78,7 +78,6 @@ class Workspace:
         self.queries: list[Query] = []
         self.max_worlds = max_worlds
         self._worlds: Optional[list[World]] = None
-        self._worlds_error: Optional[IfolError] = None
         self._representatives: Optional[list[World]] = None
         self._worlds_stamp: Optional[tuple[int, int, int]] = None
 
@@ -112,17 +111,11 @@ class Workspace:
         leads its class reads the formulas too."""
         stamp = (self.space.stamp, len(self.axioms), len(self.queries))
         if stamp != self._worlds_stamp:
-            self._worlds = self._worlds_error = self._representatives = None
+            self._worlds = self._representatives = None
             self._worlds_stamp = stamp
-        if self._worlds_error is not None:
-            raise self._worlds_error
         if self._worlds is None:
-            try:
-                self._worlds = enumerate_worlds(self.space, self.max_worlds,
-                                                [phi for _, phi in self.all_formulas()])
-            except IfolError as exc:
-                self._worlds_error = exc
-                raise
+            self._worlds = enumerate_worlds(self.space, self.max_worlds,
+                                            [phi for _, phi in self.all_formulas()])
         return self._worlds
 
     def representatives(self, formulas: Sequence[Formula]) -> Sequence[World]:

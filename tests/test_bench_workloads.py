@@ -9,6 +9,9 @@ it here on small instances shows a wrong report without a benchmark run.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import ifol.cli
@@ -28,6 +31,38 @@ SMALL = {
     "grid-assignments": lambda seed: workloads.grid_assignments(seed, k=2),
     "fixtures": lambda seed: workloads.fixtures(ROOT, seed),
 }
+
+
+def _dropped_structure_survives(text: str, max_worlds: int) -> bool:
+    """Run every query of a workspace, drop it, and tell whether its
+    structure outlived it, with the cyclic collector off: true only where a
+    reference cycle holds it."""
+    ws = load_workspace(text, max_worlds)
+    run_queries(ws)
+    space = weakref.ref(ws.space)
+    del ws
+    return space() is not None
+
+
+def test_a_dropped_workspace_frees_its_structure_without_the_collector():
+    """Compiling, sweeping and planning make no reference cycle, so a
+    workspace and its compiled formulas go as soon as it is dropped: on all 8
+    fixtures, the small unary and grid workloads, and bealer with its world
+    budget too small, where every query fails in enumeration."""
+    cases = [(f.label, f.text, ifol.semantics.MAX_WORLDS) for make in SMALL.values()
+             for f in make(11).files]
+    cases.append(("bealer, 2 worlds", (ROOT / "fixtures" / "bealer.ifol").read_text(), 2))
+    assert run_queries(load_workspace(cases[-1][1], 2))[0].count("ERROR ExplosionGuard") == 4
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        kept = [label for label, text, budget in cases
+                if _dropped_structure_survives(text, budget)]
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(cases) == 11 and kept == []
 
 
 def test_references_agree_with_brute_force():

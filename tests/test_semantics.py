@@ -474,12 +474,12 @@ def test_eval_atom_hidden_union_is_one_sweep(monkeypatch):
     told = ws.interp.of_ground_term(Abstracted(ws.parse("leq2(3, 5)"), (), ()))
     a, c = ws.domain.lookup("a"), ws.domain.lookup("c")
     world = World("w", ws.space, {"r-hood": frozenset({(a, told), (c, a)})})
-    sweeps = []  # each sweep fetches its levels once
-    real = ifol.semantics._levels
-    monkeypatch.setattr(ifol.semantics, "_levels",
+    sweeps = []  # each sweep fetches its pools once
+    real = ifol.semantics._pools
+    monkeypatch.setattr(ifol.semantics, "_pools",
                         lambda *args: sweeps.append(real(*args)) or sweeps[-1])
     assert eval_atom(atom, {}, world) == frozenset({(a,)})
-    assert [[len(pool) for pool, _ in levels] for levels in sweeps] == [[10, 10, 3]]
+    assert [[len(pool) for pool in pools] for pools in sweeps] == [[10, 10, 3]]
     brute = frozenset()
     for g_hidden in many_sorted_assignments([u1, u2], ws.domain):
         brute |= eval_atom(atom, g_hidden, world)

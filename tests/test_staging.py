@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import ifol.semantics
 from ifol import load_workspace, satisfies, tarski_eval
 from ifol.cli import run_queries
-from ifol.errors import IfolError
+from ifol.errors import EvaluationFailure, IfolError
 from ifol.kernel import element_lexeme
 from ifol.semantics import (
     _compile_kripke,
@@ -133,6 +133,55 @@ def test_a_staged_term_is_evaluated_only_where_it_is_read(monkeypatch):
     assert run_queries(ws) == ("INTENSION gt(x:reals, 0) & leq(div(1, x), 2)\n"
                                "WORLD w0\n  (1)\n  (2)\n", 0)
     assert calls.count("div") == 2
+
+
+NUMBERS = ("sort integers\n"
+           "sort rationals\n"
+           "sort reals\n"
+           "isa integers rationals\n"
+           "isa rationals reals\n"
+           "extent reals = { 0, 1, 2, 3 }\n"
+           "builtin function add/2 : reals x reals -> reals = add\n"
+           "builtin function mul/2 : reals x reals -> reals = mul\n"
+           "builtin function sub/2 : reals x reals -> reals = sub\n"
+           "builtin function div/2 : reals x reals -> reals = div\n"
+           "builtin predicate leq/2 : reals x reals = leq\n")
+
+
+def test_a_term_over_several_parameters_keeps_its_last_binding(monkeypatch):
+    """Over x, y and z, 4 values each: in one sweep mul(x, y) is applied once
+    per (x, y) and add(mul(x, y), z), which reads every parameter, once per
+    assignment, also where a quantifier reads it at each value of w.  A term
+    keeps its last binding and value across calls, so four calls that share
+    (x, y) apply mul once.  An evaluation that raises keeps nothing: the
+    next read of div(1, sub(x, y)) at x == y raises again."""
+    calls = _applies(monkeypatch)
+    ws = load_workspace(NUMBERS)
+    (world,) = ws.worlds()
+    phi = ws.parse("leq(add(mul(x:reals, y:reals), z:reals), 3)")
+    for route in (_compile_kripke, _compile_tarski):
+        rows = next(_tuples_where(_core(ws.space, phi, route), (world,)))
+        assert len(rows) == 37  # x * y + z <= 3
+        assert (calls.count("mul"), calls.count("add")) == (4 * 4, 4 * 4 * 4)
+        calls.clear()
+    psi = ws.parse("exists w:reals . leq(add(mul(x:reals, y:reals), z:reals), w)")
+    assert len(next(_tuples_where(_core(ws.space, psi, _compile_kripke), (world,)))) == 37
+    assert (calls.count("mul"), calls.count("add")) == (4 * 4, 4 * 4 * 4)
+    calls.clear()
+
+    x, y, z = free_vars(phi)
+    one, two = ws.domain.lookup("1"), ws.domain.lookup("2")
+    for value in ws.domain.valid_elements("reals"):
+        satisfies(world, {x: one, y: one, z: value}, phi)
+    assert (calls.count("mul"), calls.count("add")) == (1, 4)
+
+    chi = ws.parse("leq(div(1, sub(x:reals, y:reals)), z:reals)")
+    for truth in (satisfies, tarski_eval):
+        assert truth(world, {x: two, y: one, z: one}, chi)
+        for _ in range(2):
+            with pytest.raises(EvaluationFailure, match="division by zero"):
+                truth(world, {x: one, y: one, z: two}, chi)
+        assert truth(world, {x: two, y: one, z: two}, chi)
 
 
 def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():

@@ -117,18 +117,12 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
 
     if query.kind == "intension":
         meaning = montague_intension(ws.space, query.formula, ws.worlds())
-        lines = [f"INTENSION {format_formula(query.formula)}"]
-        rows: dict[frozenset, list[str]] = {}  # many worlds share an extension
-        for label, ext in meaning.items():
-            if isinstance(ext, bool):
-                lines.append(f"WORLD {label} {'t' if ext else 'f'}")
-            else:
-                lines.append(f"WORLD {label}")
-                rendered = rows.get(ext)
-                if rendered is None:
-                    rendered = rows[ext] = [f"  {row}" for row in _rendered_rows(ext)]
-                lines.extend(rendered)
-        return lines, True
+        # many worlds share an extension, and a plan gives them one object
+        tails = {ext: (" t" if ext else " f") if isinstance(ext, bool)
+                 else "".join([f"\n  {row}" for row in _rendered_rows(ext)])
+                 for ext in set(meaning.values())}
+        return [f"INTENSION {format_formula(query.formula)}",
+                *[f"WORLD {label}{tails[ext]}" for label, ext in meaning.items()]], True
 
     if query.kind == "concepts":
         return [render_concept_tree(ws, query.predicate)], True

@@ -85,7 +85,7 @@ class ConceptRegistry:
         if pred in self.by_predicate:
             raise DuplicatePhrase(f"predicate {pred!r} already names {self.by_predicate[pred].name!r}")
         if phrase in self.by_concept or phrase in self.domain.concepts:
-            raise DuplicatePhrase(phrase)
+            raise DuplicatePhrase(f"concept {phrase!r} already declared")
         try:
             concept = self.domain.declare_sort(phrase, len(sorts), sorts)
         except DuplicateName as exc:
@@ -99,7 +99,7 @@ class ConceptRegistry:
         try:
             return self.by_predicate[pred]
         except KeyError:
-            raise UnregisteredPredicate(pred) from None
+            raise UnregisteredPredicate(f"predicate {pred!r} names no concept") from None
 
     # --- canonical subconcepts -------------------------------------------
 
@@ -148,7 +148,7 @@ class ConceptRegistry:
             return self.by_concept[concept.name], {}
         home = self._subconcept_home.get(concept.name)
         if home is None:
-            raise UnregisteredPredicate(concept.name)
+            raise UnregisteredPredicate(f"concept {concept.name!r} has no predicate")
         pred, key = home
         return pred, dict(key)
 

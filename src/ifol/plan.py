@@ -17,8 +17,8 @@ fragment's one definition: it returns a plan for a formula inside it and
 None for any other.
 
 A plan is a tree of nodes.  Each node has columns, the free variables of its
-sub-formula, and a closure from a world's relations to its rows, a frozenset
-of tuples over the columns' sort pools:
+sub-formula, and a closure from a world to its rows, a frozenset of tuples
+over the columns' sort pools:
 
 * an atom is its relation, selected on its constants and repeated variables
   and projected onto its variables; over distinct variables in argument order
@@ -36,6 +36,17 @@ of tuples over the columns' sort pools:
   that needs them computes them, with the operators `apply_function` uses,
   each sub-term once per binding of the variables it reads (see `_select`),
   and the plan keeps them for its life.
+
+A unary concept atom over a variable whose pool is the concept's pool is a
+mask node instead: its closure reads the world's mask for the concept (bit i
+for the pool's i-th element, see `ifol.worlds`), `~`, `&` and `exists` over
+mask nodes of one column are `full ^ m`, `a & b` (`a & ~b` for a negated
+conjunct) and `m != 0`, and a unary atom on a constant tests one bit.  Every
+other node is a set, and a mask becomes rows where it meets one, and at the
+root, through the decoder of its concept, so equal masks give the same
+frozenset object.  A world built by hand, or enumerated under another
+declaration stamp (so over other pools), is read through `World.encoded`,
+its relations encoded over the pools of the plan's stamp.
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
@@ -61,12 +72,15 @@ from .syntax import (And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variab
                      negations)
 
 if TYPE_CHECKING:
-    from .semantics import Structure
+    from .semantics import Structure, World
 
 Rows = frozenset[tuple[Element, ...]]
-Relations = dict[str, Rows]
-Plan = Callable[[Relations], Rows]
-_Node = tuple[tuple[Variable, ...], Plan]  # (columns, rows)
+Plan = Callable[["World"], Rows]
+# A sub-formula's columns, its closure from a world to its rows, and None; or,
+# for a mask node, its one column, its closure from a world's masks to the
+# mask of its rows over that column's pool, and the concept `home` with that
+# pool, whose decoder turns the mask into rows.
+_Node = tuple[tuple[Variable, ...], Callable[..., object], Optional[int]]
 
 _EMPTY: Rows = frozenset()
 _TRUE: Rows = frozenset({()})
@@ -94,14 +108,45 @@ def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
     None when phi is outside the fragment or a node's column product exceeds
     `budget`.  Compiling reads sort pools and allocates nothing in proportion
     to a column product."""
+    planner = _Planner(space, budget)
     try:
-        cols, rows = _Planner(space, budget).formula(phi)
+        node = planner.formula(phi)
     except _Outside:
         return None
-    if cols == params:
+    stamp, (cols, rows, home) = space.stamp, node
+    if home is not None:  # its one column is the one parameter
+        mask = rows
+
+        def decoded(w: World) -> Rows:
+            decoders = w.decoders
+            if decoders is None or decoders.stamp != stamp:
+                w = w.encoded()
+                decoders = w.decoders
+            return decoders[home][mask(w.masks)]
+
+        return decoded
+    if cols != params:
+        pick, unpicked = _picker([cols.index(v) for v in params]), rows
+        rows = lambda w: frozenset(map(pick, unpicked(w)))
+    if not planner.reads_masks:
         return rows
-    pick = _picker([cols.index(v) for v in params])
-    return lambda rels: frozenset(map(pick, rows(rels)))
+
+    def encoded(w: World) -> Rows:
+        decoders = w.decoders
+        if decoders is None or decoders.stamp != stamp:
+            w = w.encoded()
+        return rows(w)
+
+    return encoded
+
+
+def _rows(node: _Node) -> Plan:
+    """The node's rows; a mask node's leave it through its concept's decoder,
+    so equal masks give the same frozenset object."""
+    _, run, home = node
+    if home is None:
+        return run
+    return lambda w: w.decoders[home][run(w.masks)]
 
 
 def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
@@ -124,6 +169,7 @@ class _Planner:
         self.builtins = space.signature.builtin_predicates
         self.functions = space.signature.builtin_functions
         self.budget = budget
+        self.reads_masks = False
         self.pools: dict[Variable, tuple[Element, ...]] = {}
 
     def pool(self, v: Variable) -> tuple[Element, ...]:
@@ -134,10 +180,11 @@ class _Planner:
             pool = self.pools[v] = self.domain.valid_elements(v.sort)
         return pool
 
-    def node(self, cols: tuple[Variable, ...], rows: Plan) -> _Node:
+    def node(self, cols: tuple[Variable, ...], run: Callable[["World"], object],
+             home: Optional[int] = None) -> _Node:
         if math.prod(len(self.pool(v)) for v in cols) > self.budget:
             raise _Outside
-        return cols, rows
+        return cols, run, home
 
     def formula(self, f: Formula) -> _Node:
         f, negated = negations(f)
@@ -178,15 +225,26 @@ class _Planner:
                 raise _Outside
             constants.append((i, found))
         cols, name = tuple(first), concept.name
+        if concept.arity == 1 and self.domain.sort_is_finite(concept.attribute_sorts[0]):
+            pool = self.domain.valid_elements(concept.attribute_sorts[0])
+            at = list(self.concepts).index(a.pred)  # a world's masks are in this order
+            if cols and self.pool(cols[0]) == pool:
+                self.reads_masks = True
+                return self.node(cols, itemgetter(at), at)
+            if constants:  # a relation lies within its pool
+                self.reads_masks = True
+                c = constants[0][1]
+                bit = 1 << pool.index(c) if c in pool else 0
+                return self.node((), lambda w: _TRUE if w.masks[at] & bit else _EMPTY)
         wider = [(i, frozenset(self.pool(v))) for v, i in first.items()
                  if not self.covers(concept.attribute_sorts[i], v)]
         if not (constants or repeats or wider) and list(first.values()) == list(range(len(cols))):
-            return self.node(cols, lambda rels: rels.get(name, _EMPTY))
+            return self.node(cols, lambda w: w.relations.get(name, _EMPTY))
         pick = _picker(list(first.values()))
 
-        def select(rels: Relations) -> Rows:
+        def select(w: World) -> Rows:
             return frozenset(
-                pick(t) for t in rels.get(name, _EMPTY)
+                pick(t) for t in w.relations.get(name, _EMPTY)
                 if all(t[i] == c for i, c in constants)
                 and all(t[i] == t[j] for i, j in repeats)
                 and all(t[i] in pool for i, pool in wider))
@@ -207,7 +265,7 @@ class _Planner:
         pools = [self.pools[v] for v in cols]
         kept: list[Rows] = []
 
-        def rows(rels: Relations) -> Rows:
+        def rows(w: World) -> Rows:
             if not kept:
                 kept.append(_select(op, cells, left, right, pools))
             return kept[0]
@@ -251,27 +309,33 @@ class _Planner:
         return set(self.domain.valid_elements(sort)) <= set(self.pool(v))
 
     def complement(self, node: _Node) -> _Node:
-        cols, rows = node
+        cols, run, home = node
         pools = [self.pool(v) for v in cols]
+        if home is not None:  # the mask lies within full
+            full = (1 << len(pools[0])) - 1
+            return self.node(cols, lambda m: full ^ run(m), home)
         universe: list[Rows] = []
 
-        def rest(rels: Relations) -> Rows:
+        def rest(w: World) -> Rows:
             if not universe:
                 universe.append(frozenset(itertools.product(*pools)))
-            return universe[0] - rows(rels)
+            return universe[0] - run(w)
 
         return self.node(cols, rest)
 
     def exists(self, f: Exists) -> _Node:
         pool = self.pool(f.var)
-        cols, rows = self.formula(f.body)
+        node = self.formula(f.body)
+        cols, run, home = node
         if f.var not in cols:
-            return (cols, rows) if pool else (cols, lambda rels: _EMPTY)
+            return node if pool else (cols, lambda w: _EMPTY, None)
         i = cols.index(f.var)
+        if home is not None:
+            return (), lambda w: _TRUE if run(w.masks) else _EMPTY, None
         if len(cols) == 1:
-            return (), lambda rels: _TRUE if rows(rels) else _EMPTY
+            return (), lambda w: _TRUE if run(w) else _EMPTY, None
         pick = _picker([j for j in range(len(cols)) if j != i])
-        return self.node(cols[:i] + cols[i + 1:], lambda rels: frozenset(map(pick, rows(rels))))
+        return self.node(cols[:i] + cols[i + 1:], lambda w: frozenset(map(pick, run(w))))
 
     def conjunction(self, f: And) -> _Node:
         """The positive conjuncts joined, then each negated one taken away:
@@ -295,40 +359,46 @@ class _Planner:
         return node
 
     def join(self, left: _Node, right: _Node) -> _Node:
-        (lcols, lrows), (rcols, rrows) = left, right
+        lcols, rcols = left[0], right[0]
         if set(rcols) <= set(lcols):
             return self.semijoin(left, right, keep=True)
         if set(lcols) <= set(rcols):
             return self.semijoin(right, left, keep=True)
+        lrows, rrows = _rows(left), _rows(right)
         key_l = _picker([lcols.index(v) for v in rcols if v in lcols])
         key_r = _picker([i for i, v in enumerate(rcols) if v in lcols])
         rest = _picker([i for i, v in enumerate(rcols) if v not in lcols])
 
-        def rows(rels: Relations) -> Rows:
+        def rows(w: World) -> Rows:
             index: dict[tuple, list[tuple]] = {}
-            for r in rrows(rels):
+            for r in rrows(w):
                 index.setdefault(key_r(r), []).append(rest(r))
-            return frozenset(t + tail for t in lrows(rels) for tail in index.get(key_l(t), ()))
+            return frozenset(t + tail for t in lrows(w) for tail in index.get(key_l(t), ()))
 
         return self.node(lcols + tuple(v for v in rcols if v not in lcols), rows)
 
     def semijoin(self, wide: _Node, narrow: _Node, keep: bool) -> _Node:
         """The rows of `wide` whose values on `narrow`'s columns, which lie
         inside its own, are (`keep`: a semijoin) or are not (an antijoin)
-        rows of `narrow`."""
-        (cols, wrows), (ncols, nrows) = wide, narrow
+        rows of `narrow`.  Two mask nodes give a mask node: their masks'
+        intersection, or the first's bits that the second lacks."""
+        (cols, a, home), (ncols, b, nhome) = wide, narrow
+        if ncols == cols and home is not None and nhome is not None:
+            if keep:
+                return self.node(cols, lambda m: a(m) & b(m), home)
+            return self.node(cols, lambda m: a(m) & ~b(m), home)
+        wrows, nrows = _rows(wide), _rows(narrow)
+        if not ncols:
+            return self.node(cols, lambda w: wrows(w) if bool(nrows(w)) == keep else _EMPTY)
         if ncols == cols:
             if keep:
-                return self.node(cols, lambda rels: wrows(rels) & nrows(rels))
-            return self.node(cols, lambda rels: wrows(rels) - nrows(rels))
-        if not ncols:
-            return self.node(cols, lambda rels: wrows(rels) if bool(nrows(rels)) == keep
-                             else _EMPTY)
+                return self.node(cols, lambda w: wrows(w) & nrows(w))
+            return self.node(cols, lambda w: wrows(w) - nrows(w))
         key = _picker([cols.index(v) for v in ncols])
 
-        def rows(rels: Relations) -> Rows:
-            found = nrows(rels)
-            return frozenset(t for t in wrows(rels) if (key(t) in found) == keep)
+        def rows(w: World) -> Rows:
+            found = nrows(w)
+            return frozenset(t for t in wrows(w) if (key(t) in found) == keep)
 
         return self.node(cols, rows)
 

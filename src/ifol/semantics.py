@@ -83,7 +83,7 @@ An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise -- concept atoms and built-in comparisons over
 finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
 one definition), compiled once per stamp and kept in the formula's entry,
-which `montague_intension` runs on each world's relations; a comparison's
+which `montague_intension` runs on each world; a comparison's
 rows read no world, so the plan computes them once.  Any other formula is
 swept on the Kripke route.  The plan is a third evaluator: consequence stays
 on the Kripke closures and a concept's extension on the Tarski ones, so
@@ -96,7 +96,7 @@ import math
 import weakref
 from itertools import product
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .builtins import COMPARISONS, apply_function, number_of
@@ -169,15 +169,96 @@ class Structure:
         return self.domain.declarations + self.signature.declarations
 
 
-@dataclass
-class World:
-    """One extensionalization function over the structure's concepts."""
+class Subsets(dict):
+    """The relation of each mask over a concept's tuple pool (bit i for the
+    pool's i-th tuple, see `ifol.worlds`), built when first asked for and
+    kept: the decoder that every world of one enumeration shares for that
+    concept, so equal masks decode to the same frozenset object."""
 
-    label: str
-    space: Structure
-    relations: dict[str, frozenset[tuple[Element, ...]]]
-    functions: dict[str, dict[tuple[Element, ...], Element]] = field(default_factory=dict)
-    leads: bool = True  # the first world of its class of isomorphic worlds
+    __slots__ = ("name", "pool")
+
+    def __init__(self, name: str, pool: Sequence[tuple[Element, ...]]):
+        self.name = name
+        self.pool = pool
+
+    def __missing__(self, mask: int) -> frozenset[tuple[Element, ...]]:
+        made = self[mask] = frozenset(t for b, t in enumerate(self.pool) if mask >> b & 1)
+        return made
+
+
+class Decoders(tuple):
+    """The decoders of one enumeration, or of one world's encoding: one per
+    registered concept, in registration order (None for a concept no mask
+    is read for), and the declaration `stamp` under which their pools were
+    read.  They hold no world."""
+
+    stamp: int
+
+
+class _Decoded:
+    """`World.relations` of an enumerated world: decoded from its masks at
+    the first read and kept in the world's own dict, which later reads find
+    first."""
+
+    def __get__(self, w: Optional[World], owner: type) -> object:
+        if w is None:
+            return self
+        w.relations = relations = {d.name: d[m] for d, m in zip(w.decoders, w.masks)}
+        return relations
+
+
+class World:
+    """One extensionalization function over the structure's concepts: a
+    relation per registered concept and a graph per declared function.
+
+    An enumerated world holds its relations as masks, one int per registered
+    concept in registration order (bit i for the i-th tuple of the concept's
+    pool, see `ifol.worlds`), with the decoders its whole enumeration shares;
+    `relations` is decoded when first read and kept, so a route pays only
+    for the worlds it visits, and a relational plan reads the masks.  A world
+    built by hand, `World(label, space, relations[, functions])`, holds its
+    relations and no masks; a plan reads it through `encoded`.  `leads`
+    marks the first world of its class of isomorphic worlds."""
+
+    __slots__ = ("label", "space", "functions", "leads", "masks", "decoders", "__dict__")
+    relations = _Decoded()
+
+    def __init__(self, label: str, space: Structure,
+                 relations: Optional[dict[str, frozenset[tuple[Element, ...]]]],
+                 functions: Optional[dict[str, dict[tuple[Element, ...], Element]]] = None,
+                 leads: bool = True, masks: Optional[tuple[int, ...]] = None,
+                 decoders: Optional[Decoders] = None):
+        self.label = label
+        self.space = space
+        self.functions = {} if functions is None else functions
+        self.leads = leads
+        self.masks = masks
+        self.decoders = decoders
+        if relations is not None:
+            self.relations = relations
+
+    def encoded(self) -> World:
+        """This world with its relations encoded as masks over the pools the
+        structure has now: for each registered unary concept over a finite
+        sort, the tuples of its relation that lie in its pool (an enumerated
+        world holds no others); mask 0 and no decoder for any other concept,
+        which no plan reads as a mask."""
+        domain, concepts = self.space.domain, self.space.registry.by_predicate.values()
+        masks: list[int] = []
+        decoders: list[Optional[Subsets]] = []
+        for c in concepts:
+            if c.arity != 1 or not domain.sort_is_finite(c.attribute_sorts[0]):
+                masks.append(0)
+                decoders.append(None)
+                continue
+            pool = [(e,) for e in domain.valid_elements(c.attribute_sorts[0])]
+            bits = {t: 1 << b for b, t in enumerate(pool)}
+            masks.append(sum(bits.get(t, 0) for t in self.relations.get(c.name, ())))
+            decoders.append(Subsets(c.name, pool))
+        out = Decoders(decoders)
+        out.stamp = self.space.stamp
+        return World(self.label, self.space, self.relations, self.functions, self.leads,
+                     tuple(masks), out)
 
     def relation(self, concept_name: str) -> frozenset[tuple[Element, ...]]:
         return self.relations.get(concept_name, frozenset())
@@ -886,16 +967,17 @@ def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
                        ) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
     """The meaning of phi as a map from worlds to extensions: per world, the
     set of free-variable tuples it satisfies, or its truth value if closed.
-    A formula with a relational plan runs it on each world's relations; any
-    other is swept on the Kripke route."""
+    A formula with a relational plan runs it on each world; any other is
+    swept on the Kripke route."""
     plan = intension_plan(space, phi)
     if plan is None:
-        meaning = zip(worlds, _tuples_where(_core(space, phi, _compile_kripke), worlds))
+        meaning = _tuples_where(_core(space, phi, _compile_kripke), worlds)
     else:
-        meaning = ((w, plan(w.relations)) for w in worlds)
+        meaning = map(plan, worlds)
+    labels = list(map(attrgetter("label"), worlds))
     if not _compiled(space, phi).free:  # the one assignment of a closed formula is ()
-        return {w.label: () in rows for w, rows in meaning}
-    return {w.label: rows for w, rows in meaning}
+        return {label: () in rows for label, rows in zip(labels, meaning)}
+    return dict(zip(labels, meaning))
 
 
 @dataclass(frozen=True)

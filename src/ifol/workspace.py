@@ -467,8 +467,10 @@ class _Loader:
                 continue
             if "=" not in part:
                 raise ParseError(f"expected 'x=<lexeme>', found {part!r}", line=line.number)
-            name, lexeme = part.split("=", 1)
-            out[name.strip()] = lexeme.strip()
+            name, lexeme = (side.strip() for side in part.split("=", 1))
+            if name in out:
+                raise ParseError(f"variable {name!r} bound twice", line=line.number)
+            out[name] = lexeme
         return out
 
     def _check_formulas(self) -> None:

@@ -9,6 +9,15 @@ over the concepts, and the concept that fixes an edge's second side takes
 only the masks that fit the first.  `MAX_WORLDS` bounds the whole candidate
 product.
 
+A world is what the walk holds: its masks, one int per registered concept,
+and the decoders (`semantics.Subsets`, one per concept) that every world of
+the enumeration shares, which turn a mask into its relation once and keep
+it.  The walk builds no relation: `World.relations` is decoded when a route
+first reads it, so the Kripke and Tarski routes pay for the worlds they
+visit, and a relational plan works on the masks themselves (bit-vector
+relations, as in the finite model finders Mace4, McCune 2003, and Paradox,
+Claessen & Sörensson 2003).
+
 Two particulars of one sort that no formula names cannot be told apart
 (`movable_particulars`): every world has an isomorphic twin in which the two
 are swapped, and a formula that reads only relation membership gives the
@@ -44,7 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ExplosionGuard
 from .kernel import Domain, Element, NESTED_SENTENCE_SORT, Particular, RESERVED_SORTS, TOP_SORT
-from .semantics import MAX_WORLDS, Structure, World
+from .semantics import MAX_WORLDS, Decoders, Structure, Subsets, World
 from .syntax import Abstracted, And, Atom, Const, Exists, FnApp, Formula, Not, Term
 
 # Per concept level: the bits every mask there must hold (its floor), the
@@ -125,9 +134,12 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     symbols = [symbol for symbol, _ in fn_graphs]
     functions = [dict(zip(symbols, combo))
                  for combo in itertools.product(*(graphs for _, graphs in fn_graphs))]
-    combos = itertools.product(_relations(names, pools, bounds, pairs), functions)
-    return [World(f"w{i}", space, relations, graphs, leads)
-            for i, ((relations, leads), graphs) in enumerate(combos)]
+    decoders = Decoders(map(Subsets, names, pools))
+    decoders.stamp = space.stamp
+    masks, leads = _walk(pools, bounds, pairs)
+    k = len(functions)  # function graphs innermost
+    return [World(f"w{i}", space, None, functions[i % k], leads[i // k], masks[i // k], decoders)
+            for i in range(len(masks) * k)]
 
 
 def _tuple_pool(domain: Domain, sorts: Sequence[str]) -> list[tuple[Element, ...]]:
@@ -207,38 +219,36 @@ def _remap(source: list[tuple[Element, ...]], target: list[tuple[Element, ...]]
     return to, sum(1 << b for b, bit in enumerate(to) if not bit)
 
 
-def _relations(names: list[str], pools: list[list[tuple[Element, ...]]],
-               bounds: list[_Bound], pairs: list[_Pair]
-               ) -> list[tuple[dict[str, frozenset[tuple[Element, ...]]], bool]]:
-    """The relations of every combination of masks that keeps the bounds, in
-    candidate order, each with whether it leads its class: a depth-first walk
-    over the levels, without recursion, since concepts with an empty pool add
-    levels but no worlds.  The walk ends at the last level with a nonempty
-    pool: the levels after it hold the empty relation in every world.  The
-    outer levels' relations are gathered once per prefix of the innermost
-    level, and each relation is built once per mask reached.
+def _walk(pools: list[list[tuple[Element, ...]]], bounds: list[_Bound], pairs: list[_Pair]
+          ) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """The masks of every combination that keeps the bounds, one int per
+    level, in candidate order, and whether each leads its class: a
+    depth-first walk over the levels, without recursion, since concepts with
+    an empty pool add levels but no worlds.  The walk ends at the last level
+    with a nonempty pool: the levels after it hold mask 0 in every world.
 
     `tied[level]` holds, as bit k, the pairs[k] that no level above has told
     apart, or None once one of them held only the later particular."""
-    if not names:
-        return [({}, True)]
-    made = [_Subsets(pool, pairs) for pool in pools]
-    out = []
+    if not pools:
+        return [()], [True]
+    ranks = [_Ties(pool, pairs) for pool in pools]
+    out: list[tuple[int, ...]] = []
+    leads: list[bool] = []
     last = len(pools) - 1
     while last and not pools[last]:
         last -= 1
-    tail = dict.fromkeys(names[last + 1:], frozenset())
+    tail = (0,) * (len(pools) - 1 - last)
     chosen = [0] * last
     tied: list[Optional[int]] = [(1 << len(pairs)) - 1] + [None] * last
     walks = [_masks(bounds[0], chosen)] + [iter(())] * last
     level = 0
     while level >= 0:
-        if level == last:  # the innermost level: one relations dict per mask
-            prefix = {name: rels[mask][0] for name, rels, mask in zip(names, made, chosen)}
-            name, rels, ties = names[last], made[last], tied[last]
-            for mask in walks[last]:
-                rel, _, behind = rels[mask]
-                out.append(({**prefix, name: rel, **tail}, ties is not None and not behind & ties))
+        if level == last:  # the innermost level: one world per mask
+            prefix, ties, behind = tuple(chosen), tied[last], ranks[last]
+            masks = list(walks[last])
+            out += [prefix + (mask,) + tail for mask in masks]
+            leads += [False] * len(masks) if ties is None else \
+                [not behind[mask][1] & ties for mask in masks]
             level -= 1
             continue
         mask = next(walks[level], None)
@@ -246,35 +256,33 @@ def _relations(names: list[str], pools: list[list[tuple[Element, ...]]],
             level -= 1
             continue
         chosen[level] = mask
-        _, ahead, behind = made[level][mask]
+        ahead, behind = ranks[level][mask]
         ties = tied[level]
         tied[level + 1] = None if ties is None or behind & ties else ties & ~ahead
         level += 1
         walks[level] = _masks(bounds[level], chosen)
-    return out
+    return out, leads
 
 
-class _Subsets(dict):
-    """Per mask over one pool, built when first asked for: its relation, and
-    as bit k the pairs[k] = (p, q) it holds p and not q of (ahead) and q and
-    not p of (behind).  Both are 0 over a pool that is not unary."""
+class _Ties(dict):
+    """Per mask over one pool, built when first asked for: as bit k, the
+    pairs[k] = (p, q) it holds p and not q of (ahead) and q and not p of
+    (behind).  Both are 0 over a pool that is not unary."""
 
-    __slots__ = ("pool", "pairs")
+    __slots__ = ("pairs",)
 
     def __init__(self, pool: list[tuple[Element, ...]], pairs: list[_Pair]):
-        self.pool = pool
         bits = _bit_of(pool) if pool and len(pool[0]) == 1 else {}
         self.pairs = [(1 << k, bits[p], bits[q]) for k, (p, q) in enumerate(pairs) if p in bits]
 
-    def __missing__(self, mask: int) -> tuple[frozenset[tuple[Element, ...]], int, int]:
+    def __missing__(self, mask: int) -> tuple[int, int]:
         ahead = behind = 0
         for pair, p, q in self.pairs:
             if mask & p and not mask & q:
                 ahead |= pair
             elif mask & q and not mask & p:
                 behind |= pair
-        made = self[mask] = (frozenset(t for b, t in enumerate(self.pool) if mask >> b & 1),
-                             ahead, behind)
+        made = self[mask] = (ahead, behind)
         return made
 
 

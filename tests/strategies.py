@@ -106,7 +106,8 @@ def isa_workspaces(draw) -> str:
     between those concepts and the finite sorts, on either side; edges that
     constrain nothing (to the infinite reals, to the binary k-ness); concepts
     with a nested-sentence position, whose pools are empty, registered first
-    (k-ness) and last (z-hood); and a function graph.  At most 2^7 concept
+    (k-ness) and last (z-hood); a function graph; and formulas whose atoms
+    take variables or members of s and t as constants.  At most 2^7 concept
     combinations times 4 graphs."""
     letters = draw(st.permutations("abcd"))
     own, below = draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -143,9 +144,11 @@ def isa_workspaces(draw) -> str:
             lines.append(f"isa {pred}-hood {draw(st.sampled_from(['reals', 'k-ness']))}")
     concepts = [(pred, (sort,)) for pred, sort in unary]
     free = [Variable("xs", "s"), Variable("xt", "t")]
+    # a constant pins its particular, and a unary atom on it tests one bit
+    constants = {"s": members["s"] + members["t"], "t": members["t"]}
 
     def formula(depth: int) -> str:
-        return format_formula(draw(_formula(concepts, {}, free, depth)))
+        return format_formula(draw(_formula(concepts, constants, free, depth)))
 
     for _ in range(draw(st.integers(0, 1))):
         lines.append(f"axiom {formula(1)}")

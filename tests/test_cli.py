@@ -813,6 +813,24 @@ def test_load_diagnostics_come_in_line_order(tmp_path, capsys, text, diagnostics
 
 
 @pytest.mark.parametrize("line, diagnostic", [
+    ("concept p-hood arity 1 sorts s predicate q", "concept 'p-hood' already declared"),
+    ("query concepts q", "predicate 'q' names no concept"),
+    ("query eval p(x:s) with x=a, x=b", "variable 'x' bound twice"),
+])
+def test_golden_load_diagnostics_say_what_went_wrong(tmp_path, capsys, line, diagnostic):
+    """A second declaration of a concept phrase, a concept tree of a predicate
+    that names no concept and a variable bound twice in one eval query each
+    end the load with their reason, not a bare name or a silent last binding."""
+    f = _write(tmp_path, "bad.ifol", "sort s\n"
+                                     "extent s = { a, b }\n"
+                                     "concept p-hood arity 1 sorts s predicate p\n"
+                                     f"{line}\n")
+    assert main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"line 4: {diagnostic}\n"
+
+
+@pytest.mark.parametrize("line, diagnostic", [
     ("function f/1 thing -> thing", "expected '<symbol>/<arity> : <argument sorts>'"),
     ("builtin predicate lt/2 reals x reals = lt",
      "expected '<symbol>/<arity> : <argument sorts>'"),

@@ -113,9 +113,9 @@ def test_a_comparison_is_computed_once_and_not_at_compile_time(monkeypatch):
     plan = intension_plan(ws.space, ws.parse("lt(x:integers^2 + -y:integers, 1)"))
     assert calls == []
     world, other = ws.worlds()[:2]
-    rows = plan(world.relations)
+    rows = plan(world)
     made = len(calls)
-    assert made and plan(other.relations) is rows and len(calls) == made
+    assert made and plan(other) is rows and len(calls) == made
     pool = ws.domain.valid_elements("integers")
     assert rows == {(x, y) for x in pool for y in pool if x.value ** 2 - y.value < 1}
 
@@ -138,12 +138,12 @@ def test_an_atom_over_its_variables_is_the_relation():
     ws = load_workspace(BINARY)
     plan = intension_plan(ws.space, ws.parse("r(x:thing, y:thing)"))
     world = ws.worlds()[5]
-    assert plan(world.relations) is world.relations["r-ness"]
+    assert plan(world) is world.relations["r-ness"]
     # the join keeps r's columns (y, x); the root puts them in parameter order
     flipped = intension_plan(ws.space, ws.parse("p(x:thing) & r(y:thing, x)"))
     for world in ws.worlds()[::97]:
-        assert flipped(world.relations) == {(x, y) for y, x in world.relations["r-ness"]
-                                            if (x,) in world.relations["p-hood"]}
+        assert flipped(world) == {(x, y) for y, x in world.relations["r-ness"]
+                                  if (x,) in world.relations["p-hood"]}
 
 
 def test_a_subsort_variable_keeps_to_its_pool():
@@ -151,7 +151,7 @@ def test_a_subsort_variable_keeps_to_its_pool():
     phi = ws.parse("p(x:part)")
     c = ws.domain.lookup("c")
     for world in ws.worlds()[:16]:
-        rows = intension_plan(ws.space, phi)(world.relations)
+        rows = intension_plan(ws.space, phi)(world)
         assert rows == world.relations["p-hood"] - {(c,)}
 
 
@@ -185,11 +185,11 @@ def test_a_plan_is_compiled_once_per_declaration_stamp():
     plan = intension_plan(ws.space, phi)
     assert plan is not None and intension_plan(ws.space, phi) is plan
     world = ws.worlds()[0]
-    assert len(plan(world.relations)) == 3
+    assert len(plan(world)) == 3
     ws.domain.declare_particular("d", "thing")
     grown = intension_plan(ws.space, phi)
     assert grown is not plan and intension_plan(ws.space, phi) is grown
-    assert {x.lexeme for x, in grown(world.relations)} == {"a", "b", "c", "d"}
+    assert {x.lexeme for x, in grown(world)} == {"a", "b", "c", "d"}
 
 
 def test_a_run_compiles_each_formulas_plan_once(monkeypatch):
@@ -205,6 +205,30 @@ def test_a_run_compiles_each_formulas_plan_once(monkeypatch):
     report, status = run_queries(load_workspace(unary.text))
     assert unary.reference.wrong(workloads.split_report(report), status) == 0
     assert len(calls) == 6
+
+
+def test_a_unary_run_decodes_only_the_worlds_the_routes_visit():
+    """The unary-worlds text (n = 8): the plans read every world's masks, so
+    after the run only the worlds the Kripke and Tarski routes visited -- no
+    more than the 45 representatives of 6,561 worlds -- hold decoded
+    relations; and a mask leaves a plan through its concept's decoder, so
+    worlds with equal INTENSION extensions share one rows object."""
+    workloads = load_bench("workloads")
+    (unary,) = workloads.unary_worlds(1, n=8).files
+    ws = load_workspace(unary.text)
+    report, status = run_queries(ws)
+    assert unary.reference.wrong(workloads.split_report(report), status) == 0
+    worlds = ws.worlds()
+    representatives = ws.representatives([q.formula for q in ws.queries])
+    assert (len(worlds), len(representatives)) == (6561, 45)
+    intension = next(q.formula for q in ws.queries if q.kind == "intension")
+    meaning = ifol.semantics.montague_intension(ws.space, intension, worlds)
+    decoded = [w for w in worlds if "relations" in vars(w)]
+    assert 0 < len(decoded) <= len(representatives)
+    first: dict[frozenset, frozenset] = {}
+    for rows in meaning.values():
+        assert first.setdefault(rows, rows) is rows
+    assert len(first) == 2 ** 8
 
 
 # --- the three evaluators on generated workspaces ----------------------------------
@@ -225,7 +249,7 @@ def test_kripke_tarski_and_plan_agree_per_world(text, data):
             rows = _outcome(lambda: next(_tuples_where(kripke, (world,))))
             assert rows == _outcome(lambda: next(_tuples_where(tarski, (world,))))
             if plan is not None:
-                assert plan(world.relations) == rows
+                assert plan(world) == rows
 
 
 @settings(max_examples=40, deadline=None)

@@ -92,7 +92,8 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     -- is checked at the level that fixes its second side: that level takes
     only the supersets of the sub side's mask, or the subsets of the super
     side's, in ascending order, so the kept worlds and their order are those
-    of the filtered product.  Each relation is built once per mask reached.
+    of the filtered product.  Each world holds its masks and the shared
+    decoders, which build a relation once per mask read (see `World`).
     """
     domain = space.domain
     names: list[str] = []

@@ -8,9 +8,10 @@ is immutable afterwards; evaluation layers only read it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -386,6 +387,27 @@ class Domain:
 
     def sort_is_finite(self, sort: SortId) -> bool:
         return sort in self.lattice and sort != NESTED_SENTENCE_SORT and not self._is_infinite(sort)
+
+    def tuple_pool(self, sorts: Sequence[SortId]) -> list[tuple[Element, ...]]:
+        """Every tuple over the sorts' pools, lexicographic by lexeme because
+        each pool is in lexeme order.  A nested-sentence position empties it,
+        but the sorts before it are still read, so an infinite one raises."""
+        per_position: list[tuple[Element, ...]] = []
+        for s in sorts:
+            if s == NESTED_SENTENCE_SORT:
+                return []
+            per_position.append(self.valid_elements(s))
+        return list(itertools.product(*per_position))
+
+    def pool_is_finite(self, sorts: Sequence[SortId]) -> bool:
+        """Whether `tuple_pool` of the sorts returns without raising: every
+        sort before the first nested-sentence position is finite."""
+        for s in sorts:
+            if s == NESTED_SENTENCE_SORT:
+                return True
+            if not self.sort_is_finite(s):
+                return False
+        return True
 
     def finite_numeric_sorts(self) -> tuple[SortId, ...]:
         return tuple(sorted(self._finite_numeric))

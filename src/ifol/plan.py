@@ -1,13 +1,15 @@
 """Relational plans: the fragment that cannot raise, evaluated a set at a time.
 
 The fragment is the formulas built from two kinds of atoms with `~`, `&` and
-`exists` over finite sorts.  An atom of a registered concept takes variables
-of finite sorts or declared non-numeric constants.  A built-in comparison
-(`leq`, `lt`, `geq`, `gt`, `eq`) takes two arithmetic terms built from
-variables of finite sorts whose pools hold only numeric particulars, numeric
-constants, `add`, `sub`, `mul`, `neg`, and `pow` to a constant non-negative
-integer, in a workspace that declares rationals or reals (elsewhere each raw
-result is checked against a numeric sort, which can raise).  Such a formula
+`exists` over finite sorts.  An atom of a registered concept whose tuple pool
+is finite takes variables of finite sorts or declared non-numeric constants
+(no enumeration holds a relation over an infinite pool, so the sweep answers
+the others).  A built-in comparison (`leq`, `lt`, `geq`, `gt`, `eq`) takes
+two arithmetic terms built from variables of finite sorts whose pools hold
+only numeric particulars, numeric constants, `add`, `sub`, `mul`, `neg`, and
+`pow` to a constant non-negative integer, in a workspace that declares
+rationals or reals (elsewhere each raw result is checked against a numeric
+sort, which can raise).  Such a formula
 reads only relation membership and exact arithmetic and cannot raise, and
 its meaning in a world -- the tuples over its free variables that satisfy
 it -- is relational algebra over the world's relations (Codd, "Relational
@@ -17,12 +19,14 @@ fragment's one definition: it returns a plan for a formula inside it and
 None for any other.
 
 A plan is a tree of nodes.  Each node has columns, the free variables of its
-sub-formula, and a closure from a world to its rows, a frozenset of tuples
-over the columns' sort pools:
+sub-formula, and a closure from a world's masks and decoders (one mask per
+registered concept, see `ifol.worlds`, and the `Decoders` its enumeration
+shares) to its rows, a frozenset of tuples over the columns' sort pools:
 
-* an atom is its relation, selected on its constants and repeated variables
-  and projected onto its variables; over distinct variables in argument order
-  it is the relation object itself, with no copy;
+* an atom is its relation, `decoders[i][masks[i]]` for the concept's index i,
+  selected on its constants and repeated variables and projected onto its
+  variables; over distinct variables in argument order it is the decoded
+  relation itself, with no copy;
 * `&` is a natural join, an intersection when the columns are equal; a negated
   conjunct whose columns lie inside the others' is a difference or an
   antijoin, so no universe is built for it;
@@ -44,9 +48,14 @@ mask nodes of one column are `full ^ m`, `a & b` (`a & ~b` for a negated
 conjunct) and `m != 0`, and a unary atom on a constant tests one bit.  Every
 other node is a set, and a mask becomes rows where it meets one, and at the
 root, through the decoder of its concept, so equal masks give the same
-frozenset object.  A world built by hand, or enumerated under another
-declaration stamp (so over other pools), is read through `World.encoded`,
-its relations encoded over the pools of the plan's stamp.
+frozenset object.
+
+No node reads a `World`, so a plan runs on a world (`plan(world)`) or over
+the masks column of a whole enumeration (`Plan.column`, which
+`montague_intension` uses), with the same closures.  A world built by hand,
+or enumerated under another declaration stamp (so over other pools), is read
+through `World.encoded`, its relations encoded over the pools of the plan's
+stamp.
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
@@ -64,7 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .builtins import COMPARISONS, TOTAL_FUNCTIONS
 from .kernel import Element, Number, numeric_value
@@ -72,14 +81,14 @@ from .syntax import (And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variab
                      negations)
 
 if TYPE_CHECKING:
-    from .semantics import Structure, World
+    from .semantics import Decoders, Structure, World
 
 Rows = frozenset[tuple[Element, ...]]
-Plan = Callable[["World"], Rows]
-# A sub-formula's columns, its closure from a world to its rows, and None; or,
-# for a mask node, its one column, its closure from a world's masks to the
-# mask of its rows over that column's pool, and the concept `home` with that
-# pool, whose decoder turns the mask into rows.
+Masks = tuple[int, ...]
+# A sub-formula's columns, its closure from a world's masks and decoders to
+# its rows, and None; or, for a mask node, its one column, its closure from a
+# world's masks to the mask of its rows over that column's pool, and the
+# concept `home` with that pool, whose decoder turns the mask into rows.
 _Node = tuple[tuple[Variable, ...], Callable[..., object], Optional[int]]
 
 _EMPTY: Rows = frozenset()
@@ -102,51 +111,61 @@ class _Outside(Exception):
     budget."""
 
 
+class Plan:
+    """phi's rows per world, as tuples over its parameters, for the
+    declaration stamp it was compiled under: the root node's closure, and
+    the concept `home` whose decoder turns a root mask node's mask into
+    rows (None for a set node)."""
+
+    __slots__ = ("stamp", "run", "home")
+
+    def __init__(self, stamp: int, run: Callable[..., object], home: Optional[int]):
+        self.stamp = stamp
+        self.run = run
+        self.home = home
+
+    def __call__(self, w: World) -> Rows:
+        """The rows of one world; a world built by hand or enumerated under
+        another stamp is read through `World.encoded`."""
+        decoders = w.decoders
+        if decoders is None or decoders.stamp != self.stamp:
+            w = w.encoded()
+            decoders = w.decoders
+        if self.home is None:
+            return self.run(w.masks, decoders)
+        return decoders[self.home][self.run(w.masks)]
+
+    def column(self, masks: Sequence[Masks], decoders: Decoders) -> Iterator[Rows]:
+        """The rows of each world of a masks column, in order; `decoders`,
+        which every one of those worlds shares, carry this plan's stamp."""
+        if self.home is None:
+            return map(self.run, masks, itertools.repeat(decoders))
+        return map(decoders[self.home].__getitem__, map(self.run, masks))
+
+
 def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
                  budget: int) -> Optional[Plan]:
-    """phi's rows per world, as tuples over `params` (its free variables), or
-    None when phi is outside the fragment or a node's column product exceeds
-    `budget`.  Compiling reads sort pools and allocates nothing in proportion
-    to a column product."""
-    planner = _Planner(space, budget)
+    """phi's plan over `params` (its free variables), or None when phi is
+    outside the fragment or a node's column product exceeds `budget`.
+    Compiling reads sort pools and allocates nothing in proportion to a
+    column product."""
     try:
-        node = planner.formula(phi)
+        cols, rows, home = _Planner(space, budget).formula(phi)
     except _Outside:
         return None
-    stamp, (cols, rows, home) = space.stamp, node
-    if home is not None:  # its one column is the one parameter
-        mask = rows
-
-        def decoded(w: World) -> Rows:
-            decoders = w.decoders
-            if decoders is None or decoders.stamp != stamp:
-                w = w.encoded()
-                decoders = w.decoders
-            return decoders[home][mask(w.masks)]
-
-        return decoded
-    if cols != params:
+    if home is None and cols != params:  # a mask node's one column is the one parameter
         pick, unpicked = _picker([cols.index(v) for v in params]), rows
-        rows = lambda w: frozenset(map(pick, unpicked(w)))
-    if not planner.reads_masks:
-        return rows
-
-    def encoded(w: World) -> Rows:
-        decoders = w.decoders
-        if decoders is None or decoders.stamp != stamp:
-            w = w.encoded()
-        return rows(w)
-
-    return encoded
+        rows = lambda m, d: frozenset(map(pick, unpicked(m, d)))
+    return Plan(space.stamp, rows, home)
 
 
-def _rows(node: _Node) -> Plan:
+def _rows(node: _Node) -> Callable[..., Rows]:
     """The node's rows; a mask node's leave it through its concept's decoder,
     so equal masks give the same frozenset object."""
     _, run, home = node
     if home is None:
         return run
-    return lambda w: w.decoders[home][run(w.masks)]
+    return lambda m, d: d[home][run(m)]
 
 
 def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
@@ -169,7 +188,6 @@ class _Planner:
         self.builtins = space.signature.builtin_predicates
         self.functions = space.signature.builtin_functions
         self.budget = budget
-        self.reads_masks = False
         self.pools: dict[Variable, tuple[Element, ...]] = {}
 
     def pool(self, v: Variable) -> tuple[Element, ...]:
@@ -180,7 +198,7 @@ class _Planner:
             pool = self.pools[v] = self.domain.valid_elements(v.sort)
         return pool
 
-    def node(self, cols: tuple[Variable, ...], run: Callable[["World"], object],
+    def node(self, cols: tuple[Variable, ...], run: Callable[..., object],
              home: Optional[int] = None) -> _Node:
         if math.prod(len(self.pool(v)) for v in cols) > self.budget:
             raise _Outside
@@ -205,8 +223,9 @@ class _Planner:
         if evaluator is not None:
             return self.comparison(a, evaluator)
         concept = self.concepts.get(a.pred)
-        if concept is None or len(a.args) != concept.arity:
-            raise _Outside
+        if concept is None or len(a.args) != concept.arity \
+                or not self.domain.pool_is_finite(concept.attribute_sorts):
+            raise _Outside  # no enumeration holds a relation over an infinite pool
         first: dict[Variable, int] = {}  # each variable's first position
         constants: list[tuple[int, Element]] = []
         repeats: list[tuple[int, int]] = []
@@ -224,27 +243,25 @@ class _Planner:
             if found is None:
                 raise _Outside
             constants.append((i, found))
-        cols, name = tuple(first), concept.name
+        cols = tuple(first)
+        at = list(self.concepts).index(a.pred)  # a world's masks are in this order
         if concept.arity == 1 and self.domain.sort_is_finite(concept.attribute_sorts[0]):
             pool = self.domain.valid_elements(concept.attribute_sorts[0])
-            at = list(self.concepts).index(a.pred)  # a world's masks are in this order
             if cols and self.pool(cols[0]) == pool:
-                self.reads_masks = True
                 return self.node(cols, itemgetter(at), at)
             if constants:  # a relation lies within its pool
-                self.reads_masks = True
                 c = constants[0][1]
                 bit = 1 << pool.index(c) if c in pool else 0
-                return self.node((), lambda w: _TRUE if w.masks[at] & bit else _EMPTY)
+                return self.node((), lambda m, d: _TRUE if m[at] & bit else _EMPTY)
         wider = [(i, frozenset(self.pool(v))) for v, i in first.items()
                  if not self.covers(concept.attribute_sorts[i], v)]
         if not (constants or repeats or wider) and list(first.values()) == list(range(len(cols))):
-            return self.node(cols, lambda w: w.relations.get(name, _EMPTY))
+            return self.node(cols, lambda m, d: d[at][m[at]])
         pick = _picker(list(first.values()))
 
-        def select(w: World) -> Rows:
+        def select(m: Masks, d: Decoders) -> Rows:
             return frozenset(
-                pick(t) for t in w.relations.get(name, _EMPTY)
+                pick(t) for t in d[at][m[at]]
                 if all(t[i] == c for i, c in constants)
                 and all(t[i] == t[j] for i, j in repeats)
                 and all(t[i] in pool for i, pool in wider))
@@ -265,7 +282,7 @@ class _Planner:
         pools = [self.pools[v] for v in cols]
         kept: list[Rows] = []
 
-        def rows(w: World) -> Rows:
+        def rows(m: Masks, d: Decoders) -> Rows:
             if not kept:
                 kept.append(_select(op, cells, left, right, pools))
             return kept[0]
@@ -316,10 +333,10 @@ class _Planner:
             return self.node(cols, lambda m: full ^ run(m), home)
         universe: list[Rows] = []
 
-        def rest(w: World) -> Rows:
+        def rest(m: Masks, d: Decoders) -> Rows:
             if not universe:
                 universe.append(frozenset(itertools.product(*pools)))
-            return universe[0] - run(w)
+            return universe[0] - run(m, d)
 
         return self.node(cols, rest)
 
@@ -328,14 +345,14 @@ class _Planner:
         node = self.formula(f.body)
         cols, run, home = node
         if f.var not in cols:
-            return node if pool else (cols, lambda w: _EMPTY, None)
+            return node if pool else (cols, lambda m, d: _EMPTY, None)
         i = cols.index(f.var)
         if home is not None:
-            return (), lambda w: _TRUE if run(w.masks) else _EMPTY, None
+            return (), lambda m, d: _TRUE if run(m) else _EMPTY, None
         if len(cols) == 1:
-            return (), lambda w: _TRUE if run(w) else _EMPTY, None
+            return (), lambda m, d: _TRUE if run(m, d) else _EMPTY, None
         pick = _picker([j for j in range(len(cols)) if j != i])
-        return self.node(cols[:i] + cols[i + 1:], lambda w: frozenset(map(pick, run(w))))
+        return self.node(cols[:i] + cols[i + 1:], lambda m, d: frozenset(map(pick, run(m, d))))
 
     def conjunction(self, f: And) -> _Node:
         """The positive conjuncts joined, then each negated one taken away:
@@ -369,11 +386,11 @@ class _Planner:
         key_r = _picker([i for i, v in enumerate(rcols) if v in lcols])
         rest = _picker([i for i, v in enumerate(rcols) if v not in lcols])
 
-        def rows(w: World) -> Rows:
+        def rows(m: Masks, d: Decoders) -> Rows:
             index: dict[tuple, list[tuple]] = {}
-            for r in rrows(w):
+            for r in rrows(m, d):
                 index.setdefault(key_r(r), []).append(rest(r))
-            return frozenset(t + tail for t in lrows(w) for tail in index.get(key_l(t), ()))
+            return frozenset(t + tail for t in lrows(m, d) for tail in index.get(key_l(t), ()))
 
         return self.node(lcols + tuple(v for v in rcols if v not in lcols), rows)
 
@@ -389,16 +406,17 @@ class _Planner:
             return self.node(cols, lambda m: a(m) & ~b(m), home)
         wrows, nrows = _rows(wide), _rows(narrow)
         if not ncols:
-            return self.node(cols, lambda w: wrows(w) if bool(nrows(w)) == keep else _EMPTY)
+            return self.node(cols,
+                             lambda m, d: wrows(m, d) if bool(nrows(m, d)) == keep else _EMPTY)
         if ncols == cols:
             if keep:
-                return self.node(cols, lambda w: wrows(w) & nrows(w))
-            return self.node(cols, lambda w: wrows(w) - nrows(w))
+                return self.node(cols, lambda m, d: wrows(m, d) & nrows(m, d))
+            return self.node(cols, lambda m, d: wrows(m, d) - nrows(m, d))
         key = _picker([cols.index(v) for v in ncols])
 
-        def rows(w: World) -> Rows:
-            found = nrows(w)
-            return frozenset(t for t in wrows(w) if (key(t) in found) == keep)
+        def rows(m: Masks, d: Decoders) -> Rows:
+            found = nrows(m, d)
+            return frozenset(t for t in wrows(m, d) if (key(t) in found) == keep)
 
         return self.node(cols, rows)
 

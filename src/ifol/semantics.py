@@ -75,29 +75,32 @@ anything.
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
 are all decided by exhaustive enumeration over the worlds `ifol.worlds`
-builds.  The deciding functions walk the worlds they are given: every world
-for an intension, one world per class of isomorphic worlds where the
+enumerates, held as columns (`Worlds`) that build a `World` where a route
+reads one.  The deciding functions walk the worlds they are given: every
+world for an intension, one world per class of isomorphic worlds where the
 workspace finds that enough (`Workspace.representatives`, `World.leads`).
 
 An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise -- concept atoms and built-in comparisons over
 finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
 one definition), compiled once per stamp and kept in the formula's entry,
-which `montague_intension` runs on each world; a comparison's
-rows read no world, so the plan computes them once.  Any other formula is
-swept on the Kripke route.  The plan is a third evaluator: consequence stays
-on the Kripke closures and a concept's extension on the Tarski ones, so
-Bealer-Montague still compares two independent routes.
+which `montague_intension` runs over an enumeration's masks column, or on
+each world of any other sequence; a comparison's rows read no world, so the
+plan computes them once.  Any other formula is swept on the Kripke route.
+The plan is a third evaluator: consequence stays on the Kripke closures and
+a concept's extension on the Tarski ones, so Bealer-Montague still compares
+two independent routes.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Sequence
 from itertools import product
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .builtins import COMPARISONS, apply_function, number_of
 from .concepts import ConceptRegistry, Interpretation
@@ -211,14 +214,15 @@ class World:
     """One extensionalization function over the structure's concepts: a
     relation per registered concept and a graph per declared function.
 
-    An enumerated world holds its relations as masks, one int per registered
-    concept in registration order (bit i for the i-th tuple of the concept's
-    pool, see `ifol.worlds`), with the decoders its whole enumeration shares;
-    `relations` is decoded when first read and kept, so a route pays only
-    for the worlds it visits, and a relational plan reads the masks.  A world
-    built by hand, `World(label, space, relations[, functions])`, holds its
-    relations and no masks; a plan reads it through `encoded`.  `leads`
-    marks the first world of its class of isomorphic worlds."""
+    An enumerated world is one row of its enumeration's columns (see
+    `Worlds`), built when a route first reads it: its masks, one int per
+    registered concept in registration order (bit i for the i-th tuple of
+    the concept's pool, see `ifol.worlds`), and the decoders the whole
+    enumeration shares; `relations` is decoded when first read and kept, so
+    a route pays only for the worlds it visits.  A world built by hand,
+    `World(label, space, relations[, functions])`, holds its relations and
+    no masks; a plan reads it through `encoded`.  `leads` marks the first
+    world of its class of isomorphic worlds."""
 
     __slots__ = ("label", "space", "functions", "leads", "masks", "decoders", "__dict__")
     relations = _Decoded()
@@ -239,19 +243,19 @@ class World:
 
     def encoded(self) -> World:
         """This world with its relations encoded as masks over the pools the
-        structure has now: for each registered unary concept over a finite
-        sort, the tuples of its relation that lie in its pool (an enumerated
-        world holds no others); mask 0 and no decoder for any other concept,
-        which no plan reads as a mask."""
+        structure has now: for each registered concept whose tuple pool is
+        finite, the tuples of its relation that lie in that pool (an
+        enumerated world holds no others); mask 0 and no decoder for any
+        other concept, which no plan reads and no enumeration holds."""
         domain, concepts = self.space.domain, self.space.registry.by_predicate.values()
         masks: list[int] = []
         decoders: list[Optional[Subsets]] = []
         for c in concepts:
-            if c.arity != 1 or not domain.sort_is_finite(c.attribute_sorts[0]):
+            if not domain.pool_is_finite(c.attribute_sorts):
                 masks.append(0)
                 decoders.append(None)
                 continue
-            pool = [(e,) for e in domain.valid_elements(c.attribute_sorts[0])]
+            pool = domain.tuple_pool(c.attribute_sorts)
             bits = {t: 1 << b for b, t in enumerate(pool)}
             masks.append(sum(bits.get(t, 0) for t in self.relations.get(c.name, ())))
             decoders.append(Subsets(c.name, pool))
@@ -300,6 +304,57 @@ class World:
         if concept.arity == 1:
             return frozenset((p,) for p in self.space.domain.valid_elements(concept.name))
         return frozenset()
+
+
+class Worlds(Sequence[World]):
+    """The worlds of one enumeration, held as columns (a column store,
+    Abadi, Madden & Hachem, SIGMOD 2008): per world its label `w<index>`,
+    its masks and whether it leads its class, and the k combinations of
+    function graphs, which repeat innermost (world i takes combination
+    i mod k), with the decoders every world shares.  `worlds[i]` builds the
+    `World` of index i when it is first read and returns that object after;
+    iteration builds every world not built yet in one comprehension, as
+    small workspaces visit every world.  A relational plan runs over the
+    masks column and builds no world (see `montague_intension`)."""
+
+    __slots__ = ("space", "masks", "leads", "functions", "decoders", "labels", "_built", "_whole")
+
+    def __init__(self, space: Structure, masks: list[tuple[int, ...]], leads: list[bool],
+                 functions: list[dict[str, dict[tuple[Element, ...], Element]]],
+                 decoders: Decoders):
+        self.space = space
+        self.masks = masks
+        self.leads = leads
+        self.functions = functions
+        self.decoders = decoders
+        self.labels = [f"w{i}" for i in range(len(masks))]
+        self._built: list[Optional[World]] = [None] * len(masks)
+        self._whole = False  # every world built
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._built)))]
+        world = self._built[i]  # raises IndexError past either end
+        if world is None:
+            i %= len(self._built)
+            k = len(self.functions)
+            world = self._built[i] = World(self.labels[i], self.space, None, self.functions[i % k],
+                                           self.leads[i], self.masks[i], self.decoders)
+        return world
+
+    def __iter__(self) -> Iterator[World]:
+        built = self._built
+        if self._whole:
+            return iter(built)
+        self._whole = True
+        space, decoders, functions = self.space, self.decoders, self.functions
+        k, labels, leads, masks = len(functions), self.labels, self.leads, self.masks
+        built[:] = [World(labels[i], space, None, functions[i % k], leads[i], masks[i], decoders)
+                    if world is None else world for i, world in enumerate(built)]
+        return iter(built)
 
 
 # --- assignments and accessibility ------------------------------------------------
@@ -965,16 +1020,21 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
 
 def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
                        ) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
-    """The meaning of phi as a map from worlds to extensions: per world, the
-    set of free-variable tuples it satisfies, or its truth value if closed.
-    A formula with a relational plan runs it on each world; any other is
+    """The meaning of phi as a map from world labels to extensions: per
+    world, the set of free-variable tuples it satisfies, or its truth value
+    if closed.  A formula with a relational plan runs it over the masks
+    column of an enumeration read under the plan's stamp, building no
+    `World`, and on each world of any other sequence; any other formula is
     swept on the Kripke route."""
     plan = intension_plan(space, phi)
+    columns = isinstance(worlds, Worlds)
     if plan is None:
         meaning = _tuples_where(_core(space, phi, _compile_kripke), worlds)
+    elif columns and worlds.decoders.stamp == plan.stamp:
+        meaning = plan.column(worlds.masks, worlds.decoders)
     else:
         meaning = map(plan, worlds)
-    labels = list(map(attrgetter("label"), worlds))
+    labels = worlds.labels if columns else list(map(attrgetter("label"), worlds))
     if not _compiled(space, phi).free:  # the one assignment of a closed formula is ()
         return {label: () in rows for label, rows in zip(labels, meaning)}
     return dict(zip(labels, meaning))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -43,7 +44,7 @@ from .kernel import (
     VERB_FORM_SORT,
 )
 from .parser import SORT_ALIASES, parse_formula, resolve_sort_token
-from .semantics import MAX_WORLDS, Structure, World, intension_plan
+from .semantics import MAX_WORLDS, Structure, World, Worlds, intension_plan
 from .sorting import Signature, check_formula
 from .syntax import Formula, format_formula, free_vars
 from .worlds import enumerate_worlds
@@ -77,8 +78,8 @@ class Workspace:
         self.axioms: list[Formula] = []
         self.queries: list[Query] = []
         self.max_worlds = max_worlds
-        self._worlds: Optional[list[World]] = None
-        self._representatives: Optional[list[World]] = None
+        self._worlds: Optional[Worlds] = None
+        self._representatives: Optional[Sequence[World]] = None
         self._worlds_stamp: Optional[tuple[int, int, int]] = None
 
     # --- declaration helpers ------------------------------------------------
@@ -105,10 +106,12 @@ class Workspace:
     def add_axiom(self, phi: Formula) -> None:
         self.axioms.append(phi)
 
-    def worlds(self) -> list[World]:
+    def worlds(self) -> Worlds:
         """Every world, enumerated once and kept until a declaration, axiom
         or query is added: the worlds read the declarations, and which world
-        leads its class reads the formulas too."""
+        leads its class reads the formulas too.  The enumeration holds its
+        worlds as columns and builds a `World` only where one is read (see
+        `Worlds`)."""
         stamp = (self.space.stamp, len(self.axioms), len(self.queries))
         if stamp != self._worlds_stamp:
             self._worlds = self._representatives = None
@@ -125,9 +128,10 @@ class Workspace:
         and every formula has a relational plan, so cannot raise; every world
         otherwise."""
         worlds = self.worlds()
-        if self._representatives is None:
-            self._representatives = [world for world in worlds if world.leads]
-        if len(self._representatives) == len(worlds) \
+        if self._representatives is None:  # only the leaders are built
+            self._representatives = worlds if all(worlds.leads) \
+                else [worlds[i] for i in compress(range(len(worlds)), worlds.leads)]
+        if self._representatives is worlds \
                 or not all(intension_plan(self.space, phi) is not None for phi in formulas):
             return worlds
         return self._representatives

@@ -9,14 +9,16 @@ over the concepts, and the concept that fixes an edge's second side takes
 only the masks that fit the first.  `MAX_WORLDS` bounds the whole candidate
 product.
 
-A world is what the walk holds: its masks, one int per registered concept,
-and the decoders (`semantics.Subsets`, one per concept) that every world of
-the enumeration shares, which turn a mask into its relation once and keep
-it.  The walk builds no relation: `World.relations` is decoded when a route
-first reads it, so the Kripke and Tarski routes pay for the worlds they
-visit, and a relational plan works on the masks themselves (bit-vector
-relations, as in the finite model finders Mace4, McCune 2003, and Paradox,
-Claessen & Sörensson 2003).
+An enumeration is the walk's columns (`semantics.Worlds`): per world its
+masks, one int per registered concept, and whether it leads its class, with
+the function graphs and the decoders (`semantics.Subsets`, one per concept)
+that every world shares, which turn a mask into its relation once and keep
+it.  The walk builds no relation and no `World`: a world is built when a
+route first reads it, and its `relations` decoded when a route first reads
+them, so the Kripke and Tarski routes pay for the worlds they visit, and a
+relational plan runs over the masks column itself (bit-vector relations, as
+in the finite model finders Mace4, McCune 2003, and Paradox, Claessen &
+Sörensson 2003).
 
 Two particulars of one sort that no formula names cannot be told apart
 (`movable_particulars`): every world has an isomorphic twin in which the two
@@ -49,11 +51,11 @@ particulars cost more than one sweep over every world.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import ExplosionGuard
 from .kernel import Domain, Element, NESTED_SENTENCE_SORT, Particular, RESERVED_SORTS, TOP_SORT
-from .semantics import MAX_WORLDS, Decoders, Structure, Subsets, World
+from .semantics import MAX_WORLDS, Decoders, Structure, Subsets, Worlds
 from .syntax import Abstracted, And, Atom, Const, Exists, FnApp, Formula, Not, Term
 
 # Per concept level: the bits every mask there must hold (its floor), the
@@ -70,7 +72,7 @@ _Pair = tuple[Particular, Particular]
 
 
 def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
-                     formulas: Iterable[Formula] = ()) -> list[World]:
+                     formulas: Iterable[Formula] = ()) -> Worlds:
     """All extensionalization functions over the registered concepts that keep
     IS-A extent inclusion, each marking whether it is the first of its class
     of worlds isomorphic under swaps of the particulars `formulas` leave
@@ -92,15 +94,17 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     -- is checked at the level that fixes its second side: that level takes
     only the supersets of the sub side's mask, or the subsets of the super
     side's, in ascending order, so the kept worlds and their order are those
-    of the filtered product.  Each world holds its masks and the shared
-    decoders, which build a relation once per mask read (see `World`).
+    of the filtered product.  The result is a sized sequence that holds
+    the worlds as columns, the masks and the lead flags, each combination
+    of masks repeated once per combination of function graphs, and builds
+    the `World` of an index when it is first read (see `Worlds`).
     """
     domain = space.domain
     names: list[str] = []
     pools: list[list[tuple[Element, ...]]] = []
     candidates = 1
     for c in space.registry.by_predicate.values():
-        pool = _tuple_pool(domain, c.attribute_sorts)
+        pool = domain.tuple_pool(c.attribute_sorts)
         names.append(c.name)
         pools.append(pool)
         candidates *= 2 ** len(pool)
@@ -112,7 +116,7 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
         if symbol in space.signature.builtin_functions:
             continue
         arg_sorts, ret = space.signature.functions[symbol]
-        arg_pool = _tuple_pool(domain, arg_sorts)
+        arg_pool = domain.tuple_pool(arg_sorts)
         ret_pool = domain.valid_elements(ret)
         count = len(ret_pool) ** len(arg_pool)
         candidates *= max(count, 1)
@@ -124,9 +128,11 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
                   for values in itertools.product(ret_pool, repeat=len(arg_pool))]
         fn_graphs.append((symbol, graphs))
 
+    decoders = Decoders(map(Subsets, names, pools))
+    decoders.stamp = space.stamp
     bounds = _bounds(domain, names, pools)
     if bounds is None:
-        return []
+        return Worlds(space, [], [], [{}], decoders)
     # The pools are read, so reading them again for the groups cannot raise.
     # Only a unary relation can tell two movable particulars apart.
     unary = any(len(pool[0]) == 1 for pool in pools if pool)
@@ -135,24 +141,12 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     symbols = [symbol for symbol, _ in fn_graphs]
     functions = [dict(zip(symbols, combo))
                  for combo in itertools.product(*(graphs for _, graphs in fn_graphs))]
-    decoders = Decoders(map(Subsets, names, pools))
-    decoders.stamp = space.stamp
     masks, leads = _walk(pools, bounds, pairs)
-    k = len(functions)  # function graphs innermost
-    return [World(f"w{i}", space, None, functions[i % k], leads[i // k], masks[i // k], decoders)
-            for i in range(len(masks) * k)]
-
-
-def _tuple_pool(domain: Domain, sorts: Sequence[str]) -> list[tuple[Element, ...]]:
-    """Every tuple over the sorts' pools, lexicographic by lexeme because each
-    pool is in lexeme order.  A nested-sentence position empties it, but the
-    sorts before it are still read, so an infinite one raises."""
-    per_position: list[tuple[Element, ...]] = []
-    for s in sorts:
-        if s == NESTED_SENTENCE_SORT:
-            return []
-        per_position.append(domain.valid_elements(s))
-    return list(itertools.product(*per_position))
+    k = len(functions)
+    if k != 1:  # function graphs innermost: each combination of masks k times
+        masks = [m for m in masks for _ in range(k)]
+        leads = [lead for lead in leads for _ in range(k)]
+    return Worlds(space, masks, leads, functions, decoders)
 
 
 def _bounds(domain: Domain, names: list[str], pools: list[list[tuple[Element, ...]]]

@@ -8,7 +8,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ifol import load_workspace
 from ifol.errors import ExplosionGuard
@@ -101,6 +101,37 @@ def test_enumeration_equals_the_filtered_candidate_product(text):
             continue
         assert [w.label for w in worlds] == [f"w{i}" for i in range(len(expected))]
         assert [(list(w.relations.items()), w.functions) for w in worlds] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(isa_workspaces(), st.data())
+def test_the_enumeration_is_a_sequence_that_builds_each_world_once(text, data):
+    """The enumeration is sized; indexes count from either end and raise
+    `IndexError` past them; an index read twice, by index, slice or
+    iteration, gives one object; and iteration, after any reads, gives the
+    worlds of the filtered product in candidate order, function graphs
+    (k of them per combination of masks: 1 or 4 here) innermost."""
+    space = load_workspace(text).space
+    expected = product_worlds(space, 2 ** 20)
+    worlds = enumerate_worlds(space)
+    n = len(worlds)
+    assert n == len(expected)
+    for past in (n, -n - 1):
+        with pytest.raises(IndexError):
+            worlds[past]
+    read = {}
+    for i in data.draw(st.lists(st.integers(-n, n - 1), max_size=6)) if n else ():
+        world = worlds[i]
+        assert read.setdefault(i % n, world) is world and worlds[i % n - n] is world
+    picked = {}
+    for part in (slice(None, 2), slice(None, None, 97), slice(None, 16)):
+        for i, world in zip(range(*part.indices(n)), worlds[part]):
+            assert picked.setdefault(i, world) is world
+    listed = list(worlds)
+    assert all(listed[i] is world for i, world in {**read, **picked}.items())
+    assert all(a is b for a, b in zip(worlds, listed))
+    assert [w.label for w in listed] == [f"w{i}" for i in range(n)]
+    assert [(list(w.relations.items()), w.functions) for w in listed] == expected
 
 
 def test_edges_across_pools_and_to_finite_sorts():

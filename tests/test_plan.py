@@ -231,6 +231,49 @@ def test_a_unary_run_decodes_only_the_worlds_the_routes_visit():
     assert len(first) == 2 ** 8
 
 
+def _built(monkeypatch: pytest.MonkeyPatch) -> list:
+    """The worlds built from here on: every `World` made, by an enumeration
+    or by `World.encoded`."""
+    made: list = []
+    init = ifol.semantics.World.__init__
+    monkeypatch.setattr(ifol.semantics.World, "__init__",
+                        lambda w, *args: made.append(w) or init(w, *args))
+    return made
+
+
+def test_a_unary_run_builds_only_the_representatives(monkeypatch):
+    """The unary-worlds text (n = 8): the INTENSION plan runs over the masks
+    column, so a run builds a `World` only for the 45 representatives of
+    6,561 worlds that the consequence and Bealer-Montague queries walk."""
+    workloads = load_bench("workloads")
+    (unary,) = workloads.unary_worlds(1, n=8).files
+    ws = load_workspace(unary.text)
+    made = _built(monkeypatch)
+    report, status = run_queries(ws)
+    assert unary.reference.wrong(workloads.split_report(report), status) == 0
+    representatives = ws.representatives([q.formula for q in ws.queries])
+    assert (len(ws.worlds()), len(representatives)) == (6561, 45)
+    assert 0 < len(made) <= 45 and {id(w) for w in made} <= {id(w) for w in representatives}
+
+
+def test_a_relational_run_builds_no_world(monkeypatch):
+    """A plan rooted in a set, over a binary concept, reads one relation per
+    world through its concept's decoder: an intension over 3 particulars
+    builds and decodes none of 4,096 worlds, and gives the sweep's report."""
+    text = ("sort thing\n"
+            "extent thing = { a, b, c }\n"
+            "concept p-hood arity 1 sorts thing predicate p\n"
+            "concept r-ness arity 2 sorts thing thing predicate r\n"
+            "query intension r(x:thing, y:thing) & p(x)\n")
+    ws = load_workspace(text)
+    made = _built(monkeypatch)
+    report, status = run_queries(ws)
+    assert len(ws.worlds()) == 4096 and made == []
+    with pytest.MonkeyPatch.context() as patch:
+        _plans_off(patch)
+        assert run_queries(load_workspace(text)) == (report, status)
+
+
 # --- the three evaluators on generated workspaces ----------------------------------
 
 @settings(max_examples=60, deadline=None)

@@ -235,11 +235,16 @@ class Interpretation:
         return self._intern(normalize(phi), len(fv), origin=phi)
 
     def _registered_atom(self, phi: Atom, fv: tuple) -> Optional[Element]:
+        """The concept an atom over distinct variables lands on, each of the
+        attribute sort at its position, with any constants fixed; None for
+        any other atom, whose meaning is a derived concept (over a subsort
+        variable it keeps only the subsort's tuples)."""
+        concept = self.registry.concept_of(phi.pred)
         seen_vars = []
         partial: dict[int, Particular] = {}
         for pos, arg in enumerate(phi.args):
             if isinstance(arg, Var):
-                if arg.var in seen_vars:
+                if arg.var in seen_vars or arg.var.sort != concept.attribute_sorts[pos]:
                     return None
                 seen_vars.append(arg.var)
             elif isinstance(arg, Const):
@@ -250,7 +255,7 @@ class Interpretation:
             else:
                 return None
         if not partial:
-            return ConceptRef(self.registry.concept_of(phi.pred))
+            return ConceptRef(concept)
         if not seen_vars:
             return None  # ground atom: falls through to the proposition path
         return ConceptRef(self.registry.canonical_subconcept(phi.pred, partial))

@@ -104,6 +104,24 @@ def test_grid_pass_applies_each_builtin_once_per_binding(monkeypatch):
     assert len(calls) <= 6_000
 
 
+def test_grid_intension_reads_each_pool_lexeme_once(monkeypatch):
+    """The INTENSION of the grid-assignments workload at k = 8 lists 2,109 of
+    17^3 points.  Its rows range over three pools of 17 reals in lexeme
+    order, so they are rendered from the pools' product with one lexeme read
+    per pool element, 51 in all, where a lexeme read per cell made 6,328."""
+    calls = []
+    real = ifol.cli.element_lexeme
+    monkeypatch.setattr(ifol.cli, "element_lexeme", lambda el: calls.append(el) or real(el))
+    workload = workloads.grid_assignments(1, k=8)
+    text = "".join(line for line in workload.files[0].text.splitlines(True)
+                   if not line.startswith("query") or line.startswith("query intension"))
+    ws = load_workspace(text)
+    assert [q.kind for q in ws.queries] == ["intension"]
+    report, status = run_queries(ws)
+    assert report.count("\n  (") == workload.params["points"] == 2_109 and status == 0
+    assert len(calls) <= 3 * 17
+
+
 @pytest.mark.parametrize("module, path", sorted(
     {*(target for targets in spans.HOOKS.values() for target in targets),
      *spans.AGGREGATE_HOOKS.values()}), ids=":".join)

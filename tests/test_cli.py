@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ifol.cli
 from ifol import load_workspace
-from ifol.cli import main, render_concept_tree, run_queries
+from ifol.cli import _RowRenderer, main, render_concept_tree, run_queries
+from ifol.kernel import NESTED_SENTENCE_SORT, ConceptRef, element_lexeme
 
 from conftest import FIXTURES
 
@@ -904,3 +909,108 @@ def test_python_dash_m_runs_the_command_line():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert (done.returncode, done.stdout, done.stderr) == (
         0, "ok: 1 formulas, 0 concepts\n", "")
+
+
+# Report rows in lexeme order, whichever way they are made: one row of 4,913
+# assignments (sparse, so sorted), a nested-sentence concept in a
+# countermodel (its pool is never read), and an atom over a subsort variable,
+# whose meaning keeps only the subsort's tuples on both Bealer-Montague sides.
+GOLDEN_ROW_REPORTS = {
+    "sparse_intension": (
+        "sort integers\nsort rationals\nsort reals\n"
+        "isa integers rationals\nisa rationals reals\n"
+        f"extent reals = {{ {', '.join(map(str, range(-8, 9)))} }}\n"
+        "builtin function add/2 : reals x reals -> reals = add\n"
+        "builtin function pow/2 : reals x reals -> reals = pow\n"
+        "builtin predicate leq2/2 : reals x reals = leq\n"
+        "query intension leq2(x:reals^2 + y:reals^2 + z:reals^2, 0)\n",
+        "INTENSION leq2(add(add(pow(x:reals, 2), pow(y:reals, 2)), pow(z:reals, 2)), 0)\n"
+        "WORLD w0\n  (0, 0, 0)\n", 0),
+    "nested_sentence_countermodel": (
+        "sort person\n"
+        "particular ann : person\n"
+        "concept to know arity 2 sorts person nested-sentence predicate knows\n"
+        "concept p-hood arity 1 sorts person predicate p\n"
+        "query consequence p(ann)\n",
+        "CONSEQUENCE no\nWORLD w0\n  p-hood: {}\n  to know: {}\n", 1),
+    "subsort_variable_atom": (
+        "".join(line for line in (FIXTURES / "bealer.ifol").read_text().splitlines(True)
+                if not line.startswith(("#", "query")))
+        + "query bealer-montague barks(x:cat)\n"
+        "query intension barks(x:cat)\n",
+        "BEALER-MONTAGUE ok (8 worlds)\n\n"
+        "INTENSION barks(x:cat)\n"
+        "WORLD w0\nWORLD w1\nWORLD w2\nWORLD w3\n"
+        "WORLD w4\n  (tom)\nWORLD w5\n  (tom)\nWORLD w6\n  (tom)\nWORLD w7\n  (tom)\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROW_REPORTS), ids=str)
+def test_golden_row_reports(name):
+    text, report, status = GOLDEN_ROW_REPORTS[name]
+    assert run_queries(load_workspace(text)) == (report, status)
+
+
+ROW_LEXEMES = ("a", "a b", "ab", "B", "b", "Zed", "z9")
+
+
+def _sorted_rows(rel) -> list[str]:
+    """The rows of a relation as `(a, b)`, ordered by their lexeme tuples."""
+    return ["(" + ", ".join(row) + ")"
+            for row in sorted(tuple(map(element_lexeme, t)) for t in rel)]
+
+
+@st.composite
+def _rendered_relations(draw):
+    """A workspace with cats among its animals, the sorts of 0-3 columns
+    (animal, cat or nested sentence), and a relation whose rows take any
+    animal in an animal or cat column, so a cat column may hold rows outside
+    its pool, and a concept in a nested-sentence column.  Half the time the
+    relation is the complement of a drawn set, so dense ones come up."""
+    lexemes = draw(st.lists(st.sampled_from(ROW_LEXEMES), min_size=1, unique=True))
+    cats = [draw(st.booleans()) for _ in lexemes]
+    ws = load_workspace("sort animal\nsort cat\nisa cat animal\n"
+                        "concept barking arity 1 sorts animal predicate barks\n"
+                        + "".join(f"particular {lex} : {'cat' if cat else 'animal'}\n"
+                                  for lex, cat in zip(lexemes, cats)))
+    sorts = draw(st.lists(st.sampled_from(["animal", "cat", NESTED_SENTENCE_SORT]), max_size=3))
+    animals = ws.domain.valid_elements("animal")
+    concepts = [ConceptRef(c) for c in ws.registry.by_predicate.values()]
+    universe = list(itertools.product(*[concepts if s == NESTED_SENTENCE_SORT else animals
+                                        for s in sorts]))
+    drawn = draw(st.sets(st.sampled_from(universe), max_size=len(universe)))
+    rel = frozenset(universe) - drawn if draw(st.booleans()) else frozenset(drawn)
+    return ws.domain, sorts, rel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rendered_relations())
+def test_rendered_rows_are_the_sorted_lexeme_tuples(case):
+    """Both paths of the row renderer, filtering the pools' product and
+    sorting, list the rows a plain sort of their lexeme tuples lists: dense
+    and sparse relations, empty ones, arity 0 to 3, and rows outside the
+    pools; the renderer reads no pool for an empty relation."""
+    domain, sorts, rel = case
+    rows = _RowRenderer(domain, sorts)
+    assert rows(frozenset()) == [] and rows.pools is None
+    assert rows(rel) == _sorted_rows(rel)
+    assert rows(rel) == _sorted_rows(rel)  # and again, from the pools read
+
+
+def test_a_dense_relation_reads_each_lexeme_once_and_a_sparse_one_is_sorted(monkeypatch):
+    """Over 17 x 17 pairs, a relation of at least 289 / 8 rows is filtered
+    from the product, with one lexeme read per pool element (34), and a
+    sparser one is sorted, with one read per cell besides."""
+    ws = load_workspace("sort integers\nsort rationals\nsort reals\n"
+                        "isa integers rationals\nisa rationals reals\n"
+                        f"extent reals = {{ {', '.join(map(str, range(-8, 9)))} }}\n")
+    pairs = list(itertools.product(ws.domain.valid_elements("reals"), repeat=2))
+    calls = []
+    monkeypatch.setattr(ifol.cli, "element_lexeme",
+                        lambda el: calls.append(el) or element_lexeme(el))
+    for n, reads in [(37, 34), (36, 34 + 72), (289, 34)]:
+        rows = _RowRenderer(ws.domain, ["reals", "reals"])
+        rel = frozenset(pairs[-n:])
+        calls.clear()
+        assert rows(rel) == _sorted_rows(rel)
+        assert len(calls) == reads, n

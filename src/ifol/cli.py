@@ -50,7 +50,9 @@ class _RowRenderer:
     row as `(a, b)`, in lexeme order.  The pools are read at the first
     nonempty relation, as an empty one needs none and a sort may have none to
     read (an unfinitized numeric sort, a nested-sentence position); a sort
-    without a pool sends every relation to the sorted path."""
+    without a pool sends every relation to the sorted path.  The pools'
+    lexemes are read at the first relation dense enough to filter, as the
+    sorted path reads its rows' lexemes itself."""
 
     __slots__ = ("domain", "sorts", "pools", "lexemes", "size")
 
@@ -58,7 +60,7 @@ class _RowRenderer:
         self.domain = domain
         self.sorts = sorts
         self.pools: Optional[list[Sequence[Element]]] = None  # not read yet
-        self.lexemes: list[list[str]] = []
+        self.lexemes: Optional[list[list[str]]] = None  # not read yet
         self.size = 0
 
     def __call__(self, rel: Collection[tuple[Element, ...]]) -> list[str]:
@@ -67,6 +69,8 @@ class _RowRenderer:
         if self.pools is None:
             self._read_pools()
         if self.pools and self.size <= DENSE_TUPLES_PER_ROW * len(rel):
+            if self.lexemes is None:
+                self.lexemes = [list(map(element_lexeme, pool)) for pool in self.pools]
             kept = compress(product(*self.lexemes), map(rel.__contains__, product(*self.pools)))
             rows = ["(" + row + ")" for row in map(", ".join, kept)]
             if len(rows) == len(rel):  # else some row lies outside the pools
@@ -79,7 +83,6 @@ class _RowRenderer:
             self.pools = []
             return
         self.pools = [self.domain.valid_elements(s) for s in self.sorts]
-        self.lexemes = [list(map(element_lexeme, pool)) for pool in self.pools]
         self.size = prod(map(len, self.pools))
 
 

@@ -312,15 +312,12 @@ class Worlds(Sequence[World]):
     its masks and whether it leads its class, and the k combinations of
     function graphs, which repeat innermost (world i takes combination
     i mod k), with the decoders every world shares.  `worlds[i]` builds the
-    `World` of index i, labelled from i, when it is first read and returns
-    that object after; iteration builds every world not built yet in one
-    comprehension, as small workspaces visit every world.  A relational plan
-    runs over the masks column and builds no world (see `montague_intension`).
-    The labels column is formatted at its first read, so a run that reads no
-    intension formats only the labels of the worlds it builds."""
+    `World` of index i when it is first read and returns that object after;
+    iteration builds every world not built yet in one comprehension, as
+    small workspaces visit every world.  A relational plan runs over the
+    masks column and builds no world (see `montague_intension`)."""
 
-    __slots__ = ("space", "masks", "leads", "functions", "decoders", "_labels", "_built",
-                 "_whole")
+    __slots__ = ("space", "masks", "leads", "functions", "decoders", "labels", "_built", "_whole")
 
     def __init__(self, space: Structure, masks: list[tuple[int, ...]], leads: list[bool],
                  functions: list[dict[str, dict[tuple[Element, ...], Element]]],
@@ -330,18 +327,12 @@ class Worlds(Sequence[World]):
         self.leads = leads
         self.functions = functions
         self.decoders = decoders
-        self._labels: Optional[list[str]] = None  # formatted at the first read
+        self.labels = [f"w{i}" for i in range(len(masks))]
         self._built: list[Optional[World]] = [None] * len(masks)
         self._whole = False  # every world built
 
     def __len__(self) -> int:
         return len(self._built)
-
-    @property
-    def labels(self) -> list[str]:
-        if self._labels is None:
-            self._labels = [f"w{i}" for i in range(len(self._built))]
-        return self._labels
 
     def __getitem__(self, i):  # type: ignore[override]
         if isinstance(i, slice):
@@ -350,7 +341,7 @@ class Worlds(Sequence[World]):
         if world is None:
             i %= len(self._built)
             k = len(self.functions)
-            world = self._built[i] = World(f"w{i}", self.space, None, self.functions[i % k],
+            world = self._built[i] = World(self.labels[i], self.space, None, self.functions[i % k],
                                            self.leads[i], self.masks[i], self.decoders)
         return world
 

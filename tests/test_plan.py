@@ -256,23 +256,6 @@ def test_a_unary_run_builds_only_the_representatives(monkeypatch):
     assert 0 < len(made) <= 45 and {id(w) for w in made} <= {id(w) for w in representatives}
 
 
-def test_a_run_without_an_intension_formats_only_the_labels_it_builds():
-    """A world is labelled from its index, and the labels column is made at
-    its first read: the unary-worlds text (n = 8) without its INTENSION query
-    labels the representatives it builds and formats no label column."""
-    workloads = load_bench("workloads")
-    (unary,) = workloads.unary_worlds(1, n=8).files
-    ws = load_workspace("".join(line for line in unary.text.splitlines(True)
-                                if not line.startswith("query intension")))
-    assert "intension" not in {q.kind for q in ws.queries}
-    run_queries(ws)
-    worlds = ws.worlds()
-    assert worlds._labels is None
-    built = {i: w.label for i, w in enumerate(worlds._built) if w is not None}
-    assert 0 < len(built) <= 45 and all(label == f"w{i}" for i, label in built.items())
-    assert worlds.labels == [f"w{i}" for i in range(6561)]
-
-
 def test_a_relational_run_builds_no_world(monkeypatch):
     """A plan rooted in a set, over a binary concept, reads one relation per
     world through its concept's decoder: an intension over 3 particulars

@@ -174,9 +174,9 @@ def _run_query(ws: Workspace, query) -> tuple[list[str], bool]:
         # many worlds share an extension, and a plan gives them one object
         tails = {ext: (" t" if ext else " f") if isinstance(ext, bool)
                  else "".join(["\n  " + row for row in rows(ext)])
-                 for ext in set(meaning.values())}
+                 for ext in set(meaning)}
         return [f"INTENSION {format_formula(query.formula)}",
-                *[f"WORLD {label}{tails[ext]}" for label, ext in meaning.items()]], True
+                *[f"WORLD w{i}{tails[ext]}" for i, ext in enumerate(meaning)]], True
 
     if query.kind == "concepts":
         return [render_concept_tree(ws, query.predicate)], True

@@ -52,10 +52,10 @@ frozenset object.
 
 No node reads a `World`, so a plan runs on a world (`plan(world)`) or over
 the masks column of a whole enumeration (`Plan.column`, which
-`montague_intension` uses), with the same closures.  A world built by hand,
-or enumerated under another declaration stamp (so over other pools), is read
-through `World.encoded`, its relations encoded over the pools of the plan's
-stamp.
+`montague_intension` uses), with the same closures.  Either way the worlds
+must have been enumerated under the plan's declaration stamp, so over its
+pools: a plan refuses a world built by hand or enumerated under another
+stamp, and `montague_intension` sweeps such worlds instead.
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
@@ -76,6 +76,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .builtins import COMPARISONS, TOTAL_FUNCTIONS
+from .errors import EvaluationFailure
 from .kernel import Element, Number, numeric_value
 from .syntax import (And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variable, conjuncts,
                      negations)
@@ -125,12 +126,12 @@ class Plan:
         self.home = home
 
     def __call__(self, w: World) -> Rows:
-        """The rows of one world; a world built by hand or enumerated under
-        another stamp is read through `World.encoded`."""
+        """The rows of one world enumerated under this plan's stamp; any other
+        world, built by hand or enumerated over other pools, is refused."""
         decoders = w.decoders
         if decoders is None or decoders.stamp != self.stamp:
-            w = w.encoded()
-            decoders = w.decoders
+            raise EvaluationFailure(f"world {w.label} was not enumerated under the declarations "
+                                    f"the plan was compiled for")
         if self.home is None:
             return self.run(w.masks, decoders)
         return decoders[self.home][self.run(w.masks)]

@@ -85,8 +85,11 @@ fragment that cannot raise -- concept atoms and built-in comparisons over
 finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
 one definition), compiled once per stamp and kept in the formula's entry,
 which `montague_intension` runs over an enumeration's masks column, or on
-each world of any other sequence; a comparison's rows read no world, so the
-plan computes them once.  Any other formula is swept on the Kripke route.
+each world of a list of worlds enumerated under the plan's stamp (the
+representatives); a comparison's rows read no world, so the plan computes
+them once.  Any other formula, and any other sequence of worlds (worlds
+built by hand, an enumeration made before the last declaration), is swept
+on the Kripke route.
 The plan is a third evaluator: consequence stays on the Kripke closures and
 a concept's extension on the Tarski ones, so Bealer-Montague still compares
 two independent routes.
@@ -99,7 +102,7 @@ import weakref
 from collections.abc import Sequence
 from itertools import product
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .builtins import COMPARISONS, apply_function, number_of
@@ -190,10 +193,10 @@ class Subsets(dict):
 
 
 class Decoders(tuple):
-    """The decoders of one enumeration, or of one world's encoding: one per
-    registered concept, in registration order (None for a concept no mask
-    is read for), and the declaration `stamp` under which their pools were
-    read.  They hold no world."""
+    """The decoders of one enumeration: one per registered concept, in
+    registration order (None for a concept no mask is read for), and the
+    declaration `stamp` under which their pools were read.  They hold no
+    world."""
 
     stamp: int
 
@@ -221,8 +224,8 @@ class World:
     enumeration shares; `relations` is decoded when first read and kept, so
     a route pays only for the worlds it visits.  A world built by hand,
     `World(label, space, relations[, functions])`, holds its relations and
-    no masks; a plan reads it through `encoded`.  `leads` marks the first
-    world of its class of isomorphic worlds."""
+    no masks, so no plan reads it.  `leads` marks the first world of its
+    class of isomorphic worlds."""
 
     __slots__ = ("label", "space", "functions", "leads", "masks", "decoders", "__dict__")
     relations = _Decoded()
@@ -240,29 +243,6 @@ class World:
         self.decoders = decoders
         if relations is not None:
             self.relations = relations
-
-    def encoded(self) -> World:
-        """This world with its relations encoded as masks over the pools the
-        structure has now: for each registered concept whose tuple pool is
-        finite, the tuples of its relation that lie in that pool (an
-        enumerated world holds no others); mask 0 and no decoder for any
-        other concept, which no plan reads and no enumeration holds."""
-        domain, concepts = self.space.domain, self.space.registry.by_predicate.values()
-        masks: list[int] = []
-        decoders: list[Optional[Subsets]] = []
-        for c in concepts:
-            if not domain.pool_is_finite(c.attribute_sorts):
-                masks.append(0)
-                decoders.append(None)
-                continue
-            pool = domain.tuple_pool(c.attribute_sorts)
-            bits = {t: 1 << b for b, t in enumerate(pool)}
-            masks.append(sum(bits.get(t, 0) for t in self.relations.get(c.name, ())))
-            decoders.append(Subsets(c.name, pool))
-        out = Decoders(decoders)
-        out.stamp = self.space.stamp
-        return World(self.label, self.space, self.relations, self.functions, self.leads,
-                     tuple(masks), out)
 
     def relation(self, concept_name: str) -> frozenset[tuple[Element, ...]]:
         return self.relations.get(concept_name, frozenset())
@@ -308,16 +288,16 @@ class World:
 
 class Worlds(Sequence[World]):
     """The worlds of one enumeration, held as columns (a column store,
-    Abadi, Madden & Hachem, SIGMOD 2008): per world its label `w<index>`,
-    its masks and whether it leads its class, and the k combinations of
-    function graphs, which repeat innermost (world i takes combination
-    i mod k), with the decoders every world shares.  `worlds[i]` builds the
-    `World` of index i when it is first read and returns that object after;
-    iteration builds every world not built yet in one comprehension, as
-    small workspaces visit every world.  A relational plan runs over the
-    masks column and builds no world (see `montague_intension`)."""
+    Abadi, Madden & Hachem, SIGMOD 2008): per world its masks and whether
+    it leads its class, and the k combinations of function graphs, which
+    repeat innermost (world i takes combination i mod k), with the decoders
+    every world shares.  `worlds[i]` builds the `World` of index i, labelled
+    `w<i>`, when it is first read and returns that object after; iteration
+    builds every world not built yet in one comprehension, as small
+    workspaces visit every world.  A relational plan runs over the masks
+    column and builds no world (see `montague_intension`)."""
 
-    __slots__ = ("space", "masks", "leads", "functions", "decoders", "labels", "_built", "_whole")
+    __slots__ = ("space", "masks", "leads", "functions", "decoders", "_built", "_whole")
 
     def __init__(self, space: Structure, masks: list[tuple[int, ...]], leads: list[bool],
                  functions: list[dict[str, dict[tuple[Element, ...], Element]]],
@@ -327,7 +307,6 @@ class Worlds(Sequence[World]):
         self.leads = leads
         self.functions = functions
         self.decoders = decoders
-        self.labels = [f"w{i}" for i in range(len(masks))]
         self._built: list[Optional[World]] = [None] * len(masks)
         self._whole = False  # every world built
 
@@ -341,7 +320,7 @@ class Worlds(Sequence[World]):
         if world is None:
             i %= len(self._built)
             k = len(self.functions)
-            world = self._built[i] = World(self.labels[i], self.space, None, self.functions[i % k],
+            world = self._built[i] = World(f"w{i}", self.space, None, self.functions[i % k],
                                            self.leads[i], self.masks[i], self.decoders)
         return world
 
@@ -351,8 +330,8 @@ class Worlds(Sequence[World]):
             return iter(built)
         self._whole = True
         space, decoders, functions = self.space, self.decoders, self.functions
-        k, labels, leads, masks = len(functions), self.labels, self.leads, self.masks
-        built[:] = [World(labels[i], space, None, functions[i % k], leads[i], masks[i], decoders)
+        k, leads, masks = len(functions), self.leads, self.masks
+        built[:] = [World(f"w{i}", space, None, functions[i % k], leads[i], masks[i], decoders)
                     if world is None else world for i, world in enumerate(built)]
         return iter(built)
 
@@ -1019,25 +998,33 @@ def consequence(space: Structure, axioms: Sequence[Formula], phi: Formula,
 
 
 def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
-                       ) -> dict[str, frozenset[tuple[Element, ...]] | bool]:
-    """The meaning of phi as a map from world labels to extensions: per
-    world, the set of free-variable tuples it satisfies, or its truth value
+                       ) -> list[frozenset[tuple[Element, ...]] | bool]:
+    """The meaning of phi as a column over `worlds`: per world, in their
+    order, the set of free-variable tuples it satisfies, or its truth value
     if closed.  A formula with a relational plan runs it over the masks
-    column of an enumeration read under the plan's stamp, building no
-    `World`, and on each world of any other sequence; any other formula is
-    swept on the Kripke route."""
+    column of an enumeration made under the plan's stamp, building no
+    `World`, or on each world of a list whose worlds were all enumerated
+    under that stamp; any other formula or sequence is swept on the Kripke
+    route."""
     plan = intension_plan(space, phi)
-    columns = isinstance(worlds, Worlds)
-    if plan is None:
+    if plan is None or not _enumerated_under(plan.stamp, worlds):
         meaning = _tuples_where(_core(space, phi, _compile_kripke), worlds)
-    elif columns and worlds.decoders.stamp == plan.stamp:
+    elif isinstance(worlds, Worlds):
         meaning = plan.column(worlds.masks, worlds.decoders)
     else:
         meaning = map(plan, worlds)
-    labels = worlds.labels if columns else list(map(attrgetter("label"), worlds))
     if not _compiled(space, phi).free:  # the one assignment of a closed formula is ()
-        return {label: () in rows for label, rows in zip(labels, meaning)}
-    return dict(zip(labels, meaning))
+        return [() in rows for rows in meaning]
+    return list(meaning)
+
+
+def _enumerated_under(stamp: int, worlds: Sequence[World]) -> bool:
+    """Whether every world of `worlds` was enumerated under `stamp`: a
+    `Worlds` column by the decoders its worlds share, any other sequence
+    world by world (a world built by hand has no decoders)."""
+    if isinstance(worlds, Worlds):
+        return worlds.decoders.stamp == stamp
+    return all(w.decoders is not None and w.decoders.stamp == stamp for w in worlds)
 
 
 @dataclass(frozen=True)
@@ -1052,10 +1039,8 @@ def bealer_montague_check(space: Structure, phi: Formula, worlds: Sequence[World
     """Verify that extensionalizing the interpreted concept of phi agrees with
     phi's per-world meaning; returns the first mismatch, None when exact."""
     concept = space.interp.of_formula(phi)
-    intension = montague_intension(space, phi, worlds)
-    for world in worlds:
+    for world, rhs in zip(worlds, montague_intension(space, phi, worlds)):
         lhs = world.extension_of(concept)
-        rhs = intension[world.label]
         if lhs != rhs:
             return ExtensionMismatch(world.label, lhs, rhs)
     return None

@@ -279,8 +279,8 @@ def test_criterion_5_sphere(capsys):
     assert len(oracle) == 33
     from ifol import montague_intension
     meaning = montague_intension(ws.space, phi, worlds)
-    for world in worlds:
-        got = {tuple(int(element_lexeme(e)) for e in t) for t in meaning[world.label]}
+    for rows in meaning:
+        got = {tuple(int(element_lexeme(e)) for e in t) for t in rows}
         assert got == oracle
 
     status = main(["run", str(FIXTURES / "sphere.ifol")])

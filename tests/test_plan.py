@@ -11,9 +11,10 @@ import ifol.plan
 import ifol.semantics
 from ifol import load_workspace
 from ifol.cli import run_queries
-from ifol.errors import IfolError
-from ifol.semantics import _compile_kripke, _compile_tarski, _core, _tuples_where, intension_plan
-from ifol.syntax import Atom, Const, Var, Variable, format_formula
+from ifol.errors import EvaluationFailure, IfolError
+from ifol.semantics import (_compile_kripke, _compile_tarski, _core, _tuples_where, intension_plan,
+                            montague_intension)
+from ifol.syntax import Atom, Const, Var, Variable, format_formula, free_vars
 
 from conftest import load_bench
 from strategies import (EMPTY_POOLS, arithmetic_workspaces, fragment_formulas, isa_workspaces,
@@ -179,17 +180,23 @@ def test_a_plan_over_the_budget_leaves_the_sweep(monkeypatch):
 
 def test_a_plan_is_compiled_once_per_declaration_stamp():
     """Under one stamp a formula object keeps its plan; a declaration
-    compiles a new one, which spans the grown pool."""
+    compiles a new one, which spans the grown pool.  A plan refuses a world
+    enumerated before the declaration, whose masks are over the old pool,
+    and the intension sweeps that world instead."""
     ws = load_workspace(BINARY)
     phi = ws.parse("~p(x:thing)")
     plan = intension_plan(ws.space, phi)
     assert plan is not None and intension_plan(ws.space, phi) is plan
-    world = ws.worlds()[0]
-    assert len(plan(world)) == 3
+    stale = ws.worlds()[0]
+    assert len(plan(stale)) == 3
     ws.domain.declare_particular("d", "thing")
     grown = intension_plan(ws.space, phi)
     assert grown is not plan and intension_plan(ws.space, phi) is grown
-    assert {x.lexeme for x, in grown(world)} == {"a", "b", "c", "d"}
+    assert {x.lexeme for x, in grown(ws.worlds()[0])} == {"a", "b", "c", "d"}
+    with pytest.raises(EvaluationFailure, match="not enumerated under"):
+        grown(stale)
+    (rows,) = montague_intension(ws.space, phi, [stale])
+    assert {x.lexeme for x, in rows} == {"a", "b", "c", "d"}
 
 
 def test_a_run_compiles_each_formulas_plan_once(monkeypatch):
@@ -226,14 +233,13 @@ def test_a_unary_run_decodes_only_the_worlds_the_routes_visit():
     decoded = [w for w in worlds if "relations" in vars(w)]
     assert 0 < len(decoded) <= len(representatives)
     first: dict[frozenset, frozenset] = {}
-    for rows in meaning.values():
+    for rows in meaning:
         assert first.setdefault(rows, rows) is rows
     assert len(first) == 2 ** 8
 
 
 def _built(monkeypatch: pytest.MonkeyPatch) -> list:
-    """The worlds built from here on: every `World` made, by an enumeration
-    or by `World.encoded`."""
+    """The worlds built from here on: every `World` made."""
     made: list = []
     init = ifol.semantics.World.__init__
     monkeypatch.setattr(ifol.semantics.World, "__init__",
@@ -281,18 +287,27 @@ def test_a_relational_run_builds_no_world(monkeypatch):
 def test_kripke_tarski_and_plan_agree_per_world(text, data):
     """Per formula and world, the Kripke and the Tarski sweeps give the same
     rows or the same error, and where the formula has a plan, the plan gives
-    those rows."""
+    those rows.  The intension over the enumeration's column and over a list
+    of its worlds gives the Kripke rows, or their truth values for a closed
+    formula, wherever no world raises."""
     ws = load_workspace(text + EMPTY_POOLS)
     drawn = data.draw(st.lists(fragment_formulas(ws), min_size=4, max_size=8))
     for phi in [phi for _, phi in ws.all_formulas()] + drawn:
         plan = intension_plan(ws.space, phi)
         kripke, tarski = (_core(ws.space, phi, route) for route in (_compile_kripke,
                                                                     _compile_tarski))
+        per_world = []
         for world in ws.worlds():
             rows = _outcome(lambda: next(_tuples_where(kripke, (world,))))
             assert rows == _outcome(lambda: next(_tuples_where(tarski, (world,))))
             if plan is not None:
                 assert plan(world) == rows
+            per_world.append(rows)
+        if all(isinstance(rows, frozenset) for rows in per_world):
+            if not free_vars(phi):
+                per_world = [() in rows for rows in per_world]
+            for worlds in (ws.worlds(), list(ws.worlds())):
+                assert montague_intension(ws.space, phi, worlds) == per_world
 
 
 @settings(max_examples=40, deadline=None)

@@ -358,10 +358,9 @@ def test_montague_intension_top_and_atom():
     ws = singleton_ws()
     worlds = enumerate_worlds(ws.space)
     meaning = montague_intension(ws.space, TOP, worlds)
-    assert meaning == {"w0": True, "w1": True}
+    assert meaning == [True, True]
     open_meaning = montague_intension(ws.space, ws.parse("p(x:s)"), worlds)
-    for world in worlds:
-        assert open_meaning[world.label] == world.relation("p-hood")
+    assert open_meaning == [world.relation("p-hood") for world in worlds]
 
 
 def test_montague_intension_sphere_grid(grid_arith):
@@ -373,7 +372,7 @@ def test_montague_intension_sphere_grid(grid_arith):
     grid = range(-2, 3)
     oracle = {(i, j, k) for i in grid for j in grid for k in grid
               if i * i + j * j + k * k <= 4}
-    got = {tuple(int(element_lexeme(e)) for e in t) for t in meaning["w0"]}
+    got = {tuple(int(element_lexeme(e)) for e in t) for t in meaning[0]}
     assert got == oracle
     assert len(oracle) == 33
 
@@ -392,6 +391,20 @@ def test_bealer_montague_composed_formula(pets):
     assert bealer_montague_check(ws.space, phi, worlds) is None
     sentence = ws.parse("exists x:cat . purrs(x)")
     assert bealer_montague_check(ws.space, sentence, worlds) is None
+
+
+def test_worlds_that_share_a_label_keep_their_own_meanings():
+    """Two worlds built by hand, both labelled `w`, where p holds of a and of
+    b: the intension has one entry per world, in order, and the extension
+    identity holds in each."""
+    ws = singleton_ws()
+    ws.domain.declare_particular("b", "s")
+    a, b = ws.domain.lookup("a"), ws.domain.lookup("b")
+    worlds = [World("w", ws.space, {"p-hood": frozenset({(a,)})}),
+              World("w", ws.space, {"p-hood": frozenset({(b,)})})]
+    phi = ws.parse("p(x:s)")
+    assert montague_intension(ws.space, phi, worlds) == [frozenset({(a,)}), frozenset({(b,)})]
+    assert bealer_montague_check(ws.space, phi, worlds) is None
 
 
 def test_bealer_montague_reports_seeded_mismatch(pets):
@@ -736,9 +749,9 @@ def test_quantifier_rebinding_a_free_variable_agrees_on_both_routes():
     phi = And(Atom("p", (Var(x),)), Exists(x, Atom("q", (Var(x),))))
     worlds = enumerate_worlds(ws.space)
     meaning = montague_intension(ws.space, phi, worlds)
-    for world in worlds:
+    for world, rows in zip(worlds, meaning, strict=True):
         expected = frozenset(t for t in world.relation("p-hood") if world.relation("q-hood"))
-        assert meaning[world.label] == expected
+        assert rows == expected
         for g in many_sorted_assignments((x,), ws.domain):
             truth = (g[x],) in expected
             assert satisfies(world, g, phi) is truth
@@ -821,7 +834,7 @@ def test_a_predicate_declared_after_first_use_is_resolved_when_reached():
     pool = ws.domain.valid_elements("reals")
     for route in (satisfies, tarski_eval):
         assert [route(world, {x: v}, phi) for v in pool] == [v is minus_two for v in pool]
-    assert montague_intension(ws.space, phi, [world]) == {"w": frozenset({(minus_two,)})}
+    assert montague_intension(ws.space, phi, [world]) == [frozenset({(minus_two,)})]
 
 
 def test_a_builtin_function_declared_after_first_use_is_resolved_when_reached():

@@ -206,16 +206,16 @@ def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():
     def values(rows):
         return sorted(element_lexeme(x) for x, in rows)
 
-    assert values(montague_intension(ws.space, psi, worlds)["w0"]) == ["0", "1", "2"]
-    assert values(montague_intension(ws.space, complement, worlds)["w0"]) == ["0", "1", "2"]
-    assert values(montague_intension(ws.space, over_spare, worlds)["w0"]) == []
+    assert values(montague_intension(ws.space, psi, worlds)[0]) == ["0", "1", "2"]
+    assert values(montague_intension(ws.space, complement, worlds)[0]) == ["0", "1", "2"]
+    assert values(montague_intension(ws.space, over_spare, worlds)[0]) == []
     assert consequence(ws.space, [], phi, worlds) == (True, None)
     assert is_model_of(worlds[0], [phi])
     ws.domain.declare_particular("3", "reals")
     ws.domain.declare_particular("d", "spare")
-    assert values(montague_intension(ws.space, psi, worlds)["w0"]) == ["0", "1", "2", "3"]
-    assert values(montague_intension(ws.space, complement, worlds)["w0"]) == ["0", "1", "2", "3"]
-    assert values(montague_intension(ws.space, over_spare, worlds)["w0"]) == ["0", "1", "2", "3"]
+    assert values(montague_intension(ws.space, psi, worlds)[0]) == ["0", "1", "2", "3"]
+    assert values(montague_intension(ws.space, complement, worlds)[0]) == ["0", "1", "2", "3"]
+    assert values(montague_intension(ws.space, over_spare, worlds)[0]) == ["0", "1", "2", "3"]
     holds, countermodel = consequence(ws.space, [], phi, worlds)
     assert not holds and [element_lexeme(v) for _, v in countermodel.assignment] == ["3"]
     assert not is_model_of(worlds[0], [phi])

@@ -18,44 +18,50 @@ logic as in Kodkod, Torlak & Jackson, TACAS 2007).  `compile_plan` is the
 fragment's one definition: it returns a plan for a formula inside it and
 None for any other.
 
-A plan is a tree of nodes.  Each node has columns, the free variables of its
-sub-formula, and a closure from a world's masks and decoders (one mask per
-registered concept, see `ifol.worlds`, and the `Decoders` its enumeration
-shares) to its rows, a frozenset of tuples over the columns' sort pools:
+A plan is a tree of nodes, run a column at a time (MonetDB/X100, Boncz,
+Zukowski & Nes, CIDR 2005).  Each node has columns, the free variables of
+its sub-formula, and a closure from the mask columns of some worlds (one
+column per registered concept, one mask per world in it, see
+`ifol.worlds`), the `Decoders` they share and their number, to one entry
+per world: its rows, a frozenset of tuples over the columns' sort pools.
 
-* an atom is its relation, `decoders[i][masks[i]]` for the concept's index i,
-  selected on its constants and repeated variables and projected onto its
-  variables; over distinct variables in argument order it is the decoded
-  relation itself, with no copy;
+* an atom is its relation, `decoders[i][mask]` for each mask of the
+  concept's column i, selected on its constants and repeated variables and
+  projected onto its variables; over distinct variables in argument order
+  it is the decoded relation itself, with no copy;
 * `&` is a natural join, an intersection when the columns are equal; a negated
   conjunct whose columns lie inside the others' is a difference or an
   antijoin, so no universe is built for it;
 * any other `~` is a difference from the product of the column pools, built
-  on the first world that needs it and kept for the plan's life;
+  on the first run that needs it and kept for the plan's life;
 * `exists` is a projection; over a variable its body does not read, it is the
   body when the variable's pool is nonempty and empty otherwise;
 * a comparison is a selection over the product of its variables' pools, by
   nested loops as a Datalog engine runs arithmetic (Soufflé, Jordan, Scholz
-  & Subotić, CAV 2016).  Its rows do not read the world: the first world
+  & Subotić, CAV 2016).  Its rows do not read the world: the first run
   that needs them computes them, with the operators `apply_function` uses,
   each sub-term once per binding of the variables it reads (see `_select`),
-  and the plan keeps them for its life.
+  the plan keeps them for its life, and every run repeats them once per
+  world.
 
 A unary concept atom over a variable whose pool is the concept's pool is a
-mask node instead: its closure reads the world's mask for the concept (bit i
-for the pool's i-th element, see `ifol.worlds`), `~`, `&` and `exists` over
-mask nodes of one column are `full ^ m`, `a & b` (`a & ~b` for a negated
-conjunct) and `m != 0`, and a unary atom on a constant tests one bit.  Every
-other node is a set, and a mask becomes rows where it meets one, and at the
-root, through the decoder of its concept, so equal masks give the same
-frozenset object.
+mask node instead: its entries are the concept's column itself, the masks
+(bit i for the pool's i-th element, see `ifol.worlds`); `~`, `&` and
+`exists` over mask nodes of one column map `full ^ m`, `a & b` (`a & ~b`
+for a negated conjunct) and `m != 0` over the columns, and a unary atom on
+a constant tests one bit of each mask.  Every other node is a set node,
+whose entries are rows, and a mask becomes rows where it meets one, and at
+the root, through the decoder of its concept, so equal masks give the same
+frozenset object.  A set node maps its per-world combiner over its
+children's entries.
 
-No node reads a `World`, so a plan runs on a world (`plan(world)`) or over
-the masks column of a whole enumeration (`Plan.column`, which
-`montague_intension` uses), with the same closures.  Either way the worlds
-must have been enumerated under the plan's declaration stamp, so over its
-pools: a plan refuses a world built by hand or enumerated under another
-stamp, and `montague_intension` sweeps such worlds instead.
+No node reads a `World`, so a plan runs over the columns of a whole
+enumeration (`Plan.column`, which `montague_intension` uses), over a list
+of worlds whose masks are turned into columns once, or on one world
+(`plan(world)`) as one-world columns, with the same closures.  Either way
+the worlds must have been enumerated under the plan's declaration stamp,
+so over its pools: a plan refuses a world built by hand or enumerated
+under another stamp, and `montague_intension` sweeps such worlds instead.
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
@@ -72,8 +78,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
+from operator import and_, invert, itemgetter, sub
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .builtins import COMPARISONS, TOTAL_FUNCTIONS
 from .errors import EvaluationFailure
@@ -85,15 +91,20 @@ if TYPE_CHECKING:
     from .semantics import Decoders, Structure, World
 
 Rows = frozenset[tuple[Element, ...]]
-Masks = tuple[int, ...]
-# A sub-formula's columns, its closure from a world's masks and decoders to
-# its rows, and None; or, for a mask node, its one column, its closure from a
-# world's masks to the mask of its rows over that column's pool, and the
-# concept `home` with that pool, whose decoder turns the mask into rows.
-_Node = tuple[tuple[Variable, ...], Callable[..., object], Optional[int]]
+# The mask columns of some worlds, one per registered concept in registration
+# order, each holding one mask per world.
+Masks = Sequence[Sequence[int]]
+# A sub-formula's columns, its closure from the worlds' mask columns, the
+# decoders they share and their number to one entry per world, and None; the
+# entries are its rows.  For a mask node, its one column, the same closure,
+# whose entries are the masks of its rows over that column's pool, and the
+# concept `home` with that pool, whose decoder turns a mask into rows.
+_Run = Callable[[Masks, "Decoders", int], Iterable]
+_Node = tuple[tuple[Variable, ...], _Run, Optional[int]]
 
 _EMPTY: Rows = frozenset()
 _TRUE: Rows = frozenset({()})
+_TRUTH = (_EMPTY, _TRUE)  # the rows of a closed formula, by its truth value
 
 
 class _Cell(NamedTuple):
@@ -114,34 +125,27 @@ class _Outside(Exception):
 
 class Plan:
     """phi's rows per world, as tuples over its parameters, for the
-    declaration stamp it was compiled under: the root node's closure, and
-    the concept `home` whose decoder turns a root mask node's mask into
-    rows (None for a set node)."""
+    declaration stamp it was compiled under.  `column(masks, decoders, n)`
+    is the root node's closure: the rows of each of n worlds, in order,
+    from their mask columns and the decoders they share, which carry the
+    plan's stamp."""
 
-    __slots__ = ("stamp", "run", "home")
+    __slots__ = ("stamp", "column")
 
-    def __init__(self, stamp: int, run: Callable[..., object], home: Optional[int]):
+    def __init__(self, stamp: int, column: _Run):
         self.stamp = stamp
-        self.run = run
-        self.home = home
+        self.column = column
 
     def __call__(self, w: World) -> Rows:
-        """The rows of one world enumerated under this plan's stamp; any other
-        world, built by hand or enumerated over other pools, is refused."""
+        """The rows of one world enumerated under this plan's stamp, a run
+        over its masks as one-world columns; any other world, built by hand
+        or enumerated over other pools, is refused."""
         decoders = w.decoders
         if decoders is None or decoders.stamp != self.stamp:
             raise EvaluationFailure(f"world {w.label} was not enumerated under the declarations "
                                     f"the plan was compiled for")
-        if self.home is None:
-            return self.run(w.masks, decoders)
-        return decoders[self.home][self.run(w.masks)]
-
-    def column(self, masks: Sequence[Masks], decoders: Decoders) -> Iterator[Rows]:
-        """The rows of each world of a masks column, in order; `decoders`,
-        which every one of those worlds shares, carry this plan's stamp."""
-        if self.home is None:
-            return map(self.run, masks, itertools.repeat(decoders))
-        return map(decoders[self.home].__getitem__, map(self.run, masks))
+        (rows,) = self.column([(mask,) for mask in w.masks], decoders, 1)
+        return rows
 
 
 def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
@@ -151,22 +155,23 @@ def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
     Compiling reads sort pools and allocates nothing in proportion to a
     column product."""
     try:
-        cols, rows, home = _Planner(space, budget).formula(phi)
+        node = _Planner(space, budget).formula(phi)
     except _Outside:
         return None
-    if home is None and cols != params:  # a mask node's one column is the one parameter
-        pick, unpicked = _picker([cols.index(v) for v in params]), rows
-        rows = lambda m, d: frozenset(map(pick, unpicked(m, d)))
-    return Plan(space.stamp, rows, home)
+    cols, run = node[0], _decoded(node)
+    if cols != params:  # a mask node's one column is the one parameter
+        project, unpicked = _projection([cols.index(v) for v in params]), run
+        run = lambda m, d, n: map(project, unpicked(m, d, n))
+    return Plan(space.stamp, run)
 
 
-def _rows(node: _Node) -> Callable[..., Rows]:
+def _decoded(node: _Node) -> _Run:
     """The node's rows; a mask node's leave it through its concept's decoder,
     so equal masks give the same frozenset object."""
     _, run, home = node
     if home is None:
         return run
-    return lambda m, d: d[home][run(m)]
+    return lambda m, d, n: map(d[home].__getitem__, run(m, d, n))
 
 
 def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
@@ -177,6 +182,12 @@ def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
         i = positions[0]
         return lambda t: (t[i],)
     return itemgetter(*positions)
+
+
+def _projection(positions: list[int]) -> Callable[[Rows], Rows]:
+    """Rows projected onto their values at `positions`, in that order."""
+    pick = _picker(positions)
+    return lambda rows: frozenset(map(pick, rows))
 
 
 class _Planner:
@@ -199,8 +210,7 @@ class _Planner:
             pool = self.pools[v] = self.domain.valid_elements(v.sort)
         return pool
 
-    def node(self, cols: tuple[Variable, ...], run: Callable[..., object],
-             home: Optional[int] = None) -> _Node:
+    def node(self, cols: tuple[Variable, ...], run: _Run, home: Optional[int] = None) -> _Node:
         if math.prod(len(self.pool(v)) for v in cols) > self.budget:
             raise _Outside
         return cols, run, home
@@ -245,35 +255,37 @@ class _Planner:
                 raise _Outside
             constants.append((i, found))
         cols = tuple(first)
-        at = list(self.concepts).index(a.pred)  # a world's masks are in this order
+        at = list(self.concepts).index(a.pred)  # the concept's mask column
         if concept.arity == 1 and self.domain.sort_is_finite(concept.attribute_sorts[0]):
             pool = self.domain.valid_elements(concept.attribute_sorts[0])
             if cols and self.pool(cols[0]) == pool:
-                return self.node(cols, itemgetter(at), at)
+                return self.node(cols, lambda m, d, n: m[at], at)
             if constants:  # a relation lies within its pool
                 c = constants[0][1]
                 bit = 1 << pool.index(c) if c in pool else 0
-                return self.node((), lambda m, d: _TRUE if m[at] & bit else _EMPTY)
+                return self.node((), lambda m, d, n: map(_TRUTH.__getitem__,
+                                                         map(bool, map(bit.__and__, m[at]))))
         wider = [(i, frozenset(self.pool(v))) for v, i in first.items()
                  if not self.covers(concept.attribute_sorts[i], v)]
         if not (constants or repeats or wider) and list(first.values()) == list(range(len(cols))):
-            return self.node(cols, lambda m, d: d[at][m[at]])
+            return self.node(cols, lambda m, d, n: map(d[at].__getitem__, m[at]))
         pick = _picker(list(first.values()))
 
-        def select(m: Masks, d: Decoders) -> Rows:
+        def select(relation: Rows) -> Rows:
             return frozenset(
-                pick(t) for t in d[at][m[at]]
+                pick(t) for t in relation
                 if all(t[i] == c for i, c in constants)
                 and all(t[i] == t[j] for i, j in repeats)
                 and all(t[i] in pool for i, pool in wider))
 
-        return self.node(cols, select)
+        return self.node(cols, lambda m, d, n: map(select, map(d[at].__getitem__, m[at])))
 
     def comparison(self, a: Atom, evaluator: str) -> _Node:
         """A built-in comparison that cannot raise: a selection over the
         product of its variables' pools, its columns in first-appearance
         order.  No term is evaluated here: the rows do not read the world, so
-        the first call computes them and the plan keeps them."""
+        the first run computes them, the plan keeps them, and every run
+        repeats them once per world."""
         op = COMPARISONS.get(evaluator)
         if op is None or len(a.args) != 2 or not self.domain.sorts_every_number():
             raise _Outside  # else each raw result is checked against a sort
@@ -283,10 +295,10 @@ class _Planner:
         pools = [self.pools[v] for v in cols]
         kept: list[Rows] = []
 
-        def rows(m: Masks, d: Decoders) -> Rows:
+        def rows(m: Masks, d: Decoders, n: int) -> Iterable[Rows]:
             if not kept:
                 kept.append(_select(op, cells, left, right, pools))
-            return kept[0]
+            return itertools.repeat(kept[0], n)
 
         return self.node(tuple(cols), rows)
 
@@ -331,13 +343,13 @@ class _Planner:
         pools = [self.pool(v) for v in cols]
         if home is not None:  # the mask lies within full
             full = (1 << len(pools[0])) - 1
-            return self.node(cols, lambda m: full ^ run(m), home)
+            return self.node(cols, lambda m, d, n: map(full.__xor__, run(m, d, n)), home)
         universe: list[Rows] = []
 
-        def rest(m: Masks, d: Decoders) -> Rows:
+        def rest(m: Masks, d: Decoders, n: int) -> Iterable[Rows]:
             if not universe:
                 universe.append(frozenset(itertools.product(*pools)))
-            return universe[0] - run(m, d)
+            return map(universe[0].__sub__, run(m, d, n))
 
         return self.node(cols, rest)
 
@@ -346,14 +358,12 @@ class _Planner:
         node = self.formula(f.body)
         cols, run, home = node
         if f.var not in cols:
-            return node if pool else (cols, lambda m, d: _EMPTY, None)
+            return node if pool else (cols, lambda m, d, n: itertools.repeat(_EMPTY, n), None)
+        if len(cols) == 1:  # a mask or rows over the one column: is it empty
+            return (), lambda m, d, n: map(_TRUTH.__getitem__, map(bool, run(m, d, n))), None
         i = cols.index(f.var)
-        if home is not None:
-            return (), lambda m, d: _TRUE if run(m) else _EMPTY, None
-        if len(cols) == 1:
-            return (), lambda m, d: _TRUE if run(m, d) else _EMPTY, None
-        pick = _picker([j for j in range(len(cols)) if j != i])
-        return self.node(cols[:i] + cols[i + 1:], lambda m, d: frozenset(map(pick, run(m, d))))
+        project = _projection([j for j in range(len(cols)) if j != i])
+        return self.node(cols[:i] + cols[i + 1:], lambda m, d, n: map(project, run(m, d, n)))
 
     def conjunction(self, f: And) -> _Node:
         """The positive conjuncts joined, then each negated one taken away:
@@ -382,18 +392,19 @@ class _Planner:
             return self.semijoin(left, right, keep=True)
         if set(lcols) <= set(rcols):
             return self.semijoin(right, left, keep=True)
-        lrows, rrows = _rows(left), _rows(right)
+        lrows, rrows = _decoded(left), _decoded(right)
         key_l = _picker([lcols.index(v) for v in rcols if v in lcols])
         key_r = _picker([i for i, v in enumerate(rcols) if v in lcols])
         rest = _picker([i for i, v in enumerate(rcols) if v not in lcols])
 
-        def rows(m: Masks, d: Decoders) -> Rows:
+        def joined(lefts: Rows, rights: Rows) -> Rows:
             index: dict[tuple, list[tuple]] = {}
-            for r in rrows(m, d):
+            for r in rights:
                 index.setdefault(key_r(r), []).append(rest(r))
-            return frozenset(t + tail for t in lrows(m, d) for tail in index.get(key_l(t), ()))
+            return frozenset(t + tail for t in lefts for tail in index.get(key_l(t), ()))
 
-        return self.node(lcols + tuple(v for v in rcols if v not in lcols), rows)
+        return self.node(lcols + tuple(v for v in rcols if v not in lcols),
+                         lambda m, d, n: map(joined, lrows(m, d, n), rrows(m, d, n)))
 
     def semijoin(self, wide: _Node, narrow: _Node, keep: bool) -> _Node:
         """The rows of `wide` whose values on `narrow`'s columns, which lie
@@ -403,23 +414,22 @@ class _Planner:
         (cols, a, home), (ncols, b, nhome) = wide, narrow
         if ncols == cols and home is not None and nhome is not None:
             if keep:
-                return self.node(cols, lambda m: a(m) & b(m), home)
-            return self.node(cols, lambda m: a(m) & ~b(m), home)
-        wrows, nrows = _rows(wide), _rows(narrow)
-        if not ncols:
-            return self.node(cols,
-                             lambda m, d: wrows(m, d) if bool(nrows(m, d)) == keep else _EMPTY)
-        if ncols == cols:
-            if keep:
-                return self.node(cols, lambda m, d: wrows(m, d) & nrows(m, d))
-            return self.node(cols, lambda m, d: wrows(m, d) - nrows(m, d))
-        key = _picker([cols.index(v) for v in ncols])
+                return self.node(cols, lambda m, d, n: map(and_, a(m, d, n), b(m, d, n)), home)
+            return self.node(cols, lambda m, d, n: map(and_, a(m, d, n), map(invert, b(m, d, n))),
+                             home)
+        wrows, nrows = _decoded(wide), _decoded(narrow)
+        if not ncols:  # narrow is closed: all of wide's rows or none
+            combine = (lambda rows, found: rows if found else _EMPTY) if keep \
+                else (lambda rows, found: _EMPTY if found else rows)
+        elif ncols == cols:
+            combine = and_ if keep else sub
+        else:
+            key = _picker([cols.index(v) for v in ncols])
 
-        def rows(m: Masks, d: Decoders) -> Rows:
-            found = nrows(m, d)
-            return frozenset(t for t in wrows(m, d) if (key(t) in found) == keep)
+            def combine(rows: Rows, found: Rows) -> Rows:
+                return frozenset(t for t in rows if (key(t) in found) == keep)
 
-        return self.node(cols, rows)
+        return self.node(cols, lambda m, d, n: map(combine, wrows(m, d, n), nrows(m, d, n)))
 
 
 def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int, right: int,

@@ -84,12 +84,12 @@ An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise -- concept atoms and built-in comparisons over
 finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
 one definition), compiled once per stamp and kept in the formula's entry,
-which `montague_intension` runs over an enumeration's masks column, or on
-each world of a list of worlds enumerated under the plan's stamp (the
-representatives); a comparison's rows read no world, so the plan computes
-them once.  Any other formula, and any other sequence of worlds (worlds
-built by hand, an enumeration made before the last declaration), is swept
-on the Kripke route.
+which `montague_intension` runs over an enumeration's mask columns, or over
+a list of worlds enumerated under the plan's stamp (the representatives),
+their masks turned into columns once; a comparison's rows read no world, so
+the plan computes them once.  Any other formula, and any other sequence of
+worlds (worlds built by hand, an enumeration made before the last
+declaration), is swept on the Kripke route.
 The plan is a third evaluator: consequence stays on the Kripke closures and
 a concept's extension on the Tarski ones, so Bealer-Montague still compares
 two independent routes.
@@ -100,7 +100,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Sequence
-from itertools import product
+from itertools import product, repeat
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -217,12 +217,13 @@ class World:
     """One extensionalization function over the structure's concepts: a
     relation per registered concept and a graph per declared function.
 
-    An enumerated world is one row of its enumeration's columns (see
-    `Worlds`), built when a route first reads it: its masks, one int per
-    registered concept in registration order (bit i for the i-th tuple of
-    the concept's pool, see `ifol.worlds`), and the decoders the whole
-    enumeration shares; `relations` is decoded when first read and kept, so
-    a route pays only for the worlds it visits.  A world built by hand,
+    An enumerated world is one index of its enumeration's columns (see
+    `Worlds`), built when a route first reads it: its masks, that index
+    read across the mask columns, one int per registered concept in
+    registration order (bit i for the i-th tuple of the concept's pool, see
+    `ifol.worlds`), and the decoders the whole enumeration shares;
+    `relations` is decoded when first read and kept, so a route pays only
+    for the worlds it visits.  A world built by hand,
     `World(label, space, relations[, functions])`, holds its relations and
     no masks, so no plan reads it.  `leads` marks the first world of its
     class of isomorphic worlds."""
@@ -288,26 +289,29 @@ class World:
 
 class Worlds(Sequence[World]):
     """The worlds of one enumeration, held as columns (a column store,
-    Abadi, Madden & Hachem, SIGMOD 2008): per world its masks and whether
-    it leads its class, and the k combinations of function graphs, which
-    repeat innermost (world i takes combination i mod k), with the decoders
-    every world shares.  `worlds[i]` builds the `World` of index i, labelled
-    `w<i>`, when it is first read and returns that object after; iteration
-    builds every world not built yet in one comprehension, as small
-    workspaces visit every world.  A relational plan runs over the masks
-    column and builds no world (see `montague_intension`)."""
+    Abadi, Madden & Hachem, SIGMOD 2008): one column of masks per
+    registered concept, in registration order, and one of whether each
+    world leads its class, which gives the length (with no concept there is
+    no mask column, yet a world per combination of function graphs); and
+    the k combinations of function graphs, which repeat innermost (world i
+    takes combination i mod k), with the decoders every world shares.
+    `worlds[i]` builds the `World` of index i, labelled `w<i>`, its masks
+    index i read across the columns, when it is first read and returns that
+    object after; iteration builds every world not built yet in one
+    comprehension, as small workspaces visit every world.  A relational plan
+    runs over the columns and builds no world (see `montague_intension`)."""
 
-    __slots__ = ("space", "masks", "leads", "functions", "decoders", "_built", "_whole")
+    __slots__ = ("space", "columns", "leads", "functions", "decoders", "_built", "_whole")
 
-    def __init__(self, space: Structure, masks: list[tuple[int, ...]], leads: list[bool],
+    def __init__(self, space: Structure, columns: list[list[int]], leads: list[bool],
                  functions: list[dict[str, dict[tuple[Element, ...], Element]]],
                  decoders: Decoders):
         self.space = space
-        self.masks = masks
+        self.columns = columns
         self.leads = leads
         self.functions = functions
         self.decoders = decoders
-        self._built: list[Optional[World]] = [None] * len(masks)
+        self._built: list[Optional[World]] = [None] * len(leads)
         self._whole = False  # every world built
 
     def __len__(self) -> int:
@@ -321,7 +325,8 @@ class Worlds(Sequence[World]):
             i %= len(self._built)
             k = len(self.functions)
             world = self._built[i] = World(f"w{i}", self.space, None, self.functions[i % k],
-                                           self.leads[i], self.masks[i], self.decoders)
+                                           self.leads[i], tuple(c[i] for c in self.columns),
+                                           self.decoders)
         return world
 
     def __iter__(self) -> Iterator[World]:
@@ -329,10 +334,10 @@ class Worlds(Sequence[World]):
         if self._whole:
             return iter(built)
         self._whole = True
-        space, decoders, functions = self.space, self.decoders, self.functions
-        k, leads, masks = len(functions), self.leads, self.masks
-        built[:] = [World(f"w{i}", space, None, functions[i % k], leads[i], masks[i], decoders)
-                    if world is None else world for i, world in enumerate(built)]
+        space, decoders, functions, leads = self.space, self.decoders, self.functions, self.leads
+        k, masks = len(functions), zip(*self.columns) if self.columns else repeat(())
+        built[:] = [World(f"w{i}", space, None, functions[i % k], leads[i], m, decoders)
+                    if world is None else world for (i, world), m in zip(enumerate(built), masks)]
         return iter(built)
 
 
@@ -1001,18 +1006,19 @@ def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
                        ) -> list[frozenset[tuple[Element, ...]] | bool]:
     """The meaning of phi as a column over `worlds`: per world, in their
     order, the set of free-variable tuples it satisfies, or its truth value
-    if closed.  A formula with a relational plan runs it over the masks
-    column of an enumeration made under the plan's stamp, building no
-    `World`, or on each world of a list whose worlds were all enumerated
-    under that stamp; any other formula or sequence is swept on the Kripke
-    route."""
+    if closed.  A formula with a relational plan runs it once over the mask
+    columns of an enumeration made under the plan's stamp, building no
+    `World`, or of a list whose worlds were all enumerated under that stamp,
+    their masks turned into columns first; any other formula or sequence is
+    swept on the Kripke route."""
     plan = intension_plan(space, phi)
     if plan is None or not _enumerated_under(plan.stamp, worlds):
         meaning = _tuples_where(_core(space, phi, _compile_kripke), worlds)
     elif isinstance(worlds, Worlds):
-        meaning = plan.column(worlds.masks, worlds.decoders)
-    else:
-        meaning = map(plan, worlds)
+        meaning = plan.column(worlds.columns, worlds.decoders, len(worlds))
+    else:  # the representatives: their masks turned into columns once
+        masks = [w.masks for w in worlds]
+        meaning = plan.column(list(zip(*masks)), worlds[0].decoders, len(masks)) if masks else ()
     if not _compiled(space, phi).free:  # the one assignment of a closed formula is ()
         return [() in rows for rows in meaning]
     return list(meaning)

@@ -9,16 +9,17 @@ over the concepts, and the concept that fixes an edge's second side takes
 only the masks that fit the first.  `MAX_WORLDS` bounds the whole candidate
 product.
 
-An enumeration is the walk's columns (`semantics.Worlds`): per world its
-masks, one int per registered concept, and whether it leads its class, with
-the function graphs and the decoders (`semantics.Subsets`, one per concept)
-that every world shares, which turn a mask into its relation once and keep
-it.  The walk builds no relation and no `World`: a world is built when a
-route first reads it, and its `relations` decoded when a route first reads
-them, so the Kripke and Tarski routes pay for the worlds they visit, and a
-relational plan runs over the masks column itself (bit-vector relations, as
-in the finite model finders Mace4, McCune 2003, and Paradox, Claessen &
-Sörensson 2003).
+An enumeration is the walk's columns (`semantics.Worlds`): one column of
+masks per registered concept, an int per world, and one of whether each
+world leads its class, with the function graphs and the decoders
+(`semantics.Subsets`, one per concept) that every world shares, which turn
+a mask into its relation once and keep it.  The walk builds no relation, no
+tuple of masks and no `World`: a world is built when a route first reads
+it, and its `relations` decoded when a route first reads them, so the
+Kripke and Tarski routes pay for the worlds they visit, and a relational
+plan runs over the mask columns themselves (bit-vector relations, as in the
+finite model finders Mace4, McCune 2003, and Paradox, Claessen & Sörensson
+2003).
 
 Two particulars of one sort that no formula names cannot be told apart
 (`movable_particulars`): every world has an isomorphic twin in which the two
@@ -95,8 +96,8 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     only the supersets of the sub side's mask, or the subsets of the super
     side's, in ascending order, so the kept worlds and their order are those
     of the filtered product.  The result is a sized sequence that holds
-    the worlds as columns, the masks and the lead flags, each combination
-    of masks repeated once per combination of function graphs, and builds
+    the worlds as columns, one of masks per concept and one of lead flags,
+    each entry repeated once per combination of function graphs, and builds
     the `World` of an index when it is first read (see `Worlds`).
     """
     domain = space.domain
@@ -132,7 +133,7 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     decoders.stamp = space.stamp
     bounds = _bounds(domain, names, pools)
     if bounds is None:
-        return Worlds(space, [], [], [{}], decoders)
+        return Worlds(space, [[] for _ in pools], [], [{}], decoders)
     # The pools are read, so reading them again for the groups cannot raise.
     # Only a unary relation can tell two movable particulars apart.
     unary = any(len(pool[0]) == 1 for pool in pools if pool)
@@ -141,12 +142,12 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     symbols = [symbol for symbol, _ in fn_graphs]
     functions = [dict(zip(symbols, combo))
                  for combo in itertools.product(*(graphs for _, graphs in fn_graphs))]
-    masks, leads = _walk(pools, bounds, pairs)
+    columns, leads = _walk(pools, bounds, pairs)
     k = len(functions)
     if k != 1:  # function graphs innermost: each combination of masks k times
-        masks = [m for m in masks for _ in range(k)]
+        columns = [[m for m in column for _ in range(k)] for column in columns]
         leads = [lead for lead in leads for _ in range(k)]
-    return Worlds(space, masks, leads, functions, decoders)
+    return Worlds(space, columns, leads, functions, decoders)
 
 
 def _bounds(domain: Domain, names: list[str], pools: list[list[tuple[Element, ...]]]
@@ -215,33 +216,36 @@ def _remap(source: list[tuple[Element, ...]], target: list[tuple[Element, ...]]
 
 
 def _walk(pools: list[list[tuple[Element, ...]]], bounds: list[_Bound], pairs: list[_Pair]
-          ) -> tuple[list[tuple[int, ...]], list[bool]]:
-    """The masks of every combination that keeps the bounds, one int per
-    level, in candidate order, and whether each leads its class: a
-    depth-first walk over the levels, without recursion, since concepts with
-    an empty pool add levels but no worlds.  The walk ends at the last level
-    with a nonempty pool: the levels after it hold mask 0 in every world.
+          ) -> tuple[list[list[int]], list[bool]]:
+    """The masks of every combination that keeps the bounds, as one column
+    per level, in candidate order, and whether each combination leads its
+    class: a depth-first walk over the levels, without recursion, since
+    concepts with an empty pool add levels but no worlds.  The innermost
+    level appends its masks to its own column and each level above it
+    repeats its chosen mask as often; the walk ends at the last level with
+    a nonempty pool, and the levels after it are columns of 0.
 
     `tied[level]` holds, as bit k, the pairs[k] that no level above has told
     apart, or None once one of them held only the later particular."""
     if not pools:
-        return [()], [True]
+        return [], [True]
     ranks = [_Ties(pool, pairs) for pool in pools]
-    out: list[tuple[int, ...]] = []
+    columns: list[list[int]] = [[] for _ in pools]
     leads: list[bool] = []
     last = len(pools) - 1
     while last and not pools[last]:
         last -= 1
-    tail = (0,) * (len(pools) - 1 - last)
     chosen = [0] * last
     tied: list[Optional[int]] = [(1 << len(pairs)) - 1] + [None] * last
     walks = [_masks(bounds[0], chosen)] + [iter(())] * last
     level = 0
     while level >= 0:
-        if level == last:  # the innermost level: one world per mask
-            prefix, ties, behind = tuple(chosen), tied[last], ranks[last]
+        if level == last:  # the innermost level: one combination per mask
+            ties, behind = tied[last], ranks[last]
             masks = list(walks[last])
-            out += [prefix + (mask,) + tail for mask in masks]
+            columns[last] += masks
+            for column, mask in zip(columns, chosen):
+                column += itertools.repeat(mask, len(masks))
             leads += [False] * len(masks) if ties is None else \
                 [not behind[mask][1] & ties for mask in masks]
             level -= 1
@@ -256,7 +260,9 @@ def _walk(pools: list[list[tuple[Element, ...]]], bounds: list[_Bound], pairs: l
         tied[level + 1] = None if ties is None or behind & ties else ties & ~ahead
         level += 1
         walks[level] = _masks(bounds[level], chosen)
-    return out, leads
+    for column in columns[last + 1:]:
+        column += itertools.repeat(0, len(leads))
+    return columns, leads
 
 
 class _Ties(dict):

@@ -280,6 +280,62 @@ def test_a_relational_run_builds_no_world(monkeypatch):
         assert run_queries(load_workspace(text)) == (report, status)
 
 
+def test_an_enumeration_with_no_concept_has_a_world_per_graph_combination():
+    """No concept is registered, so no mask column is held, yet the 4 graphs
+    of f give 4 worlds: the comparison's rows are repeated once per world,
+    on the plan path as on the sweep, and on one world as over the column."""
+    text = ("sort reals\n"
+            "extent reals = { 0, 1, 2 }\n"
+            "sort s\n"
+            "particular a : s\n"
+            "particular b : s\n"
+            "function f/1 : s -> s\n"
+            "builtin predicate lt/2 : reals x reals = lt\n"
+            "query intension lt(x:reals, 2)\n"
+            "query bealer-montague lt(x:reals, 1)\n")
+    ws = load_workspace(text)
+    worlds = ws.worlds()
+    assert (len(worlds), worlds.columns) == (4, [])
+    plans = [intension_plan(ws.space, q.formula) for q in ws.queries]
+    assert None not in plans
+    for plan, query in zip(plans, ws.queries):
+        assert [plan(w) for w in worlds] == montague_intension(ws.space, query.formula, worlds)
+    report, status = run_queries(ws)
+    assert report.splitlines() == ["INTENSION lt(x:reals, 2)",
+                                   *[line for i in range(4) for line in (f"WORLD w{i}", "  (0)",
+                                                                         "  (1)")],
+                                   "", "BEALER-MONTAGUE ok (4 worlds)"]
+    with pytest.MonkeyPatch.context() as patch:
+        _plans_off(patch)
+        assert run_queries(load_workspace(text)) == (report, status)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.booleans(), st.data())
+def test_a_plan_on_a_world_is_the_column_run_at_its_index(graphs, data):
+    """`plan(world)` runs the plan over the world's masks as one-world
+    columns; it gives, for every world, the entry at the world's index of
+    the run over the enumeration's columns, with k = 1 or 4 combinations of
+    function graphs innermost.  `~p(x)` is a mask node at the root, and
+    `r(x, y) & ~p(x)` a set node; drawn fragment formulas add others."""
+    text = ("sort thing\n"
+            "extent thing = { c, a, b }\n"
+            "sort part\n"
+            "isa part thing\n"
+            "extent part = { a, b }\n"
+            "concept p-hood arity 1 sorts thing predicate p\n"
+            "concept r-ness arity 2 sorts part thing predicate r\n")
+    ws = load_workspace(text + ("function f/1 : part -> part\n" if graphs else ""))
+    worlds = ws.worlds()
+    assert len(worlds) == 2 ** 3 * 2 ** 6 * (4 if graphs else 1)
+    drawn = data.draw(st.lists(fragment_formulas(ws), max_size=2))
+    for phi in [ws.parse("~p(x:thing)"), ws.parse("r(x:part, y:thing) & ~p(x)"), *drawn]:
+        plan = intension_plan(ws.space, phi)
+        if plan is not None:
+            column = list(plan.column(worlds.columns, worlds.decoders, len(worlds)))
+            assert [plan(w) for w in worlds] == column
+
+
 # --- the three evaluators on generated workspaces ----------------------------------
 
 @settings(max_examples=60, deadline=None)

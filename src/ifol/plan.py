@@ -27,8 +27,9 @@ per world: its rows, a frozenset of tuples over the columns' sort pools.
 
 * an atom is its relation, `decoders[i][mask]` for each mask of the
   concept's column i, selected on its constants and repeated variables and
-  projected onto its variables; over distinct variables in argument order
-  it is the decoded relation itself, with no copy;
+  projected onto its variables, once per distinct mask of a run, so equal
+  masks share one result; over distinct variables in argument order it is
+  the decoded relation itself, with no copy;
 * `&` is a natural join, an intersection when the columns are equal; a negated
   conjunct whose columns lie inside the others' is a difference or an
   antijoin, so no universe is built for it;
@@ -278,7 +279,18 @@ class _Planner:
                 and all(t[i] == t[j] for i, j in repeats)
                 and all(t[i] in pool for i, pool in wider))
 
-        return self.node(cols, lambda m, d, n: map(select, map(d[at].__getitem__, m[at])))
+        def selected(m: Masks, d: Decoders, n: int) -> Iterable[Rows]:
+            made: dict[int, Rows] = {}  # per mask, as `Subsets` decodes it
+
+            def one(mask: int) -> Rows:
+                rows = made.get(mask)
+                if rows is None:
+                    rows = made[mask] = select(d[at][mask])
+                return rows
+
+            return map(one, m[at])
+
+        return self.node(cols, selected)
 
     def comparison(self, a: Atom, evaluator: str) -> _Node:
         """A built-in comparison that cannot raise: a selection over the

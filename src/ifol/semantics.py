@@ -17,8 +17,9 @@ free variables, in first-appearance order) in the leading slots and one slot
 per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
 once per node instead of once per call.  Each route has its own compiler, so
-their agreement stays an independent check; they share only term evaluation
-and built-in predicate atoms (`_builtin_test`).
+their agreement stays an independent check; they share only the term
+compiler and the built-in predicate atoms (`_builtin_test`) that the Tarski
+route evaluates once per column.
 Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic; a
 comparison applies its operator to its arguments, unwrapping only those
@@ -34,17 +35,26 @@ it, so no closure in the entry may hold the formula itself.  No compiled
 closure holds the structure or the compile state either, so compiling
 makes no reference cycle and a dropped workspace goes at once.
 
-The hot loop is one membership test per atom and assignment.  A concept atom
-tests its argument tuple against the world's relation; over bound variables
-that tuple is `(env[slot],)` (one argument) or an `itemgetter` pick of the
-slots (several), built by `_compile_args`.  Particulars hash by identity (see
-`Particular`), so the test hashes pointers.  An assignment sweep is one loop
+The Kripke route evaluates one assignment at a time.  A concept atom tests
+its argument tuple against the world's relation; over bound variables that
+tuple is `(env[slot],)` (one argument) or an `itemgetter` pick of the slots
+(several), built by `_compile_args`.  Particulars hash by identity (see
+`Particular`), so the test hashes pointers.  Its sweep (`_sweep`) is one loop
 over `itertools.product` of the parameters' pools, writing each assignment
-into the leading slots; it either collects, world after world, every tuple
-where a formula holds (`_tuples_where`, for intensions and extensions) or
-stops at the first assignment where it fails (`_first_failure`, for
-consequence and axiom models), so a failure is found without raising at any
-later assignment.
+into the leading slots.
+
+The Tarski route (`ifol.tarski`) runs a column at a time over the last
+parameter, the innermost variable of a sweep: its sweep loops over the
+product of the other parameters' pools, and its closures take the last
+one's pool as a column and return the positions where a formula holds.
+Evaluation at one assignment is a one-position column.
+
+A sweep either collects, world after world, every tuple where a formula
+holds (`_tuples_where`, for intensions and extensions), raising the first
+error in enumeration order, or finds the first assignment where it fails
+(`_first_failure`, for consequence and axiom models), so a failure is found
+without raising at any later assignment: the Kripke sweep evaluates
+nothing past it, the Tarski sweep nothing past its column.
 
 Terms are staged (loop-invariant code motion, Aho et al., *Compilers* ch. 9;
 factorised evaluation, Olteanu & Schleich, SIGMOD Record 2016).  The shared
@@ -58,19 +68,23 @@ reads the world, and a declaration compiles a new core, so the values hold
 in every world and query.  A term over several parameters keeps the last
 binding it read and its value, and evaluates again only when that binding
 moves; in a sweep's product order that is when the last of its parameters
-moves.  Outside every quantifier, a term that reads several parameters and
-every one of them is read once per assignment, where its binding always
-moves, so it is not staged.
+moves.  A Tarski term that reads the column keeps its values by column value
+under the binding of the other parameters it reads (see `ifol.tarski`), so
+it is evaluated as often.  Outside every quantifier, a term that reads
+several parameters and every one of them is read once per assignment, where
+its binding always moves, so it is not staged.
 Nothing is evaluated before it is read, so errors stay where the plain
 evaluation meets them: where a short-circuit skips a read nothing is
-raised, and a sweep evaluates nothing past the assignment where it stops.
-An evaluation that raises keeps nothing, so a read after it raises again.
-A core builds its sweep pools at the first world a sweep reaches and keeps
-them; nothing is evaluated at compile time, and a sweep over no worlds
-reads no pool.  A hidden-variable union in `eval_atom` is one sweep too,
-with the hidden variables outermost.  A sweep over more than
-`MAX_ASSIGNMENTS` assignments raises `ExplosionGuard` before it allocates
-anything.
+raised.  An evaluation that raises keeps nothing, so a read after it raises
+again.  A core builds its sweep pools at the first world a sweep reaches
+and keeps them; nothing is evaluated at compile time, and a sweep over no
+worlds reads no pool.  A hidden-variable union in `eval_atom` is one sweep
+too, with the hidden variables outermost.  A core's work is bounded before
+anything is evaluated: the product of its sweep's pools times the largest
+product of its quantifiers' finite pools along one nesting path may not
+exceed `MAX_ASSIGNMENTS`, else `ExplosionGuard` is raised; evaluation at one
+assignment bounds the quantifiers alone.  An infinite quantifier pool is not
+counted: it raises where it is reached.
 
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
@@ -111,6 +125,7 @@ from .errors import (
     EvaluationFailure,
     ExplosionGuard,
     FunctionUndefinedAt,
+    IfolError,
     InfiniteHiddenDomain,
     UnboundVariable,
     UnknownSymbol,
@@ -149,10 +164,13 @@ Value = Callable[["World", list], Element]
 Args = Callable[["World", list], tuple]
 
 _EMPTY: frozenset = frozenset()
+# The column and the selection of one assignment with no parameter.
+_NO_COLUMN, _ONE = (None,), range(1)
 
 # Default bound on the candidate worlds `enumerate_worlds` may generate.
 MAX_WORLDS = 2 ** 20
-# Bound on the assignments one sweep of a formula's free variables may visit.
+# Bound on the assignments one sweep of a formula's free variables, times
+# those of its quantifiers, may visit.
 MAX_ASSIGNMENTS = 2 ** 24
 
 
@@ -358,16 +376,22 @@ def accessible_values(x: Variable, domain: Domain) -> tuple[Element, ...]:
 # --- the compiled core ------------------------------------------------------------
 
 class _Core:
-    """One formula compiled on one route: `test(world, env)` reads parameter i
-    from env[i], and the slots after the parameters belong to the quantifiers.
-    `pools` keeps its sweeps' pools, by how many parameters they bind."""
+    """One formula compiled on one route: `test` reads parameter i from
+    env[i], and the slots after the parameters belong to the quantifiers.
+    `sweep` runs it over pools of the parameters (`_sweep` on the Kripke
+    route, `tarski._column_sweep` on the Tarski one); `nest` is its
+    quantifiers' tree (see `_nesting`); `pools` keeps its sweeps' pools, by
+    how many parameters they bind."""
 
-    __slots__ = ("test", "params", "size", "pools")
+    __slots__ = ("test", "params", "size", "sweep", "nest", "pools")
 
-    def __init__(self, test: Test, params: tuple[Variable, ...], size: int):
+    def __init__(self, test: Callable, params: tuple[Variable, ...], size: int,
+                 sweep: Callable, nest: tuple):
         self.test = test
         self.params = params
         self.size = size
+        self.sweep = sweep
+        self.nest = nest
         self.pools: dict[int, list[Sequence[Element]]] = {}
 
 
@@ -444,8 +468,19 @@ def _truth(space: Structure, route: Compiler, world: World, g: Assignment,
 
 
 def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
-    """The core's test at one assignment, its parameters taking `values`."""
-    return core.test(world, [*values, *[None] * (core.size - len(values))])
+    """The core's test at one assignment, its parameters taking `values`,
+    after the budget of its quantifiers; a Tarski test runs over a
+    one-position column, the last value's."""
+    if 0 not in core.pools:
+        _pools(core, world.space.domain, 0)
+    env = [*values, *[None] * (core.size - len(values))]
+    if core.sweep is _sweep:
+        return core.test(world, env)
+    errs: dict[int, IfolError] = {}
+    held = core.test(world, env, values[-1:] or _NO_COLUMN, _ONE, errs)
+    if errs:
+        raise errs[0]
+    return len(held) == 1
 
 
 # --- assignment sweeps ---------------------------------------------------------------
@@ -453,49 +488,83 @@ def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
 def _pools(core: _Core, domain: Domain, swept: int) -> list[Sequence[Element]]:
     """The pools of a sweep binding the core's first `swept` parameters,
     built at the first world a sweep reaches and kept on the core; a build
-    that raises keeps nothing."""
+    that raises keeps nothing.  Their product times the most assignments of
+    the core's quantifiers along one nesting path (`_reach`) is bounded by
+    `MAX_ASSIGNMENTS`, before anything is evaluated."""
     pools = core.pools.get(swept)
     if pools is None:
         pools = [domain.valid_elements(v.sort) for v in core.params[:swept]]
-        if math.prod(map(len, pools)) > MAX_ASSIGNMENTS:
+        if math.prod(map(len, pools)) * _reach(core.nest, domain) > MAX_ASSIGNMENTS:
             raise ExplosionGuard(f"more than {MAX_ASSIGNMENTS} assignments")
         core.pools[swept] = pools
     return pools
 
 
+def _nesting(f: Formula) -> tuple:
+    """The quantifiers of f outside its atoms as a tree: for each one that
+    `~` and `&` reach, its sort and the tree of its body."""
+    f, _ = negations(f)
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, And):
+        nest: list = []
+        for part in conjuncts(f):
+            nest.extend(_nesting(part))
+        return tuple(nest)
+    return ((f.var.sort, _nesting(f.body)),)
+
+
+def _reach(nest: tuple, domain: Domain) -> int:
+    """The largest product of the quantifier pools along one path of
+    `nest`.  An infinite pool is not counted: it raises where it is read."""
+    most = 1
+    for sort, body in nest:
+        size = len(domain.valid_elements(sort)) if domain.sort_is_finite(sort) else 1
+        most = max(most, size * _reach(body, domain) if body else size)
+    return most
+
+
 def _sweep(world: World, env: list, pools: list[Sequence[Element]], test: Test,
-           want: bool) -> Iterator[tuple[Element, ...]]:
-    """Bind the leading parameters to each assignment of the pools, in
-    `itertools.product` order; yield every assignment at which the test is
-    `want`."""
-    depth = len(pools)
+           want: bool) -> list[tuple[Element, ...]]:
+    """The Kripke route's sweep: bind the parameters to each assignment of
+    the pools, in `itertools.product` order, and list every assignment at
+    which the test is `want`, or, for `want` False, the first."""
+    depth, rows = len(pools), []
     for values in product(*pools):
         env[:depth] = values
         if test(world, env) == want:
-            yield values
+            rows.append(values)
+            if not want:
+                break
+    return rows
 
 
 def _tuples_where(core: _Core, worlds: Sequence[World], fixed: Sequence[Element] = ()
                   ) -> Iterator[frozenset[tuple[Element, ...]]]:
-    """Per world, in order: every sorted assignment to the core's leading
-    parameters under which the formula holds, as value tuples; the trailing
-    parameters take the `fixed` values.  The environment is built once, at
-    the first world reached, and each assignment overwrites its leading
-    slots; a staged term keeps its value in its own closure, not there."""
+    """Per world, in order: every sorted assignment to the core's parameters
+    under which the formula holds, as value tuples, the trailing parameters
+    taking the `fixed` values (one-value pools).  The environment
+    is built once, at the first world reached, and each assignment
+    overwrites its parameter slots; a staged term keeps its value in its own
+    closure, not there."""
     env = None
     for world in worlds:
         if env is None:
-            pools = _pools(core, world.space.domain, len(core.params) - len(fixed))
-            env = [None] * len(pools) + list(fixed) + [None] * (core.size - len(core.params))
-        yield frozenset(_sweep(world, env, pools, core.test, True))
+            swept = _pools(core, world.space.domain, len(core.params) - len(fixed))
+            pools = [*swept, *zip(fixed)] if fixed else swept
+            env = [None] * core.size
+        yield frozenset(core.sweep(world, env, pools, core.test, True))
 
 
 def _first_failure(core: _Core, world: World) -> Optional[tuple[Element, ...]]:
     """The first sorted assignment to the core's parameters, in enumeration
-    order, under which the formula fails, or None.  The sweep stops there and
-    evaluates nothing at any later assignment."""
+    order, under which the formula fails, or None.  The sweep stops there,
+    or at an error before it in that order, which it raises."""
     pools = _pools(core, world.space.domain, len(core.params))
-    return next(_sweep(world, [None] * core.size, pools, core.test, False), None)
+    if not pools:  # a closed formula: its one assignment
+        return None if _holds(core, world, ()) else ()
+    failing = core.sweep(world, [None] * core.size, pools, core.test, False)
+    return failing[0] if failing else None
 
 
 # --- term evaluation (shared by both routes) ---------------------------------------
@@ -572,15 +641,16 @@ def _level(reads: frozenset[int]) -> tuple[bool, int]:
     return len(reads) > 1, max(reads, default=-1)
 
 
-def _staged(value: Value, reads: _Reads, bound: dict[Variable, int], stager: _Stager
-            ) -> Value:
-    """`value` staged (`_Stager.slot`) where it reads only parameters, but
-    not where it reads several and they are every variable in scope: outside
-    every quantifier it is read once per assignment, and a sweep moves that
-    binding at each, so staging would save nothing."""
+def _staged(value: Callable, reads: _Reads, bound: dict[Variable, int], stager: _Stager,
+            column: bool = False) -> Callable:
+    """`value` staged (`_Stager.slot`, or the Tarski route's `column` for a
+    `column` term) where it reads only parameters, but not where it reads
+    several and they are every variable in scope: outside every quantifier
+    it is read once per assignment, and a sweep moves that binding at each,
+    so staging would save nothing."""
     if reads is None or len(reads) == len(bound) > 1:
         return value
-    return stager.slot(value, reads)
+    return stager.column(value, reads) if column else stager.slot(value, reads)
 
 
 def _compile_term(t: Term, bound: dict[Variable, int], stager: _Stager,
@@ -797,7 +867,7 @@ def _compile_kripke(phi: Formula, params: tuple[Variable, ...], space: Structure
     `eval_atom`: with a variable still unbound it is no truth value."""
     stager = _Stager(space, len(params))
     test = _kripke(phi, {v: i for i, v in enumerate(params)}, stager)
-    return _Core(test, params, stager.size)
+    return _Core(test, params, stager.size, _sweep, _nesting(phi))
 
 
 def _kripke(f: Formula, bound: dict[Variable, int], stager: _Stager) -> Test:
@@ -881,8 +951,8 @@ def eval_atom(a: Atom, g: Assignment, world: World) -> bool | frozenset[tuple[El
     if not (hidden or free):
         return _holds(core, world, fixed)
     rows = next(_tuples_where(core, (world,), fixed))
-    if hidden:
-        return frozenset(row[len(hidden):] for row in rows)
+    if hidden or fixed:
+        return frozenset(row[len(hidden):len(hidden) + len(free)] for row in rows)
     return rows
 
 
@@ -915,59 +985,6 @@ def tarski_eval(world: World, g: Assignment, phi: Formula) -> bool:
     """Plain inductive truth with sorted quantifier ranges; kept free of the
     accessibility machinery so it can serve as the independent oracle."""
     return _truth(world.space, _compile_tarski, world, g, phi)
-
-
-def _compile_tarski(phi: Formula, params: tuple[Variable, ...], space: Structure) -> _Core:
-    """Tarski truth compiled: an existential ranges over the plain sort pool of
-    its variable, and an atom tests relation membership (or its evaluator)
-    directly; an unbound variable fails where its term is evaluated."""
-    stager = _Stager(space, len(params))
-    test = _tarski(phi, {v: i for i, v in enumerate(params)}, stager)
-    return _Core(test, params, stager.size)
-
-
-def _tarski(f: Formula, bound: dict[Variable, int], stager: _Stager) -> Test:
-    f, negated = negations(f)
-    if isinstance(f, Atom):
-        test = _tarski_atom(f, bound, stager)
-    elif isinstance(f, And):
-        parts = []
-        for part in conjuncts(f):
-            parts.append(_tarski(part, bound, stager))
-
-        def test(w: World, env: list) -> bool:
-            for part in parts:
-                if not part(w, env):
-                    return False
-            return True
-
-    else:
-        sort, slot, valid = f.var.sort, stager.size, stager.space.domain.valid_elements
-        stager.size += 1
-        body = _tarski(f.body, {**bound, f.var: slot}, stager)
-
-        def test(w: World, env: list) -> bool:
-            for env[slot] in valid(sort):
-                if body(w, env):
-                    return True
-            return False
-
-    if negated:
-        return lambda w, env: not test(w, env)
-    return test
-
-
-def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager) -> Test:
-    space = stager.space
-    evaluator = space.signature.builtin_predicates.get(a.pred)
-    if evaluator is not None:
-        return _builtin_test(evaluator, a.args, bound, stager)
-    concept = space.registry.by_predicate.get(a.pred)
-    args = _compile_args(a.args, bound, stager, False)
-    if concept is None:  # not declared: fails where reached
-        return _no_predicate(a.pred, args)
-    name = concept.name
-    return lambda w, env: args(w, env) in w.relations.get(name, _EMPTY)
 
 
 # --- consequence, intension, and the extension identity ------------------------------
@@ -1050,3 +1067,7 @@ def bealer_montague_check(space: Structure, phi: Formula, worlds: Sequence[World
         if lhs != rhs:
             return ExtensionMismatch(world.label, lhs, rhs)
     return None
+
+
+# The Tarski route's compiler builds on the shared core above.
+from .tarski import _compile_tarski  # noqa: E402

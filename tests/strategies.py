@@ -9,6 +9,8 @@ from ifol.kernel import NESTED_SENTENCE_SORT
 from ifol.syntax import (Abstracted, And, Atom, Const, Exists, FnApp, Not, Var, Variable,
                          format_formula, free_vars, mk_abstracted)
 
+from conftest import FIXTURES
+
 
 @st.composite
 def _formula(draw, concepts, constants, free, depth, bound=()):
@@ -360,4 +362,33 @@ def arithmetic_workspaces(draw) -> str:
     for kind in draw(st.lists(st.sampled_from(["consequence", "intension", "bealer-montague"]),
                               min_size=2, max_size=4)):
         lines.append(f"query {kind} {formula(2)}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def mutated_fixtures(draw) -> str:
+    """The text of a committed fixture after one to three token edits: delete
+    a token, insert one that some fixture holds, duplicate one, or truncate
+    one to a proper prefix.  Each edit falls on a query line half of the
+    time, on any line otherwise."""
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ifol"))]
+    vocabulary = sorted({token for text in texts for token in text.split()})
+    lines = draw(st.sampled_from(texts)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        queries = [i for i, line in enumerate(lines) if line.startswith("query")]
+        at = draw(st.sampled_from(queries if queries and draw(st.booleans())
+                                  else range(len(lines))))
+        tokens = lines[at].split()
+        edit = draw(st.sampled_from(["delete", "insert", "duplicate", "truncate"])
+                    if tokens else st.just("insert"))
+        i = draw(st.integers(0, len(tokens) - (edit != "insert")))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(vocabulary)))
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = tokens[i][:draw(st.integers(0, len(tokens[i]) - 1))]
+        lines[at] = " ".join(tokens)
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifol.cli
-from ifol import load_workspace
+from ifol import load_workspace, satisfies, tarski_eval
 from ifol.cli import _RowRenderer, main, render_concept_tree, run_queries
+from ifol.errors import ExplosionGuard
 from ifol.kernel import NESTED_SENTENCE_SORT, ConceptRef, element_lexeme
 
 from conftest import FIXTURES
+from strategies import mutated_fixtures
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.ifol"))
 
@@ -158,6 +161,69 @@ def test_assignment_budget_is_reported_before_any_sweep():
             "query consequence leq2(x:reals, y:reals) | leq2(z:reals, w:reals)\n")
     guard = "ERROR ExplosionGuard: more than 16777216 assignments\n"
     assert run_queries(load_workspace(text)) == (guard + "\n" + guard, 1)
+
+
+def _nest_ws(size: int, line: str) -> str:
+    """reals = {0 .. size - 1}, with add, lt and one more line; `NEST` in it
+    stands for six nested existentials over reals, a to f."""
+    nest = " . ".join(f"exists {v}:reals" for v in "abcdef")
+    return ("sort integers\nsort rationals\nsort reals\n"
+            "isa integers rationals\nisa rationals reals\n"
+            f"extent reals = {{ {', '.join(str(i) for i in range(size))} }}\n"
+            "builtin function add/2 : reals x reals -> reals = add\n"
+            "builtin predicate lt/2 : reals x reals = lt\n"
+            + line.replace("NEST", nest) + "\n")
+
+
+@pytest.mark.parametrize("line", [
+    "query consequence NEST . lt(add(add(a, b), add(add(c, d), add(e, f))), 0)",
+    "axiom NEST . lt(add(add(a, b), add(add(c, d), add(e, f))), 0)\nquery consequence lt(0, 1)",
+])
+def test_a_quantifier_nest_over_the_budget_is_refused_before_any_work(tmp_path, capsys, line):
+    """Six existentials over 60 reals nest 60^6 assignments, past 2^24: a
+    consequence (the Kripke route) and an axiom's models (the Tarski route)
+    refuse the formula before evaluating it, where they ran unbounded."""
+    f = _write(tmp_path, "nest.ifol", _nest_ws(60, line))
+    start = time.perf_counter()
+    assert main(["run", str(f)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "ERROR ExplosionGuard: more than 16777216 assignments\n"
+
+
+def test_the_quantifier_budget_counts_the_sweep_and_one_nesting_path():
+    """Six existentials over 16 reals nest 16^6 = 2^24 assignments, at the
+    bound: they run (the body holds at once) in a consequence and in an
+    axiom, and so do two such nests side by side, as no path nests more.
+    Swept over a free variable's 16 values they are past the bound.
+    Evaluation at one assignment checks the nest alone: seven existentials
+    over 32 reals are refused on both routes."""
+    ws = load_workspace(_nest_ws(32, ""))
+    (world,) = ws.worlds()
+    at_bound = "exists a:reals . exists b:reals . exists c:reals . exists d:reals" \
+               " . exists e:reals . exists f:reals . lt(a, 1)"
+    wider = ws.parse(at_bound.replace("exists a:reals", "exists a:reals . exists g:reals"))
+    for truth in (satisfies, tarski_eval):
+        with pytest.raises(ExplosionGuard):
+            truth(world, {}, wider)
+    ws = load_workspace(_nest_ws(16, f"query consequence {at_bound}\n"
+                                      f"query consequence ({at_bound}) & ({at_bound})\n"
+                                      f"query consequence lt(x:reals, 2) | {at_bound}\n"
+                                      f"axiom {at_bound}\n"
+                                      "query bealer-montague lt(y:reals, 1)"))
+    guard = "ERROR ExplosionGuard: more than 16777216 assignments"
+    assert run_queries(ws) == ("\n\n".join(["CONSEQUENCE yes"] * 2 + [guard]
+                                           + ["BEALER-MONTAGUE ok (1 worlds)"]) + "\n", 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_fixtures())
+def test_a_mutated_fixture_ends_in_exit_0_1_or_2(tmp_path_factory, text):
+    """Any input ends in exit 0, 1 or 2 with a diagnostic, never an escaping
+    exception: fixtures with a few tokens deleted, inserted, duplicated or
+    truncated, run with a small world bound."""
+    path = tmp_path_factory.mktemp("mutated") / "fixture.ifol"
+    path.write_text(text)
+    assert main(["run", str(path), "--max-worlds", "4096"]) in (0, 1, 2)
 
 
 def test_eval_error_rendered_without_failing_exit(tmp_path, capsys):

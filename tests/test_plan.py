@@ -147,6 +147,22 @@ def test_an_atom_over_its_variables_is_the_relation():
                                   if (x,) in world.relations["p-hood"]}
 
 
+def test_a_selection_filters_each_distinct_mask_once():
+    """`r(x:thing, a)` selects r's relation on its constant: over the 4,096
+    worlds, its 512 distinct masks give one result object each, shared by
+    the worlds with that mask (8 distinct results), where each world made
+    its own."""
+    ws = load_workspace(BINARY)
+    worlds = ws.worlds()
+    meaning = montague_intension(ws.space, ws.parse("r(x:thing, a)"), worlds)
+    masks = worlds.columns[list(ws.registry.by_predicate).index("r")]
+    assert len(worlds) == 4096 and len(set(masks)) == 512
+    assert len({id(rows) for rows in meaning}) == 512 and len(set(meaning)) == 8
+    a = ws.domain.lookup("a")
+    for world, rows in zip(worlds[::97], meaning[::97]):
+        assert rows == {(x,) for x, y in world.relations["r-ness"] if y is a}
+
+
 def test_a_subsort_variable_keeps_to_its_pool():
     ws = load_workspace(BINARY)
     phi = ws.parse("p(x:part)")

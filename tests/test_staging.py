@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ifol.semantics
+import ifol.tarski
 from ifol import load_workspace, satisfies, tarski_eval
 from ifol.cli import run_queries
 from ifol.errors import EvaluationFailure, IfolError
@@ -17,6 +18,7 @@ from ifol.semantics import (
     _compile_kripke,
     _compile_tarski,
     _core,
+    _first_failure,
     _tuples_where,
     consequence,
     intension_plan,
@@ -42,6 +44,7 @@ def test_reports_equal_those_with_staging_off(text):
     staged = run_queries(load_workspace(text))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ifol.semantics._Stager, "slot", _unstaged)
+        patch.setattr(ifol.tarski._ColumnStager, "column", _unstaged)
         unstaged = run_queries(load_workspace(text))
     assert staged == unstaged
 
@@ -58,7 +61,9 @@ def _outcome(evaluate):
 def test_kripke_equals_tarski_on_generated_workspaces(text):
     """Per formula and world, the staged sweeps of both routes give the same
     rows or the same error, and so does evaluation at each assignment: the
-    rows where it holds, or the first error in enumeration order."""
+    rows where it holds, or the first error in enumeration order.  Their
+    searches for a failure agree too: the first assignment in that order
+    where it does not hold, returned, or raised if it raises there."""
     ws = load_workspace(text)
     for _, phi in ws.all_formulas():
         cores = [_core(ws.space, phi, route) for route in (_compile_kripke, _compile_tarski)]
@@ -67,7 +72,8 @@ def test_kripke_equals_tarski_on_generated_workspaces(text):
             kripke, tarski = (_outcome(lambda: next(_tuples_where(core, (world,))))
                               for core in cores)
             assert kripke == tarski
-            rows, error = set(), None
+            failures = [_outcome(lambda: _first_failure(core, world)) for core in cores]
+            rows, error, failure = set(), None, None
             for g in many_sorted_assignments(variables, ws.domain):
                 holds = _outcome(lambda: satisfies(world, g, phi))
                 assert holds == _outcome(lambda: tarski_eval(world, g, phi))
@@ -75,7 +81,10 @@ def test_kripke_equals_tarski_on_generated_workspaces(text):
                     error = error or holds
                 elif holds:
                     rows.add(tuple(g.values()))
+                if holds is not True and failure is None:
+                    failure = holds if isinstance(holds, tuple) else tuple(g.values())
             assert kripke == (error or frozenset(rows))
+            assert failures == [failure] * 2
 
 
 def _applies(monkeypatch) -> list:
@@ -182,6 +191,44 @@ def test_a_term_over_several_parameters_keeps_its_last_binding(monkeypatch):
             with pytest.raises(EvaluationFailure, match="division by zero"):
                 truth(world, {x: one, y: one, z: two}, chi)
         assert truth(world, {x: two, y: one, z: two}, chi)
+
+
+def test_two_conjuncts_raising_at_different_positions_raise_the_first_in_order():
+    """Over z in {0, 1, 2, 3}: the first conjunct raises at z = 3 (dividing
+    by zero) and the second at z = 1 (2 to the power 1/2).  A column runs the
+    first conjunct over every position before the second, yet both routes
+    raise what the evaluation at each assignment in order raises first: the
+    second conjunct's error at z = 1."""
+    ws = load_workspace(NUMBERS + "builtin function pow/2 : reals x reals -> reals = pow\n")
+    (world,) = ws.worlds()
+    phi = ws.parse("leq(div(1, sub(z:reals, 3)), 9) & leq(pow(2, div(z, 2)), 9)")
+    (z,) = free_vars(phi)
+    values = {element_lexeme(v): v for v in ws.domain.valid_elements("reals")}
+    for route in (_compile_kripke, _compile_tarski):
+        core = _core(ws.space, phi, route)
+        for search in (lambda: next(_tuples_where(core, (world,))),
+                       lambda: _first_failure(core, world)):
+            with pytest.raises(EvaluationFailure, match="exponent 1/2 is not an integer"):
+                search()
+    for truth in (satisfies, tarski_eval):
+        assert truth(world, {z: values["0"]}, phi)
+        with pytest.raises(EvaluationFailure, match="division by zero"):
+            truth(world, {z: values["3"]}, phi)
+
+
+def test_a_failure_before_a_raising_position_is_returned_and_nothing_raised():
+    """As an axiom, `leq(div(1, sub(z, 3)), -1)` fails at z = 0, before z = 3,
+    where it divides by zero: the search for a failure returns z = 0 on both
+    routes, though a column evaluates z = 3 too, and the world is no model."""
+    ws = load_workspace(NUMBERS)
+    (world,) = ws.worlds()
+    phi = ws.parse("leq(div(1, sub(z:reals, 3)), sub(0, 1))")
+    zero = ws.domain.lookup("0")
+    for route in (_compile_kripke, _compile_tarski):
+        assert _first_failure(_core(ws.space, phi, route), world) == (zero,)
+    assert not is_model_of(world, [phi])
+    with pytest.raises(EvaluationFailure, match="division by zero"):
+        next(_tuples_where(_core(ws.space, phi, _compile_tarski), (world,)))
 
 
 def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():

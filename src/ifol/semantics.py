@@ -477,10 +477,11 @@ def _holds(core: _Core, world: World, values: Sequence[Element]) -> bool:
     if core.sweep is _sweep:
         return core.test(world, env)
     errs: dict[int, IfolError] = {}
-    held = core.test(world, env, values[-1:] or _NO_COLUMN, _ONE, errs)
+    if core.test(world, env, values[-1:] or _NO_COLUMN, _ONE, errs):
+        return True
     if errs:
         raise errs[0]
-    return len(held) == 1
+    return False
 
 
 # --- assignment sweeps ---------------------------------------------------------------
@@ -516,10 +517,14 @@ def _nesting(f: Formula) -> tuple:
 
 def _reach(nest: tuple, domain: Domain) -> int:
     """The largest product of the quantifier pools along one path of
-    `nest`.  An infinite pool is not counted: it raises where it is read."""
+    `nest`.  A pool that cannot be built, such as an infinite one, is not
+    counted: it raises where it is read."""
     most = 1
     for sort, body in nest:
-        size = len(domain.valid_elements(sort)) if domain.sort_is_finite(sort) else 1
+        try:
+            size = len(domain.valid_elements(sort))
+        except IfolError:
+            size = 1
         most = max(most, size * _reach(body, domain) if body else size)
     return most
 

@@ -21,8 +21,8 @@ drops that position.  No closure is run on an empty selection.
   column variable its values, a built-in application `apply_function`
   mapped over its arguments' columns, one call per position, a graph or an
   abstraction one evaluation per position.  A staged one keeps its values
-  by column value (`_ColumnStager.column`).  Any other term is `_compile_term`'s
-  closure, evaluated once per column.
+  by column value (`_ColumnStager.column`).  Any other term is
+  `_compile_term`'s closure, evaluated once per column.
 * An atom that does not read the column holds, or raises, alike at every
   position, so it is evaluated once per column; a unary atom on the column
   variable tests each position's value; any other atom maps its operator
@@ -80,14 +80,14 @@ class _ColumnStager(_Stager):
     term that reads the column."""
 
     def column(self, value: Column, reads: frozenset[int]) -> Column:
-        """Stage a term that reads the column, the last
-        parameter: the returned closure evaluates it only at the positions
-        whose column value it has not evaluated under the current binding of
-        the other parameters it `reads`, and keeps each value until that
-        binding moves (for the core's life where it reads no other), so a
-        sweep in product order evaluates it as often as `slot` would; the
-        values of a whole column are kept as one list too.  An evaluation
-        that raises keeps nothing."""
+        """Stage a term that reads the column, the last parameter: the
+        returned closure evaluates it only at the positions whose column
+        value it has not evaluated under the current binding of the other
+        parameters it `reads`, and keeps each value until that binding moves
+        (for the core's life where it reads no other), so a sweep in product
+        order evaluates it as often as `slot` would; the values of a whole
+        column are kept as one list too.  An evaluation that raises keeps
+        nothing."""
         others = sorted(reads - {self.params - 1})
         pick = itemgetter(*others) if others else (lambda env: ())
         # the other parameters' binding, the values by column value, and the
@@ -307,8 +307,8 @@ def _tarski_terms(terms: Sequence[Term], bound: dict[Variable, int], stager: _St
                   raw: bool) -> list[tuple[Callable, bool]]:
     """Each term compiled for the Tarski route, and whether it is a column:
     a term that reads the column is a `Column`, staged as `_compile_term`
-    stages it (`_ColumnStager.column`); any other is `_compile_term`'s closure, so
-    evaluated once per column."""
+    stages it (`_ColumnStager.column`); any other is `_compile_term`'s
+    closure, so evaluated once per column."""
     parts = []
     for t in terms:
         value, reads, column = _column_term(t, bound, stager, raw)

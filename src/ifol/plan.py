@@ -49,12 +49,11 @@ A unary concept atom over a variable whose pool is the concept's pool is a
 mask node instead: its entries are the concept's column itself, the masks
 (bit i for the pool's i-th element, see `ifol.worlds`); `~`, `&` and
 `exists` over mask nodes of one column map `full ^ m`, `a & b` (`a & ~b`
-for a negated conjunct) and `m != 0` over the columns, and a unary atom on
-a constant tests one bit of each mask.  Every other node is a set node,
-whose entries are rows, and a mask becomes rows where it meets one, and at
-the root, through the decoder of its concept, so equal masks give the same
-frozenset object.  A set node maps its per-world combiner over its
-children's entries.
+for a negated conjunct) and `m != 0` over the columns.  Every other node,
+a unary atom on a constant among them, is a set node, whose entries are
+rows, and a mask becomes rows where it meets one, and at the root, through
+the decoder of its concept, so equal masks give the same frozenset object.
+A set node maps its per-world combiner over its children's entries.
 
 No node reads a `World`, so a plan runs over the columns of a whole
 enumeration (`Plan.column`, which `montague_intension` uses), over a list
@@ -261,11 +260,6 @@ class _Planner:
             pool = self.domain.valid_elements(concept.attribute_sorts[0])
             if cols and self.pool(cols[0]) == pool:
                 return self.node(cols, lambda m, d, n: m[at], at)
-            if constants:  # a relation lies within its pool
-                c = constants[0][1]
-                bit = 1 << pool.index(c) if c in pool else 0
-                return self.node((), lambda m, d, n: map(_TRUTH.__getitem__,
-                                                         map(bool, map(bit.__and__, m[at]))))
         wider = [(i, frozenset(self.pool(v))) for v, i in first.items()
                  if not self.covers(concept.attribute_sorts[i], v)]
         if not (constants or repeats or wider) and list(first.values()) == list(range(len(cols))):

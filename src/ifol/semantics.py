@@ -18,8 +18,9 @@ per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
 once per node instead of once per call.  Each route has its own compiler, so
 their agreement stays an independent check; they share only the term
-compiler and the built-in predicate atoms (`_builtin_test`) that the Tarski
-route evaluates once per column.
+compiler and the built-in predicates' combiner (`_comparison`), which the
+Tarski route maps over columns and the Kripke route applies to one
+assignment's arguments.
 Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic; a
 comparison applies its operator to its arguments, unwrapping only those
@@ -36,12 +37,11 @@ closure holds the structure or the compile state either, so compiling
 makes no reference cycle and a dropped workspace goes at once.
 
 The Kripke route evaluates one assignment at a time.  A concept atom tests
-its argument tuple against the world's relation; over bound variables that
-tuple is `(env[slot],)` (one argument) or an `itemgetter` pick of the slots
-(several), built by `_compile_args`.  Particulars hash by identity (see
-`Particular`), so the test hashes pointers.  Its sweep (`_sweep`) is one loop
-over `itertools.product` of the parameters' pools, writing each assignment
-into the leading slots.
+its argument tuple, built by `_compile_args`, against the world's relation;
+over one bound variable that tuple is `(env[slot],)`.  Particulars hash by
+identity (see `Particular`), so the test hashes pointers.  Its sweep
+(`_sweep`) is one loop over `itertools.product` of the parameters' pools,
+writing each assignment into the leading slots.
 
 The Tarski route (`ifol.tarski`) runs a column at a time over the last
 parameter, the innermost variable of a sweep: its sweep loops over the
@@ -776,13 +776,9 @@ def _compile_args(terms: Sequence[Term], bound: dict[Variable, int], stager: _St
                   raw: bool) -> Args:
     """The argument tuple of an atom, left to right; `raw` for a built-in
     predicate, whose arguments need not be boxed."""
-    if terms and all(isinstance(t, Var) and t.var in bound for t in terms):
-        slots = [bound[t.var] for t in terms]  # type: ignore[union-attr]
-        if len(slots) == 1:
-            slot = slots[0]
-            return lambda w, env: (env[slot],)
-        pick = itemgetter(*slots)
-        return lambda w, env: pick(env)
+    if len(terms) == 1 and isinstance(terms[0], Var) and terms[0].var in bound:
+        slot = bound[terms[0].var]
+        return lambda w, env: (env[slot],)
     values = []
     for t in terms:
         values.append(_compile_term(t, bound, stager, raw))
@@ -793,40 +789,31 @@ def _tuple_of(values: list[Value]) -> Args:
     if len(values) == 1:
         only = values[0]
         return lambda w, env: (only(w, env),)
-    if len(values) == 2:
-        first, second = values
-        return lambda w, env: (first(w, env), second(w, env))
     return lambda w, env: tuple([v(w, env) for v in values])
 
 
-def _builtin_test(evaluator: str, terms: Sequence[Term], bound: dict[Variable, int],
-                  stager: _Stager) -> Test:
-    """A built-in predicate's atom on either route.  A comparison is its
-    operator on its two arguments, both evaluated, left to right, before
-    either is unwrapped, and only an argument that is not a raw number
-    already is unwrapped.  `true`, and a comparison with another number of
-    arguments (declared after first use), evaluate their arguments first."""
-    op = COMPARISONS.get(evaluator)
-    if op is None or len(terms) != 2:
-        args = _compile_args(terms, bound, stager, True)
-
-        def other(w: World, env: list) -> bool:
-            count = len(args(w, env))
+def _comparison(evaluator: str, terms: Sequence[Term], space: Structure
+                ) -> Callable[[World, list], Iterator[bool]]:
+    """A built-in predicate's combiner on either route: from the world and
+    its arguments' values, one column per term, evaluated left to right, to
+    its truth at each position.  A comparison maps its operator over its
+    two arguments, unwrapping, position by position, only an argument that
+    is not a raw number already; `true` holds at every position, and a
+    comparison with another number of arguments (declared after first use)
+    fails."""
+    op, count = COMPARISONS.get(evaluator), len(terms)
+    if op is None or count != 2:
+        def other(w: World, args: list) -> Iterator[bool]:
             if op is None:
-                return True
+                return repeat(True)
             raise EvaluationFailure(f"comparison expects 2 args, got {count}")
 
         return other
-    first, second = (_compile_term(t, bound, stager, True) for t in terms)
-    raw_first, raw_second = (_yields_raw(t, stager.space) for t in terms)
-    if raw_first and raw_second:
-        return lambda w, env: op(first(w, env), second(w, env))
-    if raw_first:
-        return lambda w, env: op(first(w, env), number_of(second(w, env)))
+    raw_first, raw_second = (_yields_raw(t, space) for t in terms)
 
-    def compare(w: World, env: list) -> bool:
-        a, b = first(w, env), second(w, env)
-        return op(number_of(a), b if raw_second else number_of(b))
+    def compare(w: World, args: list) -> Iterator[bool]:
+        a, b = args
+        return map(op, a if raw_first else map(number_of, a), b if raw_second else map(number_of, b))
 
     return compare
 
@@ -921,8 +908,10 @@ def _kripke_atom(a: Atom, bound: dict[Variable, int], stager: _Stager) -> Test:
         return generalized
     space = stager.space
     evaluator = space.signature.builtin_predicates.get(a.pred)
-    if evaluator is not None:
-        return _builtin_test(evaluator, a.args, bound, stager)
+    if evaluator is not None:  # its combiner over one-position columns
+        values = _compile_args(a.args, bound, stager, True)
+        holds = _comparison(evaluator, a.args, space)
+        return lambda w, env: next(holds(w, zip(values(w, env))))
     concept = space.registry.by_predicate.get(a.pred)
     args = _compile_args(a.args, bound, stager, False)
     if concept is None:  # not declared: fails where reached

@@ -3,9 +3,10 @@
 `_compile_tarski` compiles a formula for `semantics.tarski_eval`, for a
 concept's extension in a world (`World.extension_of`) and for the models of
 the axioms (`is_model_of`).  It shares the core of `ifol.semantics` -- the
-slot environment, the cache entry, the term compiler and its staging, and
-the assignment budget -- but not the Kripke closures, so the two routes'
-agreement stays an independent check.  It reads no relational plan.
+slot environment, the cache entry, the term compiler and its staging, the
+built-in predicates' combiner and the assignment budget -- but not the
+Kripke closures, so the two routes' agreement stays an independent check.
+It reads no relational plan.
 
 The route runs a column at a time over a core's last parameter, the
 innermost variable of a sweep (selection vectors: MonetDB/X100, Boncz,
@@ -23,10 +24,12 @@ drops that position.  No closure is run on an empty selection.
   abstraction one evaluation per position.  A staged one keeps its values
   by column value (`_ColumnStager.column`).  Any other term is
   `_compile_term`'s closure, evaluated once per column.
-* An atom that does not read the column holds, or raises, alike at every
-  position, so it is evaluated once per column; a unary atom on the column
-  variable tests each position's value; any other atom maps its operator
-  or its membership test over its arguments' columns.
+* A unary concept atom on a variable tests that variable's values.  Any
+  other atom (`_exact`) maps its predicate's combiner -- the built-in
+  comparison `semantics._comparison` or relation membership -- over its
+  arguments' values; one none of whose arguments reads the column holds,
+  or raises, alike at every position, so its arguments are evaluated once
+  per column.
 * `&` narrows the positions conjunct by conjunct, `~` takes their
   complement, and `exists` runs its body one pool value at a time over the
   positions neither satisfied nor failed yet.
@@ -46,26 +49,21 @@ from operator import itemgetter, not_
 from typing import Callable, Iterable
 
 from . import semantics
-from .builtins import COMPARISONS, number_of
-from .errors import EvaluationFailure, IfolError, UnknownSymbol
+from .errors import IfolError, UnknownSymbol
 from .kernel import Element
 from .semantics import (
     _EMPTY,
     Structure,
-    Test,
     World,
-    _builtin_test,
-    _compile_args,
+    _comparison,
     _Core,
     _finish,
     _level,
     _nesting,
-    _no_predicate,
     _Reads,
     _staged,
     _Stager,
     _term,
-    _yields_raw,
 )
 from .syntax import Abstracted, And, Atom, FnApp, Formula, Term, Var, Variable, conjuncts, negations
 
@@ -195,9 +193,10 @@ def _tarski(f: Formula, bound: dict[Variable, int], stager: _Stager) -> ColumnTe
 def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager, negated: bool
                  ) -> ColumnTest:
     """An atom's test, or its negation's.  A unary concept atom on a variable
-    tests that variable's values.  Any other atom none of whose arguments
-    reads the column holds, or raises, alike at every position, so it is
-    evaluated once per column, as one evaluation evaluates it."""
+    tests that variable's values; any other atom is `_exact`'s test, over
+    its argument terms and the combiner of its predicate: a built-in one's
+    `_comparison`, a concept's relation membership, or, for a predicate
+    with neither, a failure."""
     space = stager.space
     evaluator = space.signature.builtin_predicates.get(a.pred)
     concept = space.registry.by_predicate.get(a.pred)
@@ -218,17 +217,9 @@ def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager, negated: 
                 return () if ((env[slot],) in w.relations.get(name, _EMPTY)) is negated else sel
 
         return test
-    if not any(_reads_slot(t, bound, stager.params - 1) for t in a.args):
-        if evaluator is not None:
-            return _once(_builtin_test(evaluator, a.args, bound, stager), negated)
-        args = _compile_args(a.args, bound, stager, False)
-        if concept is None:  # not declared: fails where reached
-            return _once(_no_predicate(a.pred, args), negated)
-        name = concept.name
-        return _once(lambda w, env: args(w, env) in w.relations.get(name, _EMPTY), negated)
     parts = _tarski_terms(a.args, bound, stager, evaluator is not None)
     if evaluator is not None:
-        return _exact(parts, _comparison(evaluator, a.args, stager.space), negated)
+        return _exact(parts, _comparison(evaluator, a.args, space), negated)
     if concept is None:  # not declared: fails where reached
         pred = a.pred
 
@@ -237,31 +228,24 @@ def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager, negated: 
 
         return _exact(parts, fail, negated)
     name = concept.name
+    # a nullary atom tests the empty tuple
     return _exact(parts, lambda w, args: map(w.relations.get(name, _EMPTY).__contains__,
-                                             zip(*args)), negated)
-
-
-def _once(holds: Test, negated: bool) -> ColumnTest:
-    """The test of an atom that does not read the column, from its truth."""
-    def test(w: World, env: list, col: Sequence[Element], sel: Sequence[int],
-             errs: dict) -> Sequence[int]:
-        try:
-            return sel if holds(w, env) != negated else ()
-        except IfolError as exc:
-            errs.update(dict.fromkeys(sel, exc))
-            return ()
-
-    return test
+                                             zip(*args) if args else repeat(())), negated)
 
 
 def _exact(parts: list[tuple[Callable, bool]], combine: Callable, negated: bool
            ) -> ColumnTest:
     """An atom's test from its argument terms (see `_tarski_terms`) and
     `combine`, from the world and the arguments' values at the selected
-    positions to the atom's truth at each.  Where that raises at some
-    position, each position is run again on its own and an error is recorded
-    for the position it raises at, so each position evaluates what the one
-    evaluation there evaluates."""
+    positions to the atom's truth at each.  An atom none of whose arguments
+    is a column holds, or raises, alike at every position, so its arguments
+    are evaluated once per column and an error is recorded at every
+    position.  Where a column atom raises at some position, each position
+    is run again on its own and an error is recorded for the position it
+    raises at, so each position evaluates what the one evaluation there
+    evaluates."""
+    columns = any(column for _, column in parts)
+
     def test(w: World, env: list, col: Sequence[Element], sel: Sequence[int],
              errs: dict) -> Sequence[int]:
         try:
@@ -271,8 +255,8 @@ def _exact(parts: list[tuple[Callable, bool]], combine: Callable, negated: bool
             truths = combine(w, args)
             return list(compress(sel, map(not_, truths) if negated else truths))
         except IfolError as exc:
-            if len(sel) == 1:
-                errs[sel[0]] = exc
+            if len(sel) == 1 or not columns:
+                errs.update(dict.fromkeys(sel, exc))
                 return ()
         held: list[int] = []
         for i in sel:
@@ -280,27 +264,6 @@ def _exact(parts: list[tuple[Callable, bool]], combine: Callable, negated: bool
         return held
 
     return test
-
-
-def _comparison(evaluator: str, terms: Sequence[Term], space: Structure) -> Callable:
-    """`_builtin_test` over columns: a comparison maps its operator over its
-    arguments, unwrapping, position by position, only an argument that is
-    not a raw number already; `true` holds at every position."""
-    op = COMPARISONS.get(evaluator)
-    if op is None or len(terms) != 2:
-        def other(w: World, args: list) -> Iterable[bool]:
-            if op is None:
-                return repeat(True)
-            raise EvaluationFailure(f"comparison expects 2 args, got {len(args)}")
-
-        return other
-    raw_first, raw_second = (_yields_raw(t, space) for t in terms)
-
-    def compare(w: World, args: list) -> Iterable[bool]:
-        a, b = args
-        return map(op, a if raw_first else map(number_of, a), b if raw_second else map(number_of, b))
-
-    return compare
 
 
 def _tarski_terms(terms: Sequence[Term], bound: dict[Variable, int], stager: _Stager,

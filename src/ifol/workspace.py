@@ -185,10 +185,15 @@ def load_workspace(source: Union[str, Path], max_worlds: int = MAX_WORLDS) -> Wo
     """Parse and validate a workspace; raises ValidationError with every
     line-numbered diagnostic on any failure.
 
-    A Path is read from disk; a plain string is taken as the file content.
+    A Path is read from disk as UTF-8 text, and a file that is not gives one
+    diagnostic; a plain string is taken as the file content.
     """
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
+        try:
+            text = source.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError([f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})"]
+                                  ) from None
     else:
         text = source
     lines: list[_Line] = []

@@ -146,7 +146,7 @@ def isa_workspaces(draw) -> str:
             lines.append(f"isa {pred}-hood {draw(st.sampled_from(['reals', 'k-ness']))}")
     concepts = [(pred, (sort,)) for pred, sort in unary]
     free = [Variable("xs", "s"), Variable("xt", "t")]
-    # a constant pins its particular, and a unary atom on it tests one bit
+    # a constant pins its particular, and a unary atom on it is a plan selection
     constants = {"s": members["s"] + members["t"], "t": members["t"]}
 
     def formula(depth: int) -> str:

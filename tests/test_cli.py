@@ -76,6 +76,16 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ifol")]) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["check"], ["concepts", "p"]])
+def test_a_file_that_is_not_utf8_is_one_load_diagnostic(tmp_path, capsys, command):
+    bad = tmp_path / "bad.ifol"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+
 def test_check_subcommand(capsys):
     assert main(["check", str(FIXTURES / "en_problem.ifol")]) == 0
     assert "ok:" in capsys.readouterr().out

@@ -32,6 +32,33 @@ def test_engine_imports_only_the_standard_library():
     assert {name: pkgs for name, pkgs in outside.items() if pkgs} == {}
 
 
+def _engine_imports(path: Path) -> set[str]:
+    """The engine modules a module imports, relatively or as `ifol.<name>`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("ifol."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ifol")):
+            module = (node.module or "").removeprefix("ifol").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import <module>
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_the_tarski_route_and_the_plans_import_nothing_of_each_other():
+    """Bealer-Montague compares a concept's extension, taken on the Tarski
+    route, with the intension a relational plan gives: two evaluators, kept
+    apart so that their agreement is a check."""
+    tarski, plan = (_engine_imports(ROOT / "src" / "ifol" / name)
+                    for name in ("tarski.py", "plan.py"))
+    assert "semantics" in tarski and "syntax" in plan
+    assert "plan" not in tarski
+    assert "tarski" not in plan
+
+
 def test_project_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies\s*=\s*\[\s*\]\s*$", text, re.MULTILINE)

@@ -632,6 +632,28 @@ def test_union_concept_extension_is_pointwise_union():
         assert world.extension_of(union) == lhs | rhs
 
 
+def test_a_sort_is_a_concept_whose_extension_is_its_valid_elements():
+    """Sorts are concepts: in every world the extension of a sort's concept
+    is its valid elements, a subsort's members included, as 1-tuples, and
+    no enumerated relation stands for it."""
+    ws = load_workspace("sort thing\n"
+                        "sort cat\n"
+                        "isa cat thing\n"
+                        "particular a : thing\n"
+                        "particular b : thing\n"
+                        "particular tom : cat\n"
+                        "concept being-p arity 1 sorts thing predicate p\n"
+                        "concept purring arity 1 sorts cat predicate purrs\n")
+    sorts = {name: ConceptRef(ws.domain.concepts[name]) for name in ("thing", "cat")}
+    worlds = ws.worlds()
+    assert len(worlds) == 16
+    for world in worlds:
+        assert not {"thing", "cat"} & set(world.relations)
+        extents = {name: sorted(element_lexeme(x) for (x,) in world.extension_of(ref))
+                   for name, ref in sorts.items()}
+        assert extents == {"thing": ["a", "b", "tom"], "cat": ["tom"]}
+
+
 def test_accessibility_is_equivalence():
     ws = pets_ws()
     x = Variable("x", "animal")

@@ -216,6 +216,45 @@ def test_two_conjuncts_raising_at_different_positions_raise_the_first_in_order()
             truth(world, {z: values["3"]}, phi)
 
 
+def test_an_atom_reading_no_column_is_evaluated_once_per_column(monkeypatch):
+    """Over x, y and z, 4 values each, with staging off: the first conjunct
+    does not read z, the Tarski route's column, so add(x, y) is applied once
+    per (x, y), not at each of the 64 assignments as on the Kripke route.
+    Where such an atom raises, its one error stands for every position: the
+    first (x, y) divides by zero once, and nothing is evaluated again."""
+    calls = _applies(monkeypatch)
+    monkeypatch.setattr(ifol.semantics._Stager, "slot", _unstaged)
+    ws = load_workspace(NUMBERS)
+    (world,) = ws.worlds()
+    phi = ws.parse("leq(add(x:reals, y:reals), 9) & leq(z:reals, 9)")
+    for route, applied in ((_compile_tarski, 16), (_compile_kripke, 64)):
+        assert len(next(_tuples_where(_core(ws.space, phi, route), (world,)))) == 64
+        assert calls.count("add") == applied
+        calls.clear()
+    psi = ws.parse("leq(div(1, sub(x:reals, y:reals)), 9) & leq(z:reals, 9)")
+    core = _core(ws.space, psi, _compile_tarski)
+    for search in (lambda: next(_tuples_where(core, (world,))), lambda: _first_failure(core, world)):
+        with pytest.raises(EvaluationFailure, match="division by zero"):
+            search()
+        assert (calls.count("sub"), calls.count("div")) == (1, 1)
+        calls.clear()
+
+
+def test_an_atom_with_no_argument_tests_the_empty_tuple_on_both_routes():
+    """`p()` over the unary p (an atom the API builds, which the loader's sort
+    check would refuse) tests `()` against p's relation: it holds nowhere,
+    so `~p() & p(x)` holds where p(x) does, on a column too."""
+    ws = load_workspace("sort s\n"
+                        "extent s = { a, b }\n"
+                        "concept p-hood arity 1 sorts s predicate p\n")
+    phi, psi = ws.parse("~p()"), ws.parse("~p() & p(x:s)")
+    for world in ws.worlds():
+        assert satisfies(world, {}, phi) and tarski_eval(world, {}, phi)
+        for route in (_compile_kripke, _compile_tarski):
+            rows = next(_tuples_where(_core(ws.space, psi, route), (world,)))
+            assert rows == world.relation("p-hood")
+
+
 def test_a_failure_before_a_raising_position_is_returned_and_nothing_raised():
     """As an axiom, `leq(div(1, sub(z, 3)), -1)` fails at z = 0, before z = 3,
     where it divides by zero: the search for a failure returns z = 0 on both

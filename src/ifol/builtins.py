@@ -81,7 +81,9 @@ def apply_function(evaluator: str, args: Sequence[Union[Element, Number]]) -> Nu
     if len(args) != arity:
         raise EvaluationFailure(f"{evaluator} expects {arity} args, got {len(args)}")
     if arity == 2:  # the common case, unwrapped inline
-        return fn(number_of(args[0]), number_of(args[1]))
+        a, b = args
+        return fn(a if a.__class__ in _RAW else number_of(a),
+                  b if b.__class__ in _RAW else number_of(b))
     return fn(*map(number_of, args))
 
 

@@ -37,13 +37,16 @@ per world: its rows, a frozenset of tuples over the columns' sort pools.
   on the first run that needs it and kept for the plan's life;
 * `exists` is a projection; over a variable its body does not read, it is the
   body when the variable's pool is nonempty and empty otherwise;
-* a comparison is a selection over the product of its variables' pools, by
-  nested loops as a Datalog engine runs arithmetic (Soufflé, Jordan, Scholz
-  & Subotić, CAV 2016).  Its rows do not read the world: the first run
-  that needs them computes them, with the operators `apply_function` uses,
-  each sub-term once per binding of the variables it reads (see `_select`),
-  the plan keeps them for its life, and every run repeats them once per
-  world.
+* a comparison is a selection over the product of its variables' pools:
+  nested loops over all but the last two, as a Datalog engine runs
+  arithmetic (Soufflé, Jordan, Scholz & Subotić, CAV 2016), and under them
+  one block over the last two, the operators mapped across it a chunk of at
+  most `_BLOCK` positions at a time.  Its rows do not read the world: the
+  first run that needs them computes them, with the operators
+  `apply_function` uses, each sub-term once per binding of the variables it
+  reads, or, over both block columns, of every variable before the block
+  (see `_select`); the plan keeps them for its life, and every run repeats
+  them once per world.
 
 A unary concept atom over a variable whose pool is the concept's pool is a
 mask node instead: its entries are the concept's column itself, the masks
@@ -105,6 +108,12 @@ _Node = tuple[tuple[Variable, ...], _Run, Optional[int]]
 _EMPTY: Rows = frozenset()
 _TRUE: Rows = frozenset({()})
 _TRUTH = (_EMPTY, _TRUE)  # the rows of a closed formula, by its truth value
+# A comparison's selection maps its operators across at most this many
+# positions of its last two columns at a time (see `_select`), so it holds
+# that many values per cell, not the product of the two pools.  The sphere
+# workspace over {-8..8}^3 has a block of 289 positions, far below it.  It
+# bounds memory per step and is not a user option.
+_BLOCK = 1024
 
 
 class _Cell(NamedTuple):
@@ -441,40 +450,84 @@ class _Planner:
 def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int, right: int,
             pools: list[tuple[Element, ...]]) -> Rows:
     """The rows over `pools` at which `op` holds between the values of the
-    cells `left` and `right`, bound in nested loops, the first column
-    outermost.  A cell is evaluated once per binding of the columns it reads:
-    a cell over no column once, over one column as a table over its pool,
-    over several once per binding of all but the last, across the last one's
-    pool by a `map`; the test is a `map` across the innermost pool."""
+    cells `left` and `right`.  Every column but the last two is bound in
+    nested loops, the first outermost, and under each binding the last two
+    are one block: the flat product of their pools, in chunks of whole
+    values of the second-last column, `_BLOCK` positions at most unless one
+    value is wider.  One column is a block with no second-last column.
+
+    A cell over no column is evaluated once.  Any other is a column across
+    the pool of its last column, evaluated once every other column it reads
+    is bound (a cell over one column is a table over its pool), so once per
+    binding of the columns it reads; but a cell over both block columns is
+    mapped across each chunk, once per binding of every column before the
+    block.  In a chunk a cell whose last column is the second-last is
+    repeated once per value of the last column, and a cell over the last
+    column alone among the two is tiled.  `op` is mapped across the chunk,
+    and `compress` picks the rows of the chunk's product."""
+    if not all(pools):
+        return _EMPTY
+    second = len(pools) - 2  # the block's first column, -1 when it is the only one
+    depth = max(second, 0)  # the columns bound in loops
     last = [max(c.reads, default=-1) for c in cells]
     scalar: list = [c.value for c in cells]  # a cell's value at the current binding
     column: list = [None] * len(cells)  # its values across the pool of its last column
-    later: list[list[int]] = [[] for _ in pools]  # the cells over several columns
-
-    def across(i: int, j: int):
-        return column[i] if last[i] == j else itertools.repeat(scalar[i])
-
+    later: list[list[int]] = [[] for _ in range(depth + 1)]  # the cells evaluated at each depth
+    inner: list[int] = []  # the cells over both block columns
     for i, c in enumerate(cells):
         if c.fn is None:
             if c.reads:
                 column[i] = [p.value for p in pools[last[i]]]
-        elif len(c.reads) > 1:
-            later[last[i]].append(i)
-        elif c.reads:
-            column[i] = list(map(c.fn, *[across(a, last[i]) for a in c.args]))
-        else:
+        elif not c.reads:
             scalar[i] = c.fn(*[scalar[a] for a in c.args])
+        elif second in c.reads and last[i] == second + 1:
+            inner.append(i)
+        else:
+            later[max(c.reads - {last[i]}, default=-1) + 1].append(i)
     if not pools:
         return _TRUE if op(scalar[left], scalar[right]) else _EMPTY
-    at = [[i for i in range(len(cells)) if last[i] == j] for j in range(len(pools))]
+    at = [[i for i in range(len(cells)) if last[i] == j] for j in range(depth)]
+    heads = pools[second] if second >= 0 else (None,)  # one column: one chunk of no value
+    tail = pools[-1]
+    step = max(_BLOCK // len(tail), 1)  # values of the second-last column per chunk
     out: list[tuple[Element, ...]] = []
+
+    def across(i: int, j: int):
+        return column[i] if last[i] == j else itertools.repeat(scalar[i])
+
+    def block(prefix: tuple[Element, ...]) -> None:
+        for start in range(0, len(heads), step):
+            chunk = heads[start:start + step]
+            made: dict[int, list] = {}  # the cells over both block columns, across the chunk
+
+            def values(i: int) -> Iterable:  # cell i across the chunk's positions
+                if i in made:
+                    return made[i]
+                if last[i] == second + 1:  # tiled
+                    return column[i] if len(chunk) == 1 \
+                        else itertools.chain.from_iterable(itertools.repeat(column[i], len(chunk)))
+                if last[i] == second >= 0:  # repeated
+                    if len(chunk) == 1:
+                        return itertools.repeat(column[i][start], len(tail))
+                    return itertools.chain.from_iterable(map(
+                        itertools.repeat, column[i][start:start + step], itertools.repeat(len(tail))))
+                return itertools.repeat(scalar[i])
+
+            for i in inner:
+                made[i] = list(map(cells[i].fn, *map(values, cells[i].args)))
+            keep = map(op, values(left), values(right))
+            if len(chunk) == 1:  # pick from the last pool alone: no pair per dropped position
+                lead = prefix + chunk if second >= 0 else prefix
+                out.extend(map(lead.__add__, zip(itertools.compress(tail, keep))))
+            else:
+                out.extend(map(prefix.__add__,
+                               itertools.compress(itertools.product(chunk, tail), keep)))
 
     def walk(j: int, prefix: tuple[Element, ...]) -> None:
         for i in later[j]:
-            column[i] = list(map(cells[i].fn, *[across(a, j) for a in cells[i].args]))
-        if j == len(pools) - 1:
-            keep = map(op, across(left, j), across(right, j))
-            out.extend(map(prefix.__add__, zip(itertools.compress(pools[j], keep))))
+            column[i] = list(map(cells[i].fn, *[across(a, last[i]) for a in cells[i].args]))
+        if j == depth:
+            block(prefix)
             return
         for index, p in enumerate(pools[j]):
             for i in at[j]:  # the cells whose last column is j

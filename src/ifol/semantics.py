@@ -18,9 +18,9 @@ per quantifier after them.  A quantifier writes only its own slot, so no
 assignment dict is copied, and constants, concepts and evaluators are resolved
 once per node instead of once per call.  Each route has its own compiler, so
 their agreement stays an independent check; they share only the term
-compiler and the built-in predicates' combiner (`_comparison`), which the
-Tarski route maps over columns and the Kripke route applies to one
-assignment's arguments.
+compiler and the built-in predicates' one definition (`_comparison`, a
+test of one position's argument values), which the Tarski route maps over
+columns and the Kripke route applies to one assignment's arguments.
 Compiled terms pass built-in arithmetic results between built-ins as raw
 numbers and box a value as a particular only where it leaves arithmetic; a
 comparison applies its operator to its arguments, unwrapping only those
@@ -792,30 +792,30 @@ def _tuple_of(values: list[Value]) -> Args:
     return lambda w, env: tuple([v(w, env) for v in values])
 
 
-def _comparison(evaluator: str, terms: Sequence[Term], space: Structure
-                ) -> Callable[[World, list], Iterator[bool]]:
-    """A built-in predicate's combiner on either route: from the world and
-    its arguments' values, one column per term, evaluated left to right, to
-    its truth at each position.  A comparison maps its operator over its
-    two arguments, unwrapping, position by position, only an argument that
-    is not a raw number already; `true` holds at every position, and a
-    comparison with another number of arguments (declared after first use)
-    fails."""
+def _comparison(evaluator: str, terms: Sequence[Term], space: Structure) -> Callable[..., bool]:
+    """A built-in predicate's one definition on either route: its truth from
+    its arguments' values at one position, which are evaluated, left to
+    right, before it is called.  A comparison applies its operator,
+    unwrapping with `number_of`, left to right, only an argument that is not
+    a raw number already, so over two raw arguments it is the bare operator;
+    `true` holds, and a comparison with another number of arguments
+    (declared after first use) fails."""
     op, count = COMPARISONS.get(evaluator), len(terms)
-    if op is None or count != 2:
-        def other(w: World, args: list) -> Iterator[bool]:
-            if op is None:
-                return repeat(True)
+    if op is None:
+        return lambda *values: True
+    if count != 2:
+        def fail(*values: object) -> bool:
             raise EvaluationFailure(f"comparison expects 2 args, got {count}")
 
-        return other
+        return fail
     raw_first, raw_second = (_yields_raw(t, space) for t in terms)
-
-    def compare(w: World, args: list) -> Iterator[bool]:
-        a, b = args
-        return map(op, a if raw_first else map(number_of, a), b if raw_second else map(number_of, b))
-
-    return compare
+    if raw_first and raw_second:
+        return op
+    if raw_first:
+        return lambda a, b: op(a, number_of(b))
+    if raw_second:
+        return lambda a, b: op(number_of(a), b)
+    return lambda a, b: op(number_of(a), number_of(b))
 
 
 def _yields_raw(t: Term, space: Structure) -> bool:
@@ -908,10 +908,13 @@ def _kripke_atom(a: Atom, bound: dict[Variable, int], stager: _Stager) -> Test:
         return generalized
     space = stager.space
     evaluator = space.signature.builtin_predicates.get(a.pred)
-    if evaluator is not None:  # its combiner over one-position columns
-        values = _compile_args(a.args, bound, stager, True)
+    if evaluator is not None:  # its test of the arguments' values
         holds = _comparison(evaluator, a.args, space)
-        return lambda w, env: next(holds(w, zip(values(w, env))))
+        if len(a.args) == 2:
+            first, second = (_compile_term(t, bound, stager, True) for t in a.args)
+            return lambda w, env: holds(first(w, env), second(w, env))
+        values = _compile_args(a.args, bound, stager, True)
+        return lambda w, env: holds(*values(w, env))
     concept = space.registry.by_predicate.get(a.pred)
     args = _compile_args(a.args, bound, stager, False)
     if concept is None:  # not declared: fails where reached

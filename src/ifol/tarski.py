@@ -4,7 +4,7 @@
 concept's extension in a world (`World.extension_of`) and for the models of
 the axioms (`is_model_of`).  It shares the core of `ifol.semantics` -- the
 slot environment, the cache entry, the term compiler and its staging, the
-built-in predicates' combiner and the assignment budget -- but not the
+built-in predicates' one definition and the assignment budget -- but not the
 Kripke closures, so the two routes' agreement stays an independent check.
 It reads no relational plan.
 
@@ -195,8 +195,8 @@ def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager, negated: 
     """An atom's test, or its negation's.  A unary concept atom on a variable
     tests that variable's values; any other atom is `_exact`'s test, over
     its argument terms and the combiner of its predicate: a built-in one's
-    `_comparison`, a concept's relation membership, or, for a predicate
-    with neither, a failure."""
+    `_comparison` mapped over the arguments' values, a concept's relation
+    membership, or, for a predicate with neither, a failure."""
     space = stager.space
     evaluator = space.signature.builtin_predicates.get(a.pred)
     concept = space.registry.by_predicate.get(a.pred)
@@ -219,7 +219,9 @@ def _tarski_atom(a: Atom, bound: dict[Variable, int], stager: _Stager, negated: 
         return test
     parts = _tarski_terms(a.args, bound, stager, evaluator is not None)
     if evaluator is not None:
-        return _exact(parts, _comparison(evaluator, a.args, space), negated)
+        holds = _comparison(evaluator, a.args, space)
+        return _exact(parts, lambda w, args: map(holds, *args) if args else repeat(holds()),
+                      negated)
     if concept is None:  # not declared: fails where reached
         pred = a.pred
 

@@ -4,6 +4,8 @@ every report stays the one the assignment sweep gives."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -119,6 +121,57 @@ def test_a_comparison_is_computed_once_and_not_at_compile_time(monkeypatch):
     assert made and plan(other) is rows and len(calls) == made
     pool = ws.domain.valid_elements("integers")
     assert rows == {(x, y) for x in pool for y in pool if x.value ** 2 - y.value < 1}
+
+
+def _reals(count: int, *predicates: str) -> str:
+    """The reals 0..count-1, add, mul and the built-in `predicates`."""
+    values = ", ".join(str(i) for i in range(count))
+    return ("sort rationals\nsort reals\nisa rationals reals\n"
+            f"extent reals = {{ {values} }}\n"
+            "builtin function add/2 : reals x reals -> reals = add\n"
+            "builtin function mul/2 : reals x reals -> reals = mul\n"
+            + "".join(f"builtin predicate {name}/2 : reals x reals = {name}\n"
+                      for name in predicates))
+
+
+@pytest.mark.parametrize("block", [ifol.plan._BLOCK, 7, 14])
+def test_a_comparison_computes_each_cell_once_per_binding_of_its_columns(monkeypatch, block):
+    """Over 7 reals, `x + y` reads x and y, and `x * z` reads x and z but
+    not y, between them: each is computed 49 times, once per binding of the
+    two columns it reads, not once per binding of all three.  The rows are
+    the Kripke sweep's with a block of any size: the default, 7 positions
+    (chunks of one value of y), and 14 (two values, and one in the last)."""
+    calls = []
+    totals = {name: (arity, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+              for name, (arity, fn) in ifol.plan.TOTAL_FUNCTIONS.items()}
+    monkeypatch.setattr(ifol.plan, "TOTAL_FUNCTIONS", totals)
+    monkeypatch.setattr(ifol.plan, "_BLOCK", block)
+    ws = load_workspace(_reals(7, "lt"))
+    phi = ws.parse("lt(x:reals + y:reals, x * z:reals)")
+    (world,) = ws.worlds()
+    rows = intension_plan(ws.space, phi)(world)
+    assert (calls.count("add"), calls.count("mul")) == (49, 49)
+    assert rows == next(_tuples_where(_core(ws.space, phi, _compile_kripke), (world,)))
+
+
+@pytest.mark.parametrize("text, count", [("eq(x:reals, y:reals)", 1000),
+                                         ("eq(x:reals + y:reals, 399)", 400)])
+def test_a_selection_holds_one_block_at_a_time(text, count):
+    """`eq(x, y)` over 1,000 reals is a product of 10^6 positions with 1,000
+    rows, and `x + y` over 400 reals is computed at 160,000; the first run
+    of each peaks under 2 MB, as the selection holds at most `_BLOCK`
+    positions of a cell at a time."""
+    ws = load_workspace(_reals(count, "eq"))
+    plan = intension_plan(ws.space, ws.parse(text))
+    (world,) = ws.worlds()
+    tracemalloc.start()
+    try:
+        rows = plan(world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count
+    assert peak < 2 * 2 ** 20
 
 
 def test_a_comparison_over_the_budget_keeps_the_sweep(monkeypatch):
@@ -354,17 +407,13 @@ def test_a_plan_on_a_world_is_the_column_run_at_its_index(graphs, data):
 
 # --- the three evaluators on generated workspaces ----------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(WORKSPACES, st.data())
-def test_kripke_tarski_and_plan_agree_per_world(text, data):
+def _three_evaluators_agree(ws, formulas) -> None:
     """Per formula and world, the Kripke and the Tarski sweeps give the same
     rows or the same error, and where the formula has a plan, the plan gives
     those rows.  The intension over the enumeration's column and over a list
     of its worlds gives the Kripke rows, or their truth values for a closed
     formula, wherever no world raises."""
-    ws = load_workspace(text + EMPTY_POOLS)
-    drawn = data.draw(st.lists(fragment_formulas(ws), min_size=4, max_size=8))
-    for phi in [phi for _, phi in ws.all_formulas()] + drawn:
+    for phi in formulas:
         plan = intension_plan(ws.space, phi)
         kripke, tarski = (_core(ws.space, phi, route) for route in (_compile_kripke,
                                                                     _compile_tarski))
@@ -380,6 +429,29 @@ def test_kripke_tarski_and_plan_agree_per_world(text, data):
                 per_world = [() in rows for rows in per_world]
             for worlds in (ws.worlds(), list(ws.worlds())):
                 assert montague_intension(ws.space, phi, worlds) == per_world
+
+
+@settings(max_examples=60, deadline=None)
+@given(WORKSPACES, st.data())
+def test_kripke_tarski_and_plan_agree_per_world(text, data):
+    ws = load_workspace(text + EMPTY_POOLS)
+    drawn = data.draw(st.lists(fragment_formulas(ws), min_size=4, max_size=8))
+    _three_evaluators_agree(ws, [phi for _, phi in ws.all_formulas()] + drawn)
+
+
+@settings(max_examples=30, deadline=None)
+@given(WORKSPACES, st.data())
+def test_the_evaluators_agree_with_blocks_of_1_and_5_positions(text, data):
+    """As above, with a comparison's selection cut into blocks of 1 position
+    (one value of the second-last column, wider than the block, per chunk)
+    and of 5 (some values per chunk, and fewer in the last)."""
+    drawn = data.draw(st.lists(fragment_formulas(load_workspace(text + EMPTY_POOLS)),
+                               min_size=4, max_size=8))
+    for block in (1, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ifol.plan, "_BLOCK", block)
+            ws = load_workspace(text + EMPTY_POOLS)
+            _three_evaluators_agree(ws, [phi for _, phi in ws.all_formulas()] + drawn)
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,7 +25,7 @@ from ifol.semantics import (
     is_model_of,
     montague_intension,
 )
-from ifol.syntax import free_vars
+from ifol.syntax import Atom, Const, FnApp, Var, free_vars
 from ifol.worlds import enumerate_worlds
 
 from conftest import many_sorted_assignments
@@ -253,6 +253,40 @@ def test_an_atom_with_no_argument_tests_the_empty_tuple_on_both_routes():
         for route in (_compile_kripke, _compile_tarski):
             rows = next(_tuples_where(_core(ws.space, psi, route), (world,)))
             assert rows == world.relation("p-hood")
+
+
+def test_a_comparison_gives_equal_rows_and_errors_on_both_routes():
+    """A built-in comparison has one definition, which the Kripke route
+    applies to one assignment's two values and the Tarski route maps over
+    columns.  Over the reals -8..8, `leq(x, y) & leq(y, z)` holds at the 969
+    non-decreasing triples on both routes.  With the particular foo, which
+    is no number, among the reals, it raises the same error on both, but
+    only after both arguments are evaluated, so `div(x, 0)` raises first.  A
+    comparison given three arguments or none (atoms the API builds, which
+    the loader's sort check would refuse) fails alike on both, after its
+    arguments."""
+    reals = ", ".join(str(i) for i in range(-8, 9))
+    text = (f"sort rationals\nsort reals\nisa rationals reals\nextent reals = {{ {reals} }}\n"
+            "builtin function div/2 : reals x reals -> reals = div\n"
+            "builtin predicate leq/2 : reals x reals = leq\n")
+    plain, foo = load_workspace(text), load_workspace(text + "particular foo : reals\n")
+    phi = plain.parse("leq(x:reals, y:reals) & leq(y, z:reals)")
+    x, y, z = (Var(v) for v in free_vars(phi))
+    cases = [(plain, phi, None),
+             (foo, phi, "'foo' is not a numeric particular"),
+             (foo, foo.parse("leq(foo, div(x:reals, 0))"), "division by zero"),
+             (plain, Atom("leq", (x, y, z)), "comparison expects 2 args, got 3"),
+             (plain, Atom("leq", ()), "comparison expects 2 args, got 0"),
+             (plain, Atom("leq", (x, y, FnApp("div", (Const("1"), Const("0"))))),
+              "division by zero")]
+    for ws, formula, error in cases:
+        (world,) = ws.worlds()
+        cores = [_core(ws.space, formula, route) for route in (_compile_kripke, _compile_tarski)]
+        kripke, tarski = (_outcome(lambda: next(_tuples_where(core, (world,)))) for core in cores)
+        assert kripke == tarski
+        assert kripke == ("EvaluationFailure", error) if error else len(kripke) == 969
+        kripke, tarski = (_outcome(lambda: _first_failure(core, world)) for core in cores)
+        assert kripke == tarski
 
 
 def test_a_failure_before_a_raising_position_is_returned_and_nothing_raised():

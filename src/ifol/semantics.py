@@ -811,11 +811,7 @@ def _comparison(evaluator: str, terms: Sequence[Term], space: Structure) -> Call
     raw_first, raw_second = (_yields_raw(t, space) for t in terms)
     if raw_first and raw_second:
         return op
-    if raw_first:
-        return lambda a, b: op(a, number_of(b))
-    if raw_second:
-        return lambda a, b: op(number_of(a), b)
-    return lambda a, b: op(number_of(a), number_of(b))
+    return lambda a, b: op(a if raw_first else number_of(a), b if raw_second else number_of(b))
 
 
 def _yields_raw(t: Term, space: Structure) -> bool:

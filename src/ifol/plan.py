@@ -43,9 +43,9 @@ per world: its rows, a frozenset of tuples over the columns' sort pools.
   one block over the last two, the operators mapped across it a chunk of at
   most `_BLOCK` positions at a time.  Its rows do not read the world: the
   first run that needs them computes them, with the operators
-  `apply_function` uses, each sub-term once per binding of the variables it
-  reads, or, over both block columns, of every variable before the block
-  (see `_select`); the plan keeps them for its life, and every run repeats
+  `apply_function` uses, each sub-term once per binding of the variables up
+  to the second-last one it reads, or, over both block columns, of every
+  variable before the block (see `_select`); the plan keeps them for its life, and every run repeats
   them once per world.
 
 A unary concept atom over a variable whose pool is the concept's pool is a
@@ -457,14 +457,15 @@ def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int,
     value is wider.  One column is a block with no second-last column.
 
     A cell over no column is evaluated once.  Any other is a column across
-    the pool of its last column, evaluated once every other column it reads
-    is bound (a cell over one column is a table over its pool), so once per
-    binding of the columns it reads; but a cell over both block columns is
-    mapped across each chunk, once per binding of every column before the
-    block.  In a chunk a cell whose last column is the second-last is
-    repeated once per value of the last column, and a cell over the last
-    column alone among the two is tiled.  `op` is mapped across the chunk,
-    and `compress` picks the rows of the chunk's product."""
+    the pool of its last column, evaluated as soon as every other column it
+    reads is bound (a cell over one column is a table over its pool), so
+    once per binding of the columns up to the second-last it reads, read or
+    not; but a cell over both block columns is mapped across each chunk,
+    once per binding of every column before the block.  In a chunk a cell
+    whose last column is the second-last is repeated once per value of the
+    last column, and a cell over the last column alone among the two is
+    tiled.  `op` is mapped across the chunk, and `compress` picks the rows
+    of the chunk's product."""
     if not all(pools):
         return _EMPTY
     second = len(pools) - 2  # the block's first column, -1 when it is the only one

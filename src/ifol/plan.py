@@ -15,15 +15,16 @@ its meaning in a world -- the tuples over its free variables that satisfy
 it -- is relational algebra over the world's relations (Codd, "Relational
 completeness of data base sublanguages", 1972; set-at-a-time relational
 logic as in Kodkod, Torlak & Jackson, TACAS 2007).  `compile_plan` is the
-fragment's one definition: it returns a plan for a formula inside it and
-None for any other.
+fragment's one definition: it returns a plan, the root node's closure, for
+a formula inside it and None for any other.
 
 A plan is a tree of nodes, run a column at a time (MonetDB/X100, Boncz,
 Zukowski & Nes, CIDR 2005).  Each node has columns, the free variables of
 its sub-formula, and a closure from the mask columns of some worlds (one
 column per registered concept, one mask per world in it, see
-`ifol.worlds`), the `Decoders` they share and their number, to one entry
-per world: its rows, a frozenset of tuples over the columns' sort pools.
+`ifol.worlds`), the decoders they share (one `Subsets` per concept) and
+their number, to one entry per world: its rows, a frozenset of tuples over
+the columns' sort pools.
 
 * an atom is its relation, `decoders[i][mask]` for each mask of the
   concept's column i, selected on its constants and repeated variables and
@@ -58,13 +59,11 @@ rows, and a mask becomes rows where it meets one, and at the root, through
 the decoder of its concept, so equal masks give the same frozenset object.
 A set node maps its per-world combiner over its children's entries.
 
-No node reads a `World`, so a plan runs over the columns of a whole
-enumeration (`Plan.column`, which `montague_intension` uses), over a list
-of worlds whose masks are turned into columns once, or on one world
-(`plan(world)`) as one-world columns, with the same closures.  Either way
-the worlds must have been enumerated under the plan's declaration stamp,
-so over its pools: a plan refuses a world built by hand or enumerated
-under another stamp, and `montague_intension` sweeps such worlds instead.
+No node reads a `World`: a plan runs over the columns of a
+`semantics.Worlds`, a whole enumeration or a view of some of its worlds,
+which `montague_intension` gives it only where the worlds were enumerated
+under the plan's declaration stamp, so over its pools; it sweeps any other
+sequence of worlds instead.
 
 At the root the columns are reordered to the parameters', so a closed formula
 gives `{()}` or `{}`.  A plan reads the sort pools when it is compiled, so
@@ -85,13 +84,12 @@ from operator import and_, invert, itemgetter, sub
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .builtins import COMPARISONS, TOTAL_FUNCTIONS
-from .errors import EvaluationFailure
 from .kernel import Element, Number, numeric_value
 from .syntax import (And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variable, conjuncts,
                      negations)
 
 if TYPE_CHECKING:
-    from .semantics import Decoders, Structure, World
+    from .semantics import Structure, Subsets
 
 Rows = frozenset[tuple[Element, ...]]
 # The mask columns of some worlds, one per registered concept in registration
@@ -102,7 +100,7 @@ Masks = Sequence[Sequence[int]]
 # entries are its rows.  For a mask node, its one column, the same closure,
 # whose entries are the masks of its rows over that column's pool, and the
 # concept `home` with that pool, whose decoder turns a mask into rows.
-_Run = Callable[[Masks, "Decoders", int], Iterable]
+_Run = Callable[[Masks, Sequence["Subsets"], int], Iterable]
 _Node = tuple[tuple[Variable, ...], _Run, Optional[int]]
 
 _EMPTY: Rows = frozenset()
@@ -132,37 +130,13 @@ class _Outside(Exception):
     budget."""
 
 
-class Plan:
-    """phi's rows per world, as tuples over its parameters, for the
-    declaration stamp it was compiled under.  `column(masks, decoders, n)`
-    is the root node's closure: the rows of each of n worlds, in order,
-    from their mask columns and the decoders they share, which carry the
-    plan's stamp."""
-
-    __slots__ = ("stamp", "column")
-
-    def __init__(self, stamp: int, column: _Run):
-        self.stamp = stamp
-        self.column = column
-
-    def __call__(self, w: World) -> Rows:
-        """The rows of one world enumerated under this plan's stamp, a run
-        over its masks as one-world columns; any other world, built by hand
-        or enumerated over other pools, is refused."""
-        decoders = w.decoders
-        if decoders is None or decoders.stamp != self.stamp:
-            raise EvaluationFailure(f"world {w.label} was not enumerated under the declarations "
-                                    f"the plan was compiled for")
-        (rows,) = self.column([(mask,) for mask in w.masks], decoders, 1)
-        return rows
-
-
 def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
-                 budget: int) -> Optional[Plan]:
-    """phi's plan over `params` (its free variables), or None when phi is
-    outside the fragment or a node's column product exceeds `budget`.
-    Compiling reads sort pools and allocates nothing in proportion to a
-    column product."""
+                 budget: int) -> Optional[_Run]:
+    """phi's plan over `params` (its free variables): the root node's
+    closure `(masks, decoders, n)` to the rows of each of n worlds, in
+    order, as tuples over `params`.  None when phi is outside the fragment
+    or a node's column product exceeds `budget`.  Compiling reads sort pools
+    and allocates nothing in proportion to a column product."""
     try:
         node = _Planner(space, budget).formula(phi)
     except _Outside:
@@ -171,7 +145,7 @@ def compile_plan(phi: Formula, params: tuple[Variable, ...], space: Structure,
     if cols != params:  # a mask node's one column is the one parameter
         project, unpicked = _projection([cols.index(v) for v in params]), run
         run = lambda m, d, n: map(project, unpicked(m, d, n))
-    return Plan(space.stamp, run)
+    return run
 
 
 def _decoded(node: _Node) -> _Run:
@@ -282,7 +256,7 @@ class _Planner:
                 and all(t[i] == t[j] for i, j in repeats)
                 and all(t[i] in pool for i, pool in wider))
 
-        def selected(m: Masks, d: Decoders, n: int) -> Iterable[Rows]:
+        def selected(m: Masks, d: Sequence[Subsets], n: int) -> Iterable[Rows]:
             made: dict[int, Rows] = {}  # per mask, as `Subsets` decodes it
 
             def one(mask: int) -> Rows:
@@ -310,7 +284,7 @@ class _Planner:
         pools = [self.pools[v] for v in cols]
         kept: list[Rows] = []
 
-        def rows(m: Masks, d: Decoders, n: int) -> Iterable[Rows]:
+        def rows(m: Masks, d: Sequence[Subsets], n: int) -> Iterable[Rows]:
             if not kept:
                 kept.append(_select(op, cells, left, right, pools))
             return itertools.repeat(kept[0], n)
@@ -361,7 +335,7 @@ class _Planner:
             return self.node(cols, lambda m, d, n: map(full.__xor__, run(m, d, n)), home)
         universe: list[Rows] = []
 
-        def rest(m: Masks, d: Decoders, n: int) -> Iterable[Rows]:
+        def rest(m: Masks, d: Sequence[Subsets], n: int) -> Iterable[Rows]:
             if not universe:
                 universe.append(frozenset(itertools.product(*pools)))
             return map(universe[0].__sub__, run(m, d, n))

@@ -89,21 +89,22 @@ counted: it raises where it is reached.
 Logical consequence, the per-world meaning of open formulas (their Montague
 intension) and the identity between a concept's extension and that intension
 are all decided by exhaustive enumeration over the worlds `ifol.worlds`
-enumerates, held as columns (`Worlds`) that build a `World` where a route
-reads one.  The deciding functions walk the worlds they are given: every
-world for an intension, one world per class of isomorphic worlds where the
-workspace finds that enough (`Workspace.representatives`, `World.leads`).
+enumerates, held as columns (`Worlds`, the one carrier of enumerated
+worlds) that build a `World` where a route reads one.  The deciding
+functions walk the worlds they are given: every world for an intension, one
+world per class of isomorphic worlds where the workspace finds that enough
+(`Workspace.representatives`, the view `Worlds.leaders`).
 
 An intension is computed a set at a time where it can be: a formula in the
 fragment that cannot raise -- concept atoms and built-in comparisons over
 finite numeric sorts -- has a relational plan (`ifol.plan`, the fragment's
 one definition), compiled once per stamp and kept in the formula's entry,
-which `montague_intension` runs over an enumeration's mask columns, or over
-a list of worlds enumerated under the plan's stamp (the representatives),
-their masks turned into columns once; a comparison's rows read no world, so
-the plan computes them once.  Any other formula, and any other sequence of
-worlds (worlds built by hand, an enumeration made before the last
-declaration), is swept on the Kripke route.
+which `montague_intension` runs over the mask columns of a `Worlds`
+enumerated under the current stamp, a whole enumeration or its leaders; a
+comparison's rows read no world, so the plan computes them once.  Any other
+formula, and any other sequence of worlds (a list, worlds built by hand, an
+enumeration made before the last declaration), is swept on the Kripke
+route.
 The plan is a third evaluator: consequence stays on the Kripke closures and
 a concept's extension on the Tarski ones, so Bealer-Montague still compares
 two independent routes.
@@ -114,10 +115,10 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Sequence
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .builtins import COMPARISONS, apply_function, number_of
 from .concepts import ConceptRegistry, Interpretation
@@ -139,7 +140,7 @@ from .kernel import (
     Number,
     element_lexeme,
 )
-from .plan import Plan, compile_plan
+from .plan import compile_plan
 from .sorting import Signature
 from .syntax import (
     Abstracted,
@@ -210,15 +211,6 @@ class Subsets(dict):
         return made
 
 
-class Decoders(tuple):
-    """The decoders of one enumeration: one per registered concept, in
-    registration order (None for a concept no mask is read for), and the
-    declaration `stamp` under which their pools were read.  They hold no
-    world."""
-
-    stamp: int
-
-
 class _Decoded:
     """`World.relations` of an enumerated world: decoded from its masks at
     the first read and kept in the world's own dict, which later reads find
@@ -235,29 +227,26 @@ class World:
     """One extensionalization function over the structure's concepts: a
     relation per registered concept and a graph per declared function.
 
-    An enumerated world is one index of its enumeration's columns (see
-    `Worlds`), built when a route first reads it: its masks, that index
-    read across the mask columns, one int per registered concept in
-    registration order (bit i for the i-th tuple of the concept's pool, see
-    `ifol.worlds`), and the decoders the whole enumeration shares;
-    `relations` is decoded when first read and kept, so a route pays only
-    for the worlds it visits.  A world built by hand,
-    `World(label, space, relations[, functions])`, holds its relations and
-    no masks, so no plan reads it.  `leads` marks the first world of its
-    class of isomorphic worlds."""
+    An enumerated world is one position of a `Worlds`, built when a route
+    first reads it: its masks, that position read across the mask columns,
+    one int per registered concept in registration order (bit i for the
+    i-th tuple of the concept's pool, see `ifol.worlds`), and the decoders
+    the whole enumeration shares; `relations` is decoded when first read and
+    kept, so a route pays only for the worlds it visits.  A world built by
+    hand, `World(label, space, relations[, functions])`, holds its relations
+    and no masks.  No plan reads a `World`: plans read a `Worlds`' columns."""
 
-    __slots__ = ("label", "space", "functions", "leads", "masks", "decoders", "__dict__")
+    __slots__ = ("label", "space", "functions", "masks", "decoders", "__dict__")
     relations = _Decoded()
 
     def __init__(self, label: str, space: Structure,
                  relations: Optional[dict[str, frozenset[tuple[Element, ...]]]],
                  functions: Optional[dict[str, dict[tuple[Element, ...], Element]]] = None,
-                 leads: bool = True, masks: Optional[tuple[int, ...]] = None,
-                 decoders: Optional[Decoders] = None):
+                 masks: Optional[tuple[int, ...]] = None,
+                 decoders: Optional[tuple[Subsets, ...]] = None):
         self.label = label
         self.space = space
         self.functions = {} if functions is None else functions
-        self.leads = leads
         self.masks = masks
         self.decoders = decoders
         if relations is not None:
@@ -306,29 +295,37 @@ class World:
 
 
 class Worlds(Sequence[World]):
-    """The worlds of one enumeration, held as columns (a column store,
-    Abadi, Madden & Hachem, SIGMOD 2008): one column of masks per
-    registered concept, in registration order, and one of whether each
-    world leads its class, which gives the length (with no concept there is
-    no mask column, yet a world per combination of function graphs); and
-    the k combinations of function graphs, which repeat innermost (world i
-    takes combination i mod k), with the decoders every world shares.
-    `worlds[i]` builds the `World` of index i, labelled `w<i>`, its masks
-    index i read across the columns, when it is first read and returns that
-    object after; iteration builds every world not built yet in one
-    comprehension, as small workspaces visit every world.  A relational plan
-    runs over the columns and builds no world (see `montague_intension`)."""
+    """The worlds of one enumeration, or a view of some of them, held as
+    columns (a column store, Abadi, Madden & Hachem, SIGMOD 2008): one
+    column of masks per registered concept, in registration order, and one
+    of whether each world leads its class of isomorphic worlds, which gives
+    the length (with no concept there is no mask column, yet a world per
+    combination of function graphs); the k combinations of function graphs,
+    which repeat innermost in the enumeration; the decoders every world
+    shares (one `Subsets` per concept) and the declaration `stamp` their
+    pools were read under; and `index`, each world's place in its
+    enumeration, `range(n)` for a whole one.  `worlds[i]` builds the `World`
+    of position i, labelled `w<index[i]>`, its masks position i read across
+    the columns and its graphs combination index[i] mod k, when it is first
+    read and returns that object after; iteration builds every world not
+    built yet in one comprehension, as small workspaces visit every world.
+    `leaders()` is the view of the worlds that lead their class.  This is
+    the one carrier of enumerated worlds: a relational plan runs over its
+    columns and builds no world (see `montague_intension`)."""
 
-    __slots__ = ("space", "columns", "leads", "functions", "decoders", "_built", "_whole")
+    __slots__ = ("space", "columns", "leads", "functions", "decoders", "stamp", "index", "_built",
+                 "_whole")
 
     def __init__(self, space: Structure, columns: list[list[int]], leads: list[bool],
                  functions: list[dict[str, dict[tuple[Element, ...], Element]]],
-                 decoders: Decoders):
+                 decoders: tuple[Subsets, ...], stamp: int, index: Sequence[int] = ()):
         self.space = space
         self.columns = columns
         self.leads = leads
         self.functions = functions
         self.decoders = decoders
+        self.stamp = stamp
+        self.index = index or range(len(leads))
         self._built: list[Optional[World]] = [None] * len(leads)
         self._whole = False  # every world built
 
@@ -341,10 +338,10 @@ class Worlds(Sequence[World]):
         world = self._built[i]  # raises IndexError past either end
         if world is None:
             i %= len(self._built)
-            k = len(self.functions)
-            world = self._built[i] = World(f"w{i}", self.space, None, self.functions[i % k],
-                                           self.leads[i], tuple(c[i] for c in self.columns),
-                                           self.decoders)
+            at = self.index[i]
+            world = self._built[i] = World(f"w{at}", self.space, None,
+                                           self.functions[at % len(self.functions)],
+                                           tuple(c[i] for c in self.columns), self.decoders)
         return world
 
     def __iter__(self) -> Iterator[World]:
@@ -352,11 +349,19 @@ class Worlds(Sequence[World]):
         if self._whole:
             return iter(built)
         self._whole = True
-        space, decoders, functions, leads = self.space, self.decoders, self.functions, self.leads
+        space, decoders, functions = self.space, self.decoders, self.functions
         k, masks = len(functions), zip(*self.columns) if self.columns else repeat(())
-        built[:] = [World(f"w{i}", space, None, functions[i % k], leads[i], m, decoders)
-                    if world is None else world for (i, world), m in zip(enumerate(built), masks)]
+        built[:] = [World(f"w{at}", space, None, functions[at % k], m, decoders)
+                    if world is None else world for at, world, m in zip(self.index, built, masks)]
         return iter(built)
+
+    def leaders(self) -> Worlds:
+        """The worlds that lead their class, in order, as a view of their
+        own: the columns and the index gathered at the leading positions."""
+        keep = list(compress(range(len(self._built)), self.leads))
+        return Worlds(self.space, [list(map(c.__getitem__, keep)) for c in self.columns],
+                      [True] * len(keep), self.functions, self.decoders, self.stamp,
+                      list(map(self.index.__getitem__, keep)))
 
 
 # --- assignments and accessibility ------------------------------------------------
@@ -443,11 +448,13 @@ def _core(space: Structure, phi: Formula, route: Compiler,
     return core
 
 
-def intension_plan(space: Structure, phi: Formula) -> Optional[Plan]:
-    """phi's relational plan over its free variables (see `ifol.plan`), or
-    None when phi is outside the fragment that cannot raise or its plan would
-    exceed `MAX_ASSIGNMENTS`.  A plan reads the sort pools when it is
-    compiled, so it is kept in phi's entry, for one declaration stamp."""
+def intension_plan(space: Structure, phi: Formula) -> Optional[Callable[..., Iterable]]:
+    """phi's relational plan over its free variables (see `ifol.plan`), its
+    root's run from the mask columns, the decoders and the number of some
+    worlds enumerated under the current stamp to their rows; or None when
+    phi is outside the fragment that cannot raise or its plan would exceed
+    `MAX_ASSIGNMENTS`.  A plan reads the sort pools when it is compiled, so
+    it is kept in phi's entry, for one declaration stamp."""
     entry = _compiled(space, phi)
     if entry.plan is _UNPLANNED:
         entry.plan = compile_plan(phi, entry.free, space, MAX_ASSIGNMENTS)
@@ -1017,30 +1024,17 @@ def montague_intension(space: Structure, phi: Formula, worlds: Sequence[World]
     """The meaning of phi as a column over `worlds`: per world, in their
     order, the set of free-variable tuples it satisfies, or its truth value
     if closed.  A formula with a relational plan runs it once over the mask
-    columns of an enumeration made under the plan's stamp, building no
-    `World`, or of a list whose worlds were all enumerated under that stamp,
-    their masks turned into columns first; any other formula or sequence is
-    swept on the Kripke route."""
+    columns of a `Worlds` enumerated under the current declaration stamp,
+    the plan's, building no `World`; any other formula or sequence is swept
+    on the Kripke route."""
     plan = intension_plan(space, phi)
-    if plan is None or not _enumerated_under(plan.stamp, worlds):
+    if plan is not None and isinstance(worlds, Worlds) and worlds.stamp == space.stamp:
+        meaning = plan(worlds.columns, worlds.decoders, len(worlds))
+    else:
         meaning = _tuples_where(_core(space, phi, _compile_kripke), worlds)
-    elif isinstance(worlds, Worlds):
-        meaning = plan.column(worlds.columns, worlds.decoders, len(worlds))
-    else:  # the representatives: their masks turned into columns once
-        masks = [w.masks for w in worlds]
-        meaning = plan.column(list(zip(*masks)), worlds[0].decoders, len(masks)) if masks else ()
     if not _compiled(space, phi).free:  # the one assignment of a closed formula is ()
         return [() in rows for rows in meaning]
     return list(meaning)
-
-
-def _enumerated_under(stamp: int, worlds: Sequence[World]) -> bool:
-    """Whether every world of `worlds` was enumerated under `stamp`: a
-    `Worlds` column by the decoders its worlds share, any other sequence
-    world by world (a world built by hand has no decoders)."""
-    if isinstance(worlds, Worlds):
-        return worlds.decoders.stamp == stamp
-    return all(w.decoders is not None and w.decoders.stamp == stamp for w in worlds)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -44,7 +43,7 @@ from .kernel import (
     VERB_FORM_SORT,
 )
 from .parser import SORT_ALIASES, parse_formula, resolve_sort_token
-from .semantics import MAX_WORLDS, Structure, World, Worlds, intension_plan
+from .semantics import MAX_WORLDS, Structure, Worlds, intension_plan
 from .sorting import Signature, check_formula
 from .syntax import Formula, format_formula, free_vars
 from .worlds import enumerate_worlds
@@ -79,7 +78,7 @@ class Workspace:
         self.queries: list[Query] = []
         self.max_worlds = max_worlds
         self._worlds: Optional[Worlds] = None
-        self._representatives: Optional[Sequence[World]] = None
+        self._representatives: Optional[Worlds] = None
         self._worlds_stamp: Optional[tuple[int, int, int]] = None
 
     # --- declaration helpers ------------------------------------------------
@@ -121,16 +120,16 @@ class Workspace:
                                             [phi for _, phi in self.all_formulas()])
         return self._worlds
 
-    def representatives(self, formulas: Sequence[Formula]) -> Sequence[World]:
+    def representatives(self, formulas: Sequence[Formula]) -> Worlds:
         """The worlds a query evaluating `formulas` must walk to find its
-        first failure: the first world of each class of isomorphic worlds
-        (`World.leads`, see `ifol.worlds`) when the classes merge some worlds
-        and every formula has a relational plan, so cannot raise; every world
-        otherwise."""
+        first failure: the view of the first world of each class of
+        isomorphic worlds (`Worlds.leaders`, see `ifol.worlds`) when the
+        classes merge some worlds and every formula has a relational plan,
+        so cannot raise; every world otherwise.  Either is a `Worlds`, which
+        builds only the worlds a route reads."""
         worlds = self.worlds()
-        if self._representatives is None:  # only the leaders are built
-            self._representatives = worlds if all(worlds.leads) \
-                else [worlds[i] for i in compress(range(len(worlds)), worlds.leads)]
+        if self._representatives is None:
+            self._representatives = worlds if all(worlds.leads) else worlds.leaders()
         if self._representatives is worlds \
                 or not all(intension_plan(self.space, phi) is not None for phi in formulas):
             return worlds

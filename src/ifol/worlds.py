@@ -9,11 +9,12 @@ over the concepts, and the concept that fixes an edge's second side takes
 only the masks that fit the first.  `MAX_WORLDS` bounds the whole candidate
 product.
 
-An enumeration is the walk's columns (`semantics.Worlds`): one column of
-masks per registered concept, an int per world, and one of whether each
-world leads its class, with the function graphs and the decoders
-(`semantics.Subsets`, one per concept) that every world shares, which turn
-a mask into its relation once and keep it.  The walk builds no relation, no
+An enumeration is the walk's columns (`semantics.Worlds`, the one carrier
+of enumerated worlds): one column of masks per registered concept, an int
+per world, and one of whether each world leads its class, with the
+function graphs and the decoders (`semantics.Subsets`, one per concept)
+that every world shares, which turn a mask into its relation once and keep
+it, and the declaration stamp their pools were read under.  The walk builds no relation, no
 tuple of masks and no `World`: a world is built when a route first reads
 it, and its `relations` decoded when a route first reads them, so the
 Kripke and Tarski routes pay for the worlds they visit, and a relational
@@ -26,9 +27,9 @@ Two particulars of one sort that no formula names cannot be told apart
 are swapped, and a formula that reads only relation membership gives the
 twin the swapped answer.  A consequence or Bealer-Montague query whose
 formulas all have a relational plan (`ifol.plan`, the fragment that cannot
-raise) is therefore decided on the first world of each class alone
-(`World.leads`): a failure found in some world is found in the first world
-of its class.  The classes are those of isomorphism elimination in
+raise) is therefore decided on the first world of each class alone (the
+view `Worlds.leaders`, over the lead column): a failure found in some world
+is found in the first world of its class.  The classes are those of isomorphism elimination in
 MACE-style model finders (Claessen & Sörensson, 2003), restricted to unary
 relations: concepts of higher arity and function graphs pin every
 particular in their pools.  A swap inside a group so moves only the group's
@@ -56,7 +57,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import ExplosionGuard
 from .kernel import Domain, Element, NESTED_SENTENCE_SORT, Particular, RESERVED_SORTS, TOP_SORT
-from .semantics import MAX_WORLDS, Decoders, Structure, Subsets, Worlds
+from .semantics import MAX_WORLDS, Structure, Subsets, Worlds
 from .syntax import Abstracted, And, Atom, Const, Exists, FnApp, Formula, Not, Term
 
 # Per concept level: the bits every mask there must hold (its floor), the
@@ -129,11 +130,10 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
                   for values in itertools.product(ret_pool, repeat=len(arg_pool))]
         fn_graphs.append((symbol, graphs))
 
-    decoders = Decoders(map(Subsets, names, pools))
-    decoders.stamp = space.stamp
+    decoders = tuple(map(Subsets, names, pools))
     bounds = _bounds(domain, names, pools)
     if bounds is None:
-        return Worlds(space, [[] for _ in pools], [], [{}], decoders)
+        return Worlds(space, [[] for _ in pools], [], [{}], decoders, space.stamp)
     # The pools are read, so reading them again for the groups cannot raise.
     # Only a unary relation can tell two movable particulars apart.
     unary = any(len(pool[0]) == 1 for pool in pools if pool)
@@ -147,7 +147,7 @@ def enumerate_worlds(space: Structure, max_worlds: int = MAX_WORLDS,
     if k != 1:  # function graphs innermost: each combination of masks k times
         columns = [[m for m in column for _ in range(k)] for column in columns]
         leads = [lead for lead in leads for _ in range(k)]
-    return Worlds(space, columns, leads, functions, decoders)
+    return Worlds(space, columns, leads, functions, decoders, space.stamp)
 
 
 def _bounds(domain: Domain, names: list[str], pools: list[list[tuple[Element, ...]]]

@@ -59,6 +59,28 @@ def test_the_tarski_route_and_the_plans_import_nothing_of_each_other():
     assert "tarski" not in plan
 
 
+def _names_imported_from(path: Path, module: str) -> list[str]:
+    """The names a module imports from the engine module `module`, relatively
+    or as `ifol.<module>`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ifol")) \
+                and (node.module or "").removeprefix("ifol").lstrip(".") == module:
+            found.extend(alias.name for alias in node.names)
+    return found
+
+
+def test_enumeration_plans_and_the_front_end_import_nothing_private_of_semantics():
+    """Enumeration, plans, the workspace and the CLI reach worlds through
+    the public carrier, `semantics.Worlds`, and the deciding functions: none
+    of them imports a name starting with `_` from `ifol.semantics`."""
+    imported = {name: _names_imported_from(ROOT / "src" / "ifol" / f"{name}.py", "semantics")
+                for name in ("worlds", "plan", "workspace", "cli")}
+    assert all(imported.values())
+    assert {name: [n for n in names if n.startswith("_")]
+            for name, names in imported.items()} == dict.fromkeys(imported, [])
+
+
 def test_project_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies\s*=\s*\[\s*\]\s*$", text, re.MULTILINE)

@@ -13,9 +13,9 @@ import ifol.plan
 import ifol.semantics
 from ifol import load_workspace
 from ifol.cli import run_queries
-from ifol.errors import EvaluationFailure, IfolError
-from ifol.semantics import (_compile_kripke, _compile_tarski, _core, _tuples_where, intension_plan,
-                            montague_intension)
+from ifol.errors import IfolError
+from ifol.semantics import (_compile_kripke, _compile_tarski, _core, _tuples_where,
+                            bealer_montague_check, intension_plan, montague_intension)
 from ifol.syntax import Atom, Const, Var, Variable, format_formula, free_vars
 
 from conftest import load_bench
@@ -47,6 +47,13 @@ OUTSIDE = NUMBERS + "function f/1 : thing -> thing\nfunction g/1 : thing -> inte
 
 def _plans_off(patch: pytest.MonkeyPatch) -> None:
     patch.setattr(ifol.semantics, "compile_plan", lambda phi, params, space, budget: None)
+
+
+def _at(plan, world):
+    """The plan's rows of one enumerated world: a run over its masks as
+    one-world columns."""
+    (rows,) = plan([(mask,) for mask in world.masks], world.decoders, 1)
+    return rows
 
 
 def _outcome(evaluate):
@@ -116,9 +123,9 @@ def test_a_comparison_is_computed_once_and_not_at_compile_time(monkeypatch):
     plan = intension_plan(ws.space, ws.parse("lt(x:integers^2 + -y:integers, 1)"))
     assert calls == []
     world, other = ws.worlds()[:2]
-    rows = plan(world)
+    rows = _at(plan, world)
     made = len(calls)
-    assert made and plan(other) is rows and len(calls) == made
+    assert made and _at(plan, other) is rows and len(calls) == made
     pool = ws.domain.valid_elements("integers")
     assert rows == {(x, y) for x in pool for y in pool if x.value ** 2 - y.value < 1}
 
@@ -149,7 +156,7 @@ def test_a_comparison_computes_each_cell_once_per_binding_of_its_columns(monkeyp
     ws = load_workspace(_reals(7, "lt"))
     phi = ws.parse("lt(x:reals + y:reals, x * z:reals)")
     (world,) = ws.worlds()
-    rows = intension_plan(ws.space, phi)(world)
+    rows = _at(intension_plan(ws.space, phi), world)
     assert (calls.count("add"), calls.count("mul")) == (49, 49)
     assert rows == next(_tuples_where(_core(ws.space, phi, _compile_kripke), (world,)))
 
@@ -166,7 +173,7 @@ def test_a_selection_holds_one_block_at_a_time(text, count):
     (world,) = ws.worlds()
     tracemalloc.start()
     try:
-        rows = plan(world)
+        rows = _at(plan, world)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -192,11 +199,11 @@ def test_an_atom_over_its_variables_is_the_relation():
     ws = load_workspace(BINARY)
     plan = intension_plan(ws.space, ws.parse("r(x:thing, y:thing)"))
     world = ws.worlds()[5]
-    assert plan(world) is world.relations["r-ness"]
+    assert _at(plan, world) is world.relations["r-ness"]
     # the join keeps r's columns (y, x); the root puts them in parameter order
     flipped = intension_plan(ws.space, ws.parse("p(x:thing) & r(y:thing, x)"))
     for world in ws.worlds()[::97]:
-        assert flipped(world) == {(x, y) for y, x in world.relations["r-ness"]
+        assert _at(flipped, world) == {(x, y) for y, x in world.relations["r-ness"]
                                   if (x,) in world.relations["p-hood"]}
 
 
@@ -221,7 +228,7 @@ def test_a_subsort_variable_keeps_to_its_pool():
     phi = ws.parse("p(x:part)")
     c = ws.domain.lookup("c")
     for world in ws.worlds()[:16]:
-        rows = intension_plan(ws.space, phi)(world)
+        rows = _at(intension_plan(ws.space, phi), world)
         assert rows == world.relations["p-hood"] - {(c,)}
 
 
@@ -249,23 +256,62 @@ def test_a_plan_over_the_budget_leaves_the_sweep(monkeypatch):
 
 def test_a_plan_is_compiled_once_per_declaration_stamp():
     """Under one stamp a formula object keeps its plan; a declaration
-    compiles a new one, which spans the grown pool.  A plan refuses a world
-    enumerated before the declaration, whose masks are over the old pool,
-    and the intension sweeps that world instead."""
+    compiles a new one, which spans the grown pool.  A world enumerated
+    before the declaration has masks over the old pool, and the intension
+    sweeps it."""
     ws = load_workspace(BINARY)
     phi = ws.parse("~p(x:thing)")
     plan = intension_plan(ws.space, phi)
     assert plan is not None and intension_plan(ws.space, phi) is plan
     stale = ws.worlds()[0]
-    assert len(plan(stale)) == 3
+    assert len(_at(plan, stale)) == 3
     ws.domain.declare_particular("d", "thing")
     grown = intension_plan(ws.space, phi)
     assert grown is not plan and intension_plan(ws.space, phi) is grown
-    assert {x.lexeme for x, in grown(ws.worlds()[0])} == {"a", "b", "c", "d"}
-    with pytest.raises(EvaluationFailure, match="not enumerated under"):
-        grown(stale)
+    assert {x.lexeme for x, in _at(grown, ws.worlds()[0])} == {"a", "b", "c", "d"}
     (rows,) = montague_intension(ws.space, phi, [stale])
     assert {x.lexeme for x, in rows} == {"a", "b", "c", "d"}
+
+
+def test_a_list_of_worlds_is_swept_with_the_meanings_of_the_enumeration(monkeypatch):
+    """Only a `Worlds` carries its stamp, so a plan runs over nothing else:
+    over a list of the same worlds a mask-rooted formula, a binary concept's
+    join and a comparison are swept on the Kripke route, and give the same
+    meanings and Bealer-Montague results as the plan over the enumeration.
+    After a declaration the enumeration itself is swept too."""
+    runs = []
+    real = ifol.semantics.compile_plan
+
+    def counted(*args):
+        run = real(*args)
+        return lambda *columns: runs.append(args[0]) or run(*columns)
+
+    monkeypatch.setattr(ifol.semantics, "compile_plan", counted)
+    ws = load_workspace("sort thing\n"
+                        "extent thing = { a, b }\n"
+                        "concept p-hood arity 1 sorts thing predicate p\n"
+                        "concept r-ness arity 2 sorts thing thing predicate r\n"
+                        "sort reals\n"
+                        "sort integers\n"
+                        "isa integers reals\n"
+                        "extent integers = { -1, 0, 2 }\n"
+                        "builtin predicate lt/2 : reals x reals = lt\n"
+                        "builtin function add/2 : reals x reals -> reals = add\n")
+    worlds = ws.worlds()
+    for text in ("~p(x:thing)", "r(x:thing, y:thing) & ~p(x)", "lt(x:integers + y:integers, 1)"):
+        phi = ws.parse(text)
+        runs.clear()
+        swept = montague_intension(ws.space, phi, list(worlds))
+        assert runs == []
+        assert montague_intension(ws.space, phi, worlds) == swept and runs == [phi]
+        mismatch = bealer_montague_check(ws.space, phi, list(worlds))
+        assert runs == [phi] and mismatch == bealer_montague_check(ws.space, phi, worlds)
+        assert runs == [phi, phi]
+    ws.domain.declare_particular("c", "thing")
+    phi = ws.parse("~p(x:thing)")
+    runs.clear()
+    assert montague_intension(ws.space, phi, worlds) == montague_intension(
+        ws.space, phi, list(worlds)) and runs == []
 
 
 def test_a_run_compiles_each_formulas_plan_once(monkeypatch):
@@ -299,7 +345,7 @@ def test_a_unary_run_decodes_only_the_worlds_the_routes_visit():
     assert (len(worlds), len(representatives)) == (6561, 45)
     intension = next(q.formula for q in ws.queries if q.kind == "intension")
     meaning = ifol.semantics.montague_intension(ws.space, intension, worlds)
-    decoded = [w for w in worlds if "relations" in vars(w)]
+    decoded = [w for w in (*worlds, *representatives) if "relations" in vars(w)]
     assert 0 < len(decoded) <= len(representatives)
     first: dict[frozenset, frozenset] = {}
     for rows in meaning:
@@ -368,7 +414,7 @@ def test_an_enumeration_with_no_concept_has_a_world_per_graph_combination():
     plans = [intension_plan(ws.space, q.formula) for q in ws.queries]
     assert None not in plans
     for plan, query in zip(plans, ws.queries):
-        assert [plan(w) for w in worlds] == montague_intension(ws.space, query.formula, worlds)
+        assert [_at(plan, w) for w in worlds] == montague_intension(ws.space, query.formula, worlds)
     report, status = run_queries(ws)
     assert report.splitlines() == ["INTENSION lt(x:reals, 2)",
                                    *[line for i in range(4) for line in (f"WORLD w{i}", "  (0)",
@@ -382,10 +428,10 @@ def test_an_enumeration_with_no_concept_has_a_world_per_graph_combination():
 @settings(max_examples=20, deadline=None)
 @given(st.booleans(), st.data())
 def test_a_plan_on_a_world_is_the_column_run_at_its_index(graphs, data):
-    """`plan(world)` runs the plan over the world's masks as one-world
-    columns; it gives, for every world, the entry at the world's index of
-    the run over the enumeration's columns, with k = 1 or 4 combinations of
-    function graphs innermost.  `~p(x)` is a mask node at the root, and
+    """A plan run over a world's masks as one-world columns gives, for
+    every world, the entry at the world's index of the run over the
+    enumeration's columns, with k = 1 or 4 combinations of function graphs
+    innermost.  `~p(x)` is a mask node at the root, and
     `r(x, y) & ~p(x)` a set node; drawn fragment formulas add others."""
     text = ("sort thing\n"
             "extent thing = { c, a, b }\n"
@@ -401,8 +447,8 @@ def test_a_plan_on_a_world_is_the_column_run_at_its_index(graphs, data):
     for phi in [ws.parse("~p(x:thing)"), ws.parse("r(x:part, y:thing) & ~p(x)"), *drawn]:
         plan = intension_plan(ws.space, phi)
         if plan is not None:
-            column = list(plan.column(worlds.columns, worlds.decoders, len(worlds)))
-            assert [plan(w) for w in worlds] == column
+            column = list(plan(worlds.columns, worlds.decoders, len(worlds)))
+            assert [_at(plan, w) for w in worlds] == column
 
 
 # --- the three evaluators on generated workspaces ----------------------------------
@@ -422,7 +468,7 @@ def _three_evaluators_agree(ws, formulas) -> None:
             rows = _outcome(lambda: next(_tuples_where(kripke, (world,))))
             assert rows == _outcome(lambda: next(_tuples_where(tarski, (world,))))
             if plan is not None:
-                assert plan(world) == rows
+                assert _at(plan, world) == rows
             per_world.append(rows)
         if all(isinstance(rows, frozenset) for rows in per_world):
             if not free_vars(phi):

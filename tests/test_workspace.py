@@ -5,13 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ifol import load_workspace, render_workspace
 from ifol.cli import run_queries
 from ifol.errors import IfolError, ValidationError
 from ifol.workspace import Query
+from ifol.worlds import _constant_symbols
 
 from conftest import FIXTURES
+from strategies import symmetric_workspaces
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.ifol"))
 
@@ -75,6 +78,28 @@ def test_worlds_follow_a_concept_declared_after_they_were_enumerated():
     report = _last_block(ws)
     assert report == _last_block(load_workspace(render_workspace(ws)))
     assert report.count("WORLD") == 16 and report.count("(a)") == 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_workspaces())
+def test_particulars_declared_after_a_run_give_the_report_of_a_fresh_load(text):
+    """The stamp differential: a workspace loaded without the particulars
+    that no formula names, and run, then given them through the domain, and
+    run again, reports what a fresh load of its rendering reports.  Its
+    compiled formulas, plans and enumerated worlds were made under the old
+    stamp, over pools without those particulars (a sort may have had none,
+    so a function into it no graph and the workspace no world)."""
+    named = _constant_symbols(phi for _, phi in load_workspace(text).all_formulas())
+    kept, late = [], []
+    for line in text.splitlines():
+        lexeme, _, sort = line.removeprefix("particular ").rpartition(" : ")
+        (late if line.startswith("particular ") and lexeme not in named else kept).append(
+            (line, lexeme, sort))
+    ws = load_workspace("".join(f"{line}\n" for line, _, _ in kept))
+    run_queries(ws)
+    for _, lexeme, sort in late:
+        ws.domain.declare_particular(lexeme, sort)
+    assert run_queries(ws) == run_queries(load_workspace(render_workspace(ws)))
 
 
 def test_load_order_independence():

@@ -155,7 +155,51 @@ def test_the_walk_marks_the_first_world_of_each_orbit(text):
     of each orbit that a brute-force permutation of the movable particulars
     finds."""
     ws = load_workspace(text)
-    assert [w.label for w in ws.worlds() if w.leads] == first_of_each_orbit(ws)
+    worlds = ws.worlds()
+    assert [w.label for w in itertools.compress(worlds, worlds.leads)] == first_of_each_orbit(ws)
+
+
+# --- the representatives: a view of the leading worlds --------------------------
+
+def _leaders_are_the_leading_worlds(worlds) -> None:
+    """`worlds.leaders()` holds, in order, the worlds whose lead flag is
+    set: the i-th has the label, masks and graphs of the i-th of them,
+    whether a fresh view builds it by index or in bulk."""
+    reps = worlds.leaders()
+    assert isinstance(reps, ifol.semantics.Worlds) and len(reps) == sum(worlds.leads)
+    leading = list(itertools.compress(worlds, worlds.leads))
+    for view in ([reps[i] for i in range(len(reps))], list(worlds.leaders())):
+        assert [(w.label, w.masks) for w in view] == [(w.label, w.masks) for w in leading]
+        assert all(w.functions is lead.functions for w, lead in zip(view, leading))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(symmetric_workspaces(), isa_workspaces()))
+def test_the_leaders_view_holds_the_leading_worlds(text):
+    _leaders_are_the_leading_worlds(load_workspace(text).worlds())
+
+
+def test_the_leaders_view_takes_graphs_by_enumeration_index():
+    """a, b, c move and f's 4 graphs pin g and h: 8 masks of p times 4
+    graph combinations, of which the 4 classes of p lead, 16 worlds.  The
+    view's worlds take their labels and graphs from their enumeration
+    index, also where the leading worlds do not come in runs of 4, so that
+    a world's place in the view and in the enumeration differ mod 4."""
+    ws = load_workspace("sort s\n"
+                        "extent s = { a, b, c }\n"
+                        "sort m\n"
+                        "extent m = { g, h }\n"
+                        "concept p-hood arity 1 sorts s predicate p\n"
+                        "function f/1 : m -> m\n"
+                        "query consequence exists x:s . p(x) | ~p(x)\n")
+    worlds = ws.worlds()
+    reps = ws.representatives([ws.queries[0].formula])
+    assert (len(worlds), len(reps), sum(worlds.leads)) == (32, 16, 16)
+    assert isinstance(reps, ifol.semantics.Worlds)
+    _leaders_are_the_leading_worlds(worlds)
+    every_third = [i % 3 == 1 for i in range(len(worlds))]
+    _leaders_are_the_leading_worlds(ifol.semantics.Worlds(
+        ws.space, worlds.columns, every_third, worlds.functions, worlds.decoders, worlds.stamp))
 
 
 # --- differential: the same reports with every world its own class -------------

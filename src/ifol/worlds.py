@@ -6,7 +6,7 @@ ascending mask (bit i for the pool's i-th tuple, pools in lexeme order),
 function graphs innermost -- but `enumerate_worlds` visits only the
 combinations that keep every IS-A edge between unary extents: it backtracks
 over the concepts, and the concept that fixes an edge's second side takes
-only the masks that fit the first.  `MAX_WORLDS` bounds the whole candidate
+only the masks that fit the first. `MAX_WORLDS` bounds the whole candidate
 product.
 
 An enumeration is the walk's columns (`semantics.Worlds`, the one carrier
@@ -14,13 +14,13 @@ of enumerated worlds): one column of masks per registered concept, an int
 per world, and one of whether each world leads its class, with the
 function graphs and the decoders (`semantics.Subsets`, one per concept)
 that every world shares, which turn a mask into its relation once and keep
-it, and the declaration stamp their pools were read under.  The walk builds no relation, no
-tuple of masks and no `World`: a world is built when a route first reads
-it, and its `relations` decoded when a route first reads them, so the
-Kripke and Tarski routes pay for the worlds they visit, and a relational
-plan runs over the mask columns themselves (bit-vector relations, as in the
-finite model finders Mace4, McCune 2003, and Paradox, Claessen & Sörensson
-2003).
+it, and the declaration stamp their pools were read under.  The walk
+builds no relation, no tuple of masks and no `World`: a world is built
+when a route first reads it, and its `relations` decoded when a route
+first reads them, so the Kripke and Tarski routes pay for the worlds they
+visit, and a relational plan runs over the mask columns themselves
+(bit-vector relations, as in the finite model finders Mace4, McCune 2003,
+and Paradox, Claessen & Sörensson 2003).
 
 Two particulars of one sort that no formula names cannot be told apart
 (`movable_particulars`): every world has an isomorphic twin in which the two
@@ -29,10 +29,10 @@ twin the swapped answer.  A consequence or Bealer-Montague query whose
 formulas all have a relational plan (`ifol.plan`, the fragment that cannot
 raise) is therefore decided on the first world of each class alone (the
 view `Worlds.leaders`, over the lead column): a failure found in some world
-is found in the first world of its class.  The classes are those of isomorphism elimination in
-MACE-style model finders (Claessen & Sörensson, 2003), restricted to unary
-relations: concepts of higher arity and function graphs pin every
-particular in their pools.  A swap inside a group so moves only the group's
+is found in the first world of its class.  The classes are those of
+isomorphism elimination in MACE-style model finders (Claessen & Sörensson,
+2003), restricted to unary relations: concepts of higher arity and
+function graphs pin every particular in their pools.  A swap inside a group so moves only the group's
 bits inside each unary relation's mask, and a world is the first of its
 class when its masks are the least, the first concept's before the next:
 when, for each particular and the next of its group, the first unary

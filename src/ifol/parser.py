@@ -8,13 +8,26 @@ Terms are constants (bare identifiers, quoted lexemes, numbers), variables
 arithmetic (+ - * ^) over the built-in function symbols add/sub/mul/pow.  Only
 not / and / exists survive parsing; the other connectives expand immediately.
 Binders never shadow: a reused name is renamed with a fresh prime suffix.
+
+Infix operators, loosest first:
+
+    formulas   ->      right-associative   ~(f & ~g)
+               |       left-associative    ~(~f & ~g)
+               &       left-associative
+    terms      + -     left-associative    add, sub
+               *       left-associative    mul
+               ^       right-associative   pow
+
+Prefix `~` binds tighter than `&`, and prefix `-` tighter than `^` (`-x ^ 2`
+is the power of `neg x`).  A quantifier's body extends as far right as
+possible, over `->` too.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .errors import ParseError
 from .kernel import NESTED_SENTENCE_SORT, numeric_lexeme, numeric_value
@@ -84,8 +97,30 @@ def _tokenize(text: str, line: int = 0, col_offset: int = 0) -> list[Token]:
     return tokens
 
 
+T = TypeVar("T")
+# An infix operator: its precedence (higher binds tighter), whether it is
+# right-associative, and the node it builds from its two operands.
+_Op = tuple[int, bool, Callable]
+
+_FORMULA_OPS: dict[str, _Op] = {
+    "->": (1, True, lambda a, b: Not(And(a, Not(b)))),
+    "|": (2, False, lambda a, b: Not(And(Not(a), Not(b)))),
+    "&": (3, False, And),
+}
+_TERM_OPS: dict[str, _Op] = {
+    "+": (1, False, lambda a, b: FnApp("add", (a, b))),
+    "-": (1, False, lambda a, b: FnApp("sub", (a, b))),
+    "*": (2, False, lambda a, b: FnApp("mul", (a, b))),
+    "^": (3, True, lambda a, b: FnApp("pow", (a, b))),
+}
+
+
 class FormulaParser:
-    """Recursive-descent parser over one formula.
+    """Parser over one formula: recursive descent for prefix operators,
+    quantifiers, atoms and terms, and precedence climbing (`_infix`) over the
+    operator tables `_FORMULA_OPS` and `_TERM_OPS`, so that a chain of one
+    infix operator is read in a loop.  A quantifier's binding lives on the call
+    stack: the name it shadows is restored when its body ends.
 
     `sorts` names the declared sorts (after alias resolution); `is_constant`
     decides whether a bare identifier denotes a declared element.  Diagnostics
@@ -104,7 +139,6 @@ class FormulaParser:
         self.is_constant = is_constant
         self.by_source: dict[str, Variable] = {}
         self.used_names: set[str] = set()
-        self._shadow_stack: list[tuple[str, Optional[Variable]]] = []
 
     # --- token plumbing -----------------------------------------------
 
@@ -140,29 +174,18 @@ class FormulaParser:
     # --- grammar ----------------------------------------------------------
 
     def _formula(self) -> Formula:
-        return self._implies()
+        return self._infix(_FORMULA_OPS, self._unary)
 
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self._peek().kind == "arrow":
+    def _infix(self, ops: dict[str, _Op], operand: Callable[[], T], floor: int = 1) -> T:
+        """A chain of the infix operators in `ops` whose precedence is at least
+        `floor`, over operands read by `operand`: precedence climbing, so a
+        left-associative chain is one loop and only a right operand recurses."""
+        left = operand()
+        while (op := ops.get(self._peek().value)) is not None and op[0] >= floor:
             self._next()
-            right = self._implies()
-            return Not(And(left, Not(right)))
-        return left
-
-    def _or(self) -> Formula:
-        left = self._and()
-        while self._peek().kind == "sym" and self._peek().value == "|":
-            self._next()
-            right = self._and()
-            left = Not(And(Not(left), Not(right)))
-        return left
-
-    def _and(self) -> Formula:
-        left = self._unary()
-        while self._peek().kind == "sym" and self._peek().value == "&":
-            self._next()
-            left = And(left, self._unary())
+            precedence, right_associative, build = op
+            left = build(left, self._infix(ops, operand,
+                                           precedence + (not right_associative)))
         return left
 
     def _unary(self) -> Formula:
@@ -190,9 +213,18 @@ class FormulaParser:
         self._expect("sym", ":")
         sort = self._sort_name(name)
         self._expect("sym", ".")
-        var = self._bind(name.value, sort)
+        fresh = name.value
+        while fresh in self.used_names:
+            fresh += "'"
+        var = Variable(fresh, sort)
+        self.used_names.add(fresh)
+        shadowed = self.by_source.get(name.value)
+        self.by_source[name.value] = var
         body = self._formula()  # binder scope extends maximally right
-        self._unbind(name.value, var)
+        if shadowed is None:
+            del self.by_source[name.value]
+        else:
+            self.by_source[name.value] = shadowed
         if quant == "forall":
             return Not(Exists(var, Not(body)))
         return Exists(var, body)
@@ -216,36 +248,15 @@ class FormulaParser:
     # --- terms ----------------------------------------------------------
 
     def _term(self) -> Term:
-        return self._additive()
-
-    def _additive(self) -> Term:
-        left = self._multiplicative()
-        while self._peek().kind == "sym" and self._peek().value in "+-":
-            op = self._next().value
-            right = self._multiplicative()
-            left = FnApp("add" if op == "+" else "sub", (left, right))
-        return left
-
-    def _multiplicative(self) -> Term:
-        left = self._power()
-        while self._peek().kind == "sym" and self._peek().value == "*":
-            self._next()
-            left = FnApp("mul", (left, self._power()))
-        return left
-
-    def _power(self) -> Term:
-        base = self._primary()
-        if self._peek().kind == "sym" and self._peek().value == "^":
-            self._next()
-            return FnApp("pow", (base, self._power()))
-        return base
+        return self._infix(_TERM_OPS, self._primary)
 
     def _primary(self) -> Term:
         tok = self._peek()
         if tok.kind == "number":
-            self._next()
             value = numeric_value(tok.value)
-            assert value is not None
+            if value is None:  # the tokenizer admits a zero denominator (1/0)
+                raise self._fail("zero denominator in number literal")
+            self._next()
             return Const(numeric_lexeme(value))
         if tok.kind == "sym" and tok.value == "-":
             self._next()
@@ -260,7 +271,7 @@ class FormulaParser:
             return Const(tok.value[1:-1])
         if tok.kind == "sym" and tok.value == "(":
             self._next()
-            t = self._additive()
+            t = self._term()
             self._expect("sym", ")")
             return t
         if tok.kind == "abs_open":
@@ -355,26 +366,6 @@ class FormulaParser:
                              line=self.line, col=self.col_offset + var.pos + 1)
         self.i = index
         return sort
-
-    # --- binder scoping ---------------------------------------------------
-
-    def _bind(self, name: str, sort: str) -> Variable:
-        fresh = name
-        while fresh in self.used_names:
-            fresh += "'"
-        var = Variable(fresh, sort)
-        self.used_names.add(fresh)
-        self._shadow_stack.append((name, self.by_source.get(name)))
-        self.by_source[name] = var
-        return var
-
-    def _unbind(self, name: str, var: Variable) -> None:
-        source, previous = self._shadow_stack.pop()
-        assert source == name
-        if previous is None:
-            del self.by_source[name]
-        else:
-            self.by_source[name] = previous
 
 
 def parse_formula(text: str, sorts: Callable[[str], bool],

@@ -113,8 +113,8 @@ def negations(f: Formula) -> tuple[Formula, bool]:
     return f, odd
 
 
-def free_vars(phi: Formula) -> tuple[Variable, ...]:
-    """Free variables in first-appearance order.
+def free_vars(node: Formula | Term) -> tuple[Variable, ...]:
+    """Free variables of a formula or a term, in first-appearance order.
 
     An abstraction term contributes only its beta variables: the alpha ones are
     hidden inside the reified formula.
@@ -127,45 +127,25 @@ def free_vars(phi: Formula) -> tuple[Variable, ...]:
             seen.add(v)
             out.append(v)
 
-    def walk_term(t: Term, bound: frozenset[Variable]) -> None:
-        if isinstance(t, Var):
-            add(t.var, bound)
-        elif isinstance(t, FnApp):
-            for a in t.args:
-                walk_term(a, bound)
-        elif isinstance(t, Abstracted):
-            for v in t.beta:
+    def walk(n: Formula | Term, bound: frozenset[Variable]) -> None:
+        if isinstance(n, Var):
+            add(n.var, bound)
+        elif isinstance(n, (Atom, FnApp)):
+            for t in n.args:
+                walk(t, bound)
+        elif isinstance(n, Abstracted):
+            for v in n.beta:
                 add(v, bound)
+        elif isinstance(n, Not):
+            walk(n.sub, bound)
+        elif isinstance(n, And):
+            walk(n.left, bound)
+            walk(n.right, bound)
+        elif isinstance(n, Exists):
+            walk(n.body, bound | {n.var})
 
-    def walk(f: Formula, bound: frozenset[Variable]) -> None:
-        if isinstance(f, Atom):
-            for t in f.args:
-                walk_term(t, bound)
-        elif isinstance(f, Not):
-            walk(f.sub, bound)
-        elif isinstance(f, And):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        else:
-            walk(f.body, bound | {f.var})
-
-    walk(phi, frozenset())
+    walk(node, frozenset())
     return tuple(out)
-
-
-def term_free_vars(t: Term) -> tuple[Variable, ...]:
-    if isinstance(t, Var):
-        return (t.var,)
-    if isinstance(t, Const):
-        return ()
-    if isinstance(t, FnApp):
-        out: list[Variable] = []
-        for a in t.args:
-            for v in term_free_vars(a):
-                if v not in out:
-                    out.append(v)
-        return tuple(out)
-    return t.beta
 
 
 def mk_abstracted(body: Formula, alpha: Iterable[Variable], beta: Iterable[Variable]) -> Abstracted:
@@ -202,7 +182,7 @@ def substitute(phi: Formula, mapping: dict[Variable, Term]) -> Formula:
     Occurrences among an abstraction term's beta variables are replaced inside
     the reified body and the beta list is rebuilt from the new free variables.
     """
-    incoming = {x: set(term_free_vars(t)) for x, t in mapping.items()}
+    incoming = {x: set(free_vars(t)) for x, t in mapping.items()}
 
     def sub_term(term: Term, bound: frozenset[Variable]) -> Term:
         if isinstance(term, Var):

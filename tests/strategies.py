@@ -368,11 +368,12 @@ def arithmetic_workspaces(draw) -> str:
 @st.composite
 def mutated_fixtures(draw) -> str:
     """The text of a committed fixture after one to three token edits: delete
-    a token, insert one that some fixture holds, duplicate one, or truncate
-    one to a proper prefix.  Each edit falls on a query line half of the
-    time, on any line otherwise."""
+    a token, insert one that some fixture holds or a number literal with a
+    zero denominator, duplicate one, or truncate one to a proper prefix.
+    Each edit falls on a query line half of the time, on any line
+    otherwise."""
     texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ifol"))]
-    vocabulary = sorted({token for text in texts for token in text.split()})
+    vocabulary = sorted({token for text in texts for token in text.split()} | {"1/0"})
     lines = draw(st.sampled_from(texts)).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         queries = [i for i, line in enumerate(lines) if line.startswith("query")]

@@ -903,6 +903,22 @@ def test_parse_diagnostics_carry_one_prefix_and_line_columns(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["line 2: empty sort name"]
 
 
+@pytest.mark.parametrize("line, diagnostic", [
+    ("query eval lt(1/0, 1)", "line 4:15: zero denominator in number literal (at '1/0')"),
+    ("axiom lt(-3/0, 1)", "line 4:11: zero denominator in number literal (at '3/0')"),
+])
+def test_a_zero_denominator_literal_is_a_parse_diagnostic(tmp_path, capsys, line, diagnostic):
+    """The tokenizer reads `1/0` as a number; the parser names it at its
+    column and the run ends in exit 2 with that one diagnostic."""
+    f = _write(tmp_path, "zero.ifol", "sort reals\n"
+                                      "builtin predicate lt/2 : reals x reals = lt\n"
+                                      "query check\n"
+                                      f"{line}\n")
+    assert main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"{diagnostic}\n"
+
+
 @pytest.mark.parametrize("text, diagnostics", [
     # queries are loaded after axioms, concepts after sorts
     ("sort s\n"

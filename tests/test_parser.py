@@ -93,6 +93,57 @@ def test_parse_arithmetic_precedence(arith):
     assert powed.symbol == "add" and powed.args[0].symbol == "pow"
 
 
+def test_infix_operators_group_and_bind_by_the_table(pets, arith):
+    """`&`, `|`, `+`, `-` and `*` group to the left, `->` and `^` to the
+    right; `->` binds loosest, then `|`, then `&`, with `~` tighter still, and
+    `+ -`, then `*`, then `^`, with unary `-` tighter still.  A quantifier's
+    body extends right over `->`."""
+    a, b, c, d = (Atom(name, ()) for name in "abcd")
+
+    def either(f, g):
+        return Not(And(Not(f), Not(g)))
+
+    def implies(f, g):
+        return Not(And(f, Not(g)))
+
+    assert pets.parse("a() & b() & c()") == And(And(a, b), c)
+    assert pets.parse("a() | b() | c()") == either(either(a, b), c)
+    assert pets.parse("a() -> b() -> c()") == implies(a, implies(b, c))
+    assert pets.parse("a() | b() & c() -> d()") == implies(either(a, And(b, c)), d)
+    assert pets.parse("~a() & b()") == And(Not(a), b)
+    cat = Variable("x", "cat")
+    purrs, barks = Atom("purrs", (Var(cat),)), Atom("barks", (Var(cat),))
+    assert pets.parse("exists x:cat . purrs(x) -> barks(x)") == Exists(cat, implies(purrs, barks))
+
+    x, y, z = (Var(Variable(name, "reals")) for name in "xyz")
+    two = Const("2")
+
+    def term(text):
+        return arith.parse(f"leq2({text}, 0)").args[0]
+
+    assert term("x:reals - y:reals - z:reals") == FnApp("sub", (FnApp("sub", (x, y)), z))
+    assert term("x:reals ^ y:reals ^ z:reals") == FnApp("pow", (x, FnApp("pow", (y, z))))
+    assert term("x:reals + y:reals * z:reals ^ 2") == FnApp(
+        "add", (x, FnApp("mul", (y, FnApp("pow", (z, two))))))
+    assert term("-x:reals ^ 2") == FnApp("pow", (FnApp("neg", (x,)), two))
+    assert term("(x:reals + y:reals) * z:reals") == FnApp("mul", (FnApp("add", (x, y)), z))
+
+
+@pytest.mark.parametrize("op", ["&", "|", "+", "*", "-"])
+def test_a_chain_of_one_infix_operator_parses_in_a_loop(pets, arith, op):
+    """A 10,000-link chain of one left-associative operator is read without
+    recursing once per link: its tree is 9,999 levels deep on the left."""
+    if op in "&|":
+        phi = pets.parse(f" {op} ".join(["purrs(tom)"] * 10_000))
+    else:
+        phi = arith.parse(f"leq2({f' {op} '.join(['1'] * 10_000)}, 0)").args[0]
+    depth = 0
+    while not isinstance(phi, (Atom, Const)):
+        phi = phi.sub.left.sub if op == "|" else phi.left if op == "&" else phi.args[0]
+        depth += 1
+    assert depth == 9_999
+
+
 def test_parse_sort_name_backtracks_over_minus(arith):
     phi = arith.parse("leq2(x:reals - y:reals, 4)")
     diff = phi.args[0]
@@ -198,3 +249,12 @@ def test_format_quotes_spacey_lexemes(pets):
 def test_free_vars_follow_appearance_order(arith):
     phi = arith.parse("leq2(b:reals, a:reals) & leq2(a, c:reals)")
     assert [v.name for v in free_vars(phi)] == ["b", "a", "c"]
+
+    def names(text):
+        return [v.name for v in free_vars(arith.parse(f"leq2({text}, 0)").args[0])]
+
+    assert names("b:reals") == ["b"]
+    assert names("2") == []
+    assert names("add(mul(b:reals, a:reals), sub(a, add(c:reals, b)))") == ["b", "a", "c"]
+    assert names("<< leq2(x:reals - x0:reals, 1) >>|alpha: x |beta: x0") == ["x0"]
+    assert names("add(<< leq2(a:reals, b:reals) >>|alpha: a |beta: b, neg(c:reals))") == ["b", "c"]

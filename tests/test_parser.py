@@ -139,7 +139,12 @@ def test_a_chain_of_one_infix_operator_parses_in_a_loop(pets, arith, op):
         phi = arith.parse(f"leq2({f' {op} '.join(['1'] * 10_000)}, 0)").args[0]
     depth = 0
     while not isinstance(phi, (Atom, Const)):
-        phi = phi.sub.left.sub if op == "|" else phi.left if op == "&" else phi.args[0]
+        if op == "|":
+            phi = phi.sub.left.sub  # ~(~left & ~right)
+        elif op == "&":
+            phi = phi.left
+        else:
+            phi = phi.args[0]
         depth += 1
     assert depth == 9_999
 

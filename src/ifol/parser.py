@@ -12,7 +12,7 @@ Binders never shadow: a reused name is renamed with a fresh prime suffix.
 Infix operators, loosest first:
 
     formulas   ->      right-associative   ~(f & ~g)
-               |       left-associative    ~(~f & ~g)
+               |       left-associative    ~(~f & ~g & ...)
                &       left-associative
     terms      + -     left-associative    add, sub
                *       left-associative    mul
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional, TypeVar
 
 from .errors import ParseError
@@ -99,19 +100,26 @@ def _tokenize(text: str, line: int = 0, col_offset: int = 0) -> list[Token]:
 
 T = TypeVar("T")
 # An infix operator: its precedence (higher binds tighter), whether it is
-# right-associative, and the node it builds from its two operands.
+# right-associative, and the node it builds from its operands: the two of a
+# right-associative one, or a left-associative one's whole run of them.
 _Op = tuple[int, bool, Callable]
+
+
+def _fold(symbol: str) -> Callable[..., Term]:
+    """A run of operands grouped to the left, applying `symbol` to each pair."""
+    return lambda *run: reduce(lambda a, b: FnApp(symbol, (a, b)), run)
+
 
 _FORMULA_OPS: dict[str, _Op] = {
     "->": (1, True, lambda a, b: Not(And(a, Not(b)))),
-    "|": (2, False, lambda a, b: Not(And(Not(a), Not(b)))),
+    "|": (2, False, lambda *run: Not(And(*map(Not, run)))),
     "&": (3, False, And),
 }
 _TERM_OPS: dict[str, _Op] = {
-    "+": (1, False, lambda a, b: FnApp("add", (a, b))),
-    "-": (1, False, lambda a, b: FnApp("sub", (a, b))),
-    "*": (2, False, lambda a, b: FnApp("mul", (a, b))),
-    "^": (3, True, lambda a, b: FnApp("pow", (a, b))),
+    "+": (1, False, _fold("add")),
+    "-": (1, False, _fold("sub")),
+    "*": (2, False, _fold("mul")),
+    "^": (3, True, _fold("pow")),
 }
 
 
@@ -179,13 +187,17 @@ class FormulaParser:
     def _infix(self, ops: dict[str, _Op], operand: Callable[[], T], floor: int = 1) -> T:
         """A chain of the infix operators in `ops` whose precedence is at least
         `floor`, over operands read by `operand`: precedence climbing, so a
-        left-associative chain is one loop and only a right operand recurses."""
+        run of one left-associative operator is read in one loop and built
+        as one node, and only a right operand recurses."""
         left = operand()
-        while (op := ops.get(self._peek().value)) is not None and op[0] >= floor:
-            self._next()
+        while (op := ops.get(symbol := self._peek().value)) is not None and op[0] >= floor:
             precedence, right_associative, build = op
-            left = build(left, self._infix(ops, operand,
-                                           precedence + (not right_associative)))
+            run = [left]
+            # a right-associative operator's right operand reads the rest of its run
+            while self._peek().value == symbol:
+                self._next()
+                run.append(self._infix(ops, operand, precedence + (not right_associative)))
+            left = build(*run)
         return left
 
     def _unary(self) -> Formula:

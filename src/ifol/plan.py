@@ -31,9 +31,13 @@ the columns' sort pools.
   projected onto its variables, once per distinct mask of a run, so equal
   masks share one result; over distinct variables in argument order it is
   the decoded relation itself, with no copy;
-* `&` is a natural join, an intersection when the columns are equal; a negated
-  conjunct whose columns lie inside the others' is a difference or an
-  antijoin, so no universe is built for it;
+* `&` is one node over all its parts, whatever their number: a natural
+  join, an intersection when the columns are equal; a negated part whose
+  columns lie inside the others' is a difference or an antijoin, so no
+  universe is built for it.  Its run folds the parts in one loop of steps,
+  each combining the entries so far with one part's, world by world, and
+  listing them before the next, so a run recurses and nests iterators over
+  depth, never over width; a two-part conjunction is one map;
 * any other `~` is a difference from the product of the column pools, built
   on the first run that needs it and kept for the plan's life;
 * `exists` is a projection; over a variable its body does not read, it is the
@@ -85,8 +89,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequ
 
 from .builtins import COMPARISONS, TOTAL_FUNCTIONS
 from .kernel import Element, Number, numeric_value
-from .syntax import (And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variable, conjuncts,
-                     negations)
+from .syntax import And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variable, negations
 
 if TYPE_CHECKING:
     from .semantics import Structure, Subsets
@@ -102,6 +105,9 @@ Masks = Sequence[Sequence[int]]
 # concept `home` with that pool, whose decoder turns a mask into rows.
 _Run = Callable[[Masks, Sequence["Subsets"], int], Iterable]
 _Node = tuple[tuple[Variable, ...], _Run, Optional[int]]
+# One step of a conjunction: the entries so far and the worlds' mask columns,
+# decoders and number to the entries after one more part.
+_Step = Callable[[Iterable, Masks, Sequence["Subsets"], int], Iterable]
 
 _EMPTY: Rows = frozenset()
 _TRUE: Rows = frozenset({()})
@@ -355,36 +361,66 @@ class _Planner:
         return self.node(cols[:i] + cols[i + 1:], lambda m, d, n: map(project, run(m, d, n)))
 
     def conjunction(self, f: And) -> _Node:
-        """The positive conjuncts joined, then each negated one taken away:
-        by a difference or antijoin when its columns lie inside the columns
-        so far, else by a join with its complement, once none does."""
+        """The positive parts joined, then each negated one taken away: by a
+        difference or antijoin when its columns lie inside the columns so
+        far, else by a join with its complement, once none does.  The node
+        runs these steps in one loop, each combining the entries so far with
+        one part's, world by world; every step but the last lists its
+        entries, so a run nests no call and no iterator per part, and a
+        two-part conjunction is one map over the worlds."""
         positive: list[_Node] = []
         negative: list[_Node] = []
-        for part in conjuncts(f):
+        for part in f.parts:
             part, negated = negations(part)
             (negative if negated else positive).append(self.positive(part))
-        node = positive[0] if positive else self.complement(negative.pop(0))
-        for other in positive[1:]:
-            node = self.join(node, other)
+        # the first part's node, then each step's columns, step and home
+        nodes = [positive.pop(0) if positive else self.complement(negative.pop(0))]
+        for part in positive:
+            nodes.append(self.step(nodes[-1], part, True))
         while negative:
-            inside = next((n for n in negative if set(n[0]) <= set(node[0])), None)
-            if inside is None:
-                node = self.join(node, self.complement(negative.pop(0)))
-            else:
-                negative.remove(inside)
-                node = self.semijoin(node, inside, keep=False)
-        return node
+            have, outside = set(nodes[-1][0]), []
+            for part in negative:  # taking a part away keeps the columns
+                if set(part[0]) <= have:
+                    nodes.append(self.step(nodes[-1], part, False))
+                else:
+                    outside.append(part)
+            if outside:
+                nodes.append(self.step(nodes[-1], self.complement(outside.pop(0)), True))
+            negative = outside
+        first, *middle, last = (node[1] for node in nodes)
 
-    def join(self, left: _Node, right: _Node) -> _Node:
-        lcols, rcols = left[0], right[0]
-        if set(rcols) <= set(lcols):
-            return self.semijoin(left, right, keep=True)
-        if set(lcols) <= set(rcols):
-            return self.semijoin(right, left, keep=True)
-        lrows, rrows = _decoded(left), _decoded(right)
-        key_l = _picker([lcols.index(v) for v in rcols if v in lcols])
-        key_r = _picker([i for i, v in enumerate(rcols) if v in lcols])
-        rest = _picker([i for i, v in enumerate(rcols) if v not in lcols])
+        def run(m: Masks, d: Sequence[Subsets], n: int) -> Iterable:
+            entries = first(m, d, n)
+            for step in middle:
+                entries = list(step(entries, m, d, n))
+            return last(entries, m, d, n)
+
+        return nodes[-1][0], run, nodes[-1][2]
+
+    def step(self, so_far: tuple, part: _Node, keep: bool
+             ) -> tuple[tuple[Variable, ...], _Step, Optional[int]]:
+        """One step of a conjunction: its columns, the step, and its home.
+        The step combines, world by world, the entries so far, over the
+        columns of `so_far` (its masks over the pool of its home, or its
+        rows), with `part`'s: by a natural join (`keep`), a semijoin where
+        one side holds the other's columns, or an antijoin, `part`'s columns
+        inside those so far.  Over one column, masks and masks give masks:
+        their intersection, or the first's bits that the second lacks."""
+        (cols, _, home), (pcols, prun, phome) = so_far, part
+        if pcols == cols and home is not None and phome is not None:
+            masks = prun if keep else lambda m, d, n: map(invert, prun(m, d, n))
+            return self.node(cols, lambda e, m, d, n: map(and_, e, masks(m, d, n)), home)
+        prows = _decoded(part)
+        rows = (lambda e, d: e) if home is None else (lambda e, d: map(d[home].__getitem__, e))
+        if set(pcols) <= set(cols):
+            combine = _semijoin(cols, pcols, keep)
+            return self.node(cols, lambda e, m, d, n: map(combine, rows(e, d), prows(m, d, n)))
+        if set(cols) <= set(pcols):
+            inside = _semijoin(pcols, cols, True)
+            return self.node(pcols, lambda e, m, d, n: map(inside, prows(m, d, n), rows(e, d)))
+        key_l = _picker([cols.index(v) for v in pcols if v in cols])
+        key_r = _picker([i for i, v in enumerate(pcols) if v in cols])
+        rest = _picker([i for i, v in enumerate(pcols) if v not in cols])
 
         def joined(lefts: Rows, rights: Rows) -> Rows:
             index: dict[tuple, list[tuple]] = {}
@@ -392,33 +428,20 @@ class _Planner:
                 index.setdefault(key_r(r), []).append(rest(r))
             return frozenset(t + tail for t in lefts for tail in index.get(key_l(t), ()))
 
-        return self.node(lcols + tuple(v for v in rcols if v not in lcols),
-                         lambda m, d, n: map(joined, lrows(m, d, n), rrows(m, d, n)))
+        return self.node(cols + tuple(v for v in pcols if v not in cols),
+                         lambda e, m, d, n: map(joined, rows(e, d), prows(m, d, n)))
 
-    def semijoin(self, wide: _Node, narrow: _Node, keep: bool) -> _Node:
-        """The rows of `wide` whose values on `narrow`'s columns, which lie
-        inside its own, are (`keep`: a semijoin) or are not (an antijoin)
-        rows of `narrow`.  Two mask nodes give a mask node: their masks'
-        intersection, or the first's bits that the second lacks."""
-        (cols, a, home), (ncols, b, nhome) = wide, narrow
-        if ncols == cols and home is not None and nhome is not None:
-            if keep:
-                return self.node(cols, lambda m, d, n: map(and_, a(m, d, n), b(m, d, n)), home)
-            return self.node(cols, lambda m, d, n: map(and_, a(m, d, n), map(invert, b(m, d, n))),
-                             home)
-        wrows, nrows = _decoded(wide), _decoded(narrow)
-        if not ncols:  # narrow is closed: all of wide's rows or none
-            combine = (lambda rows, found: rows if found else _EMPTY) if keep \
-                else (lambda rows, found: _EMPTY if found else rows)
-        elif ncols == cols:
-            combine = and_ if keep else sub
-        else:
-            key = _picker([cols.index(v) for v in ncols])
 
-            def combine(rows: Rows, found: Rows) -> Rows:
-                return frozenset(t for t in rows if (key(t) in found) == keep)
-
-        return self.node(cols, lambda m, d, n: map(combine, wrows(m, d, n), nrows(m, d, n)))
+def _semijoin(cols: tuple[Variable, ...], inner: tuple[Variable, ...], keep: bool
+              ) -> Callable[[Rows, Rows], Rows]:
+    """The rows over `cols` whose values on `inner`, columns among them, are
+    (`keep`: a semijoin) or are not (an antijoin) among the found rows."""
+    if not inner:  # found rows of a closed formula: all of the rows or none
+        return lambda rows, found: rows if bool(found) == keep else _EMPTY
+    if inner == cols:
+        return and_ if keep else sub
+    key = _picker([cols.index(v) for v in inner])
+    return lambda rows, found: frozenset(t for t in rows if (key(t) in found) == keep)
 
 
 def _select(op: Callable[[Number, Number], bool], cells: list[_Cell], left: int, right: int,

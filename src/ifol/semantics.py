@@ -152,7 +152,6 @@ from .syntax import (
     Term,
     Var,
     Variable,
-    conjuncts,
     free_vars,
     negations,
     substitute,
@@ -308,8 +307,10 @@ class Worlds(Sequence[World]):
     of position i, labelled `w<index[i]>`, its masks position i read across
     the columns and its graphs combination index[i] mod k, when it is first
     read and returns that object after; iteration builds every world not
-    built yet in one comprehension, as small workspaces visit every world.
-    `leaders()` is the view of the worlds that lead their class.  This is
+    built yet in one loop, as small workspaces visit every world.
+    `leaders()` is the view of the worlds that lead their class; it keeps
+    the built worlds in the enumeration's list, by index, so a world read
+    through both is one object, built once.  This is
     the one carrier of enumerated worlds: a relational plan runs over its
     columns and builds no world (see `montague_intension`)."""
 
@@ -326,42 +327,45 @@ class Worlds(Sequence[World]):
         self.decoders = decoders
         self.stamp = stamp
         self.index = index or range(len(leads))
+        # the World of each enumerated world, by its index, shared with every view
         self._built: list[Optional[World]] = [None] * len(leads)
-        self._whole = False  # every world built
+        self._whole = False  # every world of this sequence built
 
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self.index)
 
     def __getitem__(self, i):  # type: ignore[override]
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._built)))]
-        world = self._built[i]  # raises IndexError past either end
+            return [self[j] for j in range(*i.indices(len(self.index)))]
+        at = self.index[i]  # raises IndexError past either end
+        world = self._built[at]
         if world is None:
-            i %= len(self._built)
-            at = self.index[i]
-            world = self._built[i] = World(f"w{at}", self.space, None,
-                                           self.functions[at % len(self.functions)],
-                                           tuple(c[i] for c in self.columns), self.decoders)
+            world = self._built[at] = World(f"w{at}", self.space, None,
+                                            self.functions[at % len(self.functions)],
+                                            tuple(c[i] for c in self.columns), self.decoders)
         return world
 
     def __iter__(self) -> Iterator[World]:
-        built = self._built
-        if self._whole:
-            return iter(built)
-        self._whole = True
-        space, decoders, functions = self.space, self.decoders, self.functions
-        k, masks = len(functions), zip(*self.columns) if self.columns else repeat(())
-        built[:] = [World(f"w{at}", space, None, functions[at % k], m, decoders)
-                    if world is None else world for at, world, m in zip(self.index, built, masks)]
-        return iter(built)
+        built, index = self._built, self.index
+        if not self._whole:
+            self._whole = True
+            space, decoders, functions = self.space, self.decoders, self.functions
+            k, masks = len(functions), zip(*self.columns) if self.columns else repeat(())
+            for at, m in zip(index, masks):
+                if built[at] is None:
+                    built[at] = World(f"w{at}", space, None, functions[at % k], m, decoders)
+        return map(built.__getitem__, index)
 
     def leaders(self) -> Worlds:
         """The worlds that lead their class, in order, as a view of their
-        own: the columns and the index gathered at the leading positions."""
-        keep = list(compress(range(len(self._built)), self.leads))
-        return Worlds(self.space, [list(map(c.__getitem__, keep)) for c in self.columns],
+        own: the columns and the index gathered at the leading positions,
+        and the enumeration's own built worlds, so each world is built once."""
+        keep = list(compress(range(len(self.index)), self.leads))
+        view = Worlds(self.space, [list(map(c.__getitem__, keep)) for c in self.columns],
                       [True] * len(keep), self.functions, self.decoders, self.stamp,
                       list(map(self.index.__getitem__, keep)))
+        view._built = self._built
+        return view
 
 
 # --- assignments and accessibility ------------------------------------------------
@@ -515,10 +519,7 @@ def _nesting(f: Formula) -> tuple:
     if isinstance(f, Atom):
         return ()
     if isinstance(f, And):
-        nest: list = []
-        for part in conjuncts(f):
-            nest.extend(_nesting(part))
-        return tuple(nest)
+        return tuple(q for part in f.parts for q in _nesting(part))
     return ((f.var.sort, _nesting(f.body)),)
 
 
@@ -870,9 +871,7 @@ def _kripke(f: Formula, bound: dict[Variable, int], stager: _Stager) -> Test:
     if isinstance(f, Atom):
         test = _kripke_atom(f, bound, stager)
     elif isinstance(f, And):
-        parts = []
-        for part in conjuncts(f):
-            parts.append(_kripke(part, bound, stager))
+        parts = [_kripke(part, bound, stager) for part in f.parts]
 
         def test(w: World, env: list) -> bool:
             for part in parts:

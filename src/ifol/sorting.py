@@ -146,8 +146,8 @@ def check_formula(phi: Formula, sig: Signature, domain: Domain) -> list[SortMism
         elif isinstance(f, Not):
             walk(f.sub)
         elif isinstance(f, And):
-            walk(f.left)
-            walk(f.right)
+            for part in f.parts:
+                walk(part)
         else:
             if f.var.sort not in domain.lattice:
                 raise UnknownSort(f.var.sort)

@@ -4,7 +4,9 @@ Terms and formulas are immutable values.  An abstraction term reifies a formula
 as a term: its `alpha` variables are hidden and its `beta` variables stay
 externally quantifiable; both are kept in first-appearance order.  Only the
 primitive connectives not / and / exists appear here -- anything else is parser
-sugar expanded before evaluation.
+sugar expanded before evaluation.  `&` is n-ary: one `And` node holds a whole
+run of conjuncts, so every walker loops over a formula's width and recurses
+only over its depth.
 """
 
 from __future__ import annotations
@@ -72,10 +74,20 @@ class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class And:
-    left: "Formula"
-    right: "Formula"
+    """A conjunction of two or more parts, none of them a conjunction: a part
+    that is one is spliced in when the node is built, so `And(And(a, b), c)`
+    and `And(a, And(b, c))` are the one node `And(a, b, c)`."""
+
+    parts: tuple["Formula", ...]
+
+    def __init__(self, *parts: "Formula"):
+        flat = parts if And not in map(type, parts) else tuple(
+            q for p in parts for q in (p.parts if isinstance(p, And) else (p,)))
+        if len(flat) < 2:
+            raise ValueError("a conjunction has at least two parts")
+        object.__setattr__(self, "parts", flat)
 
 
 @dataclass(frozen=True)
@@ -88,21 +100,6 @@ Formula = Atom | Not | And | Exists
 
 # The tautology: a built-in nullary atom, always true, interpreted as Truth.
 TOP = Atom("true", ())
-
-
-def conjuncts(phi: And) -> list[Formula]:
-    """The maximal conjunction tree under phi, flattened left to right without
-    recursion."""
-    out: list[Formula] = []
-    stack: list[Formula] = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.append(f.right)
-            stack.append(f.left)
-        else:
-            out.append(f)
-    return out
 
 
 def negations(f: Formula) -> tuple[Formula, bool]:
@@ -139,8 +136,8 @@ def free_vars(node: Formula | Term) -> tuple[Variable, ...]:
         elif isinstance(n, Not):
             walk(n.sub, bound)
         elif isinstance(n, And):
-            walk(n.left, bound)
-            walk(n.right, bound)
+            for part in n.parts:
+                walk(part, bound)
         elif isinstance(n, Exists):
             walk(n.body, bound | {n.var})
 
@@ -210,7 +207,7 @@ def substitute(phi: Formula, mapping: dict[Variable, Term]) -> Formula:
         if isinstance(f, Not):
             return Not(sub(f.sub, bound))
         if isinstance(f, And):
-            return And(sub(f.left, bound), sub(f.right, bound))
+            return And(*(sub(part, bound) for part in f.parts))
         for x, t_vars in incoming.items():
             if f.var in t_vars and x != f.var and x not in bound \
                     and x in free_vars(f.body):
@@ -273,7 +270,7 @@ def normalize(phi: Formula) -> str:
         if isinstance(f, Not):
             return f"not({norm(f.sub, names, depth)})"
         if isinstance(f, And):
-            return f"and({norm(f.left, names, depth)},{norm(f.right, names, depth)})"
+            return f"and({','.join(norm(part, names, depth) for part in f.parts)})"
         inner = dict(names)
         inner[f.var] = f"!{depth}:{f.var.sort}"
         return f"exists[!{depth}:{f.var.sort}]({norm(f.body, inner, depth + 1)})"
@@ -324,7 +321,7 @@ def format_formula(phi: Formula) -> str:
         if isinstance(f, Not):
             return f"~{wrap(f.sub)}"
         if isinstance(f, And):
-            return f"{wrap(f.left)} & {wrap(f.right)}"
+            return " & ".join(map(wrap, f.parts))
         outer = f.var in seen
         text = f"exists {var(f.var, binder=True)} . {fmt(f.body)}"
         if not outer:

@@ -65,7 +65,7 @@ from .semantics import (
     _Stager,
     _term,
 )
-from .syntax import Abstracted, And, Atom, FnApp, Formula, Term, Var, Variable, conjuncts, negations
+from .syntax import Abstracted, And, Atom, FnApp, Formula, Term, Var, Variable, negations
 
 # A column term gives its value at each selected position, a column test the
 # selected positions where its formula holds.
@@ -129,9 +129,7 @@ def _tarski(f: Formula, bound: dict[Variable, int], stager: _Stager) -> ColumnTe
     if isinstance(f, Atom):
         return _tarski_atom(f, bound, stager, negated)
     if isinstance(f, And):
-        parts = []
-        for part in conjuncts(f):
-            parts.append(_tarski(part, bound, stager))
+        parts = [_tarski(part, bound, stager) for part in f.parts]
 
         def test(w: World, env: list, col: Sequence[Element], sel: Sequence[int],
                  errs: dict) -> Sequence[int]:

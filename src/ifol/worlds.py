@@ -362,7 +362,7 @@ def _constant_symbols(formulas: Iterable[Formula]) -> set[str]:
         elif isinstance(node, Not):
             stack.append(node.sub)
         elif isinstance(node, And):
-            stack.extend((node.left, node.right))
+            stack.extend(node.parts)
         elif isinstance(node, (Exists, Abstracted)):
             stack.append(node.body)
     return out

@@ -12,17 +12,29 @@ from ifol.syntax import (Abstracted, And, Atom, Const, Exists, FnApp, Not, Var, 
 from conftest import FIXTURES
 
 
+def _connective(draw, sub):
+    """A binary connective over sub-formulas drawn by `sub()`, as the parser
+    builds it: a conjunction of 2-4 parts, one node; a run of 2-4 disjuncts
+    `a | b | c`, the negation of one conjunction of their negations; or
+    `a -> b`, `~(a & ~b)`."""
+    kind = draw(st.sampled_from(["and", "or", "implies"]))
+    if kind == "implies":
+        return Not(And(sub(), Not(sub())))
+    parts = [sub() for _ in range(draw(st.integers(2, 4)))]
+    return And(*parts) if kind == "and" else Not(And(*map(Not, parts)))
+
+
 @st.composite
 def _formula(draw, concepts, constants, free, depth, bound=()):
     """A formula over the unary and binary concepts: atoms take variables in
     scope or constants of the argument's sort; `exists` may range over
     truth-values and bind nothing the body uses."""
-    kind = draw(st.sampled_from(["atom", "not", "and", "exists"] if depth else ["atom"]))
+    kind = draw(st.sampled_from(["atom", "not", "connective", "exists"] if depth else ["atom"]))
     if kind == "not":
         return Not(draw(_formula(concepts, constants, free, depth - 1, bound)))
-    if kind == "and":
-        return And(draw(_formula(concepts, constants, free, depth - 1, bound)),
-                   draw(_formula(concepts, constants, free, depth - 1, bound)))
+    if kind == "connective":
+        return _connective(draw, lambda: draw(_formula(concepts, constants, free, depth - 1,
+                                                       bound)))
     if kind == "exists":
         sort = draw(st.sampled_from(sorted({s for _, sorts in concepts for s in sorts})
                                     + ["truth values"]))
@@ -240,12 +252,12 @@ def fragment_formulas(draw, ws, depth: int = 3):
         return mk_abstracted(body, [v for v in free_vars(body) if v not in beta], beta)
 
     def formula(depth: int):
-        kind = draw(st.sampled_from(["atom", "atom", "not", "and", "exists"] if depth
+        kind = draw(st.sampled_from(["atom", "atom", "not", "connective", "exists"] if depth
                                     else ["atom"]))
         if kind == "not":
             return Not(formula(depth - 1))
-        if kind == "and":
-            return And(formula(depth - 1), formula(depth - 1))
+        if kind == "connective":
+            return _connective(draw, lambda: formula(depth - 1))
         if kind == "exists":
             sort = draw(st.sampled_from(sorts + infinite))
             v = draw(st.sampled_from([v for v in variables if v.sort == sort]
@@ -286,6 +298,7 @@ def fragment_formulas(draw, ws, depth: int = 3):
 # --- built-in arithmetic over two or three free variables --------------------------
 
 NUMERALS = ("-2", "-1", "0", "1", "2", "1/2")
+COMPARISONS = ("leq", "lt", "geq", "gt", "eq")  # every built-in comparison
 _BUILTIN_FUNCTIONS = {"add": 2, "sub": 2, "mul": 2, "div": 2, "pow": 2, "neg": 1}
 
 
@@ -313,18 +326,18 @@ def _arith_term(draw, scope, depth):
 
 @st.composite
 def _arith_formula(draw, scope, depth, terms):
-    """Built-in comparisons and the unary concept p over arithmetic terms,
-    under ~, & and exists."""
-    kind = draw(st.sampled_from(["atom", "atom", "not", "and", "exists"] if depth else ["atom"]))
+    """Built-in comparisons, each of `COMPARISONS`, and the unary concept p
+    over arithmetic terms, under ~, &, |, -> and exists."""
+    kind = draw(st.sampled_from(["atom", "atom", "not", "connective", "exists"] if depth
+                                else ["atom"]))
     if kind == "not":
         return Not(draw(_arith_formula(scope, depth - 1, terms)))
-    if kind == "and":
-        return And(draw(_arith_formula(scope, depth - 1, terms)),
-                   draw(_arith_formula(scope, depth - 1, terms)))
+    if kind == "connective":
+        return _connective(draw, lambda: draw(_arith_formula(scope, depth - 1, terms)))
     if kind == "exists":
         v = Variable(f"z{depth}", draw(st.sampled_from(["reals", "s"])))
         return Exists(v, draw(_arith_formula((*scope, v), depth - 1, terms)))
-    pred = draw(st.sampled_from(["leq", "lt", "eq", "p"]))
+    pred = draw(st.sampled_from([*COMPARISONS, "p"]))
     arity = 1 if pred == "p" else 2
     args = []
     for _ in range(arity):
@@ -349,7 +362,7 @@ def arithmetic_workspaces(draw) -> str:
     for symbol, arity in _BUILTIN_FUNCTIONS.items():
         sorts = " x ".join(["reals"] * arity)
         lines.append(f"builtin function {symbol}/{arity} : {sorts} -> reals = {symbol}")
-    for pred in ("leq", "lt", "eq"):
+    for pred in COMPARISONS:
         lines.append(f"builtin predicate {pred}/2 : reals x reals = {pred}")
     free = [Variable(name, "reals") for name in "xyz"][:draw(st.integers(2, 3))]
     free.append(Variable("u", "s"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifol.cli
-from ifol import load_workspace, satisfies, tarski_eval
+from ifol import free_vars, load_workspace, montague_intension, satisfies, tarski_eval
 from ifol.cli import _RowRenderer, main, render_concept_tree, run_queries
 from ifol.errors import ExplosionGuard
 from ifol.kernel import NESTED_SENTENCE_SORT, ConceptRef, element_lexeme
+from ifol.semantics import intension_plan
 
 from conftest import FIXTURES
 from strategies import mutated_fixtures
@@ -234,6 +236,21 @@ def test_a_mutated_fixture_ends_in_exit_0_1_or_2(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mutated") / "fixture.ifol"
     path.write_text(text)
     assert main(["run", str(path), "--max-worlds", "4096"]) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated_fixtures(), st.data())
+def test_check_and_concepts_on_a_mutated_fixture_end_in_exit_0_1_or_2(tmp_path_factory, text,
+                                                                       data):
+    """`check` and `concepts <predicate>` keep the exit-status rule of `run`
+    on mutated fixtures; `concepts` asks for a predicate that the mutated
+    text names, or for any of its words where it names none."""
+    path = tmp_path_factory.mktemp("mutated") / "fixture.ifol"
+    path.write_text(text)
+    assert main(["check", str(path)]) in (0, 1, 2)
+    named = re.findall(r"\bpredicate ([A-Za-z_]\w*)", text) or text.split() or ["p"]
+    assert main(["concepts", str(path), data.draw(st.sampled_from(sorted(set(named))))]) \
+        in (0, 1, 2)
 
 
 def test_eval_error_rendered_without_failing_exit(tmp_path, capsys):
@@ -482,7 +499,7 @@ STAGED_ERROR_REPORTS = {
         "query intension leq2(x:reals, 0) & leq2(div(1, y:reals), x)\n",
         "INTENSION ~eq2(y:reals, 0) & leq2(add(x:reals, div(1, y)), 0)\n"
         + _in_both_worlds("-1, -1", "-1, 0", "-1, 1", "1, -1")
-        + "\nINTENSION (leq2(x:reals, 0) & ~eq2(y:reals, 0)) & leq2(add(x, div(1, y)), 0)\n"
+        + "\nINTENSION leq2(x:reals, 0) & ~eq2(y:reals, 0) & leq2(add(x, div(1, y)), 0)\n"
         + _in_both_worlds("-1, -1", "-1, 1", "0, -1")
         + "\nINTENSION ~eq2(add(x:reals, y:reals), 0) & leq2(div(1, add(x, y)), 0)\n"
         + _in_both_worlds("-1, -1", "-1, 0", "0, -1")
@@ -860,6 +877,33 @@ def test_nesting_too_deep_to_run_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "too deep" in captured.err
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_a_chain_of_10000_parts_answers_on_every_route(tmp_path, capsys, op):
+    """Only depth, not width, can reach the nesting limit: a 10,000-part
+    chain of `&` or `|` over a unary concept is one conjunction node, which
+    every walker loops over.  Its intension, consequence and Bealer-Montague
+    queries answer; at every assignment of a world the two routes agree,
+    and its plan gives the Kripke sweep's rows."""
+    chain = f" {op} ".join(["p(x:s)"] + ["~p(a)", "p(x)"] * 4_999 + ["~p(a)"])
+    head = "sort s\nextent s = { a, b }\nconcept p-hood arity 1 sorts s predicate p\n"
+    text = head + "".join(f"query {kind} {chain}\n"
+                          for kind in ("intension", "consequence", "bealer-montague"))
+    assert main(["run", str(_write(tmp_path, "wide.ifol", text))]) in (0, 1)
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert [block.split(" ", 1)[0] for block in blocks] \
+        == ["INTENSION", "CONSEQUENCE", "BEALER-MONTAGUE"]
+    assert blocks[2] == "BEALER-MONTAGUE ok (4 worlds)\n"
+    ws = load_workspace(f"{head}query intension {chain}\n")
+    phi = ws.queries[0].formula
+    (x,) = free_vars(phi)
+    world = ws.worlds()[1]
+    for value in ws.domain.valid_elements("s"):
+        assert satisfies(world, {x: value}, phi) == tarski_eval(world, {x: value}, phi)
+    assert intension_plan(ws.space, phi) is not None
+    assert montague_intension(ws.space, phi, ws.worlds()) \
+        == montague_intension(ws.space, phi, list(ws.worlds()))
 
 
 @pytest.mark.parametrize("jobs", ["2", "0", "-3"])

@@ -37,7 +37,7 @@ def test_parse_atom_and_variables(pets):
 
 def test_parse_reuses_annotated_variable(pets):
     phi = pets.parse("purrs(x:cat) & purrs(x)")
-    left, right = phi.left, phi.right
+    left, right = phi.parts
     assert left.args == right.args
 
 
@@ -71,7 +71,7 @@ def test_parse_sugar_or_implies_forall(pets):
 
 def test_parse_no_shadowing_renames(pets):
     phi = pets.parse("(exists x:cat . purrs(x)) & (exists x:cat . purrs(x))")
-    first, second = phi.left, phi.right
+    first, second = phi.parts
     assert first.var.name == "x"
     assert second.var.name == "x'"
 
@@ -96,18 +96,22 @@ def test_parse_arithmetic_precedence(arith):
 def test_infix_operators_group_and_bind_by_the_table(pets, arith):
     """`&`, `|`, `+`, `-` and `*` group to the left, `->` and `^` to the
     right; `->` binds loosest, then `|`, then `&`, with `~` tighter still, and
-    `+ -`, then `*`, then `^`, with unary `-` tighter still.  A quantifier's
+    `+ -`, then `*`, then `^`, with unary `-` tighter still.  A run of `&` is
+    one node, and so is the conjunction under a run of `|`.  A quantifier's
     body extends right over `->`."""
     a, b, c, d = (Atom(name, ()) for name in "abcd")
 
-    def either(f, g):
-        return Not(And(Not(f), Not(g)))
+    def either(*fs):
+        return Not(And(*map(Not, fs)))
 
     def implies(f, g):
         return Not(And(f, Not(g)))
 
-    assert pets.parse("a() & b() & c()") == And(And(a, b), c)
-    assert pets.parse("a() | b() | c()") == either(either(a, b), c)
+    assert pets.parse("a() & b() & c()").parts == (a, b, c)
+    assert pets.parse("a() & (b() & c())") == And(And(a, b), c) == And(a, And(b, c))
+    assert pets.parse("a() | b() | c()") == either(a, b, c)
+    assert pets.parse("(a() | b()) | c()") == either(either(a, b), c)
+    assert pets.parse("a() | b() & c() | d()") == either(a, And(b, c), d)
     assert pets.parse("a() -> b() -> c()") == implies(a, implies(b, c))
     assert pets.parse("a() | b() & c() -> d()") == implies(either(a, And(b, c)), d)
     assert pets.parse("~a() & b()") == And(Not(a), b)
@@ -132,19 +136,18 @@ def test_infix_operators_group_and_bind_by_the_table(pets, arith):
 @pytest.mark.parametrize("op", ["&", "|", "+", "*", "-"])
 def test_a_chain_of_one_infix_operator_parses_in_a_loop(pets, arith, op):
     """A 10,000-link chain of one left-associative operator is read without
-    recursing once per link: its tree is 9,999 levels deep on the left."""
+    recursing once per link: a chain of `&` is one node of 10,000 parts, and
+    so is the conjunction under a chain of `|`; a chain of `+`, `*` or `-`
+    is a tree 9,999 levels deep on the left."""
     if op in "&|":
         phi = pets.parse(f" {op} ".join(["purrs(tom)"] * 10_000))
-    else:
-        phi = arith.parse(f"leq2({f' {op} '.join(['1'] * 10_000)}, 0)").args[0]
+        part = pets.parse("purrs(tom)" if op == "&" else "~purrs(tom)")
+        assert (phi if op == "&" else phi.sub).parts == (part,) * 10_000
+        return
+    phi = arith.parse(f"leq2({f' {op} '.join(['1'] * 10_000)}, 0)").args[0]
     depth = 0
-    while not isinstance(phi, (Atom, Const)):
-        if op == "|":
-            phi = phi.sub.left.sub  # ~(~left & ~right)
-        elif op == "&":
-            phi = phi.left
-        else:
-            phi = phi.args[0]
+    while not isinstance(phi, Const):
+        phi = phi.args[0]
         depth += 1
     assert depth == 9_999
 

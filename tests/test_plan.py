@@ -345,7 +345,8 @@ def test_a_unary_run_decodes_only_the_worlds_the_routes_visit():
     assert (len(worlds), len(representatives)) == (6561, 45)
     intension = next(q.formula for q in ws.queries if q.kind == "intension")
     meaning = ifol.semantics.montague_intension(ws.space, intension, worlds)
-    decoded = [w for w in (*worlds, *representatives) if "relations" in vars(w)]
+    assert {id(w) for w in representatives} <= {id(w) for w in worlds}
+    decoded = [w for w in worlds if "relations" in vars(w)]
     assert 0 < len(decoded) <= len(representatives)
     first: dict[frozenset, frozenset] = {}
     for rows in meaning:
@@ -375,6 +376,27 @@ def test_a_unary_run_builds_only_the_representatives(monkeypatch):
     representatives = ws.representatives([q.formula for q in ws.queries])
     assert (len(ws.worlds()), len(representatives)) == (6561, 45)
     assert 0 < len(made) <= 45 and {id(w) for w in made} <= {id(w) for w in representatives}
+
+
+def test_a_leading_world_is_built_once_for_the_view_and_the_enumeration(monkeypatch):
+    """A planned query walks the leaders view and a query with no plan (a
+    comparison over the infinite integers) walks every world: the view
+    keeps its worlds in the enumeration's list, so each of the 243 worlds
+    is built once, the 21 leaders among them."""
+    ws = load_workspace("sort thing\n"
+                        "extent thing = { a, b, c, d, e }\n"
+                        "sort integers\n"
+                        "concept p-hood arity 1 sorts thing predicate p\n"
+                        "concept q-hood arity 1 sorts thing predicate q\n"
+                        "isa p-hood q-hood\n"
+                        "builtin predicate lt/2 : integers x integers = lt\n"
+                        "query consequence exists y:thing . q(y) | ~p(y)\n"
+                        "query consequence (exists y:thing . q(y) | ~p(y)) & lt(0, 1)\n")
+    made = _built(monkeypatch)
+    assert run_queries(ws) == ("CONSEQUENCE yes\n\nCONSEQUENCE yes\n", 0)
+    leaders = ws.representatives([ws.queries[0].formula])
+    assert (len(ws.worlds()), len(leaders), len(made)) == (243, 21, 243)
+    assert all(world is ws.worlds()[at] for world, at in zip(leaders, leaders.index))
 
 
 def test_a_relational_run_builds_no_world(monkeypatch):

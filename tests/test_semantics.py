@@ -893,7 +893,7 @@ def _abstraction_atoms(phi) -> list[Atom]:
         if isinstance(f, Not):
             stack.append(f.sub)
         elif isinstance(f, And):
-            stack += [f.left, f.right]
+            stack += f.parts
         elif isinstance(f, Exists):
             stack.append(f.body)
         else:
@@ -960,3 +960,36 @@ def test_abstraction_arguments_agree_per_world_and_assignment(text, data):
                     rows.add(tuple(g[v] for v in free))
             union = () in rows if not (hidden or free) else frozenset(rows)
             assert _outcome(lambda: eval_atom(a, {}, seeded)) == (error or union)
+
+
+# Each built-in comparison's rows over reals {-1, 0, 1}, as (x, y) lexeme pairs.
+COMPARISON_ROWS = {
+    "leq": "-1 -1, -1 0, -1 1, 0 0, 0 1, 1 1",
+    "lt": "-1 0, -1 1, 0 1",
+    "geq": "-1 -1, 0 -1, 0 0, 1 -1, 1 0, 1 1",
+    "gt": "0 -1, 1 -1, 1 0",
+    "eq": "-1 -1, 0 0, 1 1",
+}
+
+
+@pytest.mark.parametrize("evaluator", sorted(COMPARISON_ROWS))
+def test_every_builtin_comparison_holds_at_its_hand_written_rows(evaluator):
+    """`cmp(x, y)` over the reals {-1, 0, 1} holds exactly at the rows of
+    `COMPARISON_ROWS`, on both routes at every assignment and through its
+    plan."""
+    ws = load_workspace("sort integers\nsort rationals\nsort reals\n"
+                        "isa integers rationals\nisa rationals reals\n"
+                        "extent reals = { -1, 0, 1 }\n"
+                        f"builtin predicate cmp/2 : reals x reals = {evaluator}\n")
+    phi = ws.parse("cmp(x:reals, y:reals)")
+    x, y = free_vars(phi)
+    expected = {tuple(row.split()) for row in COMPARISON_ROWS[evaluator].split(", ")}
+    pool = ws.domain.valid_elements("reals")
+    (world,) = ws.worlds()
+    for a, b in itertools.product(pool, pool):
+        held = (a.lexeme, b.lexeme) in expected
+        for route in (satisfies, tarski_eval):
+            assert route(world, {x: a, y: b}, phi) is held
+    assert ifol.semantics.intension_plan(ws.space, phi) is not None
+    (rows,) = montague_intension(ws.space, phi, ws.worlds())
+    assert {(a.lexeme, b.lexeme) for a, b in rows} == expected

@@ -222,6 +222,20 @@ def test_ground_instance_has_no_free_vars_on_family():
         assert free_vars(ground_instance(phi, g)) == ()
 
 
+def test_a_conjunction_is_one_flat_node_of_two_or_more_parts():
+    """`And` splices a part that is a conjunction into its own parts, so
+    `(a & b) & c` and `a & (b & c)` are one formula, with one fingerprint
+    and one printed form; a two-part conjunction keeps its fingerprint."""
+    a, b, c = atom("p", x), atom("q", y), atom("r", x, y)
+    left, right = And(And(a, b), c), And(a, And(b, c))
+    assert left == right and hash(left) == hash(right) and left.parts == (a, b, c)
+    assert normalize(left) == "and(p(?0:thing),q(?1:thing),r(?0:thing,?1:thing))"
+    assert normalize(And(a, b)) == "and(p(?0:thing),q(?1:thing))"
+    assert format_formula(left) == "p(x:thing) & q(y:thing) & r(x, y)"
+    with pytest.raises(ValueError):
+        And(a)
+
+
 def test_normalize_alpha_equivalence():
     assert normalize(atom("p", x)) == normalize(atom("p", y))
     assert normalize(Exists(x, atom("p", x))) == normalize(Exists(y, atom("p", y)))

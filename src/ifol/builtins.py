@@ -9,13 +9,18 @@ particulars or raw numbers alike, so compiled terms pass intermediate results
 between them unboxed and box a value into a particular only where it leaves
 arithmetic.  Comparisons are binary operators on raw numbers: a compiled
 comparison unwraps, with `number_of`, only an argument that is not raw.
+
+`TOTAL_FUNCTIONS` and `is_total` say where a function evaluator cannot raise
+on raw numbers.  There both a relational plan's cells (`ifol.plan`) and a
+Tarski column (`ifol.tarski`) apply its bare operator, which is exactly what
+`apply_function` calls once its arguments are unwrapped.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import EvaluationFailure
 from .kernel import Element, Number, Particular, element_lexeme, exact_number
@@ -60,7 +65,7 @@ def _pow(a: Number, b: Number) -> Number:
 
 
 # The function evaluators that cannot raise on numbers, with their arity;
-# `pow` only with a non-negative integer exponent, where it agrees with `_pow`.
+# `pow` only with a non-negative integer exponent (`is_total`).
 TOTAL_FUNCTIONS: dict[str, tuple[int, Callable[..., Number]]] = {
     "add": (2, operator.add),
     "sub": (2, operator.sub),
@@ -69,6 +74,16 @@ TOTAL_FUNCTIONS: dict[str, tuple[int, Callable[..., Number]]] = {
     "pow": (2, operator.pow),
 }
 _FUNCTIONS = {**TOTAL_FUNCTIONS, "div": (2, _div), "pow": (2, _pow)}
+
+
+def is_total(evaluator: str, exponent: Optional[Number]) -> bool:
+    """Whether an application of `evaluator`, one of `TOTAL_FUNCTIONS` with
+    its arity, cannot raise on raw numbers, given `exponent`, the value of
+    its second argument where that is a numeric constant and None otherwise:
+    always, but `pow` only with a non-negative integer exponent, where
+    `operator.pow` agrees with `_pow` (it raises on a fractional exponent and
+    on 0 to a negative one)."""
+    return evaluator != "pow" or (exponent.__class__ is int and exponent >= 0)
 
 
 def apply_function(evaluator: str, args: Sequence[Union[Element, Number]]) -> Number:

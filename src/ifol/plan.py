@@ -87,7 +87,7 @@ import math
 from operator import and_, invert, itemgetter, sub
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .builtins import COMPARISONS, TOTAL_FUNCTIONS
+from .builtins import COMPARISONS, TOTAL_FUNCTIONS, is_total
 from .kernel import Element, Number, numeric_value
 from .syntax import And, Atom, Const, Exists, FnApp, Formula, Term, Var, Variable, negations
 
@@ -320,10 +320,8 @@ class _Planner:
         if fn is None or len(t.args) != arity:
             raise _Outside
         args = tuple(self.term(u, cells, cols) for u in t.args)
-        if evaluator == "pow" and not (isinstance(t.args[1], Const)
-                                       and cells[args[1]].value.__class__ is int
-                                       and cells[args[1]].value >= 0):
-            raise _Outside  # it raises on a fractional exponent and on 0 to a negative one
+        if not is_total(evaluator, cells[args[-1]].value):  # a constant's cell has a value
+            raise _Outside
         cells.append(_Cell(fn, args, frozenset().union(*(cells[i].reads for i in args))))
         return len(cells) - 1
 

@@ -19,11 +19,13 @@ records in `errs` the error of each position where the formula raises, and
 drops that position.  No closure is run on an empty selection.
 
 * A term that reads the column gives its value at each position: the
-  column variable its values, a built-in application `apply_function`
-  mapped over its arguments' columns, one call per position, a graph or an
-  abstraction one evaluation per position.  A staged one keeps its values
-  by column value (`_ColumnStager.column`).  Any other term is
-  `_compile_term`'s closure, evaluated once per column.
+  column variable its values, a graph or an abstraction one evaluation per
+  position, and a built-in application an operator mapped over its
+  arguments' columns.  That is the bare operator where the result is exact
+  and cannot raise, as the compiler sees from the term (`_raw_operator`),
+  and `apply_function`, one call per position, anywhere else.  A staged
+  one keeps its values by column value (`_ColumnStager.column`).  Any
+  other term is `_compile_term`'s closure, evaluated once per column.
 * A unary concept atom on a variable tests that variable's values.  Any
   other atom (`_exact`) maps its predicate's combiner -- the built-in
   comparison `semantics._comparison` or relation membership -- over its
@@ -37,8 +39,10 @@ drops that position.  No closure is run on an empty selection.
 Each position evaluates what one evaluation at its assignment evaluates, in
 the same order: an atom whose column raises is run again a position at a
 time, recording each position's error, and the sweep acts on the first
-position, in enumeration order, that does not hold.  Evaluation at one
-assignment (`tarski_eval`, a closed formula) is a one-position column.
+position, in enumeration order, that does not hold.  A staged term keeps
+the values it gave before the raise, so the rerun reads them.  Evaluation
+at one assignment (`tarski_eval`, a closed formula) is a one-position
+column.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import compress, filterfalse, product, repeat
 from operator import itemgetter, not_
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from . import semantics
+from .builtins import TOTAL_FUNCTIONS, is_total
 from .errors import IfolError, UnknownSymbol
 from .kernel import Element
 from .semantics import (
@@ -64,8 +69,9 @@ from .semantics import (
     _staged,
     _Stager,
     _term,
+    _yields_raw,
 )
-from .syntax import Abstracted, And, Atom, FnApp, Formula, Term, Var, Variable, negations
+from .syntax import Abstracted, And, Atom, Const, FnApp, Formula, Term, Var, Variable, negations
 
 # A column term gives its value at each selected position, a column test the
 # selected positions where its formula holds.
@@ -78,14 +84,16 @@ class _ColumnStager(_Stager):
     term that reads the column."""
 
     def column(self, value: Column, reads: frozenset[int]) -> Column:
-        """Stage a term that reads the column, the last parameter: the
-        returned closure evaluates it only at the positions whose column
-        value it has not evaluated under the current binding of the other
-        parameters it `reads`, and keeps each value until that binding moves
-        (for the core's life where it reads no other), so a sweep in product
-        order evaluates it as often as `slot` would; the values of a whole
-        column are kept as one list too.  An evaluation that raises keeps
-        nothing."""
+        """Stage a built-in application's column (`_column_term`), a term
+        that reads the column, the last parameter: the returned closure
+        evaluates it only at the positions whose column value it has not
+        evaluated under the current binding of the other parameters it
+        `reads`, and keeps each value until that binding moves (for the
+        core's life where it reads no other), so a sweep in product order
+        evaluates it as often as `slot` would; the values of a whole column
+        are kept as one list too.  An evaluation that raises keeps the values
+        of the positions before the one it raises at, and nothing of that
+        one: it asks the column for its values lazily, in position order."""
         others = sorted(reads - {self.params - 1})
         pick = itemgetter(*others) if others else (lambda env: ())
         # the other parameters' binding, the values by column value, and the
@@ -103,7 +111,8 @@ class _ColumnStager(_Stager):
             values = list(map(memo.get, map(col.__getitem__, sel)))
             if None in values:
                 missing = [i for i, v in zip(sel, values) if v is None]
-                memo.update(zip(map(col.__getitem__, missing), value(w, env, col, missing)))
+                # kept as they arrive, so a raise keeps the values before it
+                memo.update(zip(map(col.__getitem__, missing), value(w, env, col, missing, True)))
                 values = list(map(memo.__getitem__, map(col.__getitem__, sel)))
             if whole:
                 held[2:] = col, values
@@ -314,17 +323,42 @@ def _column_term(t: Term, bound: dict[Variable, int], stager: _Stager, raw: bool
         if isinstance(a, FnApp) and (reads is None or _level(part) != _level(reads)):
             value = _staged(value, part, bound, stager, column)
         values.append((value, column))
+    op = _raw_operator(t, evaluator, stager.space)
     finish = _finish(stager.space.domain, raw)
 
-    def apply(w: World, env: list, col: Sequence[Element], sel: Sequence[int]) -> list:
+    def apply(w: World, env: list, col: Sequence[Element], sel: Sequence[int],
+              lazy: bool = False) -> Iterable:
         args = []
         for value, column in values:
             args.append(value(w, env, col, sel) if column else repeat(value(w, env)))
-        # apply_function is looked up per column so that it can be instrumented
-        results = map(semantics.apply_function, repeat(evaluator), zip(*args))
-        return list(results if finish is None else map(finish, results))
+        if op is None:
+            # apply_function is looked up per column so that it can be instrumented
+            results = map(semantics.apply_function, repeat(evaluator), zip(*args))
+        else:
+            results = map(op, *args)
+        if finish is not None:
+            results = map(finish, results)
+        # a list unless asked for lazily (`_ColumnStager.column`), so that a
+        # consumer evaluates its arguments left to right
+        return results if lazy else list(results)
 
     return apply, reads, True
+
+
+def _raw_operator(t: FnApp, evaluator: str, space: Structure) -> Optional[Callable]:
+    """The bare operator a column of built-in application t maps, or None
+    where it maps `apply_function`: an operator of `TOTAL_FUNCTIONS` given
+    its arity, whose every argument is raw (`_yields_raw`: a numeric
+    constant or a built-in application, not a variable, whose values are
+    particulars) and, for `pow`, whose exponent is a constant non-negative
+    integer (`is_total`).  On raw numbers that operator is exactly what
+    `apply_function` calls, and it cannot raise."""
+    arity, fn = TOTAL_FUNCTIONS.get(evaluator, (0, None))
+    if fn is None or len(t.args) != arity or not all(_yields_raw(a, space) for a in t.args):
+        return None
+    last = t.args[-1]
+    exponent = space.domain.lookup(last.symbol).value if isinstance(last, Const) else None
+    return fn if is_total(evaluator, exponent) else None
 
 
 def _column_values(w: World, env: list, col: Sequence[Element], sel: Sequence[int]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from ifol.semantics import (
     accessible_values,
     is_model_of,
 )
-from ifol.syntax import TOP, Abstracted, And, Exists, Not, free_vars, ground_instance
+from ifol.syntax import TOP, Abstracted, And, Exists, Formula, Not, free_vars, ground_instance
 
 from conftest import arithmetic_ws, many_sorted_assignments, pets_ws
 from strategies import fragment_formulas, isa_workspaces
@@ -910,6 +911,34 @@ def _outcome(evaluate):
         return type(exc).__name__, str(exc)
 
 
+# The most worlds times assignments one example of the test below evaluates.
+_WORK = 1_024
+
+
+@st.composite
+def _budgeted_formulas(draw, ws) -> tuple[list[Formula], list[Atom]]:
+    """Up to five `fragment_formulas` whose free variables range over finite
+    sorts, and their atoms that take an abstraction argument and do too.  A
+    formula is left out where it and its atoms would take the worlds times
+    the assignments of everything kept over `_WORK`: the test evaluates
+    each at every assignment in every world, which grows exponentially with
+    the free variables drawn."""
+    worlds, work = len(ws.worlds()), 0
+    finite, atoms = [], []
+    for phi in draw(st.lists(fragment_formulas(ws), min_size=2, max_size=5)):
+        if not all(ws.domain.sort_is_finite(v.sort) for v in free_vars(phi)):
+            continue
+        found = [a for a in _abstraction_atoms(phi)
+                 if all(ws.domain.sort_is_finite(v.sort) for v in free_vars(a))]
+        cost = worlds * sum(math.prod(len(ws.domain.valid_elements(v.sort)) for v in free_vars(f))
+                            for f in (phi, *found))
+        if work + cost <= _WORK:
+            work += cost
+            finite.append(phi)
+            atoms += found
+    return finite, atoms
+
+
 # No shrinking: a failure here shows in seconds, and shrinking it took minutes.
 @settings(max_examples=60, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(isa_workspaces(), st.data())
@@ -922,10 +951,7 @@ def test_abstraction_arguments_agree_per_world_and_assignment(text, data):
     assignment, hidden variables outermost (a beta variable that is also a
     direct argument is a column, not hidden)."""
     ws = load_workspace(text)
-    finite = [phi for phi in data.draw(st.lists(fragment_formulas(ws), min_size=2, max_size=5))
-              if all(ws.domain.sort_is_finite(v.sort) for v in free_vars(phi))]
-    atoms = [a for phi in finite for a in _abstraction_atoms(phi)
-             if all(ws.domain.sort_is_finite(v.sort) for v in free_vars(a))]
+    finite, atoms = data.draw(_budgeted_formulas(ws))
     keep = data.draw(st.integers(0, 2 ** 12 - 1))  # bit j: keep the j-th tested tuple (mod 12)
     for world in ws.worlds():
         relations = dict(world.relations)

@@ -304,6 +304,108 @@ def test_a_failure_before_a_raising_position_is_returned_and_nothing_raised():
         next(_tuples_where(_core(ws.space, phi, _compile_tarski), (world,)))
 
 
+def test_a_raising_column_keeps_the_values_before_the_raise(monkeypatch):
+    """Over z in {0, 1, 2, 3}, `div(1, sub(z, 3))` divides by zero at z = 3.
+    The Tarski column computes sub(z, 3) at the four positions and div at
+    three before it raises, and keeps those three values, so the atom's run
+    a position at a time computes only z = 3 again: 11 applications, where
+    evaluating from the first position again made 17 and the Kripke route,
+    one assignment at a time, makes 9.  Both routes raise the same error,
+    also in the search for a failure where every position before the raise
+    holds."""
+    calls = _applies(monkeypatch)
+    ws = load_workspace(NUMBERS)
+    (world,) = ws.worlds()
+    phi = ws.parse("leq(div(1, sub(z:reals, 3)), sub(0, 1))")
+    outcomes = []
+    for route, applied in ((_compile_kripke, 9), (_compile_tarski, 11)):
+        outcomes.append(_outcome(lambda: next(_tuples_where(_core(ws.space, phi, route),
+                                                            (world,)))))
+        assert len(calls) == applied
+        calls.clear()
+    assert outcomes == [("EvaluationFailure", "division by zero")] * 2
+    psi = ws.parse("leq(div(1, sub(z:reals, 3)), 9)")
+    assert [_outcome(lambda: _first_failure(_core(ws.space, psi, route), world))
+            for route in (_compile_kripke, _compile_tarski)] == outcomes
+
+
+def test_an_unstaged_column_is_evaluated_before_the_arguments_after_it():
+    """`div(1, sub(x, z))` reads every parameter, so its column is not
+    staged, and `pow(2, 1/2)` reads none.  At x = z = 0 the evaluation at
+    that assignment divides by zero before it reaches the exponent, and so
+    does the column, on both routes: a column is computed in full where its
+    atom reads it, not when the comparison reads its values."""
+    ws = load_workspace(NUMBERS + "builtin function pow/2 : reals x reals -> reals = pow\n")
+    (world,) = ws.worlds()
+    phi = ws.parse("leq(div(1, sub(x:reals, z:reals)), pow(2, 1/2))")
+    for route in (_compile_kripke, _compile_tarski):
+        core = _core(ws.space, phi, route)
+        for search in (lambda: next(_tuples_where(core, (world,))),
+                       lambda: _first_failure(core, world)):
+            with pytest.raises(EvaluationFailure, match="division by zero"):
+                search()
+
+
+INTEGERS = ("sort integers\n"
+            "extent integers = { 0, 1, 2, 3 }\n"
+            "builtin function add/2 : integers x integers -> integers = add\n"
+            "builtin function pow/2 : integers x integers -> integers = pow\n"
+            "builtin predicate leq/2 : integers x integers = leq\n")
+
+
+@pytest.mark.parametrize("text, sort", [
+    (NUMBERS + "builtin function pow/2 : reals x reals -> reals = pow\n", "reals"),
+    (INTEGERS, "integers")], ids=["reals", "integers-only"])
+def test_a_column_maps_the_bare_operator_where_it_cannot_raise(monkeypatch, text, sort):
+    """Over x and z, 4 values each, the Tarski column over z maps `add` over
+    the values of pow(x, 2) and pow(z, 2), raw numbers, as the bare
+    operator: no `add` goes through `apply_function`, where the Kripke
+    route makes one per assignment.  Where no sort holds every number (only
+    integers are declared) each sum is still checked against a numeric
+    sort.  Both routes give equal rows."""
+    calls = _applies(monkeypatch)
+    ws = load_workspace(text)
+    (world,) = ws.worlds()
+    assert (ifol.semantics._finish(ws.domain, True) is None) is (sort == "reals")
+    phi = ws.parse(f"leq(add(pow(x:{sort}, 2), pow(z:{sort}, 2)), 9)")
+    rows = []
+    for route, added in ((_compile_kripke, 16), (_compile_tarski, 0)):
+        rows.append(next(_tuples_where(_core(ws.space, phi, route), (world,))))
+        assert (calls.count("add"), calls.count("pow")) == (added, 8)
+        calls.clear()
+    assert rows[0] == rows[1] and len(rows[0]) == 11  # x^2 + z^2 <= 9
+
+
+@pytest.mark.parametrize("term, evaluator, error", [
+    ("add(z:reals, 1)", "add", None),
+    ("div(1, z:reals)", "div", "division by zero"),
+    ("pow(z:reals, y:reals)", "pow", None),
+    ("pow(add(z:reals, 1), -1)", "pow", None),
+    ("pow(z:reals, 1/2)", "pow", "exponent 1/2 is not an integer"),
+    ("add(foo, pow(z:reals, 2))", "add", "'foo' is not a numeric particular"),
+])
+def test_a_column_applies_apply_function_where_it_may_raise(monkeypatch, term, evaluator, error):
+    """A built-in application keeps one `apply_function` call per position
+    where the compiler cannot see that it is exact and total: a bare
+    variable as an argument (its values are particulars), `div`, `pow` to a
+    variable, negative or fractional exponent, a constant that is not a
+    number.  Both routes give the same rows or error, and the same failure."""
+    calls = _applies(monkeypatch)
+    ws = load_workspace(NUMBERS + "builtin function pow/2 : reals x reals -> reals = pow\n"
+                        "sort things\nparticular foo : things\n")
+    (world,) = ws.worlds()
+    phi = ws.parse(f"leq({term}, 9)")
+    cores = [_core(ws.space, phi, route) for route in (_compile_kripke, _compile_tarski)]
+    kripke = _outcome(lambda: next(_tuples_where(cores[0], (world,))))
+    calls.clear()
+    tarski = _outcome(lambda: next(_tuples_where(cores[1], (world,))))
+    assert calls.count(evaluator) >= 1
+    assert kripke == tarski and (tarski == ("EvaluationFailure", error) if error
+                                 else isinstance(tarski, frozenset))
+    assert _outcome(lambda: _first_failure(cores[0], world)) \
+        == _outcome(lambda: _first_failure(cores[1], world))
+
+
 def test_a_query_reads_the_pools_as_the_domain_stands_when_it_runs():
     """Sweeps and relational plans last one declaration stamp: evaluating a
     formula object again after a declaration sweeps the grown pool, on both

@@ -102,6 +102,47 @@ def test_particulars_declared_after_a_run_give_the_report_of_a_fresh_load(text):
     assert run_queries(ws) == run_queries(load_workspace(render_workspace(ws)))
 
 
+ARITHMETIC = ("sort integers\n"
+              "extent integers = { -1, 0, 1, 2 }\n"
+              "builtin function add/2 : integers x integers -> integers = add\n"
+              "builtin function div/2 : integers x integers -> integers = div\n"
+              "builtin predicate leq/2 : integers x integers = leq\n")
+POW = "builtin function pow/2 : integers x integers -> integers = pow\n"
+
+
+def _declare_rationals(ws) -> None:
+    ws.declare_sort("rationals")
+    ws.declare_isa("integers", "rationals")
+
+
+def _declare_pow(ws) -> None:
+    ws.signature.declare_function("pow", ("integers", "integers"), "integers",
+                                  ws.domain.lattice, evaluator="pow")
+
+
+@pytest.mark.parametrize("text, declare", [(ARITHMETIC + POW, _declare_rationals),
+                                           (ARITHMETIC + "sort rationals\n"
+                                            "isa integers rationals\n", _declare_pow)],
+                         ids=["rationals", "pow"])
+def test_arithmetic_declared_after_a_run_gives_the_report_of_a_fresh_load(text, declare):
+    """Which arithmetic a compiled core applies, and how, is fixed when it is
+    compiled: the built-in functions, and whether some sort holds every
+    number (without rationals, the half that `div` makes at x = 1, y = 0 has
+    none).  A workspace run without rationals, or without `pow`, then given
+    it through the API, reports what a fresh load of its rendering
+    reports, on both routes and through a plan."""
+    ws = load_workspace(text)
+    total = "add(pow(x:integers, 2), pow(y:integers, 2))"  # planned once rationals exist
+    for phi in (f"leq({total}, 2)", f"leq(div({total}, 2), 1)"):
+        for kind in ("intension", "consequence", "bealer-montague"):
+            ws.queries.append(Query(kind, ws.parse(phi)))
+    before = run_queries(ws)
+    declare(ws)
+    after = run_queries(ws)
+    assert "ERROR" in before[0] and "ERROR" not in after[0]
+    assert after == run_queries(load_workspace(render_workspace(ws)))
+
+
 def test_load_order_independence():
     text = (FIXTURES / "purrs.ifol").read_text()
     lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
